@@ -6,7 +6,6 @@ from .forest import (
     balanced_class_weights,
     compute_oob_score,
     load_rf,
-    rf_predict_proba,
     save_rf,
     train_random_forest,
 )
@@ -18,7 +17,6 @@ from .svm import (
     platt_fit,
     save_svm,
     svm_objective,
-    svm_predict_proba,
     train_svm,
 )
 from .tree import DecisionTree, TreeNode, best_split, entropy
@@ -38,11 +36,9 @@ __all__ = [
     "load_rf",
     "load_svm",
     "platt_fit",
-    "rf_predict_proba",
     "save_rf",
     "save_svm",
     "svm_objective",
-    "svm_predict_proba",
     "train_random_forest",
     "train_svm",
 ]

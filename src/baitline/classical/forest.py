@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..tensor.checkpoint import load_model_json, save_model_json
 from .tree import DecisionTree
 
 
@@ -135,60 +135,22 @@ def compute_oob_score(
     return float((preds == y[covered]).sum() / covered.sum())
 
 
-def rf_predict_proba(model: RandomForestModel, x: np.ndarray) -> float:
-    """Clickbait probability for a single feature vector."""
-    return float(model.predict_clickbait_proba(np.asarray(x)[None, :])[0])
-
-
-def rf_to_dict(model: RandomForestModel) -> dict:
-    return {
-        "format": "baitline-model",
-        "version": 1,
-        "family": "rf",
-        "config": {
-            "n_estimators": model.config.n_estimators,
-            "criterion": model.config.criterion,
-            "class_weight": model.config.class_weight,
-            "oob": model.config.oob,
-            "seed": model.config.seed,
-            "max_features": model.config.max_features,
-        },
+def save_rf(model: RandomForestModel, path) -> None:
+    save_model_json(path, "rf", {
+        "config": asdict(model.config),
         "class_weights": model.class_weights.tolist(),
         "oob_score": model.oob_score,
         "oob_indices": [idx.tolist() for idx in model.oob_indices],
         "trees": [tree.to_preorder() for tree in model.trees],
-    }
+    })
 
 
-def rf_from_dict(payload: dict) -> RandomForestModel:
-    _check_model_header(payload, "rf")
-    config = RandomForestConfig(**payload["config"])
+def load_rf(path) -> RandomForestModel:
+    payload = load_model_json(path, "rf")
     return RandomForestModel(
         trees=[DecisionTree.from_preorder(nodes) for nodes in payload["trees"]],
         oob_indices=[np.array(idx, dtype=np.int64) for idx in payload["oob_indices"]],
         class_weights=np.array(payload["class_weights"]),
         oob_score=float(payload["oob_score"]),
-        config=config,
+        config=RandomForestConfig(**payload["config"]),
     )
-
-
-def _check_model_header(payload: dict, family: str) -> None:
-    from ..tensor.checkpoint import CheckpointVersionError
-
-    if payload.get("format") != "baitline-model" or payload.get("version") != 1:
-        raise CheckpointVersionError(
-            f"unsupported model container: format={payload.get('format')!r} "
-            f"version={payload.get('version')!r}"
-        )
-    if payload.get("family") != family:
-        raise ValueError(f"expected a {family!r} model, got {payload.get('family')!r}")
-
-
-def save_rf(model: RandomForestModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rf_to_dict(model), fh)
-
-
-def load_rf(path) -> RandomForestModel:
-    with open(path, encoding="utf-8") as fh:
-        return rf_from_dict(json.load(fh))

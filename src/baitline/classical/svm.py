@@ -9,11 +9,12 @@ clickbait.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..tensor.checkpoint import load_model_json, save_model_json
 
 
 @dataclass
@@ -183,28 +184,18 @@ def platt_fit(decisions: np.ndarray, y_signed: np.ndarray, max_iter: int = 100) 
     return PlattScaler(A=A, B=B)
 
 
-def svm_predict_proba(model: SvmModel, x: np.ndarray) -> float:
-    """Calibrated clickbait probability for one feature vector."""
-    return float(model.predict_clickbait_proba(np.asarray(x)[None, :])[0])
-
-
-def svm_to_dict(model: SvmModel) -> dict:
-    return {
-        "format": "baitline-model",
-        "version": 1,
-        "family": "svm",
+def save_svm(model: SvmModel, path) -> None:
+    save_model_json(path, "svm", {
         "w": model.w.tolist(),
         "b": model.b,
         "C": model.C,
         "platt": {"A": model.calibrator.A, "B": model.calibrator.B},
         "objective_by_epoch": model.objective_by_epoch,
-    }
+    })
 
 
-def svm_from_dict(payload: dict) -> SvmModel:
-    from .forest import _check_model_header
-
-    _check_model_header(payload, "svm")
+def load_svm(path) -> SvmModel:
+    payload = load_model_json(path, "svm")
     return SvmModel(
         w=np.array(payload["w"], dtype=np.float64),
         b=float(payload["b"]),
@@ -212,13 +203,3 @@ def svm_from_dict(payload: dict) -> SvmModel:
         calibrator=PlattScaler(A=float(payload["platt"]["A"]), B=float(payload["platt"]["B"])),
         objective_by_epoch=list(payload.get("objective_by_epoch", [])),
     )
-
-
-def save_svm(model: SvmModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(svm_to_dict(model), fh)
-
-
-def load_svm(path) -> SvmModel:
-    with open(path, encoding="utf-8") as fh:
-        return svm_from_dict(json.load(fh))

@@ -10,29 +10,17 @@ Every command writes a resolved-config snapshot beside its outputs; the
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfg
-from .classical import (
-    SvmModel,
-    load_rf,
-    load_svm,
-    save_rf,
-    save_svm,
-    train_random_forest,
-    train_svm,
-)
 from .corpus import (
     Corpus,
     CorpusFormatError,
     Label,
     corpus_stats,
-    label_from_clickbait_proba,
     load_corpus,
     load_split_manifest,
     save_corpus,
@@ -42,7 +30,6 @@ from .ensemble import EnsembleConfig, ensemble_predict, fit_weights
 from .features import (
     FEATURE_NAMES,
     HeuristicTagger,
-    Standardizer,
     export_features,
     feature_matrix,
     fit_standardizer,
@@ -57,14 +44,8 @@ from .metrics import (
     save_predictions,
     save_report,
 )
-from .neural.heads import EncoderHeadBundle, train_encoder_head
-from .neural.lstm import BiLstmBundle, train_bilstm
-from .neural.siamese import SiameseBundle, contrastive_predict, train_contrastive
+from .registry import FAMILIES
 from .tensor.checkpoint import CheckpointVersionError
-
-
-def _default_seed() -> int:
-    return int(os.environ.get(cfg.SEED_ENV_VAR, "0"))
 
 
 def _add_common_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -195,7 +176,7 @@ def _resolve_model_config(args, family: str):
     if args.seed is not None:
         flag_overrides["seed"] = args.seed
     elif "seed" not in file_overrides:
-        flag_overrides["seed"] = _default_seed()
+        flag_overrides["seed"] = int(os.environ.get(cfg.SEED_ENV_VAR, "0"))
     if args.epochs is not None:
         flag_overrides["epochs"] = args.epochs
     return cfg.build_model_config(family, args.profile, file_overrides, flag_overrides)
@@ -208,37 +189,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     model_config = _resolve_model_config(args, family)
 
-    losses: list[float] = []
-    if family in ("rf", "svm"):
-        if not corpus.is_labeled:
-            raise ValueError("training needs a labeled corpus")
-        tagger = HeuristicTagger()
-        X_raw = feature_matrix(corpus.articles, tagger)
-        y = np.array([int(a.label) for a in corpus], dtype=np.int64)
-        standardizer = fit_standardizer(X_raw)
-        X = standardizer.apply(X_raw)
-        standardizer.save(out_dir / "standardizer.json")
-        if family == "rf":
-            model = train_random_forest(X, y, model_config)
-            save_rf(model, out_dir / "model.json")
-            losses = [model.oob_score]
-        else:
-            model = train_svm(X, y, model_config)
-            save_svm(model, out_dir / "model.json")
-            losses = model.objective_by_epoch
-    elif family == "bilstm":
-        bundle = train_bilstm(corpus, model_config)
-        bundle.save(out_dir)
-        losses = bundle.train_losses
-    elif family == "contrastive":
-        bundle = train_contrastive(corpus, model_config)
-        bundle.save(out_dir)
-        losses = bundle.train_losses
-    else:  # encoder-head
-        bundle = train_encoder_head(corpus, model_config)
-        bundle.save(out_dir)
-        losses = bundle.train_losses
-
+    losses = FAMILIES[family].train(corpus, model_config, out_dir)
     with open(out_dir / "training.log", "w", encoding="utf-8") as fh:
         for epoch, value in enumerate(losses, start=1):
             fh.write(f"epoch {epoch}: {value!r}\n")
@@ -249,57 +200,22 @@ def cmd_train(args) -> int:
             "corpus": args.corpus,
             "profile": args.profile,
         },
-        family: cfg.config_as_dict(model_config),
+        family: asdict(model_config),
     }
     cfg.write_snapshot(out_dir / "config.ini", snapshot)
     print(f"trained {family} on {len(corpus)} articles -> {out_dir}")
     return 0
 
 
-def _load_run_family(model_dir: Path) -> str:
-    snapshot = cfg.read_config_file(model_dir / "config.ini")
-    try:
-        return snapshot["run"]["model"]
-    except KeyError:
-        raise CorpusFormatError(f"{model_dir}: config.ini lacks a run/model entry") from None
-
-
 def _predict_rows(model_dir: Path, corpus: Corpus) -> list[PredictionRow]:
-    family = _load_run_family(model_dir)
-    golds = [a.label for a in corpus]
-    if family in ("rf", "svm"):
-        standardizer = Standardizer.load(model_dir / "standardizer.json")
-        X = standardizer.apply(feature_matrix(corpus.articles, HeuristicTagger()))
-        if family == "rf":
-            probs = load_rf(model_dir / "model.json").predict_clickbait_proba(X)
-        else:
-            model: SvmModel = load_svm(model_dir / "model.json")
-            probs = model.predict_clickbait_proba(X)
-        rows = [
-            PredictionRow(a.id, g, label_from_clickbait_proba(p), float(p))
-            for a, g, p in zip(corpus, golds, probs)
-        ]
-    elif family == "bilstm":
-        probs = BiLstmBundle.load(model_dir).predict_clickbait_proba(corpus.articles)
-        rows = [
-            PredictionRow(a.id, g, label_from_clickbait_proba(p), float(p))
-            for a, g, p in zip(corpus, golds, probs)
-        ]
-    elif family == "encoder-head":
-        probs = EncoderHeadBundle.load(model_dir).predict_clickbait_proba(corpus.articles)
-        rows = [
-            PredictionRow(a.id, g, label_from_clickbait_proba(p), float(p))
-            for a, g, p in zip(corpus, golds, probs)
-        ]
-    elif family == "contrastive":
-        bundle = SiameseBundle.load(model_dir)
-        rows = []
-        for art, g in zip(corpus, golds):
-            label, score = contrastive_predict(bundle, art, bundle.config.threshold)
-            rows.append(PredictionRow(art.id, g, label, score))
-    else:
+    family = cfg.read_config_file(model_dir / "config.ini").get("run", {}).get("model")
+    if family is None:
+        raise CorpusFormatError(f"{model_dir}: config.ini lacks a run/model entry")
+    if family not in FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
-    return rows
+    labels, scores = FAMILIES[family].predict(model_dir, corpus)
+    return [PredictionRow(a.id, a.label, label, score)
+            for a, label, score in zip(corpus, labels, scores)]
 
 
 def cmd_predict(args) -> int:
@@ -432,17 +348,11 @@ def run(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CorpusFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except CheckpointVersionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return 3
 
 

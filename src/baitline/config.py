@@ -11,64 +11,11 @@ import configparser
 import dataclasses
 from pathlib import Path
 
-from .classical.forest import RandomForestConfig
-from .classical.svm import SvmConfig
-from .neural.heads import EncoderHeadConfig
-from .neural.lstm import BiLstmConfig
-from .neural.siamese import SiameseConfig
+from .registry import FAMILIES
 
 SEED_ENV_VAR = "BAITLINE_SEED"
 
-MODEL_FAMILIES = ("rf", "svm", "bilstm", "contrastive", "encoder-head")
-
-_CONFIG_TYPES = {
-    "rf": RandomForestConfig,
-    "svm": SvmConfig,
-    "bilstm": BiLstmConfig,
-    "contrastive": SiameseConfig,
-    "encoder-head": EncoderHeadConfig,
-}
-
-# The desk profile shrinks capacity and sequence lengths so full training
-# runs finish in seconds while keeping every architectural shape in place.
-_DESK_OVERRIDES: dict[str, dict] = {
-    "rf": {"n_estimators": 30},
-    "svm": {"epochs": 120},
-    "bilstm": {
-        "title_vocab_size": 500,
-        "content_vocab_size": 1000,
-        "embed_dim": 16,
-        "title_units": 8,
-        "content_units": 12,
-        "dense1": 32,
-        "dense2": 16,
-        "epochs": 8,
-        "batch_size": 16,
-        "learning_rate": 0.01,
-        "title_max_len": 12,
-        "content_max_len": 32,
-    },
-    "contrastive": {
-        "vocab_size": 800,
-        "embed_dim": 32,
-        "out_dim": 16,
-        "epochs": 30,
-        "batch_size": 8,
-        "learning_rate": 0.02,
-        "max_len": 48,
-    },
-    "encoder-head": {
-        "vocab_size": 800,
-        "embed_dim": 32,
-        "encoder_dim": 32,
-        "dense": 32,
-        "epochs": 30,
-        "batch_size": 8,
-        "learning_rate": 0.01,
-        "weight_decay": 0.001,
-        "max_len": 80,
-    },
-}
+MODEL_FAMILIES = tuple(FAMILIES)
 
 PROFILES = ("full", "desk")
 
@@ -80,14 +27,14 @@ def build_model_config(
     flag_overrides: dict | None = None,
 ):
     """Resolve one model family's config dataclass through the precedence chain."""
-    if family not in _CONFIG_TYPES:
+    if family not in FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    cls = _CONFIG_TYPES[family]
+    cls = FAMILIES[family].config_type
     values = {f.name: f.default for f in dataclasses.fields(cls)}
     if profile == "desk":
-        values.update(_DESK_OVERRIDES.get(family, {}))
+        values.update(FAMILIES[family].desk)
     for overrides in (file_overrides or {}, flag_overrides or {}):
         for key, value in overrides.items():
             if value is None:
@@ -128,7 +75,3 @@ def write_snapshot(path, sections: dict[str, dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
-
-
-def config_as_dict(config) -> dict:
-    return dataclasses.asdict(config)

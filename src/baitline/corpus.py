@@ -14,6 +14,8 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .textproc import TokenizedDoc, tokenize
 
 
@@ -42,6 +44,12 @@ _LABEL_FROM_STRING = {"clickbait": Label.CLICKBAIT, "non-clickbait": Label.NON_C
 def label_from_clickbait_proba(p: float) -> Label:
     """Argmax label for a clickbait probability; ties go to non-clickbait."""
     return Label.CLICKBAIT if p > 0.5 else Label.NON_CLICKBAIT
+
+
+def argmax_predictions(probs: Iterable[float]) -> tuple[list[Label], list[float]]:
+    """Argmax labels and float scores for a run of clickbait probabilities."""
+    probs = [float(p) for p in probs]
+    return [label_from_clickbait_proba(p) for p in probs], probs
 
 
 @dataclass(frozen=True)
@@ -94,10 +102,16 @@ class Corpus:
     def is_labeled(self) -> bool:
         return bool(self.articles) and self.articles[0].label is not None
 
-    def labels(self) -> list[Label]:
+    def training_labels(self) -> np.ndarray:
+        """Integer labels, for a corpus that is non-empty, labeled and has both classes."""
+        if not self.articles:
+            raise ValueError("cannot train on an empty corpus")
         if not self.is_labeled:
-            raise ValueError(f"corpus {self.name!r} is unlabeled")
-        return [a.label for a in self.articles]
+            raise ValueError("training needs a labeled corpus")
+        labels = np.array([int(a.label) for a in self.articles], dtype=np.int64)
+        if len(np.unique(labels)) < 2:
+            raise ValueError("training needs both classes present")
+        return labels
 
     def sources(self) -> set[str]:
         return {a.source for a in self.articles}

@@ -38,7 +38,10 @@ class EnsembleConfig:
     def load(cls, path) -> "EnsembleConfig":
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        items = list(payload["weights"].items())
+        weights = payload.get("weights") if isinstance(payload, dict) else None
+        if not isinstance(weights, dict):
+            raise ValueError(f'{path}: ensemble config needs a "weights" object')
+        items = list(weights.items())
         return cls(
             model_ids=tuple(k for k, _ in items),
             weights=tuple(float(v) for _, v in items),

@@ -313,16 +313,23 @@ def extract_features(article: NewsArticle, tagger: Tagger | None = None) -> np.n
     ]
     vector = np.array(values, dtype=np.float64)
     if not np.all(np.isfinite(vector)):
-        raise ValueError(f"non-finite feature value for article {article.id!r}")
+        raise ValueError("non-finite feature value")
     return vector
 
 
 def feature_matrix(
     articles: Sequence[NewsArticle], tagger: Tagger | None = None
 ) -> np.ndarray:
+    """One feature row per article; an undefined feature names its article."""
     if tagger is None:
         tagger = HeuristicTagger()
-    return np.stack([extract_features(a, tagger) for a in articles])
+    rows = []
+    for article in articles:
+        try:
+            rows.append(extract_features(article, tagger))
+        except ValueError as exc:
+            raise ValueError(f"article {article.id!r}: {exc}") from None
+    return np.stack(rows)
 
 
 @dataclass(frozen=True)

@@ -1,50 +1,1 @@
 """Neural models: dual-branch BiLSTM, encoder head, Siamese contrastive."""
-
-from .encoder import PooledTextEncoder, uniform_param
-from .heads import (
-    EncoderHead,
-    EncoderHeadBundle,
-    EncoderHeadConfig,
-    join_with_separator,
-    train_encoder_head,
-)
-from .lstm import (
-    BiLstmBundle,
-    BiLstmClassifier,
-    BiLstmConfig,
-    train_bilstm,
-)
-from .siamese import (
-    SiameseBundle,
-    SiameseConfig,
-    SiameseEncoder,
-    contrastive_loss,
-    contrastive_loss_graph,
-    contrastive_predict,
-    cosine_dissimilarity,
-    cosine_dissimilarity_graph,
-    train_contrastive,
-)
-
-__all__ = [
-    "BiLstmBundle",
-    "BiLstmClassifier",
-    "BiLstmConfig",
-    "EncoderHead",
-    "EncoderHeadBundle",
-    "EncoderHeadConfig",
-    "PooledTextEncoder",
-    "SiameseBundle",
-    "SiameseConfig",
-    "SiameseEncoder",
-    "contrastive_loss",
-    "contrastive_loss_graph",
-    "contrastive_predict",
-    "cosine_dissimilarity",
-    "cosine_dissimilarity_graph",
-    "join_with_separator",
-    "train_bilstm",
-    "train_contrastive",
-    "train_encoder_head",
-    "uniform_param",
-]

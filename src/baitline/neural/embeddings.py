@@ -12,11 +12,13 @@ import numpy as np
 from ..textproc import Vocabulary
 
 
-def load_pretrained_embeddings(
-    path, vocab: Vocabulary, embed_dim: int, rng: np.random.Generator, scale: float = 0.1
-) -> np.ndarray:
-    table = rng.uniform(-scale, scale, size=(vocab.size, embed_dim))
-    found = 0
+def load_pretrained_embeddings(path, vocab: Vocabulary, table: np.ndarray) -> None:
+    """Write the file's vectors into the rows of ``table`` for vocabulary tokens.
+
+    ``table`` is the model's own (rows, embed_dim) embedding table; it is
+    changed in place.
+    """
+    embed_dim = table.shape[1]
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split()
@@ -30,5 +32,3 @@ def load_pretrained_embeddings(
             idx = vocab.token_to_id.get(token)
             if idx is not None:
                 table[idx] = [float(v) for v in parts[1:]]
-                found += 1
-    return table

@@ -48,12 +48,6 @@ class PooledTextEncoder:
             f"{prefix}.proj_b": self.proj_b,
         }
 
-    def load_params(self, values: dict[str, np.ndarray], prefix: str = "encoder") -> None:
-        self.embedding.data = np.array(values[f"{prefix}.embedding"])
-        self.proj_w.data = np.array(values[f"{prefix}.proj_w"])
-        self.ctx_w.data = np.array(values[f"{prefix}.ctx_w"])
-        self.proj_b.data = np.array(values[f"{prefix}.proj_b"])
-
     def encode(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         """Build the encoding graph for a batch; every row needs a real token."""
         ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))

@@ -8,25 +8,15 @@ default is the toolkit's own pooled text encoder.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from ..corpus import Corpus, NewsArticle
-from ..tensor import GraphOptimizer, Tensor, backward, cross_entropy, dropout, relu, softmax
-from ..textproc import (
-    Vocabulary,
-    build_vocab,
-    encode_ids,
-    load_vocab,
-    normalize,
-    save_vocab,
-    tokenize,
-)
-from ..tensor.checkpoint import load_tensors, save_tensors
+from ..corpus import Corpus
+from ..tensor import Tensor, cross_entropy, dropout, relu, softmax
+from ..textproc import Vocabulary, build_vocab, encode_ids
 from .encoder import PooledTextEncoder, uniform_param
+from .trainer import NeuralBundle, stack_encoded, tokenize_sides
 
 
 @dataclass
@@ -73,11 +63,6 @@ class EncoderHead:
         })
         return out
 
-    def load_params(self, values: dict[str, np.ndarray]) -> None:
-        own = self.params()
-        for name, value in values.items():
-            own[name].data = np.array(value)
-
     def forward(
         self,
         ids: np.ndarray,
@@ -92,108 +77,50 @@ class EncoderHead:
 
 
 @dataclass
-class EncoderHeadBundle:
+class EncoderHeadBundle(NeuralBundle):
     head: EncoderHead
     vocab: Vocabulary
     config: EncoderHeadConfig
     train_losses: list[float] = field(default_factory=list)
 
-    def encode_article(self, article: NewsArticle) -> tuple[np.ndarray, np.ndarray]:
-        title_doc = tokenize(normalize(article.title))
-        content_doc = tokenize(normalize(article.content))
-        title_ids = [self.vocab.id_for(t) for t in title_doc.tokens]
-        content_ids = [self.vocab.id_for(t) for t in content_doc.tokens]
-        return join_with_separator(title_ids, content_ids, self.vocab, self.config.max_len)
-
-    def encode_articles(self, articles) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [self.encode_article(a) for a in articles]
-        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
-
-    def predict_clickbait_proba(self, articles, batch_size: int = 64) -> np.ndarray:
-        ids, masks = self.encode_articles(articles)
-        out = []
-        for start in range(0, len(ids), batch_size):
-            sl = slice(start, start + batch_size)
-            probs = self.head.forward(ids[sl], masks[sl])
-            out.append(probs.data[:, 0])
-        return np.concatenate(out)
-
-    def save(self, out_dir) -> None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_tensors(out_dir / "model.tensors", {k: v.data for k, v in self.head.params().items()})
-        save_vocab(self.vocab, out_dir / "vocab.txt")
-        meta = {"family": "encoder-head", "config": self.config.__dict__,
-                "train_losses": self.train_losses}
-        with open(out_dir / "model_meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2)
+    family = "encoder-head"
+    config_type = EncoderHeadConfig
+    vocab_files = {"vocab.txt": "vocab"}
 
     @classmethod
-    def load(cls, out_dir) -> "EncoderHeadBundle":
-        out_dir = Path(out_dir)
-        with open(out_dir / "model_meta.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        config = EncoderHeadConfig(**meta["config"])
-        rng = np.random.default_rng(0)
+    def build(cls, config: EncoderHeadConfig, rng: np.random.Generator, **vocabs) -> "EncoderHeadBundle":
         encoder = PooledTextEncoder(config.vocab_size + 2, config.embed_dim,
                                     config.encoder_dim, rng)
-        head = EncoderHead(encoder, config.encoder_dim, config, rng)
-        head.load_params(load_tensors(out_dir / "model.tensors"))
-        return cls(
-            head=head,
-            vocab=load_vocab(out_dir / "vocab.txt"),
-            config=config,
-            train_losses=list(meta.get("train_losses", [])),
-        )
+        return cls(EncoderHead(encoder, config.encoder_dim, config, rng), config=config, **vocabs)
+
+    def params(self) -> dict[str, Tensor]:
+        return self.head.params()
+
+    def encode_docs(self, articles, title_docs, content_docs) -> tuple[np.ndarray, ...]:
+        id_for = self.vocab.id_for
+        return stack_encoded([
+            join_with_separator([id_for(t) for t in title.tokens], [id_for(t) for t in content.tokens],
+                                self.vocab, self.config.max_len)
+            for title, content in zip(title_docs, content_docs)
+        ])
+
+    def batch_loss(self, arrays, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
+        return cross_entropy(self.head.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])
+
+    def batch_scores(self, *arrays) -> np.ndarray:
+        return self.head.forward(*arrays).data[:, 0]
+
+    predict_clickbait_proba = NeuralBundle.scores
 
 
 def train_encoder_head(corpus: Corpus, config: EncoderHeadConfig | None = None) -> EncoderHeadBundle:
     """Cross-entropy training with AdamW (decoupled weight decay)."""
     if config is None:
         config = EncoderHeadConfig()
-    if len(corpus) == 0:
-        raise ValueError("cannot train on an empty corpus")
-    if not corpus.is_labeled:
-        raise ValueError("training needs a labeled corpus")
-    labels = np.array([int(a.label) for a in corpus], dtype=np.int64)
-    if len(np.unique(labels)) < 2:
-        raise ValueError("training needs both classes present")
+    labels = corpus.training_labels()
     rng = np.random.default_rng(config.seed)
-
-    docs = []
-    for art in corpus:
-        docs.append(tokenize(normalize(art.title)))
-        docs.append(tokenize(normalize(art.content)))
-    vocab = build_vocab(docs, config.vocab_size, include_separator=True)
-
-    encoder = PooledTextEncoder(config.vocab_size + 2, config.embed_dim,
-                                config.encoder_dim, rng)
-    head = EncoderHead(encoder, config.encoder_dim, config, rng)
-    bundle = EncoderHeadBundle(head=head, vocab=vocab, config=config)
-    if config.epochs == 0:
-        return bundle
-
-    ids, masks = bundle.encode_articles(corpus.articles)
-    onehot = np.zeros((len(labels), 2))
-    onehot[np.arange(len(labels)), labels] = 1.0
-
-    optimizer = GraphOptimizer(
-        head.params(), lr=config.learning_rate,
-        weight_decay=config.weight_decay, decoupled=True,
-    )
-    n = len(labels)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            probs = head.forward(ids[batch], masks[batch], train=True, rng=rng)
-            loss = cross_entropy(probs, onehot[batch])
-            optimizer.zero_grad()
-            backward(loss)
-            optimizer.step()
-            epoch_loss += loss.item()
-            n_batches += 1
-        bundle.train_losses.append(epoch_loss / n_batches)
-    return bundle
+    title_docs, content_docs = tokenize_sides(corpus.articles)
+    vocab = build_vocab(title_docs + content_docs, config.vocab_size, include_separator=True)
+    bundle = EncoderHeadBundle.build(config, rng, vocab=vocab)
+    return bundle.fit(bundle.encode_docs(corpus.articles, title_docs, content_docs), labels, rng,
+                      weight_decay=config.weight_decay, decoupled=True)

@@ -8,17 +8,14 @@ the two classes.  Padded time steps carry hidden state through unchanged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from ..corpus import Corpus
 from ..tensor import (
-    GraphOptimizer,
     Tensor,
-    backward,
+    backward,  # noqa: F401  (benchmark/test_selftest.py checks tracing rebinds it here)
     concat,
     cross_entropy,
     dropout,
@@ -32,9 +29,10 @@ from ..tensor import (
     stack_steps,
     tanh,
 )
-from ..textproc import Vocabulary, build_vocab, encode, load_vocab, normalize, save_vocab, tokenize
-from ..tensor.checkpoint import load_tensors, save_tensors
+from ..textproc import Vocabulary, build_vocab, encode
+from .embeddings import load_pretrained_embeddings
 from .encoder import uniform_param
+from .trainer import NeuralBundle, stack_encoded, tokenize_sides
 
 
 @dataclass
@@ -166,11 +164,6 @@ class BiLstmClassifier:
         })
         return out
 
-    def load_params(self, values: dict[str, np.ndarray]) -> None:
-        own = self.params()
-        for name, value in values.items():
-            own[name].data = np.array(value)
-
     def forward(
         self,
         title_ids: np.ndarray,
@@ -191,117 +184,54 @@ class BiLstmClassifier:
 
 
 @dataclass
-class BiLstmBundle:
+class BiLstmBundle(NeuralBundle):
     model: BiLstmClassifier
     title_vocab: Vocabulary
     content_vocab: Vocabulary
     config: BiLstmConfig
     train_losses: list[float] = field(default_factory=list)
 
-    def encode_articles(self, articles) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        cfg = self.config
-        t_ids, t_masks, c_ids, c_masks = [], [], [], []
-        for art in articles:
-            ti, tm = encode(tokenize(normalize(art.title)), self.title_vocab, cfg.title_max_len)
-            ci, cm = encode(tokenize(normalize(art.content)), self.content_vocab, cfg.content_max_len)
-            t_ids.append(ti)
-            t_masks.append(tm)
-            c_ids.append(ci)
-            c_masks.append(cm)
-        return np.stack(t_ids), np.stack(t_masks), np.stack(c_ids), np.stack(c_masks)
-
-    def predict_clickbait_proba(self, articles, batch_size: int = 64) -> np.ndarray:
-        t_ids, t_masks, c_ids, c_masks = self.encode_articles(articles)
-        out = []
-        for start in range(0, len(t_ids), batch_size):
-            sl = slice(start, start + batch_size)
-            probs = self.model.forward(t_ids[sl], t_masks[sl], c_ids[sl], c_masks[sl])
-            out.append(probs.data[:, 0])
-        return np.concatenate(out)
-
-    def save(self, out_dir) -> None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_tensors(out_dir / "model.tensors", {k: v.data for k, v in self.model.params().items()})
-        save_vocab(self.title_vocab, out_dir / "vocab_title.txt")
-        save_vocab(self.content_vocab, out_dir / "vocab_content.txt")
-        meta = {"family": "bilstm", "config": self.config.__dict__,
-                "train_losses": self.train_losses}
-        with open(out_dir / "model_meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2)
+    family = "bilstm"
+    config_type = BiLstmConfig
+    vocab_files = {"vocab_title.txt": "title_vocab", "vocab_content.txt": "content_vocab"}
 
     @classmethod
-    def load(cls, out_dir) -> "BiLstmBundle":
-        out_dir = Path(out_dir)
-        with open(out_dir / "model_meta.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        config = BiLstmConfig(**meta["config"])
-        model = BiLstmClassifier(config, np.random.default_rng(0))
-        model.load_params(load_tensors(out_dir / "model.tensors"))
-        return cls(
-            model=model,
-            title_vocab=load_vocab(out_dir / "vocab_title.txt"),
-            content_vocab=load_vocab(out_dir / "vocab_content.txt"),
-            config=config,
-            train_losses=list(meta.get("train_losses", [])),
+    def build(cls, config: BiLstmConfig, rng: np.random.Generator, **vocabs) -> "BiLstmBundle":
+        return cls(BiLstmClassifier(config, rng), config=config, **vocabs)
+
+    def params(self) -> dict[str, Tensor]:
+        return self.model.params()
+
+    def encode_docs(self, articles, title_docs, content_docs) -> tuple[np.ndarray, ...]:
+        cfg = self.config
+        return (
+            *stack_encoded([encode(d, self.title_vocab, cfg.title_max_len) for d in title_docs]),
+            *stack_encoded([encode(d, self.content_vocab, cfg.content_max_len) for d in content_docs]),
         )
+
+    def batch_loss(self, arrays, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
+        return cross_entropy(self.model.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])
+
+    def batch_scores(self, *arrays) -> np.ndarray:
+        return self.model.forward(*arrays).data[:, 0]
+
+    predict_clickbait_proba = NeuralBundle.scores
 
 
 def train_bilstm(corpus: Corpus, config: BiLstmConfig | None = None) -> BiLstmBundle:
     """Cross-entropy training with Adam; bit-reproducible under a fixed seed."""
     if config is None:
         config = BiLstmConfig()
-    if len(corpus) == 0:
-        raise ValueError("cannot train on an empty corpus")
-    if not corpus.is_labeled:
-        raise ValueError("training needs a labeled corpus")
-    labels = np.array([int(a.label) for a in corpus], dtype=np.int64)
-    if len(np.unique(labels)) < 2:
-        raise ValueError("training needs both classes present")
+    labels = corpus.training_labels()
     rng = np.random.default_rng(config.seed)
-
-    title_docs = [tokenize(normalize(a.title)) for a in corpus]
-    content_docs = [tokenize(normalize(a.content)) for a in corpus]
-    title_vocab = build_vocab(title_docs, config.title_vocab_size)
-    content_vocab = build_vocab(content_docs, config.content_vocab_size)
-
-    model = BiLstmClassifier(config, rng)
-    if config.embedding_file:
-        from .embeddings import load_pretrained_embeddings
-
-        model.title_branch.embedding.data = load_pretrained_embeddings(
-            config.embedding_file, title_vocab, config.embed_dim, rng
-        )
-        model.content_branch.embedding.data = load_pretrained_embeddings(
-            config.embedding_file, content_vocab, config.embed_dim, rng
-        )
-    bundle = BiLstmBundle(
-        model=model, title_vocab=title_vocab, content_vocab=content_vocab, config=config
+    title_docs, content_docs = tokenize_sides(corpus.articles)
+    bundle = BiLstmBundle.build(
+        config, rng,
+        title_vocab=build_vocab(title_docs, config.title_vocab_size),
+        content_vocab=build_vocab(content_docs, config.content_vocab_size),
     )
-    if config.epochs == 0:
-        return bundle
-
-    t_ids, t_masks, c_ids, c_masks = bundle.encode_articles(corpus.articles)
-    onehot = np.zeros((len(labels), 2))
-    onehot[np.arange(len(labels)), labels] = 1.0
-
-    optimizer = GraphOptimizer(model.params(), lr=config.learning_rate)
-    n = len(labels)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            probs = model.forward(
-                t_ids[batch], t_masks[batch], c_ids[batch], c_masks[batch],
-                train=True, rng=rng,
-            )
-            loss = cross_entropy(probs, onehot[batch])
-            optimizer.zero_grad()
-            backward(loss)
-            optimizer.step()
-            epoch_loss += loss.item()
-            n_batches += 1
-        bundle.train_losses.append(epoch_loss / n_batches)
-    return bundle
+    if config.embedding_file:
+        for vocab, branch in ((bundle.title_vocab, bundle.model.title_branch),
+                              (bundle.content_vocab, bundle.model.content_branch)):
+            load_pretrained_embeddings(config.embedding_file, vocab, branch.embedding.data)
+    return bundle.fit(bundle.encode_docs(corpus.articles, title_docs, content_docs), labels, rng)

@@ -9,26 +9,23 @@ Inference thresholds the title-content cosine similarity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from ..corpus import Corpus, Label, NewsArticle
 from ..tensor import (
-    GraphOptimizer,
     Tensor,
-    backward,
     concat,
     cosine_similarity,
     l2_normalize,
     relu,
     tmean,
 )
-from ..textproc import Vocabulary, build_vocab, encode, load_vocab, normalize, save_vocab, tokenize
-from ..tensor.checkpoint import load_tensors, save_tensors
+from ..textproc import Vocabulary, build_vocab, encode
+from .embeddings import load_pretrained_embeddings
 from .encoder import PooledTextEncoder
+from .trainer import NeuralBundle, stack_encoded, tokenize_sides
 
 
 @dataclass
@@ -116,7 +113,7 @@ def contrastive_loss(v_t: np.ndarray, v_c: np.ndarray, y: np.ndarray, margin: fl
 
 
 @dataclass
-class SiameseBundle:
+class SiameseBundle(NeuralBundle):
     """Trained encoder plus the preprocessing state needed for inference."""
 
     encoder: SiameseEncoder
@@ -124,47 +121,52 @@ class SiameseBundle:
     config: SiameseConfig
     train_losses: list[float] = field(default_factory=list)
 
-    def _encode_text(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        doc = tokenize(normalize(text))
-        ids, mask = encode(doc, self.vocab, self.config.max_len)
-        return ids[None, :], mask[None, :]
+    family = "contrastive"
+    config_type = SiameseConfig
+    vocab_files = {"vocab.txt": "vocab"}
+
+    @classmethod
+    def build(cls, config: SiameseConfig, rng: np.random.Generator, **vocabs) -> "SiameseBundle":
+        return cls(SiameseEncoder(config, rng), config=config, **vocabs)
+
+    def params(self) -> dict[str, Tensor]:
+        return self.encoder.params()
+
+    def encode_docs(self, articles, title_docs, content_docs) -> tuple[np.ndarray, ...]:
+        """Title and content ids and masks; every side needs a token."""
+        t_ids, t_masks = stack_encoded([encode(d, self.vocab, self.config.max_len) for d in title_docs])
+        c_ids, c_masks = stack_encoded([encode(d, self.vocab, self.config.max_len) for d in content_docs])
+        empty = np.flatnonzero((t_masks.sum(axis=1) == 0) | (c_masks.sum(axis=1) == 0))
+        if len(empty):
+            raise ValueError(f"article {articles[empty[0]].id!r}: cannot encode an all-padding sequence")
+        return t_ids, t_masks, c_ids, c_masks
+
+    def batch_loss(self, arrays, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
+        t_ids, t_masks, c_ids, c_masks = arrays
+        v_t = self.encoder.encode_graph(t_ids, t_masks)
+        v_c = self.encoder.encode_graph(c_ids, c_masks)
+        return contrastive_loss_graph(v_t, v_c, labels, self.config.margin)
+
+    def batch_scores(self, t_ids, t_masks, c_ids, c_masks) -> np.ndarray:
+        """Cosine similarity between each title and its content."""
+        # Columns past a side's longest sequence are all padding, which the
+        # masked pools ignore; a 64-row batch at full length is slower than
+        # scoring one article at a time.
+        t_len, c_len = t_masks.sum(axis=1).max(), c_masks.sum(axis=1).max()
+        v_t = self.encoder.encode(t_ids[:, :t_len], t_masks[:, :t_len])
+        v_c = self.encoder.encode(c_ids[:, :c_len], c_masks[:, :c_len])
+        return cosine_similarity(Tensor(v_t), Tensor(v_c)).data
 
     def similarity(self, article: NewsArticle) -> float:
-        """Cosine similarity between the article's title and content."""
-        if not article.title.strip() or not article.content.strip():
-            raise ValueError(f"article {article.id!r} has an empty side")
-        t_ids, t_mask = self._encode_text(article.title)
-        c_ids, c_mask = self._encode_text(article.content)
-        v_t = self.encoder.encode(t_ids, t_mask)
-        v_c = self.encoder.encode(c_ids, c_mask)
-        return float(
-            cosine_similarity(Tensor(v_t), Tensor(v_c)).data[0]
-        )
+        return float(self.scores([article])[0])
 
     def predict(self, article: NewsArticle) -> tuple[Label, float]:
         return contrastive_predict(self, article, self.config.threshold)
 
-    def save(self, out_dir) -> None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_tensors(out_dir / "model.tensors", {k: v.data for k, v in self.encoder.params().items()})
-        save_vocab(self.vocab, out_dir / "vocab.txt")
-        meta = {"family": "contrastive", "config": self.config.__dict__,
-                "train_losses": self.train_losses}
-        with open(out_dir / "model_meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2)
-
-    @classmethod
-    def load(cls, out_dir) -> "SiameseBundle":
-        out_dir = Path(out_dir)
-        with open(out_dir / "model_meta.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        config = SiameseConfig(**meta["config"])
-        encoder = SiameseEncoder(config, np.random.default_rng(0))
-        encoder.core.load_params(load_tensors(out_dir / "model.tensors"), prefix="siamese")
-        vocab = load_vocab(out_dir / "vocab.txt")
-        return cls(encoder=encoder, vocab=vocab, config=config,
-                   train_losses=list(meta.get("train_losses", [])))
+    def predictions(self, articles) -> tuple[list[Label], list[float]]:
+        pairs = [similarity_to_prediction(float(s), self.config.threshold)
+                 for s in self.scores(articles)]
+        return [label for label, _ in pairs], [score for _, score in pairs]
 
 
 def similarity_to_prediction(s: float, threshold: float = 0.75) -> tuple[Label, float]:
@@ -185,25 +187,6 @@ def contrastive_predict(
     return similarity_to_prediction(bundle.similarity(article), threshold)
 
 
-def _corpus_pairs(
-    corpus: Corpus, vocab: Vocabulary, max_len: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    t_ids, t_masks, c_ids, c_masks, labels = [], [], [], [], []
-    for art in corpus:
-        ti, tm = encode(tokenize(normalize(art.title)), vocab, max_len)
-        ci, cm = encode(tokenize(normalize(art.content)), vocab, max_len)
-        t_ids.append(ti)
-        t_masks.append(tm)
-        c_ids.append(ci)
-        c_masks.append(cm)
-        labels.append(int(art.label))
-    return (
-        np.stack(t_ids), np.stack(t_masks),
-        np.stack(c_ids), np.stack(c_masks),
-        np.array(labels, dtype=np.int64),
-    )
-
-
 def train_contrastive(corpus: Corpus, config: SiameseConfig | None = None) -> SiameseBundle:
     """Minimize the contrastive loss over (title, content, label) triples.
 
@@ -213,45 +196,11 @@ def train_contrastive(corpus: Corpus, config: SiameseConfig | None = None) -> Si
     """
     if config is None:
         config = SiameseConfig()
-    if len(corpus) == 0:
-        raise ValueError("cannot train on an empty corpus")
-    if not corpus.is_labeled:
-        raise ValueError("contrastive training needs a labeled corpus")
+    labels = corpus.training_labels()
     rng = np.random.default_rng(config.seed)
-
-    docs = []
-    for art in corpus:
-        docs.append(tokenize(normalize(art.title)))
-        docs.append(tokenize(normalize(art.content)))
-    vocab = build_vocab(docs, config.vocab_size)
-
-    encoder = SiameseEncoder(config, rng)
+    title_docs, content_docs = tokenize_sides(corpus.articles)
+    vocab = build_vocab(title_docs + content_docs, config.vocab_size)
+    bundle = SiameseBundle.build(config, rng, vocab=vocab)
     if config.embedding_file:
-        from .embeddings import load_pretrained_embeddings
-
-        encoder.core.embedding.data = load_pretrained_embeddings(
-            config.embedding_file, vocab, config.embed_dim, rng
-        )
-    bundle = SiameseBundle(encoder=encoder, vocab=vocab, config=config)
-    if config.epochs == 0:
-        return bundle
-
-    t_ids, t_masks, c_ids, c_masks, labels = _corpus_pairs(corpus, vocab, config.max_len)
-    optimizer = GraphOptimizer(encoder.params(), lr=config.learning_rate)
-    n = len(labels)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            v_t = encoder.encode_graph(t_ids[batch], t_masks[batch])
-            v_c = encoder.encode_graph(c_ids[batch], c_masks[batch])
-            loss = contrastive_loss_graph(v_t, v_c, labels[batch], config.margin)
-            optimizer.zero_grad()
-            backward(loss)
-            optimizer.step()
-            epoch_loss += loss.item()
-            n_batches += 1
-        bundle.train_losses.append(epoch_loss / n_batches)
-    return bundle
+        load_pretrained_embeddings(config.embedding_file, vocab, bundle.encoder.core.embedding.data)
+    return bundle.fit(bundle.encode_docs(corpus.articles, title_docs, content_docs), labels, rng)

@@ -1,0 +1,138 @@
+"""What the neural families share: tokenization, the minibatch trainer,
+batched scoring, and the model directory.
+
+A model directory holds ``model.tensors``, ``model_meta.json`` (family,
+config, per-epoch losses) and the vocabulary files.  Loading is strict: the
+meta file must carry exactly the family's config keys, and the checkpoint
+exactly the tensors, with the same shapes, of the model that config builds.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from pathlib import Path
+
+import numpy as np
+
+from ..corpus import Label, argmax_predictions
+from ..tensor import GraphOptimizer, Tensor, backward
+from ..tensor.checkpoint import CheckpointVersionError, load_tensors, save_tensors
+from ..textproc import TokenizedDoc, load_vocab, normalize, save_vocab, tokenize
+
+PREDICT_BATCH = 64
+
+
+def tokenize_sides(articles) -> tuple[list[TokenizedDoc], list[TokenizedDoc]]:
+    """Normalized title docs and content docs, tokenizing each side once."""
+    return (
+        [tokenize(normalize(a.title)) for a in articles],
+        [tokenize(normalize(a.content)) for a in articles],
+    )
+
+
+def stack_encoded(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Stack per-article ``(ids, mask)`` pairs into two (n, max_len) arrays."""
+    ids, masks = zip(*pairs)
+    return np.stack(ids), np.stack(masks)
+
+
+def _require_same_names(path, kind: str, expected: set[str], found: set[str]) -> None:
+    if expected - found:
+        raise CheckpointVersionError(f"{path}: missing {kind} {sorted(expected - found)}")
+    if found - expected:
+        raise CheckpointVersionError(f"{path}: unexpected {kind} {sorted(found - expected)}")
+
+
+def load_params_strict(path, params: dict[str, Tensor]) -> None:
+    """Fill ``params`` from a checkpoint that holds exactly these tensors."""
+    values = load_tensors(path)
+    _require_same_names(path, "tensor", set(params), set(values))
+    for name, param in params.items():
+        if values[name].shape != param.data.shape:
+            raise CheckpointVersionError(
+                f"{path}: tensor {name!r} has shape {values[name].shape}, "
+                f"expected {param.data.shape}"
+            )
+        param.data = values[name]
+
+
+class NeuralBundle:
+    """A neural model with its vocabularies, config and per-epoch losses.
+
+    Subclasses are dataclasses with ``config`` and ``train_losses`` fields.
+    They set ``family``, ``config_type`` and ``vocab_files`` (file name ->
+    vocabulary field) and implement ``build(config, rng, **vocabs)``,
+    ``params()``, ``encode_docs(articles, title_docs, content_docs)`` (row-
+    aligned arrays; ``articles`` only names an article in errors),
+    ``batch_loss(arrays, labels, rng)`` and ``batch_scores(*arrays)``.
+    """
+
+    def encode_articles(self, articles) -> tuple[np.ndarray, ...]:
+        return self.encode_docs(articles, *tokenize_sides(articles))
+
+    def fit(self, arrays, labels: np.ndarray, rng: np.random.Generator, **optimizer_options):
+        """Minibatch training in place; returns the bundle.
+
+        Each epoch draws one permutation from ``rng``, takes one optimizer
+        step per ``batch_size`` slice of it and logs the mean batch loss.
+        """
+        config = self.config
+        optimizer = GraphOptimizer(self.params(), lr=config.learning_rate, **optimizer_options)
+        for _ in range(config.epochs):
+            order = rng.permutation(len(labels))
+            epoch_loss = 0.0
+            n_batches = 0
+            for start in range(0, len(labels), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                loss = self.batch_loss([a[batch] for a in arrays], labels[batch], rng)
+                optimizer.zero_grad()
+                backward(loss)
+                optimizer.step()
+                epoch_loss += loss.item()
+                n_batches += 1
+            self.train_losses.append(epoch_loss / n_batches)
+        return self
+
+    def scores(self, articles) -> np.ndarray:
+        """``batch_scores`` of every article, encoded once and scored 64 at a time."""
+        arrays = self.encode_articles(articles)
+        return np.concatenate([
+            self.batch_scores(*(a[start : start + PREDICT_BATCH] for a in arrays))
+            for start in range(0, len(articles), PREDICT_BATCH)
+        ])
+
+    def predictions(self, articles) -> tuple[list[Label], list[float]]:
+        """Labels and clickbait scores; the argmax rule unless overridden."""
+        return argmax_predictions(self.scores(articles))
+
+    def save(self, out_dir) -> None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_tensors(out_dir / "model.tensors", {k: v.data for k, v in self.params().items()})
+        for name, field in self.vocab_files.items():
+            save_vocab(getattr(self, field), out_dir / name)
+        meta = {"family": self.family, "config": self.config.__dict__,
+                "train_losses": self.train_losses}
+        with open(out_dir / "model_meta.json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2)
+
+    @classmethod
+    def load(cls, model_dir):
+        model_dir = Path(model_dir)
+        meta_path = model_dir / "model_meta.json"
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        family = meta.get("family") if isinstance(meta, dict) else None
+        if family != cls.family:
+            raise CheckpointVersionError(f"{meta_path}: expected a {cls.family!r} model, got {family!r}")
+        config = meta.get("config")
+        if not isinstance(config, dict):
+            raise CheckpointVersionError(f"{meta_path}: config is not an object")
+        expected = {f.name for f in dataclasses.fields(cls.config_type)}
+        _require_same_names(meta_path, "config key", expected, set(config))
+        vocabs = {field: load_vocab(model_dir / name) for name, field in cls.vocab_files.items()}
+        bundle = cls.build(cls.config_type(**config), np.random.default_rng(0), **vocabs)
+        load_params_strict(model_dir / "model.tensors", bundle.params())
+        bundle.train_losses = list(meta.get("train_losses", []))
+        return bundle

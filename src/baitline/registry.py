@@ -1,0 +1,136 @@
+"""The model-family registry that the config and the CLI read.
+
+Adding a family takes one ``FAMILIES`` entry: its config dataclass, its
+``desk`` profile overrides, ``train(corpus, config, out_dir) -> losses`` (the
+lines of ``training.log``) and a batched ``predict(model_dir, corpus) ->
+(labels, scores)``.  Trainers are called as attributes of their modules, so
+code that rebinds module-level functions (``benchmark/tracer.py``) sees them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
+from typing import Any, Callable
+
+from .classical import forest, svm
+from .corpus import Corpus, Label, argmax_predictions
+from .features import HeuristicTagger, Standardizer, feature_matrix, fit_standardizer
+from .neural import heads, lstm, siamese
+
+
+@dataclass(frozen=True)
+class ModelFamily:
+    config_type: type
+    desk: dict[str, Any]
+    train: Callable[[Corpus, Any, Path], list[float]]
+    predict: Callable[[Path, Corpus], tuple[list[Label], list[float]]]
+
+
+def _standardized_features(corpus: Corpus, out_dir: Path):
+    """Features standardized by statistics fitted here and saved beside the model."""
+    y = corpus.training_labels()
+    X_raw = feature_matrix(corpus.articles, HeuristicTagger())
+    standardizer = fit_standardizer(X_raw)
+    standardizer.save(out_dir / "standardizer.json")
+    return standardizer.apply(X_raw), y
+
+
+def _train_rf(corpus: Corpus, config, out_dir: Path) -> list[float]:
+    model = forest.train_random_forest(*_standardized_features(corpus, out_dir), config)
+    forest.save_rf(model, out_dir / "model.json")
+    return [model.oob_score]
+
+
+def _train_svm(corpus: Corpus, config, out_dir: Path) -> list[float]:
+    model = svm.train_svm(*_standardized_features(corpus, out_dir), config)
+    svm.save_svm(model, out_dir / "model.json")
+    return model.objective_by_epoch
+
+
+def _predict_classical(load, model_dir: Path, corpus: Corpus):
+    standardizer = Standardizer.load(model_dir / "standardizer.json")
+    X = standardizer.apply(feature_matrix(corpus.articles, HeuristicTagger()))
+    return argmax_predictions(load(model_dir / "model.json").predict_clickbait_proba(X))
+
+
+def _saved(bundle, out_dir: Path) -> list[float]:
+    bundle.save(out_dir)
+    return bundle.train_losses
+
+
+def _train_bilstm(corpus: Corpus, config, out_dir: Path) -> list[float]:
+    return _saved(lstm.train_bilstm(corpus, config), out_dir)
+
+
+def _train_contrastive(corpus: Corpus, config, out_dir: Path) -> list[float]:
+    return _saved(siamese.train_contrastive(corpus, config), out_dir)
+
+
+def _train_encoder_head(corpus: Corpus, config, out_dir: Path) -> list[float]:
+    return _saved(heads.train_encoder_head(corpus, config), out_dir)
+
+
+def _predict_neural(bundle_type, model_dir: Path, corpus: Corpus):
+    return bundle_type.load(model_dir).predictions(corpus.articles)
+
+
+# The desk profile shrinks capacity and sequence lengths so full training
+# runs finish in seconds while keeping every architectural shape in place.
+FAMILIES: dict[str, ModelFamily] = {
+    "rf": ModelFamily(
+        forest.RandomForestConfig, {"n_estimators": 30},
+        _train_rf, partial(_predict_classical, forest.load_rf),
+    ),
+    "svm": ModelFamily(
+        svm.SvmConfig, {"epochs": 120},
+        _train_svm, partial(_predict_classical, svm.load_svm),
+    ),
+    "bilstm": ModelFamily(
+        lstm.BiLstmConfig,
+        {
+            "title_vocab_size": 500,
+            "content_vocab_size": 1000,
+            "embed_dim": 16,
+            "title_units": 8,
+            "content_units": 12,
+            "dense1": 32,
+            "dense2": 16,
+            "epochs": 8,
+            "batch_size": 16,
+            "learning_rate": 0.01,
+            "title_max_len": 12,
+            "content_max_len": 32,
+        },
+        _train_bilstm, partial(_predict_neural, lstm.BiLstmBundle),
+    ),
+    "contrastive": ModelFamily(
+        siamese.SiameseConfig,
+        {
+            "vocab_size": 800,
+            "embed_dim": 32,
+            "out_dim": 16,
+            "epochs": 30,
+            "batch_size": 8,
+            "learning_rate": 0.02,
+            "max_len": 48,
+        },
+        _train_contrastive, partial(_predict_neural, siamese.SiameseBundle),
+    ),
+    "encoder-head": ModelFamily(
+        heads.EncoderHeadConfig,
+        {
+            "vocab_size": 800,
+            "embed_dim": 32,
+            "encoder_dim": 32,
+            "dense": 32,
+            "epochs": 30,
+            "batch_size": 8,
+            "learning_rate": 0.01,
+            "weight_decay": 0.001,
+            "max_len": 80,
+        },
+        _train_encoder_head, partial(_predict_neural, heads.EncoderHeadBundle),
+    ),
+}

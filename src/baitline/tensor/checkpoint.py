@@ -1,8 +1,9 @@
-"""Named-tensor checkpoint container.
+"""Model containers: the named-tensor checkpoint and the JSON model container.
 
-Layout: one UTF-8 JSON header line carrying the format name, version, and the
-ordered tensor directory (name + shape), followed by each tensor's row-major
-little-endian float64 payload in directory order.
+Checkpoint layout: one UTF-8 JSON header line carrying the format name,
+version, and the ordered tensor directory (name + shape), followed by each
+tensor's row-major little-endian float64 payload in directory order.  A JSON
+model container is one object: format name, version, family, then fields.
 """
 
 from __future__ import annotations
@@ -13,10 +14,33 @@ import numpy as np
 
 FORMAT_NAME = "baitline-tensors"
 FORMAT_VERSION = 1
+MODEL_HEADER = {"format": "baitline-model", "version": 1}
 
 
 class CheckpointVersionError(RuntimeError):
     """Checkpoint has an unknown format name or unsupported version."""
+
+
+def save_model_json(path, family: str, body: dict) -> None:
+    """Write a JSON model container: the header, then the family's fields."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**MODEL_HEADER, "family": family, **body}, fh)
+
+
+def load_model_json(path, family: str) -> dict:
+    """Read a JSON model container of this format, version and family."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise CheckpointVersionError(f"{path}: not a model container")
+    if any(payload.get(key) != value for key, value in MODEL_HEADER.items()):
+        raise CheckpointVersionError(
+            f"{path}: unsupported model container: format={payload.get('format')!r} "
+            f"version={payload.get('version')!r}"
+        )
+    if payload.get("family") != family:
+        raise ValueError(f"{path}: expected a {family!r} model, got {payload.get('family')!r}")
+    return payload
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:

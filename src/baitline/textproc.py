@@ -67,14 +67,6 @@ class TokenizedDoc:
         """Tokens that carry word content (letters/digits), skipping punctuation."""
         return [t for t in self.tokens if _is_word(t)]
 
-    def sentences(self) -> list[tuple[str, ...]]:
-        out = []
-        start = 0
-        for end in self.sentence_boundaries:
-            out.append(self.tokens[start:end])
-            start = end
-        return out
-
 
 def _is_word(token: str) -> bool:
     return any(c.isalpha() or c.isdigit() for c in token)
@@ -168,14 +160,7 @@ def encode(
     Truncation keeps the head of the sequence.  Returns ``(ids, mask)`` of
     length ``max_len``; the mask is 1 on real tokens and 0 on padding.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    mask = np.zeros(max_len, dtype=np.int64)
-    for i, tok in enumerate(doc.tokens[:max_len]):
-        ids[i] = vocab.id_for(tok)
-        mask[i] = 1
-    return ids, mask
+    return encode_ids([vocab.id_for(tok) for tok in doc.tokens[:max_len]], max_len)
 
 
 def encode_ids(ids: list[int], max_len: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,11 +15,9 @@ from baitline.classical import (
     load_rf,
     load_svm,
     platt_fit,
-    rf_predict_proba,
     save_rf,
     save_svm,
     svm_objective,
-    svm_predict_proba,
     train_random_forest,
     train_svm,
 )
@@ -206,7 +204,7 @@ class TestRandomForest:
             oob_score=float("nan"),
         )
         x = np.zeros(3)
-        assert rf_predict_proba(model, x) == 0.5
+        assert model.predict_clickbait_proba(x[None, :])[0] == 0.5
         mean = model.predict_proba(x[None, :])[0]
         pred = 0 if mean[0] > mean[1] else 1
         assert pred == 1  # non-clickbait on exact tie
@@ -221,7 +219,9 @@ class TestRandomForest:
             trees=trees, oob_indices=[np.array([], dtype=int)] * 3,
             class_weights=np.ones(2), oob_score=float("nan"),
         )
-        assert rf_predict_proba(model, np.zeros(2)) == pytest.approx((0.8 + 0.5 + 0.2) / 3)
+        assert model.predict_clickbait_proba(np.zeros(2)[None, :])[0] == pytest.approx(
+            (0.8 + 0.5 + 0.2) / 3
+        )
 
     def test_all_trees_unanimous(self):
         trees = [DecisionTree(TreeNode(probs=np.array([1.0, 0.0])))] * 4
@@ -229,7 +229,7 @@ class TestRandomForest:
             trees=trees, oob_indices=[np.array([], dtype=int)] * 4,
             class_weights=np.ones(2), oob_score=float("nan"),
         )
-        assert rf_predict_proba(model, np.zeros(2)) == 1.0
+        assert model.predict_clickbait_proba(np.zeros(2)[None, :])[0] == 1.0
 
     def test_serialization_round_trip(self, tmp_path):
         X, y = separable_dataset(seed=6, n_per_class=10)
@@ -313,7 +313,7 @@ class TestSvm:
         model = SvmModel(w=np.array([1.0, 2.0]), b=0.5, C=1.0, calibrator=scaler)
         decision = model_x @ model.w + model.b
         expected = 1.0 / (1.0 + math.exp(-2.0 * decision + 0.25))
-        assert svm_predict_proba(model, model_x) == pytest.approx(expected, abs=1e-12)
+        assert model.predict_clickbait_proba(model_x[None, :])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_objective_formula(self):
         w = np.array([1.0, 0.0])

@@ -1,11 +1,19 @@
+import argparse
+import dataclasses
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from baitline.cli import run
-from baitline.corpus import Label, load_corpus, save_corpus
+from baitline import config as cfg
+from baitline.cli import build_parser, run
+from baitline.corpus import Corpus, Label, load_corpus, save_corpus
 from baitline.metrics import load_predictions
+from baitline.registry import FAMILIES
+from baitline.tensor.checkpoint import load_tensors, save_tensors
+from baitline.textproc import normalize, tokenize
 
 CB = Label.CLICKBAIT
 NCB = Label.NON_CLICKBAIT
@@ -99,6 +107,47 @@ def train_model(tmp_path, family, corpus_file, extra=()):
     return out_dir
 
 
+NEURAL_FAMILIES = ("bilstm", "contrastive", "encoder-head")
+
+
+@pytest.fixture(scope="module")
+def neural_runs(tmp_path_factory):
+    """One untrained desk model directory per neural family."""
+    corpus_path = Path(__file__).parent / "data" / "synthetic60.jsonl"
+    root = tmp_path_factory.mktemp("neural-runs")
+    for family in NEURAL_FAMILIES:
+        assert run(["train", "--model", family, "--corpus", str(corpus_path),
+                    "--out", str(root / family), "--profile", "desk", "--seed", "5",
+                    "--epochs", "0"]) == 0
+    return root
+
+
+def _corrupt(run_dir: Path, defect: str) -> tuple[str, str]:
+    """Give a model directory one defect; returns (file name, culprit name)."""
+    if defect == "version":
+        (run_dir / "model.tensors").write_bytes(
+            b'{"format": "baitline-tensors", "version": 42, "tensors": []}\n')
+        return "model.tensors", "version 42"
+    if defect == "unknown_meta_key":
+        meta_path = run_dir / "model_meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"]["not_a_field"] = 1
+        meta_path.write_text(json.dumps(meta))
+        return "model_meta.json", "not_a_field"
+    tensors = load_tensors(run_dir / "model.tensors")
+    if defect == "missing_tensor":
+        culprit = sorted(tensors)[0]
+        del tensors[culprit]
+    elif defect == "extra_tensor":
+        culprit = "extra.weight"
+        tensors[culprit] = np.zeros(3)
+    else:
+        culprit = "head.out_b" if "head.out_b" in tensors else sorted(tensors)[-1]
+        tensors[culprit] = np.zeros(tensors[culprit].size + 1)
+    save_tensors(run_dir / "model.tensors", tensors)
+    return "model.tensors", culprit
+
+
 class TestTrainPredictEval:
     def test_rf_end_to_end(self, tmp_path, split_paths, capsys):
         train_path, test_path = split_paths
@@ -186,14 +235,84 @@ class TestTrainPredictEval:
         assert run(["predict", "--model-dir", str(run_dir), "--corpus", str(empty_path),
                     "--out", str(tmp_path / "preds.tsv")]) == 3
 
-    def test_corrupted_checkpoint_exit_4(self, tmp_path, split_paths):
-        train_path, test_path = split_paths
-        run_dir = train_model(tmp_path, "contrastive", train_path, ("--epochs", "0"))
-        ckpt = run_dir / "model.tensors"
-        ckpt.write_bytes(b'{"format": "baitline-tensors", "version": 42, "tensors": []}\n')
-        preds_path = tmp_path / "preds.tsv"
-        assert run(["predict", "--model-dir", str(run_dir), "--corpus", test_path,
-                    "--out", str(preds_path)]) == 4
+    @pytest.mark.parametrize("family,defect", [
+        ("contrastive", "version"),
+        *((family, defect) for family in NEURAL_FAMILIES
+          for defect in ("missing_tensor", "extra_tensor", "wrong_shape", "unknown_meta_key")),
+    ])
+    def test_corrupted_checkpoint_exit_4(self, tmp_path, neural_runs, data_dir, capsys,
+                                         family, defect):
+        run_dir = tmp_path / family
+        shutil.copytree(neural_runs / family, run_dir)
+        file_name, culprit = _corrupt(run_dir, defect)
+        capsys.readouterr()
+        assert run(["predict", "--model-dir", str(run_dir),
+                    "--corpus", str(data_dir / "synthetic60.jsonl"),
+                    "--out", str(tmp_path / "preds.tsv")]) == 4
+        err = capsys.readouterr().err
+        assert file_name in err and culprit in err
+
+
+@pytest.mark.parametrize("family", ["rf", "svm", "contrastive"])
+def test_wordless_title_names_the_article(tmp_path, split_paths, data_dir, capsys, family):
+    train_path, _ = split_paths
+    extra = ("--epochs", "2") if family != "rf" else ()
+    run_dir = train_model(tmp_path, family, train_path, extra)
+    corpus = load_corpus(data_dir / "synthetic60.jsonl")
+    articles = tuple(dataclasses.replace(a, title="\u2605\u2605\u2605") if a.id == "syn-00003" else a
+                     for a in corpus)
+    bad_path = tmp_path / "bad.jsonl"
+    save_corpus(Corpus(articles, name="bad"), bad_path)
+    capsys.readouterr()
+    assert run(["predict", "--model-dir", str(run_dir), "--corpus", str(bad_path),
+                "--out", str(tmp_path / "preds.tsv")]) == 3
+    assert "syn-00003" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_registered_family_trains_and_predicts(tmp_path, data_dir, family):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    model_flag = next(a for a in subparsers.choices["train"]._actions if a.dest == "model")
+    assert tuple(model_flag.choices) == tuple(FAMILIES) == cfg.MODEL_FAMILIES
+
+    corpus_path = str(data_dir / "synthetic60.jsonl")
+    run_dir = train_model(tmp_path, family, corpus_path)
+    outputs = []
+    for tag in ("one", "two"):
+        preds_path = tmp_path / f"preds-{tag}.tsv"
+        assert run(["predict", "--model-dir", str(run_dir), "--corpus", corpus_path,
+                    "--out", str(preds_path)]) == 0
+        outputs.append(preds_path.read_bytes())
+    rows = load_predictions(tmp_path / "preds-one.tsv")
+    assert [r.id for r in rows] == [a.id for a in load_corpus(corpus_path)]
+    assert all(0.0 <= r.score <= 1.0 for r in rows)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("family,table,vocab_file", [
+    ("bilstm", "title.embedding", "vocab_title.txt"),
+    ("contrastive", "siamese.embedding", "vocab.txt"),
+])
+def test_embedding_file_model_predicts(tmp_path, split_paths, family, table, vocab_file):
+    train_path, test_path = split_paths
+    dim = cfg.build_model_config(family, "desk").embed_dim
+    tokens = sorted(set(tokenize(normalize(load_corpus(train_path).articles[0].title)).tokens))
+    vectors = {tok: [round(0.01 * (i + 1) * (j + 1), 4) for j in range(dim)]
+               for i, tok in enumerate(tokens)}
+    vectors_path = tmp_path / "vectors.txt"
+    vectors_path.write_text("".join(f"{tok} {' '.join(map(str, vec))}\n"
+                                    for tok, vec in vectors.items()), encoding="utf-8")
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(f"[{family}]\nembedding_file = {vectors_path}\n", encoding="utf-8")
+    run_dir = train_model(tmp_path, family, train_path, ("--config", str(config_path),
+                                                         "--epochs", "0"))
+    vocab = (run_dir / vocab_file).read_text(encoding="utf-8").splitlines()
+    weights = load_tensors(run_dir / "model.tensors")[table]
+    for tok, vec in vectors.items():
+        assert weights[vocab.index(tok) + 2].tolist() == vec
+    assert run(["predict", "--model-dir", str(run_dir), "--corpus", test_path,
+                "--out", str(tmp_path / "preds.tsv")]) == 0
 
 
 class TestFixturePipeline:
@@ -257,6 +376,16 @@ class TestEnsembleCommands:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("payload", [{"threshold": 0.5}, {"weights": [1.0]}, [1.0]])
+    def test_config_without_weights_object_exit_3(self, tmp_path, data_dir, capsys, payload):
+        config_path = tmp_path / "ensemble.json"
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        reference = data_dir / "preds_contrastive_reference.tsv"
+        capsys.readouterr()
+        assert run(["ensemble", "apply", "--config", str(config_path),
+                    "--preds", f"contrastive={reference}",
+                    "--out", str(tmp_path / "out.tsv")]) == 3
+        assert str(config_path) in capsys.readouterr().err
 
 class TestDeterminism:
     def test_identical_runs_byte_identical_predictions(self, tmp_path, split_paths):

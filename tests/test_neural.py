@@ -326,6 +326,16 @@ class TestContrastiveTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             train_contrastive(Corpus((), name="empty"), siamese_config())
+        single = Corpus(
+            tuple(
+                NewsArticle(id=f"s{i}", title="t aici", content="c mare.",
+                            source="s", label=NCB)
+                for i in range(4)
+            ),
+            name="single",
+        )
+        with pytest.raises(ValueError, match="both classes"):
+            train_contrastive(single, siamese_config())
 
     def test_end_to_end_gradient_two_sample_batch(self):
         config = siamese_config()
@@ -400,13 +410,17 @@ class TestPretrainedEmbeddings:
         path = tmp_path / "vectors.txt"
         vec = [round(0.01 * i, 2) for i in range(4)]
         path.write_text(f"ana {' '.join(str(v) for v in vec)}\n", encoding="utf-8")
-        table = load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
-        assert table.shape == (vocab.size, 4)
+        table = np.random.default_rng(0).uniform(-0.1, 0.1, size=(vocab.size + 3, 4))
+        before = table.copy()
+        load_pretrained_embeddings(path, vocab, table)
+        assert table.shape == (vocab.size + 3, 4)  # the model's table keeps its shape
         assert table[vocab.id_for("ana")].tolist() == vec
+        others = np.arange(len(table)) != vocab.id_for("ana")
+        assert np.array_equal(table[others], before[others])
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         vocab = build_vocab([tokenize("ana")], max_size=2)
         path = tmp_path / "vectors.txt"
         path.write_text("ana 0.1 0.2\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
+            load_pretrained_embeddings(path, vocab, np.zeros((vocab.size, 4)))
