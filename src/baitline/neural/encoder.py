@@ -24,14 +24,18 @@ from ..tensor import (
 )
 
 
-def uniform_param(rng: np.random.Generator, shape, scale: float = 0.1) -> Tensor:
+def uniform_param(rng: np.random.Generator | None, shape, scale: float = 0.1) -> Tensor:
+    """Uniform(-scale, scale) values; zeros without ``rng``, for a model
+    whose values are about to be loaded."""
+    if rng is None:
+        return Tensor(np.zeros(shape))
     return Tensor(rng.uniform(-scale, scale, size=shape))
 
 
 class PooledTextEncoder:
     """Token ids + mask -> (B, out_dim) summary vectors."""
 
-    def __init__(self, vocab_size: int, embed_dim: int, out_dim: int, rng: np.random.Generator):
+    def __init__(self, vocab_size: int, embed_dim: int, out_dim: int, rng: np.random.Generator | None):
         self.vocab_size = vocab_size
         self.embed_dim = embed_dim
         self.out_dim = out_dim

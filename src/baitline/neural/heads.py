@@ -16,7 +16,7 @@ from ..corpus import Corpus
 from ..tensor import Tensor, cross_entropy, dropout, relu, softmax
 from ..textproc import Vocabulary, build_vocab, encode_ids
 from .encoder import PooledTextEncoder, uniform_param
-from .trainer import NeuralBundle, stack_encoded, tokenize_sides
+from .trainer import NeuralBundle, stack_encoded, tokenize_sides, trim_padding
 
 
 @dataclass
@@ -47,7 +47,7 @@ def join_with_separator(
 class EncoderHead:
     """Dropout -> dense -> softmax classifier on encoder summary vectors."""
 
-    def __init__(self, encoder, in_dim: int, config: EncoderHeadConfig, rng: np.random.Generator):
+    def __init__(self, encoder, in_dim: int, config: EncoderHeadConfig, rng: np.random.Generator | None):
         self.encoder = encoder
         self.config = config
         self.dense_w = uniform_param(rng, (in_dim, config.dense))
@@ -88,7 +88,7 @@ class EncoderHeadBundle(NeuralBundle):
     vocab_files = {"vocab.txt": "vocab"}
 
     @classmethod
-    def build(cls, config: EncoderHeadConfig, rng: np.random.Generator, **vocabs) -> "EncoderHeadBundle":
+    def build(cls, config: EncoderHeadConfig, rng: np.random.Generator | None, **vocabs) -> "EncoderHeadBundle":
         encoder = PooledTextEncoder(config.vocab_size + 2, config.embed_dim,
                                     config.encoder_dim, rng)
         return cls(EncoderHead(encoder, config.encoder_dim, config, rng), config=config, **vocabs)
@@ -107,8 +107,8 @@ class EncoderHeadBundle(NeuralBundle):
     def batch_loss(self, arrays, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
         return cross_entropy(self.head.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])
 
-    def batch_scores(self, *arrays) -> np.ndarray:
-        return self.head.forward(*arrays).data[:, 0]
+    def batch_scores(self, ids, mask) -> np.ndarray:
+        return self.head.forward(*trim_padding(ids, mask)).data[:, 0]
 
     predict_clickbait_proba = NeuralBundle.scores
 

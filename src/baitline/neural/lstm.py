@@ -20,19 +20,15 @@ from ..tensor import (
     cross_entropy,
     dropout,
     embedding_lookup,
+    lstm_sequence,
     max_pool_over_time,
-    narrow,
     relu,
-    reshape,
-    sigmoid,
     softmax,
-    stack_steps,
-    tanh,
 )
 from ..textproc import Vocabulary, build_vocab, encode
 from .embeddings import load_pretrained_embeddings
 from .encoder import uniform_param
-from .trainer import NeuralBundle, stack_encoded, tokenize_sides
+from .trainer import NeuralBundle, stack_encoded, tokenize_sides, trim_padding
 
 
 @dataclass
@@ -56,11 +52,10 @@ class BiLstmConfig:
 
 
 class LstmDirection:
-    """Single-direction LSTM over a list of per-step (B, in_dim) tensors."""
+    """Single-direction LSTM over a (B, T, in_dim) batch."""
 
-    def __init__(self, name: str, in_dim: int, units: int, rng: np.random.Generator):
+    def __init__(self, name: str, in_dim: int, units: int, rng: np.random.Generator | None):
         self.name = name
-        self.units = units
         self.W = uniform_param(rng, (in_dim, 4 * units))
         self.U = uniform_param(rng, (units, 4 * units))
         self.b = uniform_param(rng, (4 * units,))
@@ -68,50 +63,29 @@ class LstmDirection:
     def params(self) -> dict[str, Tensor]:
         return {f"{self.name}.W": self.W, f"{self.name}.U": self.U, f"{self.name}.b": self.b}
 
-    def run(self, steps: list[Tensor], mask: np.ndarray, reverse: bool = False) -> list[Tensor]:
-        batch = steps[0].shape[0]
-        units = self.units
-        h = Tensor(np.zeros((batch, units)))
-        c = Tensor(np.zeros((batch, units)))
-        order = range(len(steps) - 1, -1, -1) if reverse else range(len(steps))
-        outputs: list[Tensor | None] = [None] * len(steps)
-        for t in order:
-            z = steps[t] @ self.W + h @ self.U + self.b
-            i = sigmoid(narrow(z, 1, 0, units))
-            f = sigmoid(narrow(z, 1, units, units))
-            g = tanh(narrow(z, 1, 2 * units, units))
-            o = sigmoid(narrow(z, 1, 3 * units, units))
-            c_new = f * c + i * g
-            h_new = o * tanh(c_new)
-            m = Tensor(mask[:, t : t + 1].astype(np.float64))
-            keep = Tensor(1.0 - mask[:, t : t + 1].astype(np.float64))
-            c = m * c_new + keep * c
-            h = m * h_new + keep * h
-            outputs[t] = h
-        return outputs
+    def run(self, x: Tensor, mask: np.ndarray, reverse: bool = False) -> Tensor:
+        return lstm_sequence(x, self.W, self.U, self.b, mask, reverse)
 
 
 class BiLstmLayer:
-    def __init__(self, name: str, in_dim: int, units: int, rng: np.random.Generator):
+    def __init__(self, name: str, in_dim: int, units: int, rng: np.random.Generator | None):
         self.fwd = LstmDirection(f"{name}.fwd", in_dim, units, rng)
         self.bwd = LstmDirection(f"{name}.bwd", in_dim, units, rng)
 
     def params(self) -> dict[str, Tensor]:
         return {**self.fwd.params(), **self.bwd.params()}
 
-    def run(self, steps: list[Tensor], mask: np.ndarray) -> list[Tensor]:
-        forward = self.fwd.run(steps, mask, reverse=False)
-        backward_ = self.bwd.run(steps, mask, reverse=True)
-        return [concat([f, b], axis=1) for f, b in zip(forward, backward_)]
+    def run(self, x: Tensor, mask: np.ndarray) -> Tensor:
+        """(B, T, in_dim) -> (B, T, 2 * units): forward then backward states."""
+        return concat([self.fwd.run(x, mask), self.bwd.run(x, mask, reverse=True)], axis=2)
 
 
 class BiLstmBranch:
     """Embedding table + stacked bidirectional layers + masked global max pool."""
 
     def __init__(self, name: str, vocab_size: int, embed_dim: int, units: int,
-                 n_layers: int, rng: np.random.Generator):
+                 n_layers: int, rng: np.random.Generator | None):
         self.name = name
-        self.embed_dim = embed_dim
         self.embedding = uniform_param(rng, (vocab_size, embed_dim))
         self.layers = []
         in_dim = embed_dim
@@ -126,18 +100,17 @@ class BiLstmBranch:
         return out
 
     def run(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        batch, seq_len = ids.shape
-        emb = embedding_lookup(self.embedding, ids, mask)
-        steps = [
-            reshape(narrow(emb, 1, t, 1), (batch, self.embed_dim)) for t in range(seq_len)
-        ]
+        # Trailing all-padding columns only carry state and are ignored by
+        # the pool, so dropping them leaves the output bit for bit the same.
+        ids, mask = trim_padding(ids, mask)
+        x = embedding_lookup(self.embedding, ids, mask)
         for layer in self.layers:
-            steps = layer.run(steps, mask)
-        return max_pool_over_time(stack_steps(steps), mask)
+            x = layer.run(x, mask)
+        return max_pool_over_time(x, mask)
 
 
 class BiLstmClassifier:
-    def __init__(self, config: BiLstmConfig, rng: np.random.Generator):
+    def __init__(self, config: BiLstmConfig, rng: np.random.Generator | None):
         self.config = config
         self.title_branch = BiLstmBranch(
             "title", config.title_vocab_size + 2, config.embed_dim,
@@ -196,7 +169,7 @@ class BiLstmBundle(NeuralBundle):
     vocab_files = {"vocab_title.txt": "title_vocab", "vocab_content.txt": "content_vocab"}
 
     @classmethod
-    def build(cls, config: BiLstmConfig, rng: np.random.Generator, **vocabs) -> "BiLstmBundle":
+    def build(cls, config: BiLstmConfig, rng: np.random.Generator | None, **vocabs) -> "BiLstmBundle":
         return cls(BiLstmClassifier(config, rng), config=config, **vocabs)
 
     def params(self) -> dict[str, Tensor]:

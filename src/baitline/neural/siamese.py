@@ -25,7 +25,7 @@ from ..tensor import (
 from ..textproc import Vocabulary, build_vocab, encode
 from .embeddings import load_pretrained_embeddings
 from .encoder import PooledTextEncoder
-from .trainer import NeuralBundle, stack_encoded, tokenize_sides
+from .trainer import NeuralBundle, stack_encoded, tokenize_sides, trim_padding
 
 
 @dataclass
@@ -56,7 +56,7 @@ class SiameseEncoder:
 
     ANCHOR = 0.1
 
-    def __init__(self, config: SiameseConfig, rng: np.random.Generator):
+    def __init__(self, config: SiameseConfig, rng: np.random.Generator | None):
         self.config = config
         self.core = PooledTextEncoder(
             vocab_size=config.vocab_size + 2,
@@ -126,7 +126,7 @@ class SiameseBundle(NeuralBundle):
     vocab_files = {"vocab.txt": "vocab"}
 
     @classmethod
-    def build(cls, config: SiameseConfig, rng: np.random.Generator, **vocabs) -> "SiameseBundle":
+    def build(cls, config: SiameseConfig, rng: np.random.Generator | None, **vocabs) -> "SiameseBundle":
         return cls(SiameseEncoder(config, rng), config=config, **vocabs)
 
     def params(self) -> dict[str, Tensor]:
@@ -149,12 +149,10 @@ class SiameseBundle(NeuralBundle):
 
     def batch_scores(self, t_ids, t_masks, c_ids, c_masks) -> np.ndarray:
         """Cosine similarity between each title and its content."""
-        # Columns past a side's longest sequence are all padding, which the
-        # masked pools ignore; a 64-row batch at full length is slower than
-        # scoring one article at a time.
-        t_len, c_len = t_masks.sum(axis=1).max(), c_masks.sum(axis=1).max()
-        v_t = self.encoder.encode(t_ids[:, :t_len], t_masks[:, :t_len])
-        v_c = self.encoder.encode(c_ids[:, :c_len], c_masks[:, :c_len])
+        # The masked pools ignore trailing all-padding columns; a 64-row
+        # batch at full length is slower than scoring one article at a time.
+        v_t = self.encoder.encode(*trim_padding(t_ids, t_masks))
+        v_c = self.encoder.encode(*trim_padding(c_ids, c_masks))
         return cosine_similarity(Tensor(v_t), Tensor(v_c)).data
 
     def similarity(self, article: NewsArticle) -> float:

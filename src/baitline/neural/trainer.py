@@ -37,6 +37,13 @@ def stack_encoded(pairs) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(ids), np.stack(masks)
 
 
+def trim_padding(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the batch's trailing all-padding columns, keeping at least one."""
+    real = np.flatnonzero(mask.any(axis=0))
+    length = real[-1] + 1 if len(real) else 1
+    return ids[:, :length], mask[:, :length]
+
+
 def _require_same_names(path, kind: str, expected: set[str], found: set[str]) -> None:
     if expected - found:
         raise CheckpointVersionError(f"{path}: missing {kind} {sorted(expected - found)}")
@@ -62,7 +69,8 @@ class NeuralBundle:
 
     Subclasses are dataclasses with ``config`` and ``train_losses`` fields.
     They set ``family``, ``config_type`` and ``vocab_files`` (file name ->
-    vocabulary field) and implement ``build(config, rng, **vocabs)``,
+    vocabulary field) and implement ``build(config, rng, **vocabs)`` (with
+    ``rng`` None the parameters start at zero, ready to be loaded),
     ``params()``, ``encode_docs(articles, title_docs, content_docs)`` (row-
     aligned arrays; ``articles`` only names an article in errors),
     ``batch_loss(arrays, labels, rng)`` and ``batch_scores(*arrays)``.
@@ -132,7 +140,7 @@ class NeuralBundle:
         expected = {f.name for f in dataclasses.fields(cls.config_type)}
         _require_same_names(meta_path, "config key", expected, set(config))
         vocabs = {field: load_vocab(model_dir / name) for name, field in cls.vocab_files.items()}
-        bundle = cls.build(cls.config_type(**config), np.random.default_rng(0), **vocabs)
+        bundle = cls.build(cls.config_type(**config), None, **vocabs)
         load_params_strict(model_dir / "model.tensors", bundle.params())
         bundle.train_losses = list(meta.get("train_losses", []))
         return bundle

@@ -53,8 +53,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         for name in names:
-            arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
-            fh.write(arr.astype("<f8", copy=False).tobytes())
+            fh.write(np.ascontiguousarray(tensors[name], dtype="<f8").reshape(-1).view(np.uint8))
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
@@ -74,12 +73,10 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             )
         out: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            payload = fh.read(count * 8)
-            if len(payload) != count * 8:
+            arr = np.empty(tuple(entry["shape"]), dtype="<f8")
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
                 raise CheckpointVersionError(
                     f"{path}: truncated payload for tensor {entry['name']!r}"
                 )
-            out[entry["name"]] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            out[entry["name"]] = arr
     return out

@@ -19,7 +19,7 @@ class NonFiniteError(ArithmeticError):
 
 
 def _ensure_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -197,13 +197,22 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor(out_data, (x,), rule, op="tanh")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow or branches: with e = exp(-|x|),
+    1/(1+e) where x >= 0 and e/(1+e) below, the same bits as evaluating each
+    formula on its own half.  The numerator max(e, x >= 0) is exactly 1 or e,
+    since e <= 1."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.maximum(e, x >= 0, out=e)
+    np.divide(e, d, out=e)
+    return e
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    data = x.data
-    out_data = np.empty_like(data)
-    pos = data >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-data[pos]))
-    ex = np.exp(data[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    out_data = _sigmoid(x.data)
 
     def rule(g):
         return (g * out_data * (1.0 - out_data),)
@@ -393,6 +402,91 @@ def tmean(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# fused recurrence
+# ---------------------------------------------------------------------------
+
+def lstm_sequence(
+    x: Tensor, W: Tensor, U: Tensor, b: Tensor, mask: np.ndarray, reverse: bool = False
+) -> Tensor:
+    """One LSTM direction over a (B, T, D) batch -> (B, T, H) hidden states.
+
+    ``W`` (D, 4H), ``U`` (H, 4H) and ``b`` (4H,) pack the input, forget, cell
+    and output gates in that order.  At a padded step (mask 0) the state is
+    carried through unchanged, so the output there repeats the previous one;
+    ``reverse`` runs the steps from T-1 down to 0.  The input projection is
+    one GEMM over all B*T rows, and every step's pre-activations pass the
+    finiteness guard.  The backward rule is backpropagation through time over
+    the stored gates and states; the weight and input gradients are then one
+    GEMM each over all steps.
+    """
+    batch, steps, in_dim = x.data.shape
+    units = U.data.shape[0]
+    w, u, bias = W.data, U.data, b.data
+    carry_new = np.asarray(mask, dtype=np.float64)[:, :, None]  # (B, T, 1)
+    carry_old = 1.0 - carry_new
+    projected = (x.data.reshape(batch * steps, in_dim) @ w).reshape(batch, steps, 4 * units)
+    gates = np.empty_like(projected)  # activated i, f, g, o per step
+    h_in = np.empty((batch, steps, units))  # state entering each step
+    c_in = np.empty_like(h_in)
+    tanh_c = np.empty_like(h_in)  # tanh of each step's new cell state
+    out = np.empty_like(h_in)
+    h = np.zeros((batch, units))
+    c = np.zeros((batch, units))
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    i_, f_, g_, o_ = (slice(k * units, (k + 1) * units) for k in range(4))
+    for t in order:
+        z = projected[:, t] + h @ u
+        z += bias
+        _ensure_finite(z, "lstm_sequence")
+        act = _sigmoid(z)
+        act[:, g_] = np.tanh(z[:, g_])
+        c_new = act[:, f_] * c + act[:, i_] * act[:, g_]
+        tc = np.tanh(c_new)
+        m, keep = carry_new[:, t], carry_old[:, t]
+        gates[:, t] = act
+        h_in[:, t] = h
+        c_in[:, t] = c
+        tanh_c[:, t] = tc
+        c = m * c_new + keep * c
+        h = m * (act[:, o_] * tc) + keep * h
+        out[:, t] = h
+
+    def rule(grad_out):
+        # d gate / d pre-activation: s(1 - s) for the sigmoids, 1 - g^2 for g
+        slope = gates * (1.0 - gates)
+        slope[:, :, g_] = 1.0 - gates[:, :, g_] * gates[:, :, g_]
+        grad_z = np.empty_like(gates)
+        dh = np.zeros((batch, units))
+        dc = np.zeros((batch, units))
+        u_t = u.T
+        for t in reversed(order):
+            m, keep = carry_new[:, t], carry_old[:, t]
+            dh = grad_out[:, t] + dh
+            dh_new = m * dh
+            dc_new = m * dc
+            dh *= keep
+            dc *= keep
+            act, tc = gates[:, t], tanh_c[:, t]
+            dc_new += dh_new * act[:, o_] * (1.0 - tc * tc)
+            dz = grad_z[:, t]
+            dz[:, i_] = dc_new * act[:, g_]
+            dz[:, f_] = dc_new * c_in[:, t]
+            dz[:, g_] = dc_new * act[:, i_]
+            dz[:, o_] = dh_new * tc
+            dz *= slope[:, t]
+            dc += dc_new * act[:, f_]
+            dh += dz @ u_t
+        flat = grad_z.reshape(batch * steps, 4 * units)
+        gx = np.empty((batch, steps, in_dim))
+        np.matmul(flat, w.T, out=gx.reshape(batch * steps, in_dim))
+        gw = x.data.reshape(batch * steps, in_dim).T @ flat
+        gu = h_in.reshape(batch * steps, units).T @ flat
+        return gx, gw, gu, flat.sum(axis=0)
+
+    return Tensor(out, (x, W, U, b), rule, op="lstm_sequence")
+
+
+# ---------------------------------------------------------------------------
 # backward sweep
 # ---------------------------------------------------------------------------
 
@@ -417,20 +511,39 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` on every node reachable from a scalar loss."""
+    """Populate ``.grad`` on every node reachable from a scalar loss.
+
+    A node's gradient is its first contribution: adopted when the rule made
+    a fresh array for that parent alone (rules return arrays they do not
+    keep), copied otherwise, since rules may hand the same view or their own
+    incoming gradient to several parents.  A node that gets no contribution
+    ends with zeros and propagates nothing.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
     for node in order:
-        node.grad = np.zeros_like(node.data)
+        node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
+        if node.grad is None:
+            node.grad = np.zeros_like(node.data)
+            continue
         if node.backward_rule is None:
             continue
         grads = node.backward_rule(node.grad)
         for parent, g in zip(node.parents, grads):
-            if g is not None:
+            if g is None:
+                continue
+            if parent.grad is not None:
                 parent.grad += g
+            elif (type(g) is np.ndarray and g.base is None and g is not node.grad
+                  and g.dtype == np.float64 and g.shape == parent.data.shape
+                  and sum(other is g for other in grads) == 1):
+                parent.grad = g
+            else:
+                parent.grad = np.empty_like(parent.data)
+                parent.grad[...] = g
 
 
 # ---------------------------------------------------------------------------

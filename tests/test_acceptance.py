@@ -42,6 +42,7 @@ from baitline.tensor import (
     dropout,
     embedding_lookup,
     l2_normalize,
+    lstm_sequence,
     matmul,
     max_pool_over_time,
     mean_over_time,
@@ -146,6 +147,18 @@ class TestAutodiffAcceptance:
         check(lambda: cross_entropy(softmax(logits, axis=-1), onehot), {"logits": logits})
         mx = Tensor(rng.normal(size=(5, 5)))
         check(lambda: tmean(multiply(mx, mx)), {"mx": mx})
+        # both directions over ragged rows, one of them all padding
+        lstm_rng = np.random.default_rng(101)
+        sx = Tensor(lstm_rng.normal(size=(3, 5, 4)))
+        sw = Tensor(lstm_rng.uniform(-0.5, 0.5, size=(4, 12)))
+        su = Tensor(lstm_rng.uniform(-0.5, 0.5, size=(3, 12)))
+        sb = Tensor(lstm_rng.uniform(-0.5, 0.5, size=(12,)))
+        seq_mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [0, 0, 0, 0, 0]])
+        seq_probe = Tensor(lstm_rng.normal(size=(3, 5, 3)))
+        for reverse in (False, True):
+            check(lambda reverse=reverse: tsum(multiply(
+                      lstm_sequence(sx, sw, su, sb, seq_mask, reverse), seq_probe)),
+                  {"sx": sx, "sw": sw, "su": su, "sb": sb})
 
         # full contrastive graph
         config = SiameseConfig(vocab_size=60, embed_dim=10, out_dim=6, max_len=8, seed=8)

@@ -9,7 +9,7 @@ from baitline.neural.heads import (
     join_with_separator,
     train_encoder_head,
 )
-from baitline.neural.lstm import BiLstmBundle, BiLstmConfig, train_bilstm
+from baitline.neural.lstm import BiLstmBranch, BiLstmBundle, BiLstmConfig, train_bilstm
 from baitline.neural.siamese import (
     SiameseBundle,
     SiameseConfig,
@@ -22,7 +22,7 @@ from baitline.neural.siamese import (
     train_contrastive,
 )
 from baitline.synthetic import generate_class_marked_corpus, generate_topic_pair_corpus
-from baitline.tensor import check_gradients
+from baitline.tensor import check_gradients, embedding_lookup, max_pool_over_time
 from baitline.textproc import build_vocab, tokenize
 
 CB = Label.CLICKBAIT
@@ -59,6 +59,22 @@ class TestBiLstm:
         c_mask = np.zeros((batch, 16), dtype=np.int64)
         probs = bundle.model.forward(t_ids, t_mask, c_ids, c_mask)
         assert np.all(np.abs(probs.data.sum(axis=1) - 1.0) < 1e-9)
+
+    def test_padding_trim_is_exact(self):
+        rng = np.random.default_rng(8)
+        branch = BiLstmBranch("t", 20, 6, 4, 2, np.random.default_rng(3))
+        ids = rng.integers(2, 20, size=(3, 5))
+        mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 0], [0, 0, 0, 0, 0]])
+        ids[mask == 0] = 0
+        trimmed = branch.run(ids, mask).data
+        wide_ids = np.concatenate([ids, np.zeros((3, 7), dtype=ids.dtype)], axis=1)
+        wide_mask = np.concatenate([mask, np.zeros((3, 7), dtype=mask.dtype)], axis=1)
+        assert np.array_equal(branch.run(wide_ids, wide_mask).data, trimmed)
+        # the same layers run over every column, padding included
+        x = embedding_lookup(branch.embedding, wide_ids, wide_mask)
+        for layer in branch.layers:
+            x = layer.run(x, wide_mask)
+        assert np.array_equal(max_pool_over_time(x, wide_mask).data, trimmed)
 
     def test_overfits_small_corpus(self):
         corpus = generate_class_marked_corpus(20, seed=3)

@@ -5,6 +5,7 @@ from baitline.tensor import (
     CheckpointVersionError,
     NonFiniteError,
     Tensor,
+    add,
     backward,
     check_gradients,
     concat,
@@ -14,6 +15,7 @@ from baitline.tensor import (
     embedding_lookup,
     l2_normalize,
     load_tensors,
+    lstm_sequence,
     matmul,
     max_pool_over_time,
     mean_over_time,
@@ -93,6 +95,16 @@ class TestForwardExamples:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             multiply(big, big)
 
+    def test_sigmoid_matches_two_branch_formula_bit_for_bit(self):
+        edges = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 750.0, -750.0]
+        x = np.concatenate([edges, np.linspace(-40.0, 40.0, 801)])
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        assert np.array_equal(sigmoid(Tensor(x)).data.view(np.int64), expected.view(np.int64))
+
 
 class TestBackwardAnalytic:
     def test_sum_of_squares(self):
@@ -114,6 +126,33 @@ class TestBackwardAnalytic:
         y = multiply(x, x)  # x used twice
         backward(tsum(y + y))
         assert x.grad[0] == pytest.approx(8.0)  # d/dx 2x^2 = 4x
+
+    def test_parents_do_not_share_gradient_buffers(self):
+        # add hands one view to both parents; accumulating into it must not
+        # leak into the other parent or the child
+        a = Tensor(np.array([1.0]))
+        b = Tensor(np.array([1.0]))
+        backward(tsum(add(add(a, b), a)))
+        assert a.grad[0] == 2.0 and b.grad[0] == 1.0
+
+    def test_no_two_nodes_share_a_gradient_buffer(self):
+        x = Tensor(np.array([[1.0, 2.0], [3.0, -1.0]]))
+        kept = dropout(x, 0.5, train=False)  # hands its own gradient on
+        flat = reshape(kept, (4,))
+        joined = concat([flat, flat], axis=0)
+        square = multiply(x, x)
+        nodes = [x, kept, flat, joined, square]
+        backward(tsum(add(multiply(joined, joined), reshape(concat([square, square], axis=0), (8,)))))
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1 :]:
+                assert not np.shares_memory(a.grad, b.grad)
+        assert np.array_equal(x.grad, 8.0 * x.data)
+
+    def test_node_without_contribution_gets_zeros(self):
+        x = Tensor(np.array([1.0, 2.0]))
+        y = Tensor(x.data * 2.0, (x,), lambda g: (None,), op="stop")
+        backward(tsum(y))
+        assert np.array_equal(x.grad, np.zeros(2))
 
 
 def fd_check(forward, params, **kw):
@@ -181,10 +220,84 @@ class TestPrimitiveGradients:
         fd_check(lambda: tsum(l2_normalize(u) + l2_normalize(v)), {"u": u, "v": v})
         fd_check(lambda: tsum(cosine_similarity(u, v)), {"u": u, "v": v})
 
+    def test_lstm_sequence(self):
+        x = Tensor(self.rng.normal(size=(3, 4, 2)))
+        W = Tensor(self.rng.normal(size=(2, 8)))
+        U = Tensor(self.rng.normal(size=(2, 8)))
+        b = Tensor(self.rng.normal(size=(8,)))
+        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 0]])
+        for reverse in (False, True):
+            fd_check(lambda reverse=reverse: tsum(tanh(lstm_sequence(x, W, U, b, mask, reverse))),
+                     {"x": x, "W": W, "U": U, "b": b})
+
     def test_dropout_frozen_mask_gradient(self):
         # dropout with train=False is the identity path
         x = Tensor(self.rng.normal(size=(3, 3)))
         fd_check(lambda: tsum(dropout(x, 0.5, train=False)), {"x": x})
+
+
+def per_step_lstm(x, W, U, b, mask, reverse):
+    """The per-step LSTM graph that ``lstm_sequence`` fuses, from primitives."""
+    batch, steps, in_dim = x.shape
+    units = U.shape[0]
+    h = Tensor(np.zeros((batch, units)))
+    c = Tensor(np.zeros((batch, units)))
+    outputs = [None] * steps
+    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        z = reshape(narrow(x, 1, t, 1), (batch, in_dim)) @ W + h @ U + b
+        i = sigmoid(narrow(z, 1, 0, units))
+        f = sigmoid(narrow(z, 1, units, units))
+        g = tanh(narrow(z, 1, 2 * units, units))
+        o = sigmoid(narrow(z, 1, 3 * units, units))
+        c_new = f * c + i * g
+        h_new = o * tanh(c_new)
+        m = Tensor(mask[:, t : t + 1].astype(np.float64))
+        keep = Tensor(1.0 - mask[:, t : t + 1].astype(np.float64))
+        c = m * c_new + keep * c
+        h = m * h_new + keep * h
+        outputs[t] = h
+    return stack_steps(outputs)
+
+
+class TestLstmSequence:
+    rng = np.random.default_rng(12)
+    # ragged rows, one all-padding row, one with a gap
+    mask = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0], [1, 0, 1, 1, 0, 0]])
+
+    def weights(self, in_dim=5, units=3):
+        return (
+            Tensor(self.rng.normal(size=(4, 6, in_dim))),
+            Tensor(self.rng.uniform(-0.5, 0.5, size=(in_dim, 4 * units))),
+            Tensor(self.rng.uniform(-0.5, 0.5, size=(units, 4 * units))),
+            Tensor(self.rng.uniform(-0.5, 0.5, size=(4 * units,))),
+        )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_step_graph(self, reverse):
+        inputs = self.weights()
+        probe = Tensor(self.rng.normal(size=(4, 6, 3)))
+        results = []
+        for run in (lstm_sequence, per_step_lstm):
+            out = run(*inputs, self.mask, reverse)
+            backward(tsum(multiply(out, probe)))
+            results.append((out.data, [t.grad.copy() for t in inputs]))
+        (fused, fused_grads), (oracle, oracle_grads) = results
+        assert np.max(np.abs(fused - oracle)) <= 1e-12
+        for got, want in zip(fused_grads, oracle_grads):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_padded_steps_repeat_the_state(self):
+        out = lstm_sequence(*self.weights(), self.mask).data
+        assert np.array_equal(out[1, 3:], np.repeat(out[1, 2:3], 3, axis=0))
+        assert np.array_equal(out[2], np.zeros((6, 3)))
+        assert np.array_equal(out[3, 1], out[3, 0])
+
+    def test_non_finite_weight_raises(self):
+        x, W, U, b = self.weights()
+        W.data[0, 0] = 1e308
+        x.data[:] = 10.0
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            lstm_sequence(x, W, U, b, self.mask)
 
 
 class TestDropout:
@@ -247,6 +360,31 @@ class TestOptimizers:
             backward(loss)
             opt.step()
         assert abs(x.data[0]) < 0.2
+
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_graph_optimizer_equals_functional_step(self, decoupled):
+        rng = np.random.default_rng(3)
+        # "table" spans more than one of the step's blocks
+        start = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=(5,)),
+                 "table": rng.normal(size=(3, GraphOptimizer.BLOCK // 2))}
+        params = {name: Tensor(value.copy()) for name, value in start.items()}
+        buffers = {name: p.data for name, p in params.items()}
+        opt = GraphOptimizer(params, lr=0.05, weight_decay=0.1, decoupled=decoupled)
+        state = OptimizerState(lr=0.05, weight_decay=0.1)
+        step_fn = adamw_step if decoupled else adam_step
+        expected = start
+        for step in range(6):
+            grads = {name: rng.normal(size=v.shape) for name, v in start.items()}
+            if step == 2:
+                grads = {name: np.zeros_like(g) for name, g in grads.items()}
+            grads["w"][0] = 0.0
+            for name, p in params.items():
+                p.grad = grads[name].copy()
+            opt.step()
+            expected = step_fn(state, expected, grads)
+            for name, p in params.items():
+                assert p.data is buffers[name]  # updated in place
+                assert np.array_equal(p.data, expected[name]), (step, name)
 
     def test_graph_optimizer_requires_backward(self):
         x = Tensor(np.array([1.0]))
