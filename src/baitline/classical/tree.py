@@ -30,6 +30,17 @@ def _weighted_counts(labels: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _plogp(p: np.ndarray) -> np.ndarray:
+    """p * log2(p) elementwise, with 0 for p == 0."""
+    return p * np.log2(np.where(p > 0, p, 1.0))
+
+
+def _entropy2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``entropy([a, b])`` elementwise, bit for bit: a zero mass adds +0.0."""
+    total = a + b
+    return -(_plogp(a / total) + _plogp(b / total))
+
+
 def best_split(
     rows: np.ndarray,
     labels: np.ndarray,
@@ -45,11 +56,14 @@ def best_split(
     Weighted class masses are always formed as integer count * class weight,
     so mathematically equal gains are bit-equal no matter how the counts were
     obtained; ties then deterministically keep the lowest feature index and
-    lowest threshold (candidates are visited in that order).
+    lowest threshold.  All candidate (feature, threshold) pairs are scored at
+    once, from one sort of the candidate columns and one cumulative count.
     """
     rows = np.asarray(rows, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if rows.shape[0] < 2:
+    n = rows.shape[0]
+    features = sorted({int(f) for f in feature_indices})
+    if n < 2 or not features:
         return None
     w0 = float(class_weights[0])
     w1 = float(class_weights[1])
@@ -58,31 +72,28 @@ def best_split(
     total_weight = n0_total * w0 + n1_total * w1
     parent_entropy = entropy([n0_total * w0, n1_total * w1])
 
-    best: tuple[float, int, float] | None = None  # (gain, feature, threshold)
-    for f in sorted(int(f) for f in feature_indices):
-        order = np.argsort(rows[:, f], kind="stable")
-        values = rows[order, f]
-        cum0 = np.cumsum(labels[order] == 0)
-        for i in range(len(values) - 1):
-            if values[i] == values[i + 1]:
-                continue
-            threshold = (values[i] + values[i + 1]) / 2.0
-            if threshold <= values[i] or threshold >= values[i + 1]:
-                continue  # midpoint collapsed onto a data value
-            l0 = int(cum0[i])
-            l1 = (i + 1) - l0
-            wl = l0 * w0 + l1 * w1
-            wr = (n0_total - l0) * w0 + (n1_total - l1) * w1
-            h_left = entropy([l0 * w0, l1 * w1])
-            h_right = entropy([(n0_total - l0) * w0, (n1_total - l1) * w1])
-            gain = parent_entropy - (wl * h_left + wr * h_right) / total_weight
-            if best is None or gain > best[0]:
-                best = (gain, f, threshold)
-            # equal gain keeps the earlier (lower feature, lower threshold) split
-    if best is None:
+    columns = rows[:, features].T  # (feature, sample)
+    order = np.argsort(columns, axis=1, kind="stable")
+    values = np.take_along_axis(columns, order, axis=1)
+    lo, hi = values[:, :-1], values[:, 1:]
+    thresholds = (lo + hi) / 2.0
+    # a midpoint that collapses onto a data value (equal neighbours included)
+    valid = ~((thresholds <= lo) | (thresholds >= hi))
+    if not valid.any():
         return None
-    gain, feature, threshold = best
-    return feature, threshold, gain
+    l0 = np.cumsum(labels[order] == 0, axis=1)[:, :-1]  # class-0 count left of each cut
+    l1 = np.arange(1, n) - l0
+    r0 = n0_total - l0
+    r1 = n1_total - l1
+    wl = l0 * w0 + l1 * w1
+    wr = r0 * w0 + r1 * w1
+    h_left = _entropy2(l0 * w0, l1 * w1)
+    h_right = _entropy2(r0 * w0, r1 * w1)
+    gains = parent_entropy - (wl * h_left + wr * h_right) / total_weight
+    gains[~valid] = -np.inf
+    # argmax keeps the first maximum: lowest feature, then lowest threshold
+    f, i = divmod(int(np.argmax(gains)), n - 1)
+    return features[f], float(thresholds[f, i]), float(gains[f, i])
 
 
 @dataclass
@@ -101,7 +112,12 @@ class TreeNode:
 
 
 class DecisionTree:
-    """Single entropy tree grown to purity (or until no split is possible)."""
+    """Single entropy tree grown to purity (or until no split is possible).
+
+    Growing, serializing and loading walk the tree with an explicit stack, in
+    preorder (node, left subtree, right subtree), so depth is not limited by
+    the interpreter's recursion limit.
+    """
 
     def __init__(self, root: TreeNode):
         self.root = root
@@ -121,30 +137,32 @@ class DecisionTree:
         if max_features is None:
             max_features = n_features
 
-        def grow(indices: np.ndarray) -> TreeNode:
+        root = TreeNode()
+        stack = [(np.arange(X.shape[0]), root)]
+        while stack:
+            indices, node = stack.pop()
             labels = y[indices]
-            weights = class_weights[labels]
-            counts = _weighted_counts(labels, weights)
-            if counts[0] == 0.0 or counts[1] == 0.0:
-                return _leaf(counts)
-            if max_features < n_features:
-                subset = rng.choice(n_features, size=max_features, replace=False)
-            else:
-                subset = np.arange(n_features)
-            split = best_split(X[indices], labels, subset, class_weights)
-            if split is None and max_features < n_features:
-                # sampled features were all constant here; retry with every feature
-                split = best_split(X[indices], labels, np.arange(n_features), class_weights)
+            counts = _weighted_counts(labels, class_weights[labels])
+            split = None
+            if counts[0] != 0.0 and counts[1] != 0.0:
+                if max_features < n_features:
+                    subset = rng.choice(n_features, size=max_features, replace=False)
+                else:
+                    subset = np.arange(n_features)
+                split = best_split(X[indices], labels, subset, class_weights)
+                if split is None and max_features < n_features:
+                    # sampled features were all constant here; retry with every feature
+                    split = best_split(X[indices], labels, np.arange(n_features), class_weights)
             if split is None:
-                return _leaf(counts)
-            feature, threshold, _ = split
-            go_left = X[indices, feature] <= threshold
-            node = TreeNode(feature=feature, threshold=threshold)
-            node.left = grow(indices[go_left])
-            node.right = grow(indices[~go_left])
-            return node
-
-        return cls(grow(np.arange(X.shape[0])))
+                node.probs = counts / counts.sum()
+                continue
+            node.feature, node.threshold, _ = split
+            go_left = X[indices, node.feature] <= node.threshold
+            node.left, node.right = TreeNode(), TreeNode()
+            # the left subtree is grown first, so rng draws follow preorder
+            stack.append((indices[~go_left], node.right))
+            stack.append((indices[go_left], node.left))
+        return cls(root)
 
     def predict_proba_one(self, x: np.ndarray) -> np.ndarray:
         node = self.root
@@ -159,34 +177,32 @@ class DecisionTree:
     def to_preorder(self) -> list[dict]:
         """Serialize nodes in preorder (parent, left subtree, right subtree)."""
         out: list[dict] = []
-
-        def walk(node: TreeNode) -> None:
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if node.is_leaf:
                 out.append({"p": [float(v) for v in node.probs]})
-                return
+                continue
             out.append({"f": node.feature, "t": node.threshold})
-            walk(node.left)
-            walk(node.right)
-
-        walk(self.root)
+            stack.append(node.right)
+            stack.append(node.left)
         return out
 
     @classmethod
     def from_preorder(cls, nodes: list[dict]) -> "DecisionTree":
-        cursor = iter(nodes)
-
-        def build() -> TreeNode:
-            entry = next(cursor)
+        root = TreeNode()
+        stack = [root]  # nodes still to be read, next one on top
+        for position, entry in enumerate(nodes):
+            if not stack:
+                raise ValueError(f"tree has {len(nodes) - position} entries past its last leaf")
+            node = stack.pop()
             if "p" in entry:
-                return TreeNode(probs=np.array(entry["p"], dtype=np.float64))
-            node = TreeNode(feature=int(entry["f"]), threshold=float(entry["t"]))
-            node.left = build()
-            node.right = build()
-            return node
-
-        return cls(build())
-
-
-def _leaf(weighted_counts: np.ndarray) -> TreeNode:
-    total = weighted_counts.sum()
-    return TreeNode(probs=weighted_counts / total)
+                node.probs = np.array(entry["p"], dtype=np.float64)
+                continue
+            node.feature, node.threshold = int(entry["f"]), float(entry["t"])
+            node.left, node.right = TreeNode(), TreeNode()
+            stack.append(node.right)
+            stack.append(node.left)
+        if stack:
+            raise ValueError("tree ends before its last leaf")
+        return cls(root)

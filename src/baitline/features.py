@@ -13,13 +13,14 @@ external tagger dependency and every feature value is reproducible.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .corpus import NewsArticle
-from .textproc import TokenizedDoc, tokenize
+from .textproc import TokenizedDoc, _is_word, tokenize
 
 # Fixed 12-tag universal-style tag set.
 POS_TAGS = (
@@ -95,38 +96,59 @@ class HeuristicTagger:
     tag PROPN only when neither a closed-class entry nor a lowercase variant
     elsewhere in the doc explains them; remaining tokens go through the
     closed-class lexicons, then suffix rules, and default to NOUN.
+
+    Every rule except the capitalized-token one depends on the token alone, so
+    an instance memoizes those tags per token, and for capitalized tokens the
+    lexical class per lowercase form.  Use one instance per batch of docs.
     """
+
+    def __init__(self):
+        self._tags: dict[str, str] = {}  # token -> tag, "" for capitalized words
+        self._lexical: dict[str, tuple[str, bool]] = {}  # lowercase -> (class, closed)
 
     def tag(self, doc: TokenizedDoc) -> list[str]:
         tokens = doc.tokens
-        lower_forms = {t.lower() for t in tokens if not t[:1].isupper()} if tokens else set()
-        initial_positions = _sentence_initial_positions(doc)
-        tags = []
-        for i, token in enumerate(tokens):
-            tags.append(self._tag_one(token, i in initial_positions, lower_forms))
+        memo = self._tags
+        for token in set(tokens).difference(memo):
+            memo[token] = self._token_tag(token)
+        tags = list(map(memo.__getitem__, tokens))
+        capitalized = [i for i, tag in enumerate(tags) if not tag]
+        if not capitalized:
+            return tags
+        initial_positions = _sentence_initial_positions(tags, doc.sentence_boundaries)
+        lower_forms = None
+        for i in capitalized:
+            tags[i] = "PROPN"
+            if i not in initial_positions:
+                continue
+            lower = tokens[i].lower()
+            lexical, closed = self._lexical_class(lower)
+            if not closed and lower_forms is None:
+                lower_forms = {t.lower() for t in set(tokens) if not t[:1].isupper()}
+            if closed or lower in lower_forms:
+                tags[i] = lexical
         return tags
 
-    def _tag_one(self, token: str, sentence_initial: bool, lower_forms: set[str]) -> str:
-        if not any(c.isalpha() or c.isdigit() for c in token):
+    def _token_tag(self, token: str) -> str:
+        """The tag of a token wherever it stands; "" for capitalized words."""
+        if not _is_word(token):
             return "PUNCT"
         if token.isdigit():
             return "NUM"
         if any(c.isdigit() for c in token):
             return "X"
-        lower = token.lower()
         if token[0].isupper():
-            if not sentence_initial:
-                return "PROPN"
+            return ""
+        return self._lexical_class(token.lower())[0]
+
+    def _lexical_class(self, lower: str) -> tuple[str, bool]:
+        """(closed-class tag, True) if the lexicons list it, else (open-class tag, False)."""
+        entry = self._lexical.get(lower)
+        if entry is None:
             closed = self._closed_class(lower)
-            if closed is not None:
-                return closed
-            if lower in lower_forms:
-                return self._open_class(lower)
-            return "PROPN"
-        closed = self._closed_class(lower)
-        if closed is not None:
-            return closed
-        return self._open_class(lower)
+            entry = (closed, True) if closed is not None else (self._open_class(lower), False)
+            self._lexical[lower] = entry
+        return entry
 
     @staticmethod
     def _closed_class(lower: str) -> str | None:
@@ -146,25 +168,24 @@ class HeuristicTagger:
 
     @staticmethod
     def _open_class(lower: str) -> str:
-        for suffix in _VERB_SUFFIXES:
-            if lower.endswith(suffix) and len(lower) > len(suffix):
-                return "VERB"
-        for suffix in _NOUN_SUFFIXES:
-            if lower.endswith(suffix) and len(lower) > len(suffix):
-                return "NOUN"
-        for suffix in _ADJ_SUFFIXES:
-            if lower.endswith(suffix) and len(lower) > len(suffix):
-                return "ADJ"
+        # a suffix counts only when something precedes it, so match on lower[1:]
+        stem = lower[1:]
+        if stem.endswith(_VERB_SUFFIXES):
+            return "VERB"
+        if stem.endswith(_NOUN_SUFFIXES):
+            return "NOUN"
+        if stem.endswith(_ADJ_SUFFIXES):
+            return "ADJ"
         return "NOUN"
 
 
-def _sentence_initial_positions(doc: TokenizedDoc) -> set[int]:
+def _sentence_initial_positions(tags: list[str], boundaries: tuple[int, ...]) -> set[int]:
     """Index of the first word token in each sentence (leading punctuation skipped)."""
     positions = set()
     start = 0
-    for end in doc.sentence_boundaries:
+    for end in boundaries:
         for i in range(start, end):
-            if any(c.isalpha() or c.isdigit() for c in doc.tokens[i]):
+            if tags[i] != "PUNCT":
                 positions.add(i)
                 break
         start = end
@@ -183,22 +204,40 @@ class StubTagger:
         return [self.constant] * len(doc.tokens)
 
 
-def _word_stats(doc: TokenizedDoc) -> tuple[int, int, int]:
-    """(word count, long-word count, letter count) over word tokens."""
-    words = doc.word_tokens()
-    long_words = 0
-    letters = 0
-    for w in words:
-        n_alpha = sum(1 for c in w if c.isalpha())
-        letters += n_alpha
-        if n_alpha > LONG_WORD_LETTERS:
-            long_words += 1
-    return len(words), long_words, letters
+WordStats = tuple[int, int, int]  # (words, long words, letters), or one token's share
 
 
-def lix(doc: TokenizedDoc) -> float:
-    """W/S + 100*LW/W with long words defined as more than 6 letters."""
-    n_words, n_long, _ = _word_stats(doc)
+def _token_stats(token: str) -> WordStats:
+    """(is word, is long, letter count) of one token, as 0/1 flags and a count."""
+    if not _is_word(token):
+        return 0, 0, 0
+    n_alpha = sum(1 for c in token if c.isalpha())
+    return 1, int(n_alpha > LONG_WORD_LETTERS), n_alpha
+
+
+def _word_stats(doc: TokenizedDoc, memo: dict[str, WordStats] | None = None) -> WordStats:
+    """(word count, long-word count, letter count) over word tokens.
+
+    ``memo`` maps tokens to their ``_token_stats``; pass one dict to share it
+    across docs.
+    """
+    if memo is None:
+        memo = {}
+    tokens = doc.tokens
+    for token in set(tokens).difference(memo):
+        memo[token] = _token_stats(token)
+    if not tokens:
+        return 0, 0, 0
+    return tuple(map(sum, zip(*map(memo.__getitem__, tokens))))
+
+
+def lix(doc: TokenizedDoc, stats: WordStats | None = None) -> float:
+    """W/S + 100*LW/W with long words defined as more than 6 letters.
+
+    ``stats`` is the doc's ``_word_stats`` when the caller already has it; the
+    same holds for ``rix`` and ``cl_score``.
+    """
+    n_words, n_long, _ = _word_stats(doc) if stats is None else stats
     n_sentences = doc.n_sentences
     if n_words == 0:
         raise ValueError("LIX needs at least one word token")
@@ -207,21 +246,21 @@ def lix(doc: TokenizedDoc) -> float:
     return n_words / n_sentences + 100.0 * n_long / n_words
 
 
-def rix(doc: TokenizedDoc) -> float:
+def rix(doc: TokenizedDoc, stats: WordStats | None = None) -> float:
     """Long words per sentence."""
-    _, n_long, _ = _word_stats(doc)
+    _, n_long, _ = _word_stats(doc) if stats is None else stats
     n_sentences = doc.n_sentences
     if n_sentences == 0:
         raise ValueError("RIX needs at least one sentence")
     return n_long / n_sentences
 
 
-def cl_score(doc: TokenizedDoc) -> float:
+def cl_score(doc: TokenizedDoc, stats: WordStats | None = None) -> float:
     """Coleman-Liau index: 0.0588*L - 0.296*S - 15.8.
 
     L is letters per 100 words, S is sentences per 100 words.
     """
-    n_words, _, n_letters = _word_stats(doc)
+    n_words, _, n_letters = _word_stats(doc) if stats is None else stats
     if n_words == 0:
         raise ValueError("Coleman-Liau needs at least one word token")
     letters_per_100 = 100.0 * n_letters / n_words
@@ -259,11 +298,11 @@ def pos_counts(
         raise ValueError(
             f"tagger returned {len(tags)} tags for {len(doc.tokens)} tokens"
         )
-    histogram = {tag: 0 for tag in POS_TAGS}
-    for tag in tags:
+    histogram = dict.fromkeys(POS_TAGS, 0)
+    for tag, count in Counter(tags).items():
         if tag not in histogram:
             raise ValueError(f"tagger produced unknown tag {tag!r}")
-        histogram[tag] += 1
+        histogram[tag] = count
     return histogram, histogram["NOUN"], histogram["PROPN"]
 
 
@@ -283,12 +322,18 @@ FEATURE_NAMES: tuple[str, ...] = (
 N_FEATURES = len(FEATURE_NAMES)
 
 
-def extract_features(article: NewsArticle, tagger: Tagger | None = None) -> np.ndarray:
+def extract_features(
+    article: NewsArticle,
+    tagger: Tagger | None = None,
+    word_memo: dict[str, WordStats] | None = None,
+) -> np.ndarray:
     """Assemble the fixed-order feature vector for one article.
 
     Title readability is computed on the title, body readability on the
     content, and noun counts on title plus content combined.  Raises when a
-    component is undefined (e.g. a title with no word tokens).
+    component is undefined (e.g. a title with no word tokens).  ``word_memo``
+    caches per-token word statistics; ``feature_matrix`` shares one across
+    its articles.
     """
     if tagger is None:
         tagger = HeuristicTagger()
@@ -298,16 +343,18 @@ def extract_features(article: NewsArticle, tagger: Tagger | None = None) -> np.n
     title_hist, title_common, title_proper = pos_counts(title_doc, tagger)
     _, content_common, content_proper = pos_counts(content_doc, tagger)
     punct = punctuation_counts(article.title)
+    title_stats = _word_stats(title_doc, word_memo)
+    content_stats = _word_stats(content_doc, word_memo)
 
     values = [
         *(float(title_hist[tag]) for tag in POS_TAGS),
         float(question_word_count(title_doc)),
         *(float(punct[ch]) for ch in PUNCTUATION_FEATURES),
-        lix(title_doc),
-        rix(title_doc),
-        lix(content_doc),
-        rix(content_doc),
-        cl_score(content_doc),
+        lix(title_doc, title_stats),
+        rix(title_doc, title_stats),
+        lix(content_doc, content_stats),
+        rix(content_doc, content_stats),
+        cl_score(content_doc, content_stats),
         float(title_common + content_common),
         float(title_proper + content_proper),
     ]
@@ -323,10 +370,11 @@ def feature_matrix(
     """One feature row per article; an undefined feature names its article."""
     if tagger is None:
         tagger = HeuristicTagger()
+    word_memo: dict[str, WordStats] = {}
     rows = []
     for article in articles:
         try:
-            rows.append(extract_features(article, tagger))
+            rows.append(extract_features(article, tagger, word_memo))
         except ValueError as exc:
             raise ValueError(f"article {article.id!r}: {exc}") from None
     return np.stack(rows)

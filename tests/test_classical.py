@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +115,35 @@ class TestBestSplit:
                 assert got is None
             else:
                 assert got == expected  # exact: feature, threshold, and gain
+        # larger nodes, balanced weights, duplicated and tie-heavy columns, and
+        # candidate lists that are unsorted and repeat features
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(2, 201))
+            d = int(rng.integers(1, 7))
+            rows = np.round(rng.normal(size=(n, d)) * 3, int(rng.integers(0, 3)))
+            for j in range(d):
+                kind = rng.random()
+                if kind < 0.25:
+                    rows[:, j] = rng.integers(0, 3, size=n)  # many ties
+                elif kind < 0.5 and j > 0:
+                    rows[:, j] = rows[:, int(rng.integers(0, j))]  # duplicated column
+            labels = rng.integers(0, 2, size=n)
+            if labels.min() != labels.max():
+                weights = balanced_class_weights(labels)
+            else:
+                weights = np.array([1.0, float(rng.uniform(0.5, 2.0))])
+            features = rng.integers(0, d, size=int(rng.integers(1, 2 * d + 1)))
+            got = best_split(rows, labels, features, weights)
+            assert got == exhaustive_best_split(rows, labels, features, weights)
+
+    def test_collapsed_midpoints_signal_leaf(self):
+        # adjacent floats: every midpoint rounds onto one of its two values
+        lo, hi = 1.0, np.nextafter(1.0, 2.0)
+        rows = np.array([[lo, -hi], [hi, -lo], [lo, -hi], [hi, -lo]])
+        labels = np.array([0, 1, 0, 1])
+        assert best_split(rows, labels, [0, 1], np.ones(2)) is None
+        assert exhaustive_best_split(rows, labels, [0, 1], np.ones(2)) is None
 
     def test_tie_breaks_to_lowest_feature(self):
         # identical duplicated feature: both give equal gain, feature 0 wins
@@ -131,6 +161,84 @@ def separable_dataset(n_per_class=20, seed=0, d=4):
     X = np.vstack([X0, X1])
     y = np.array([0] * n_per_class + [1] * n_per_class)
     return X, y
+
+
+def recursive_fit_preorder(X, y, class_weights, rng, max_features):
+    """Reference grower: plain recursion, node, then left and right subtree."""
+    n_features = X.shape[1]
+    out = []
+
+    def grow(indices):
+        labels = y[indices]
+        counts = np.array([(labels == 0).sum() * class_weights[0],
+                           (labels == 1).sum() * class_weights[1]])
+        split = None
+        if counts.min() > 0:
+            subset = rng.choice(n_features, size=max_features, replace=False)
+            split = best_split(X[indices], labels, subset, class_weights)
+            if split is None:
+                split = best_split(X[indices], labels, range(n_features), class_weights)
+        if split is None:
+            out.append({"p": (counts / counts.sum()).tolist()})
+            return
+        feature, threshold, _ = split
+        out.append({"f": feature, "t": threshold})
+        go_left = X[indices, feature] <= threshold
+        grow(indices[go_left])
+        grow(indices[~go_left])
+
+    grow(np.arange(len(y)))
+    return out
+
+
+def tree_depth(tree):
+    depth, stack = 0, [(tree.root, 0)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        if not node.is_leaf:
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+    return depth
+
+
+class TestDecisionTree:
+    def test_deeper_than_recursion_limit_fits_saves_and_loads(self, tmp_path):
+        n = 3000
+        X = np.arange(n, dtype=np.float64)[:, None]
+        y = np.arange(n) % 2  # alternating labels: each split peels off one sample
+        weights = balanced_class_weights(y)
+        tree = DecisionTree.fit(X, y, weights, np.random.default_rng(0))
+        assert tree_depth(tree) > sys.getrecursionlimit()
+        model = RandomForestModel(
+            trees=[tree], oob_indices=[np.array([], dtype=int)],
+            class_weights=weights, oob_score=float("nan"),
+        )
+        path = tmp_path / "rf.json"
+        save_rf(model, path)
+        loaded = load_rf(path)
+        assert loaded.trees[0].to_preorder() == tree.to_preorder()
+        # grown to purity, so every training sample lands in a leaf of its class
+        assert np.array_equal(loaded.predict_proba(X).argmax(axis=1), y)
+
+    def test_grows_in_recursive_preorder(self):
+        # overlapping classes give a bushy tree; feature sampling draws from
+        # the rng at every internal node, so the draw order shows in the tree
+        X, y = separable_dataset(seed=8, n_per_class=40, d=5)
+        X += np.random.default_rng(9).normal(scale=3.0, size=X.shape)
+        weights = balanced_class_weights(y)
+        tree = DecisionTree.fit(X, y, weights, np.random.default_rng(1), max_features=2)
+        nodes = tree.to_preorder()
+        assert sum("f" in node for node in nodes) > 10
+        assert nodes == recursive_fit_preorder(X, y, weights, np.random.default_rng(1), 2)
+        assert DecisionTree.from_preorder(nodes).to_preorder() == nodes
+
+    def test_malformed_preorder_rejected(self):
+        split = {"f": 0, "t": 0.5}
+        leaf = {"p": [1.0, 0.0]}
+        with pytest.raises(ValueError, match="ends before"):
+            DecisionTree.from_preorder([split, leaf])
+        with pytest.raises(ValueError, match="past its last leaf"):
+            DecisionTree.from_preorder([split, leaf, leaf, leaf])
 
 
 class TestRandomForest:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baitline.corpus import Label, NewsArticle
 from baitline.features import (
@@ -20,6 +22,7 @@ from baitline.features import (
     rix,
     Standardizer,
 )
+from baitline.features import _ADJ_SUFFIXES, _NOUN_SUFFIXES, _VERB_SUFFIXES
 from baitline.textproc import tokenize
 
 TWO_SENTENCE = "ana are mere. mihai cumpara portocale delicioase."
@@ -249,6 +252,123 @@ class TestExtractFeatures:
         # title: mere; content: ana, cumpara, paine
         assert names["common_nouns"] == 4.0
         assert names["proper_nouns"] == 1.0
+
+
+# Words for drawn articles: diacritics, closed-class entries, suffix-rule
+# words, digits, and tokens that are not words ("½", "_") or are digit words ("²").
+LETTER_WORDS = ["ana", "situația", "ce", "de", "cine", "în", "frumoasă", "lucrează",
+                "ștefan", "țară", "mâine", "oraș", "esc", "tor", "os"]
+OTHER_WORDS = ["2024", "x2", "½", "²", "a_b", "_", "covid19"]
+word = st.sampled_from(LETTER_WORDS + OTHER_WORDS) | st.text(
+    alphabet="aăâîșțbcdeÎȘȚ0123½²_", min_size=1, max_size=8)
+
+
+def cased(words):
+    return st.tuples(words, st.booleans()).map(lambda wc: wc[0].capitalize() if wc[1] else wc[0])
+
+
+# Every sentence has a letter word, after an optional non-word opener, so
+# every text has a word token; words repeat across sentences, so a capitalized
+# word shows up both sentence-initial and inside a sentence, with and without
+# its lowercase form nearby.
+sentence = st.builds(
+    lambda opener, first, rest, end: opener + " ".join([first, *rest]) + end,
+    st.sampled_from(["", '"', "- ", "½ "]),
+    cased(st.sampled_from(LETTER_WORDS)),
+    st.lists(cased(word), max_size=8),
+    st.sampled_from(["", ".", "!", "?", "?!", " .", ":"]),
+)
+text = st.lists(sentence, min_size=1, max_size=5).map(" ".join)
+
+
+def reference_tags(doc):
+    """The tagger's rules applied token by token, with no memo."""
+    def is_word(token):
+        return any(c.isalpha() or c.isdigit() for c in token)
+
+    def lexical(lower):
+        closed = HeuristicTagger._closed_class(lower)
+        if closed is not None:
+            return closed, True
+        for tag, suffixes in (("VERB", _VERB_SUFFIXES), ("NOUN", _NOUN_SUFFIXES),
+                              ("ADJ", _ADJ_SUFFIXES)):
+            if any(lower.endswith(s) and len(lower) > len(s) for s in suffixes):
+                return tag, False
+        return "NOUN", False
+
+    initial, start = set(), 0
+    for end in doc.sentence_boundaries:
+        words = [i for i in range(start, end) if is_word(doc.tokens[i])]
+        initial.update(words[:1])
+        start = end
+    lower_forms = {t.lower() for t in doc.tokens if not t[0].isupper()}
+    tags = []
+    for i, token in enumerate(doc.tokens):
+        if not is_word(token):
+            tags.append("PUNCT")
+        elif token.isdigit():
+            tags.append("NUM")
+        elif any(c.isdigit() for c in token):
+            tags.append("X")
+        elif not token[0].isupper():
+            tags.append(lexical(token.lower())[0])
+        else:
+            tag, closed = lexical(token.lower())
+            explained = closed or token.lower() in lower_forms
+            tags.append(tag if i in initial and explained else "PROPN")
+    return tags
+
+
+def reference_word_stats(doc):
+    words = [t for t in doc.tokens if any(c.isalpha() or c.isdigit() for c in t)]
+    letters = [sum(c.isalpha() for c in w) for w in words]
+    return len(words), sum(n > 6 for n in letters), sum(letters)
+
+
+def rows_with_fresh_taggers(articles, tagger_type=HeuristicTagger):
+    return np.stack([extract_features(a, tagger_type()) for a in articles])
+
+
+class TestFeatureMatrixMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(text, text), min_size=1, max_size=4))
+    def test_equals_fresh_tagger_per_article(self, texts):
+        articles = [NewsArticle(id=f"a{i}", title=title, content=content,
+                                source="alfa", label=Label.CLICKBAIT)
+                    for i, (title, content) in enumerate(texts)]
+        matrix = feature_matrix(articles)
+        assert matrix.tobytes() == rows_with_fresh_taggers(articles).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(text, min_size=1, max_size=4))
+    def test_tags_and_readability_follow_reference_rules(self, texts):
+        tagger = HeuristicTagger()  # one instance, so its memo is in play
+        for doc in map(tokenize, texts):
+            assert tagger.tag(doc) == reference_tags(doc)
+            n_words, n_long, n_letters = reference_word_stats(doc)
+            n_sentences = doc.n_sentences
+            assert lix(doc) == n_words / n_sentences + 100.0 * n_long / n_words
+            assert rix(doc) == n_long / n_sentences
+            assert cl_score(doc) == (0.0588 * (100.0 * n_letters / n_words)
+                                     - 0.296 * (100.0 * n_sentences / n_words) - 15.8)
+
+    def test_capitalized_tag_does_not_leak_across_articles(self):
+        # "Zorel" opens a sentence in both articles; only the second also has
+        # "zorel", so it is a proper noun in the first and a common noun in the second
+        first = article(title="ana vine.", content="Zorel pleacă. ana vine.")
+        second = article(title="ana vine.", content="Zorel pleacă. zorel vine.")
+        for articles in ([first, second], [second, first], [first, second, first]):
+            matrix = feature_matrix(articles)
+            assert matrix.tobytes() == rows_with_fresh_taggers(articles).tobytes()
+        proper = FEATURE_NAMES.index("proper_nouns")
+        assert feature_matrix([first, second])[:, proper].tolist() == [1.0, 0.0]
+        assert feature_matrix([second, first])[:, proper].tolist() == [0.0, 1.0]
+
+    def test_memoless_tagger(self):
+        articles = [article(), article(title="Maria are mere", content="ana cumpara paine.")]
+        matrix = feature_matrix(articles, StubTagger("ADV"))
+        stub = rows_with_fresh_taggers(articles, lambda: StubTagger("ADV"))
+        assert matrix.tobytes() == stub.tobytes()
 
 
 class TestStandardizer:
