@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..tensor.checkpoint import load_model_json, save_model_json
+from ..tensor.checkpoint import CheckpointVersionError, load_model_json, save_model_json
 from .tree import DecisionTree
 
 
@@ -146,9 +146,16 @@ def save_rf(model: RandomForestModel, path) -> None:
 
 
 def load_rf(path) -> RandomForestModel:
-    payload = load_model_json(path, "rf")
+    payload = load_model_json(path, "rf", ("config", "class_weights", "oob_score",
+                                           "oob_indices", "trees"))
+    trees = []
+    for index, nodes in enumerate(payload["trees"]):
+        try:
+            trees.append(DecisionTree.from_preorder(nodes))
+        except ValueError as exc:
+            raise CheckpointVersionError(f"{path}: tree {index}: {exc}") from None
     return RandomForestModel(
-        trees=[DecisionTree.from_preorder(nodes) for nodes in payload["trees"]],
+        trees=trees,
         oob_indices=[np.array(idx, dtype=np.int64) for idx in payload["oob_indices"]],
         class_weights=np.array(payload["class_weights"]),
         oob_score=float(payload["oob_score"]),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..tensor.checkpoint import load_model_json, save_model_json
+from ..tensor.checkpoint import CheckpointVersionError, load_model_json, save_model_json
 
 
 @dataclass
@@ -195,11 +195,14 @@ def save_svm(model: SvmModel, path) -> None:
 
 
 def load_svm(path) -> SvmModel:
-    payload = load_model_json(path, "svm")
+    payload = load_model_json(path, "svm", ("w", "b", "C", "platt"))
+    platt = payload["platt"]
+    if not isinstance(platt, dict) or not {"A", "B"} <= platt.keys():
+        raise CheckpointVersionError(f"{path}: svm field 'platt' needs 'A' and 'B'")
     return SvmModel(
         w=np.array(payload["w"], dtype=np.float64),
         b=float(payload["b"]),
         C=float(payload["C"]),
-        calibrator=PlattScaler(A=float(payload["platt"]["A"]), B=float(payload["platt"]["B"])),
+        calibrator=PlattScaler(A=float(platt["A"]), B=float(platt["B"])),
         objective_by_epoch=list(payload.get("objective_by_epoch", [])),
     )

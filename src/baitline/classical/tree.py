@@ -190,16 +190,23 @@ class DecisionTree:
 
     @classmethod
     def from_preorder(cls, nodes: list[dict]) -> "DecisionTree":
+        """Read ``to_preorder`` output; a malformed node list raises ValueError."""
         root = TreeNode()
         stack = [root]  # nodes still to be read, next one on top
         for position, entry in enumerate(nodes):
             if not stack:
                 raise ValueError(f"tree has {len(nodes) - position} entries past its last leaf")
             node = stack.pop()
-            if "p" in entry:
-                node.probs = np.array(entry["p"], dtype=np.float64)
-                continue
-            node.feature, node.threshold = int(entry["f"]), float(entry["t"])
+            try:
+                if "p" in entry:
+                    node.probs = np.array(entry["p"], dtype=np.float64).reshape(2)
+                    continue
+                node.feature, node.threshold = int(entry["f"]), float(entry["t"])
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(
+                    f"node {position} is neither a leaf {{'p': [p0, p1]}} nor a split "
+                    f"{{'f': feature, 't': threshold}}: {entry!r}"
+                ) from None
             node.left, node.right = TreeNode(), TreeNode()
             stack.append(node.right)
             stack.append(node.left)

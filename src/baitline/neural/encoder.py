@@ -32,14 +32,37 @@ def uniform_param(rng: np.random.Generator | None, shape, scale: float = 0.1) ->
     return Tensor(rng.uniform(-scale, scale, size=shape))
 
 
-class PooledTextEncoder:
-    """Token ids + mask -> (B, out_dim) summary vectors."""
+def embedding_table(rng: np.random.Generator | None, rows: int, cap_rows: int,
+                    embed_dim: int) -> Tensor:
+    """A (rows, embed_dim) ``uniform_param`` table that leaves ``rng`` where a
+    (cap_rows, embed_dim) draw would.
 
-    def __init__(self, vocab_size: int, embed_dim: int, out_dim: int, rng: np.random.Generator | None):
-        self.vocab_size = vocab_size
+    ``rows`` is the vocabulary size and ``cap_rows`` the configured cap + 2.
+    The live rows are the first rows of the capped draw, and the skipped rows
+    are one ``advance`` of the bit generator (PCG64 spends one 64-bit output
+    per uniform value), so every later draw matches a full-size table.
+    """
+    if rng is None:
+        return Tensor(np.zeros((rows, embed_dim)))
+    if rows > cap_rows:  # a negative advance would rewind the stream
+        raise ValueError(f"{rows} embedding rows exceed the cap of {cap_rows}")
+    table = uniform_param(rng, (rows, embed_dim))
+    rng.bit_generator.advance((cap_rows - rows) * embed_dim)
+    return table
+
+
+class PooledTextEncoder:
+    """Token ids + mask -> (B, out_dim) summary vectors.
+
+    The embedding table has ``rows`` rows, one per vocabulary id; see
+    ``embedding_table`` for ``cap_rows``.
+    """
+
+    def __init__(self, rows: int, cap_rows: int, embed_dim: int, out_dim: int,
+                 rng: np.random.Generator | None):
         self.embed_dim = embed_dim
         self.out_dim = out_dim
-        self.embedding = uniform_param(rng, (vocab_size, embed_dim))
+        self.embedding = embedding_table(rng, rows, cap_rows, embed_dim)
         self.proj_w = uniform_param(rng, (embed_dim, out_dim))
         self.ctx_w = uniform_param(rng, (embed_dim, out_dim))
         self.proj_b = uniform_param(rng, (out_dim,))

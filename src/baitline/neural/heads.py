@@ -88,10 +88,11 @@ class EncoderHeadBundle(NeuralBundle):
     vocab_files = {"vocab.txt": "vocab"}
 
     @classmethod
-    def build(cls, config: EncoderHeadConfig, rng: np.random.Generator | None, **vocabs) -> "EncoderHeadBundle":
-        encoder = PooledTextEncoder(config.vocab_size + 2, config.embed_dim,
+    def build(cls, config: EncoderHeadConfig, rng: np.random.Generator | None,
+              vocab: Vocabulary) -> "EncoderHeadBundle":
+        encoder = PooledTextEncoder(vocab.size, config.vocab_size + 2, config.embed_dim,
                                     config.encoder_dim, rng)
-        return cls(EncoderHead(encoder, config.encoder_dim, config, rng), config=config, **vocabs)
+        return cls(EncoderHead(encoder, config.encoder_dim, config, rng), vocab, config)
 
     def params(self) -> dict[str, Tensor]:
         return self.head.params()

@@ -27,7 +27,7 @@ from ..tensor import (
 )
 from ..textproc import Vocabulary, build_vocab, encode
 from .embeddings import load_pretrained_embeddings
-from .encoder import uniform_param
+from .encoder import embedding_table, uniform_param
 from .trainer import NeuralBundle, stack_encoded, tokenize_sides, trim_padding
 
 
@@ -81,12 +81,16 @@ class BiLstmLayer:
 
 
 class BiLstmBranch:
-    """Embedding table + stacked bidirectional layers + masked global max pool."""
+    """Embedding table + stacked bidirectional layers + masked global max pool.
 
-    def __init__(self, name: str, vocab_size: int, embed_dim: int, units: int,
+    The table has ``rows`` rows, one per vocabulary id; see ``embedding_table``
+    for ``cap_rows``.
+    """
+
+    def __init__(self, name: str, rows: int, cap_rows: int, embed_dim: int, units: int,
                  n_layers: int, rng: np.random.Generator | None):
         self.name = name
-        self.embedding = uniform_param(rng, (vocab_size, embed_dim))
+        self.embedding = embedding_table(rng, rows, cap_rows, embed_dim)
         self.layers = []
         in_dim = embed_dim
         for i in range(n_layers):
@@ -110,14 +114,18 @@ class BiLstmBranch:
 
 
 class BiLstmClassifier:
-    def __init__(self, config: BiLstmConfig, rng: np.random.Generator | None):
+    """Title and content branches with ``title_rows`` and ``content_rows``
+    embedding rows, one per id of the branch's vocabulary."""
+
+    def __init__(self, config: BiLstmConfig, title_rows: int, content_rows: int,
+                 rng: np.random.Generator | None):
         self.config = config
         self.title_branch = BiLstmBranch(
-            "title", config.title_vocab_size + 2, config.embed_dim,
+            "title", title_rows, config.title_vocab_size + 2, config.embed_dim,
             config.title_units, config.n_layers, rng,
         )
         self.content_branch = BiLstmBranch(
-            "content", config.content_vocab_size + 2, config.embed_dim,
+            "content", content_rows, config.content_vocab_size + 2, config.embed_dim,
             config.content_units, config.n_layers, rng,
         )
         concat_dim = 2 * config.title_units + 2 * config.content_units
@@ -169,8 +177,10 @@ class BiLstmBundle(NeuralBundle):
     vocab_files = {"vocab_title.txt": "title_vocab", "vocab_content.txt": "content_vocab"}
 
     @classmethod
-    def build(cls, config: BiLstmConfig, rng: np.random.Generator | None, **vocabs) -> "BiLstmBundle":
-        return cls(BiLstmClassifier(config, rng), config=config, **vocabs)
+    def build(cls, config: BiLstmConfig, rng: np.random.Generator | None,
+              title_vocab: Vocabulary, content_vocab: Vocabulary) -> "BiLstmBundle":
+        model = BiLstmClassifier(config, title_vocab.size, content_vocab.size, rng)
+        return cls(model, title_vocab, content_vocab, config)
 
     def params(self) -> dict[str, Tensor]:
         return self.model.params()

@@ -51,15 +51,16 @@ class SiameseEncoder:
     from zero; without it, saturated tanh outputs can cancel in the mean pool
     to an exact zero vector, which has no direction to normalize.  The anchor
     is kept small so similarities stay close to the pure cosine of the pooled
-    parts.
+    parts.  The embedding table has ``rows`` rows, one per vocabulary id.
     """
 
     ANCHOR = 0.1
 
-    def __init__(self, config: SiameseConfig, rng: np.random.Generator | None):
+    def __init__(self, config: SiameseConfig, rows: int, rng: np.random.Generator | None):
         self.config = config
         self.core = PooledTextEncoder(
-            vocab_size=config.vocab_size + 2,
+            rows=rows,
+            cap_rows=config.vocab_size + 2,
             embed_dim=config.embed_dim,
             out_dim=config.out_dim,
             rng=rng,
@@ -126,8 +127,9 @@ class SiameseBundle(NeuralBundle):
     vocab_files = {"vocab.txt": "vocab"}
 
     @classmethod
-    def build(cls, config: SiameseConfig, rng: np.random.Generator | None, **vocabs) -> "SiameseBundle":
-        return cls(SiameseEncoder(config, rng), config=config, **vocabs)
+    def build(cls, config: SiameseConfig, rng: np.random.Generator | None,
+              vocab: Vocabulary) -> "SiameseBundle":
+        return cls(SiameseEncoder(config, vocab.size, rng), vocab, config)
 
     def params(self) -> dict[str, Tensor]:
         return self.encoder.params()

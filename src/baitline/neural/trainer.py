@@ -4,7 +4,8 @@ batched scoring, and the model directory.
 A model directory holds ``model.tensors``, ``model_meta.json`` (family,
 config, per-epoch losses) and the vocabulary files.  Loading is strict: the
 meta file must carry exactly the family's config keys, and the checkpoint
-exactly the tensors, with the same shapes, of the model that config builds.
+exactly the tensors, with the same shapes, of the model that config and
+those vocabularies build.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ class NeuralBundle:
 
     Subclasses are dataclasses with ``config`` and ``train_losses`` fields.
     They set ``family``, ``config_type`` and ``vocab_files`` (file name ->
-    vocabulary field) and implement ``build(config, rng, **vocabs)`` (with
-    ``rng`` None the parameters start at zero, ready to be loaded),
+    vocabulary field) and implement ``build(config, rng, **vocabs)`` (each
+    embedding table gets one row per id of its vocabulary; with ``rng`` None
+    the parameters start at zero, ready to be loaded),
     ``params()``, ``encode_docs(articles, title_docs, content_docs)`` (row-
     aligned arrays; ``articles`` only names an article in errors),
     ``batch_loss(arrays, labels, rng)`` and ``batch_scores(*arrays)``.

@@ -18,7 +18,8 @@ MODEL_HEADER = {"format": "baitline-model", "version": 1}
 
 
 class CheckpointVersionError(RuntimeError):
-    """Checkpoint has an unknown format name or unsupported version."""
+    """A model file this version cannot read: an unknown format or version,
+    or content that does not fit the model it describes."""
 
 
 def save_model_json(path, family: str, body: dict) -> None:
@@ -27,8 +28,9 @@ def save_model_json(path, family: str, body: dict) -> None:
         json.dump({**MODEL_HEADER, "family": family, **body}, fh)
 
 
-def load_model_json(path, family: str) -> dict:
-    """Read a JSON model container of this format, version and family."""
+def load_model_json(path, family: str, fields=()) -> dict:
+    """Read a JSON model container of this format, version and family that
+    carries every one of ``fields``."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -40,6 +42,9 @@ def load_model_json(path, family: str) -> dict:
         )
     if payload.get("family") != family:
         raise ValueError(f"{path}: expected a {family!r} model, got {payload.get('family')!r}")
+    missing = [name for name in fields if name not in payload]
+    if missing:
+        raise CheckpointVersionError(f"{path}: {family} model has no field {missing}")
     return payload
 
 

@@ -30,40 +30,6 @@ def _moments(state: OptimizerState, name: str, shape) -> tuple[np.ndarray, np.nd
     return state.m[name], state.v[name]
 
 
-def adam_step(
-    state: OptimizerState,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update; returns the new parameter dict."""
-    state.step_count += 1
-    t = state.step_count
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
-    out = {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
-        m, v = _moments(state, name, p.shape)
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
-        out[name] = p - state.lr * update
-    return out
-
-
-def adamw_step(
-    state: OptimizerState,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Adam update followed by decoupled weight decay lr * wd * param."""
-    decay = state.weight_decay
-    updated = adam_step(state, params, grads)
-    return {name: p - state.lr * decay * params[name] for name, p in updated.items()}
-
-
 class GraphOptimizer:
     """In-place optimizer over a dict of graph parameter tensors."""
 
@@ -87,8 +53,9 @@ class GraphOptimizer:
         self._scratch = np.empty((2, self.BLOCK))
 
     def step(self) -> None:
-        """``adam_step``/``adamw_step`` in place, bit for bit: the same
-        operations in the same order, one cache-sized block at a time."""
+        """One bias-corrected Adam update in place, one cache-sized block at a
+        time; ``decoupled`` then subtracts lr * weight_decay * the pre-update
+        parameter (AdamW)."""
         for name, p in self.params.items():
             if p.grad is None:
                 raise ValueError(f"parameter {name!r} has no gradient; run backward first")

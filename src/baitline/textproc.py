@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor.checkpoint import CheckpointVersionError
+
 PAD_ID = 0
 OOV_ID = 1
 
@@ -183,11 +185,21 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
+    """Read a ``save_vocab`` file of a model directory.
+
+    Ids must stay dense, because a model's embedding table has one row per
+    id: a blank or repeated line raises ``CheckpointVersionError`` naming the
+    file and the line.
+    """
     token_to_id: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
+        for line_no, line in enumerate(fh, start=1):
             token = line.rstrip("\n")
             if not token:
-                continue
-            token_to_id[token] = line_no + 2
+                raise CheckpointVersionError(f"{path}:{line_no}: blank line in a vocabulary file")
+            if token in token_to_id:
+                raise CheckpointVersionError(
+                    f"{path}:{line_no}: token {token!r} repeats line {token_to_id[token] - 1}"
+                )
+            token_to_id[token] = line_no + 1
     return Vocabulary(token_to_id=token_to_id, max_size=len(token_to_id))

@@ -1,8 +1,10 @@
+import contextlib
 from pathlib import Path
 
 import pytest
 
 from baitline.corpus import Corpus, Label, NewsArticle
+from baitline.neural.encoder import uniform_param
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -10,6 +12,26 @@ DATA_DIR = Path(__file__).parent / "data"
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
+
+
+def _capped_table(rng, rows, cap_rows, embed_dim):
+    return uniform_param(rng, (cap_rows, embed_dim))
+
+
+@pytest.fixture
+def capped_tables(monkeypatch):
+    """A context manager inside which every embedding table is drawn with the
+    configured cap + 2 rows, whatever the vocabulary: the reference that a
+    vocabulary-sized table has to match on its live rows."""
+
+    @contextlib.contextmanager
+    def patched():
+        with monkeypatch.context() as m:
+            for module in ("baitline.neural.encoder", "baitline.neural.lstm"):
+                m.setattr(f"{module}.embedding_table", _capped_table)
+            yield
+
+    return patched
 
 
 def make_article(i: int, label=Label.NON_CLICKBAIT, source="alfa-news",

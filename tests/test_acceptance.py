@@ -162,7 +162,7 @@ class TestAutodiffAcceptance:
 
         # full contrastive graph
         config = SiameseConfig(vocab_size=60, embed_dim=10, out_dim=6, max_len=8, seed=8)
-        encoder = SiameseEncoder(config, np.random.default_rng(8))
+        encoder = SiameseEncoder(config, config.vocab_size + 2, np.random.default_rng(8))
         t_ids = rng.integers(2, 60, size=(2, 8))
         c_ids = rng.integers(2, 60, size=(2, 8))
         ones_mask = np.ones((2, 8), dtype=np.int64)
@@ -181,7 +181,7 @@ class TestAutodiffAcceptance:
             title_units=3, content_units=4, dense1=8, dense2=6,
             dropout_rate=0.0, title_max_len=4, content_max_len=6, seed=9,
         )
-        model = BiLstmClassifier(lstm_config, np.random.default_rng(9))
+        model = BiLstmClassifier(lstm_config, 32, 32, np.random.default_rng(9))
         bt_ids = rng.integers(0, 32, size=(2, 4))
         bc_ids = rng.integers(0, 32, size=(2, 6))
         bt_mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]])

@@ -134,6 +134,15 @@ def _corrupt(run_dir: Path, defect: str) -> tuple[str, str]:
         meta["config"]["not_a_field"] = 1
         meta_path.write_text(json.dumps(meta))
         return "model_meta.json", "not_a_field"
+    if defect in ("blank_vocab_line", "repeated_vocab_line", "added_vocab_line"):
+        vocab_path = sorted(run_dir.glob("vocab*.txt"))[0]
+        lines = vocab_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if defect == "added_vocab_line":  # one row more than the stored table
+            vocab_path.write_text("".join(lines) + "zzz-new-token\n", encoding="utf-8")
+            return "model.tensors", "embedding"
+        lines.insert(2, "\n" if defect == "blank_vocab_line" else lines[0])
+        vocab_path.write_text("".join(lines), encoding="utf-8")
+        return vocab_path.name, f"{vocab_path.name}:3:"
     tensors = load_tensors(run_dir / "model.tensors")
     if defect == "missing_tensor":
         culprit = sorted(tensors)[0]
@@ -239,6 +248,8 @@ class TestTrainPredictEval:
         ("contrastive", "version"),
         *((family, defect) for family in NEURAL_FAMILIES
           for defect in ("missing_tensor", "extra_tensor", "wrong_shape", "unknown_meta_key")),
+        *((family, defect) for family in ("bilstm", "contrastive")
+          for defect in ("blank_vocab_line", "repeated_vocab_line", "added_vocab_line")),
     ])
     def test_corrupted_checkpoint_exit_4(self, tmp_path, neural_runs, data_dir, capsys,
                                          family, defect):
@@ -251,6 +262,101 @@ class TestTrainPredictEval:
                     "--out", str(tmp_path / "preds.tsv")]) == 4
         err = capsys.readouterr().err
         assert file_name in err and culprit in err
+
+
+@pytest.fixture(scope="module")
+def classical_runs(tmp_path_factory):
+    """One desk model directory per classical family."""
+    corpus_path = Path(__file__).parent / "data" / "synthetic60.jsonl"
+    root = tmp_path_factory.mktemp("classical-runs")
+    for family in ("rf", "svm"):
+        assert run(["train", "--model", family, "--corpus", str(corpus_path),
+                    "--out", str(root / family), "--profile", "desk", "--seed", "5"]) == 0
+    return root
+
+
+def _split_without(field):
+    def edit(payload):
+        node = next(n for n in payload["trees"][0] if "f" in n)
+        del node[field]
+    return edit
+
+
+CLASSICAL_DEFECTS = {
+    "split_without_t": ("rf", _split_without("t"), "tree 0"),
+    "split_without_f": ("rf", _split_without("f"), "tree 0"),
+    "truncated_tree": ("rf", lambda payload: payload["trees"][1].pop(), "tree 1"),
+    "overlong_tree": ("rf", lambda payload: payload["trees"][2].append({"p": [1.0, 0.0]}),
+                      "tree 2"),
+    "svm_without_platt": ("svm", lambda payload: payload.pop("platt"), "platt"),
+    "svm_without_w": ("svm", lambda payload: payload.pop("w"), "'w'"),
+    "svm_without_b": ("svm", lambda payload: payload.pop("b"), "'b'"),
+    "platt_without_a": ("svm", lambda payload: payload["platt"].pop("A"), "'A'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CLASSICAL_DEFECTS))
+def test_malformed_classical_model_exit_4(tmp_path, classical_runs, data_dir, capsys, defect):
+    family, edit, culprit = CLASSICAL_DEFECTS[defect]
+    run_dir = tmp_path / family
+    shutil.copytree(classical_runs / family, run_dir)
+    model_path = run_dir / "model.json"
+    payload = json.loads(model_path.read_text(encoding="utf-8"))
+    edit(payload)
+    model_path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["predict", "--model-dir", str(run_dir),
+                "--corpus", str(data_dir / "synthetic60.jsonl"),
+                "--out", str(tmp_path / "preds.tsv")]) == 4
+    err = capsys.readouterr().err
+    assert str(model_path) in err and culprit in err
+
+
+TABLES = {
+    "bilstm": {"title.embedding": ("vocab_title.txt", "title_vocab_size"),
+               "content.embedding": ("vocab_content.txt", "content_vocab_size")},
+    "contrastive": {"siamese.embedding": ("vocab.txt", "vocab_size")},
+    "encoder-head": {"encoder.embedding": ("vocab.txt", "vocab_size")},
+}
+
+
+@pytest.mark.parametrize("family", NEURAL_FAMILIES)
+def test_vocab_sized_tables_match_capped_tables(tmp_path, data_dir, capsys, capped_tables,
+                                                family):
+    corpus_path = str(data_dir / "synthetic60.jsonl")
+    sized_dir = train_model(tmp_path / "sized", family, corpus_path)
+    with capped_tables():
+        capped_dir = train_model(tmp_path / "capped", family, corpus_path)
+        assert run(["predict", "--model-dir", str(capped_dir), "--corpus", corpus_path,
+                    "--out", str(tmp_path / "capped.tsv")]) == 0
+    assert run(["predict", "--model-dir", str(sized_dir), "--corpus", corpus_path,
+                "--out", str(tmp_path / "sized.tsv")]) == 0
+    assert (tmp_path / "sized.tsv").read_bytes() == (tmp_path / "capped.tsv").read_bytes()
+    for name in ("training.log", "model_meta.json", "config.ini"):
+        assert (sized_dir / name).read_bytes() == (capped_dir / name).read_bytes(), name
+
+    config = cfg.build_model_config(family, "desk")
+    sized = load_tensors(sized_dir / "model.tensors")
+    capped = load_tensors(capped_dir / "model.tensors")
+    assert sized.keys() == capped.keys()
+    for name, values in sized.items():
+        assert np.array_equal(values, capped[name][: len(values)]), name
+    for name, (vocab_file, cap_key) in TABLES[family].items():
+        n_tokens = len((sized_dir / vocab_file).read_text(encoding="utf-8").splitlines())
+        sized_shape = (n_tokens + 2, config.embed_dim)
+        capped_shape = (getattr(config, cap_key) + 2, config.embed_dim)
+        assert sized[name].shape == sized_shape
+        assert capped[name].shape == capped_shape
+
+    # a checkpoint with capped tables is the layout written before tables were
+    # sized from the vocabulary; it is refused, not read
+    capsys.readouterr()
+    assert run(["predict", "--model-dir", str(capped_dir), "--corpus", corpus_path,
+                "--out", str(tmp_path / "old.tsv")]) == 4
+    err = capsys.readouterr().err
+    assert "model.tensors" in err
+    assert any(repr(name) in err and str(capped[name].shape) in err and str(sized[name].shape) in err
+               for name in TABLES[family])
 
 
 @pytest.mark.parametrize("family", ["rf", "svm", "contrastive"])

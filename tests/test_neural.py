@@ -3,6 +3,7 @@ import pytest
 
 from baitline.corpus import Corpus, Label, NewsArticle, label_from_clickbait_proba
 from baitline.neural.embeddings import load_pretrained_embeddings
+from baitline.neural.encoder import embedding_table
 from baitline.neural.heads import (
     EncoderHeadBundle,
     EncoderHeadConfig,
@@ -21,6 +22,7 @@ from baitline.neural.siamese import (
     similarity_to_prediction,
     train_contrastive,
 )
+from baitline.neural.trainer import tokenize_sides
 from baitline.synthetic import generate_class_marked_corpus, generate_topic_pair_corpus
 from baitline.tensor import check_gradients, embedding_lookup, max_pool_over_time
 from baitline.textproc import build_vocab, tokenize
@@ -62,7 +64,7 @@ class TestBiLstm:
 
     def test_padding_trim_is_exact(self):
         rng = np.random.default_rng(8)
-        branch = BiLstmBranch("t", 20, 6, 4, 2, np.random.default_rng(3))
+        branch = BiLstmBranch("t", 20, 20, 6, 4, 2, np.random.default_rng(3))
         ids = rng.integers(2, 20, size=(3, 5))
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 0], [0, 0, 0, 0, 0]])
         ids[mask == 0] = 0
@@ -201,7 +203,7 @@ def siamese_config(**overrides):
 
 def fresh_encoder(config=None):
     config = config or siamese_config()
-    return SiameseEncoder(config, np.random.default_rng(config.seed))
+    return SiameseEncoder(config, config.vocab_size + 2, np.random.default_rng(config.seed))
 
 
 class TestSiameseEncode:
@@ -440,3 +442,55 @@ class TestPretrainedEmbeddings:
         path.write_text("ana 0.1 0.2\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_pretrained_embeddings(path, vocab, np.zeros((vocab.size, 4)))
+
+
+def built_family(family):
+    """(bundle class, config, vocabularies, table name -> vocabulary field)
+    for a small model of ``family`` over a 16-article corpus."""
+    titles, contents = tokenize_sides(generate_class_marked_corpus(16, seed=12).articles)
+    if family == "bilstm":
+        config = small_bilstm_config()
+        vocabs = {"title_vocab": build_vocab(titles, config.title_vocab_size),
+                  "content_vocab": build_vocab(contents, config.content_vocab_size)}
+        tables = {"title.embedding": "title_vocab", "content.embedding": "content_vocab"}
+        return BiLstmBundle, config, vocabs, tables
+    if family == "contrastive":
+        config = siamese_config()
+        vocabs = {"vocab": build_vocab(titles + contents, config.vocab_size)}
+        return SiameseBundle, config, vocabs, {"siamese.embedding": "vocab"}
+    config = EncoderHeadConfig(vocab_size=200, embed_dim=16, encoder_dim=16, dense=16, seed=1)
+    vocabs = {"vocab": build_vocab(titles + contents, config.vocab_size, include_separator=True)}
+    return EncoderHeadBundle, config, vocabs, {"encoder.embedding": "vocab"}
+
+
+class TestVocabSizedTables:
+    @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
+    def test_live_rows_and_rng_stream_match_capped_tables(self, capped_tables, family):
+        bundle_cls, config, vocabs, tables = built_family(family)
+        rng = np.random.default_rng(21)
+        sized = bundle_cls.build(config, rng, **vocabs).params()
+        sized_next = rng.random(4)
+        with capped_tables():
+            rng = np.random.default_rng(21)
+            capped = bundle_cls.build(config, rng, **vocabs).params()
+            capped_next = rng.random(4)
+        assert np.array_equal(sized_next, capped_next)
+        assert sized.keys() == capped.keys()
+        for name, param in sized.items():
+            if name in tables:
+                vocab = vocabs[tables[name]]
+                assert param.data.shape == (vocab.size, config.embed_dim)
+                assert capped[name].data.shape[0] > vocab.size  # the cap really is larger
+            assert np.array_equal(param.data, capped[name].data[: len(param.data)]), name
+
+    @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
+    def test_load_builds_vocab_sized_zero_tables(self, family):
+        bundle_cls, config, vocabs, tables = built_family(family)
+        params = bundle_cls.build(config, None, **vocabs).params()
+        for name, field in tables.items():
+            assert params[name].data.shape == (vocabs[field].size, config.embed_dim)
+        assert not any(p.data.any() for p in params.values())
+
+    def test_more_rows_than_the_cap_rejected(self):
+        with pytest.raises(ValueError, match="exceed"):
+            embedding_table(np.random.default_rng(0), 5, 4, 3)

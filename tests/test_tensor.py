@@ -31,7 +31,7 @@ from baitline.tensor import (
     tmean,
     tsum,
 )
-from baitline.tensor.optim import GraphOptimizer, OptimizerState, adam_step, adamw_step
+from baitline.tensor.optim import GraphOptimizer, OptimizerState
 
 
 class TestForwardExamples:
@@ -328,28 +328,61 @@ class TestDropout:
             dropout(Tensor(np.ones(3)), 1.0, train=True, rng=np.random.default_rng(0))
 
 
+def adam_step(state, params, grads):
+    """Reference bias-corrected Adam update; returns the new parameter dict."""
+    state.step_count += 1
+    t = state.step_count
+    bias1 = 1.0 - state.beta1**t
+    bias2 = 1.0 - state.beta2**t
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.setdefault(name, np.zeros(p.shape))
+        v = state.v.setdefault(name, np.zeros(p.shape))
+        m += (1.0 - state.beta1) * (g - m)
+        v += (1.0 - state.beta2) * (g * g - v)
+        update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        out[name] = p - state.lr * update
+    return out
+
+
+def adamw_step(state, params, grads):
+    """Reference Adam update followed by decoupled weight decay lr * wd * param."""
+    decay = state.weight_decay
+    updated = adam_step(state, params, grads)
+    return {name: p - state.lr * decay * params[name] for name, p in updated.items()}
+
+
+def one_step(value, grad, **options):
+    """The parameter after one ``GraphOptimizer`` step from ``value`` with ``grad``."""
+    x = Tensor(np.array([value]))
+    opt = GraphOptimizer({"x": x}, **options)
+    x.grad = np.array([grad])
+    opt.step()
+    return x.data[0], opt
+
+
 class TestOptimizers:
     def test_adam_first_step_hand_computed(self):
-        state = OptimizerState(lr=0.1)
-        out = adam_step(state, {"p": np.array([1.0])}, {"p": np.array([1.0])})
+        value, opt = one_step(1.0, 1.0, lr=0.1)
         # bias-corrected ratio is 1 at step 1 up to eps
-        assert out["p"][0] == pytest.approx(0.9, abs=1e-8)
-        assert state.step_count == 1
+        assert value == pytest.approx(0.9, abs=1e-8)
+        assert opt.state.step_count == 1
 
     def test_adam_zero_grad_no_change(self):
-        state = OptimizerState(lr=0.1)
-        out = adam_step(state, {"p": np.array([2.0])}, {"p": np.array([0.0])})
-        assert out["p"][0] == 2.0
+        value, _ = one_step(2.0, 0.0, lr=0.1)
+        assert value == 2.0
 
     def test_adamw_decay_with_zero_grad(self):
-        state = OptimizerState(lr=0.1, weight_decay=0.5)
-        out = adamw_step(state, {"p": np.array([2.0])}, {"p": np.array([0.0])})
-        assert out["p"][0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-12)
+        value, _ = one_step(2.0, 0.0, lr=0.1, weight_decay=0.5, decoupled=True)
+        assert value == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        state = OptimizerState()
+        x = Tensor(np.ones(3))
+        opt = GraphOptimizer({"x": x}, lr=0.1)
+        x.grad = np.ones(4)
         with pytest.raises(ValueError):
-            adam_step(state, {"p": np.ones(3)}, {"p": np.ones(4)})
+            opt.step()
 
     def test_graph_optimizer_descends(self):
         x = Tensor(np.array([3.0]))

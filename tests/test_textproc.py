@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from baitline.tensor.checkpoint import CheckpointVersionError
 from baitline.textproc import (
     OOV_ID,
     PAD_ID,
@@ -161,6 +162,17 @@ class TestVocabSerialization:
         loaded = load_vocab(path)
         assert loaded.token_to_id == vocab.token_to_id
         assert loaded.separator_id == vocab.separator_id
+
+    @pytest.mark.parametrize("lines,culprit", [
+        ("ana\nare\n\nmere\n", "vocab.txt:3: blank line"),
+        ("ana\nare\nana\nmere\n", "vocab.txt:3: token 'ana' repeats line 1"),
+        ("ana\nare\n\n", "vocab.txt:3: blank line"),
+    ])
+    def test_gap_in_ids_rejected(self, tmp_path, lines, culprit):
+        path = tmp_path / "vocab.txt"
+        path.write_text(lines, encoding="utf-8")
+        with pytest.raises(CheckpointVersionError, match=culprit):
+            load_vocab(path)
 
     def test_line_number_is_id_minus_two(self, tmp_path):
         vocab = build_vocab([tokenize("b a a")], max_size=5)
