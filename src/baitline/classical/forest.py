@@ -145,13 +145,14 @@ def save_rf(model: RandomForestModel, path) -> None:
     })
 
 
-def load_rf(path) -> RandomForestModel:
+def load_rf(path, n_features: int) -> RandomForestModel:
+    """Read an rf model whose trees split inputs of ``n_features`` features."""
     payload = load_model_json(path, "rf", ("config", "class_weights", "oob_score",
                                            "oob_indices", "trees"))
     trees = []
     for index, nodes in enumerate(payload["trees"]):
         try:
-            trees.append(DecisionTree.from_preorder(nodes))
+            trees.append(DecisionTree.from_preorder(nodes, n_features))
         except ValueError as exc:
             raise CheckpointVersionError(f"{path}: tree {index}: {exc}") from None
     return RandomForestModel(

@@ -194,13 +194,19 @@ def save_svm(model: SvmModel, path) -> None:
     })
 
 
-def load_svm(path) -> SvmModel:
+def load_svm(path, n_features: int) -> SvmModel:
+    """Read an svm model with one weight for each of ``n_features`` features."""
     payload = load_model_json(path, "svm", ("w", "b", "C", "platt"))
     platt = payload["platt"]
     if not isinstance(platt, dict) or not {"A", "B"} <= platt.keys():
         raise CheckpointVersionError(f"{path}: svm field 'platt' needs 'A' and 'B'")
+    w = np.array(payload["w"], dtype=np.float64)
+    if w.shape != (n_features,):
+        raise CheckpointVersionError(
+            f"{path}: svm field 'w' has shape {w.shape}, expected ({n_features},)"
+        )
     return SvmModel(
-        w=np.array(payload["w"], dtype=np.float64),
+        w=w,
         b=float(payload["b"]),
         C=float(payload["C"]),
         calibrator=PlattScaler(A=float(platt["A"]), B=float(platt["B"])),

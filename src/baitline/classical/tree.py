@@ -189,8 +189,10 @@ class DecisionTree:
         return out
 
     @classmethod
-    def from_preorder(cls, nodes: list[dict]) -> "DecisionTree":
-        """Read ``to_preorder`` output; a malformed node list raises ValueError."""
+    def from_preorder(cls, nodes: list[dict], n_features: int) -> "DecisionTree":
+        """Read ``to_preorder`` output for inputs of ``n_features`` features; a
+        malformed node list or a split on a feature out of range raises
+        ValueError."""
         root = TreeNode()
         stack = [root]  # nodes still to be read, next one on top
         for position, entry in enumerate(nodes):
@@ -207,6 +209,9 @@ class DecisionTree:
                     f"node {position} is neither a leaf {{'p': [p0, p1]}} nor a split "
                     f"{{'f': feature, 't': threshold}}: {entry!r}"
                 ) from None
+            if not 0 <= node.feature < n_features:
+                raise ValueError(f"node {position} splits on feature {node.feature}, "
+                                 f"but there are {n_features} features")
             node.left, node.right = TreeNode(), TreeNode()
             stack.append(node.right)
             stack.append(node.left)

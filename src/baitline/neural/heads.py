@@ -111,8 +111,6 @@ class EncoderHeadBundle(NeuralBundle):
     def batch_scores(self, ids, mask) -> np.ndarray:
         return self.head.forward(*trim_padding(ids, mask)).data[:, 0]
 
-    predict_clickbait_proba = NeuralBundle.scores
-
 
 def train_encoder_head(corpus: Corpus, config: EncoderHeadConfig | None = None) -> EncoderHeadBundle:
     """Cross-entropy training with AdamW (decoupled weight decay)."""

@@ -16,11 +16,11 @@ from ..corpus import Corpus
 from ..tensor import (
     Tensor,
     backward,  # noqa: F401  (benchmark/test_selftest.py checks tracing rebinds it here)
+    bilstm_sequence,
     concat,
     cross_entropy,
     dropout,
     embedding_lookup,
-    lstm_sequence,
     max_pool_over_time,
     relu,
     softmax,
@@ -51,33 +51,22 @@ class BiLstmConfig:
     embedding_file: str | None = None  # optional pretrained word vectors
 
 
-class LstmDirection:
-    """Single-direction LSTM over a (B, T, in_dim) batch."""
-
-    def __init__(self, name: str, in_dim: int, units: int, rng: np.random.Generator | None):
-        self.name = name
-        self.W = uniform_param(rng, (in_dim, 4 * units))
-        self.U = uniform_param(rng, (units, 4 * units))
-        self.b = uniform_param(rng, (4 * units,))
-
-    def params(self) -> dict[str, Tensor]:
-        return {f"{self.name}.W": self.W, f"{self.name}.U": self.U, f"{self.name}.b": self.b}
-
-    def run(self, x: Tensor, mask: np.ndarray, reverse: bool = False) -> Tensor:
-        return lstm_sequence(x, self.W, self.U, self.b, mask, reverse)
-
-
 class BiLstmLayer:
+    """A bidirectional layer: per direction (``fwd``, then ``bwd``) the input
+    weights W, the recurrent weights U and the bias b."""
+
     def __init__(self, name: str, in_dim: int, units: int, rng: np.random.Generator | None):
-        self.fwd = LstmDirection(f"{name}.fwd", in_dim, units, rng)
-        self.bwd = LstmDirection(f"{name}.bwd", in_dim, units, rng)
+        shapes = {"W": (in_dim, 4 * units), "U": (units, 4 * units), "b": (4 * units,)}
+        self.weights = {f"{name}.{side}.{key}": uniform_param(rng, shape)
+                        for side in ("fwd", "bwd") for key, shape in shapes.items()}
 
     def params(self) -> dict[str, Tensor]:
-        return {**self.fwd.params(), **self.bwd.params()}
+        return dict(self.weights)
 
     def run(self, x: Tensor, mask: np.ndarray) -> Tensor:
         """(B, T, in_dim) -> (B, T, 2 * units): forward then backward states."""
-        return concat([self.fwd.run(x, mask), self.bwd.run(x, mask, reverse=True)], axis=2)
+        weights = list(self.weights.values())
+        return bilstm_sequence(x, weights[:3], weights[3:], mask)
 
 
 class BiLstmBranch:
@@ -197,8 +186,6 @@ class BiLstmBundle(NeuralBundle):
 
     def batch_scores(self, *arrays) -> np.ndarray:
         return self.model.forward(*arrays).data[:, 0]
-
-    predict_clickbait_proba = NeuralBundle.scores
 
 
 def train_bilstm(corpus: Corpus, config: BiLstmConfig | None = None) -> BiLstmBundle:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..corpus import Label, argmax_predictions
-from ..tensor import GraphOptimizer, Tensor, backward
+from ..tensor import GraphOptimizer, Tensor, backward, no_grad
 from ..tensor.checkpoint import CheckpointVersionError, load_tensors, save_tensors
 from ..textproc import TokenizedDoc, load_vocab, normalize, save_vocab, tokenize
 
@@ -105,12 +105,14 @@ class NeuralBundle:
         return self
 
     def scores(self, articles) -> np.ndarray:
-        """``batch_scores`` of every article, encoded once and scored 64 at a time."""
+        """``batch_scores`` of every article, encoded once and scored 64 at a
+        time under ``no_grad``, so scoring builds no graph."""
         arrays = self.encode_articles(articles)
-        return np.concatenate([
-            self.batch_scores(*(a[start : start + PREDICT_BATCH] for a in arrays))
-            for start in range(0, len(articles), PREDICT_BATCH)
-        ])
+        with no_grad():
+            return np.concatenate([
+                self.batch_scores(*(a[start : start + PREDICT_BATCH] for a in arrays))
+                for start in range(0, len(articles), PREDICT_BATCH)
+            ])
 
     def predictions(self, articles) -> tuple[list[Label], list[float]]:
         """Labels and clickbait scores; the argmax rule unless overridden."""

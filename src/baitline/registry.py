@@ -52,7 +52,8 @@ def _train_svm(corpus: Corpus, config, out_dir: Path) -> list[float]:
 def _predict_classical(load, model_dir: Path, corpus: Corpus):
     standardizer = Standardizer.load(model_dir / "standardizer.json")
     X = standardizer.apply(feature_matrix(corpus.articles, HeuristicTagger()))
-    return argmax_predictions(load(model_dir / "model.json").predict_clickbait_proba(X))
+    model = load(model_dir / "model.json", X.shape[1])
+    return argmax_predictions(model.predict_clickbait_proba(X))
 
 
 def _saved(bundle, out_dir: Path) -> list[float]:

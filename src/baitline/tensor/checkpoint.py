@@ -9,6 +9,8 @@ model container is one object: format name, version, family, then fields.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -68,6 +70,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise CheckpointVersionError(f"{path}: not a tensor checkpoint") from None
+        if not isinstance(header, dict):
+            raise CheckpointVersionError(f"{path}: checkpoint header is not a JSON object")
         if header.get("format") != FORMAT_NAME:
             raise CheckpointVersionError(
                 f"{path}: unknown checkpoint format {header.get('format')!r}"
@@ -76,12 +80,36 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             raise CheckpointVersionError(
                 f"{path}: unsupported checkpoint version {header.get('version')!r}"
             )
+        entries = header.get("tensors")
+        if not isinstance(entries, list):
+            raise CheckpointVersionError(f"{path}: checkpoint header has no 'tensors' list")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         out: dict[str, np.ndarray] = {}
-        for entry in header["tensors"]:
-            arr = np.empty(tuple(entry["shape"]), dtype="<f8")
-            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+        for index, entry in enumerate(entries):
+            name, shape = _directory_entry(path, index, entry)
+            nbytes = 8 * math.prod(shape)
+            if nbytes > left:  # checked before allocating, so a huge shape fails here
                 raise CheckpointVersionError(
-                    f"{path}: truncated payload for tensor {entry['name']!r}"
+                    f"{path}: tensor {name!r} of shape {shape} needs {nbytes} bytes, "
+                    f"but {left} are left in the file"
                 )
-            out[entry["name"]] = arr
+            left -= nbytes
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise CheckpointVersionError(f"{path}: truncated payload for tensor {name!r}")
+            out[name] = arr
     return out
+
+
+def _directory_entry(path, index: int, entry) -> tuple[str, tuple[int, ...]]:
+    """The name and shape of one checkpoint directory entry, validated."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str) or "shape" not in entry:
+        raise CheckpointVersionError(
+            f"{path}: tensor entry {index} needs a string 'name' and a 'shape': {entry!r}"
+        )
+    name, shape = entry["name"], entry["shape"]
+    if not isinstance(shape, list) or not all(type(dim) is int and dim >= 0 for dim in shape):
+        raise CheckpointVersionError(
+            f"{path}: tensor {name!r} has shape {shape!r}, not a list of non-negative integers"
+        )
+    return name, tuple(shape)

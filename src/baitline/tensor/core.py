@@ -1,13 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Graphs are built eagerly by the op functions below; ``backward`` runs a
-reverse topological sweep and accumulates gradients on every reachable node.
-Any op that produces a NaN or Inf raises immediately, so numerical blowups
-surface at their source instead of as garbage metrics.
+Graphs are built eagerly by the op functions below, except inside
+``no_grad()``; ``backward`` runs a reverse topological sweep and accumulates
+gradients on every reachable node.  Any op that produces a NaN or Inf
+raises immediately, so numerical blowups surface at their source instead of
+as garbage metrics.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -21,6 +23,22 @@ class NonFiniteError(ArithmeticError):
 def _ensure_finite(data: np.ndarray, op: str) -> None:
     if not np.isfinite(data).all():
         raise NonFiniteError(f"{op} produced non-finite values")
+
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside: each op's result is a leaf with no parents and
+    no backward rule, so nothing is kept for a backward pass.  The previous
+    mode is restored on exit, also when the block raises."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -43,8 +61,12 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         _ensure_finite(arr, op)
         self.data = arr
-        self.parents = parents
-        self.backward_rule = backward_rule
+        if _grad_enabled:
+            self.parents = parents
+            self.backward_rule = backward_rule
+        else:
+            self.parents = ()
+            self.backward_rule = None
         self.grad: np.ndarray | None = None
 
     @property
@@ -405,85 +427,98 @@ def tmean(x: Tensor) -> Tensor:
 # fused recurrence
 # ---------------------------------------------------------------------------
 
-def lstm_sequence(
-    x: Tensor, W: Tensor, U: Tensor, b: Tensor, mask: np.ndarray, reverse: bool = False
+def bilstm_sequence(
+    x: Tensor, forward: Sequence[Tensor], reverse: Sequence[Tensor], mask: np.ndarray
 ) -> Tensor:
-    """One LSTM direction over a (B, T, D) batch -> (B, T, H) hidden states.
+    """Both directions of a bidirectional LSTM layer: (B, T, D) -> (B, T, 2H),
+    the forward direction's hidden states, then the reverse direction's.
 
-    ``W`` (D, 4H), ``U`` (H, 4H) and ``b`` (4H,) pack the input, forget, cell
-    and output gates in that order.  At a padded step (mask 0) the state is
-    carried through unchanged, so the output there repeats the previous one;
-    ``reverse`` runs the steps from T-1 down to 0.  The input projection is
-    one GEMM over all B*T rows, and every step's pre-activations pass the
-    finiteness guard.  The backward rule is backpropagation through time over
-    the stored gates and states; the weight and input gradients are then one
-    GEMM each over all steps.
+    ``forward`` and ``reverse`` are each (W (D, 4H), U (H, 4H), b (4H,)),
+    packing the input, forget, cell and output gates in that order.  A padded
+    step (mask 0) carries the state through unchanged.  Loop step k is time k
+    forward and time T-1-k in reverse, with the states stacked as (2, B, H),
+    so a step is one matmul against the stacked U and one finiteness guard.
+    Each input projection and each weight and input gradient is one GEMM
+    over all B*T rows.  Under ``no_grad`` only the states are kept; otherwise
+    the backward rule is backpropagation through time over the stored gates.
     """
     batch, steps, in_dim = x.data.shape
-    units = U.data.shape[0]
-    w, u, bias = W.data, U.data, b.data
-    carry_new = np.asarray(mask, dtype=np.float64)[:, :, None]  # (B, T, 1)
+    (wf, uf, bf), (wr, ur, br) = ([t.data for t in ws] for ws in (forward, reverse))
+    units = uf.shape[0]
+    u, bias = np.stack([uf, ur]), np.stack([bf, br])[:, None, :]
+    flat_x = x.data.reshape(batch * steps, in_dim)
+    # step-major layout: [k, 0] is time k forward, [k, 1] time T-1-k reverse;
+    # with a graph kept, step k's input projection is overwritten by its gates
+    to_steps = (slice(None), slice(None, None, -1))
+    gates = np.empty((steps, 2, batch, 4 * units))
+    for d, w in enumerate((wf, wr)):
+        gates[:, d] = (flat_x @ w).reshape(batch, steps, -1)[:, to_steps[d]].swapaxes(0, 1)
+    carry_new = np.asarray(mask, dtype=np.float64).T[:, None, :, None]
+    carry_new = np.concatenate([carry_new, carry_new[::-1]], axis=1)  # (T, 2, B, 1)
     carry_old = 1.0 - carry_new
-    projected = (x.data.reshape(batch * steps, in_dim) @ w).reshape(batch, steps, 4 * units)
-    gates = np.empty_like(projected)  # activated i, f, g, o per step
-    h_in = np.empty((batch, steps, units))  # state entering each step
-    c_in = np.empty_like(h_in)
-    tanh_c = np.empty_like(h_in)  # tanh of each step's new cell state
-    out = np.empty_like(h_in)
-    h = np.zeros((batch, units))
-    c = np.zeros((batch, units))
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    keep_graph = _grad_enabled
+    if keep_graph:
+        h_in, c_in, tanh_c = (np.empty((steps, 2, batch, units)) for _ in range(3))
+    states = np.empty((steps, 2, batch, units))
+    h = np.zeros((2, batch, units))
+    c = np.zeros((2, batch, units))
     i_, f_, g_, o_ = (slice(k * units, (k + 1) * units) for k in range(4))
-    for t in order:
-        z = projected[:, t] + h @ u
+    for k in range(steps):
+        z = gates[k] + np.matmul(h, u)
         z += bias
-        _ensure_finite(z, "lstm_sequence")
+        _ensure_finite(z, "bilstm_sequence")
         act = _sigmoid(z)
-        act[:, g_] = np.tanh(z[:, g_])
-        c_new = act[:, f_] * c + act[:, i_] * act[:, g_]
+        act[..., g_] = np.tanh(z[..., g_])
+        c_new = act[..., f_] * c + act[..., i_] * act[..., g_]
         tc = np.tanh(c_new)
-        m, keep = carry_new[:, t], carry_old[:, t]
-        gates[:, t] = act
-        h_in[:, t] = h
-        c_in[:, t] = c
-        tanh_c[:, t] = tc
+        m, keep = carry_new[k], carry_old[k]
+        if keep_graph:
+            gates[k], h_in[k], c_in[k], tanh_c[k] = act, h, c, tc
         c = m * c_new + keep * c
-        h = m * (act[:, o_] * tc) + keep * h
-        out[:, t] = h
+        h = m * (act[..., o_] * tc) + keep * h
+        states[k] = h
+    out = np.concatenate([states[to_steps[d], d].swapaxes(0, 1) for d in range(2)], axis=2)
 
     def rule(grad_out):
-        # d gate / d pre-activation: s(1 - s) for the sigmoids, 1 - g^2 for g
-        slope = gates * (1.0 - gates)
-        slope[:, :, g_] = 1.0 - gates[:, :, g_] * gates[:, :, g_]
-        grad_z = np.empty_like(gates)
-        dh = np.zeros((batch, units))
-        dc = np.zeros((batch, units))
-        u_t = u.T
-        for t in reversed(order):
-            m, keep = carry_new[:, t], carry_old[:, t]
-            dh = grad_out[:, t] + dh
+        # d gate / d pre-activation: s(1 - s) for the sigmoids, 1 - g^2 for g;
+        # each step's slice then turns into that step's gradient in place
+        grad_z = 1.0 - gates
+        grad_z *= gates
+        grad_z[..., g_] = 1.0 - gates[..., g_] * gates[..., g_]
+        grad_steps = np.stack([grad_out[:, to_steps[d], d * units:(d + 1) * units].swapaxes(0, 1)
+                               for d in range(2)], axis=1)
+        dz = np.empty((2, batch, 4 * units))
+        dh = np.zeros((2, batch, units))
+        dc = np.zeros((2, batch, units))
+        u_t = u.swapaxes(1, 2)
+        for k in range(steps - 1, -1, -1):
+            m, keep = carry_new[k], carry_old[k]
+            dh = grad_steps[k] + dh
             dh_new = m * dh
             dc_new = m * dc
             dh *= keep
             dc *= keep
-            act, tc = gates[:, t], tanh_c[:, t]
-            dc_new += dh_new * act[:, o_] * (1.0 - tc * tc)
-            dz = grad_z[:, t]
-            dz[:, i_] = dc_new * act[:, g_]
-            dz[:, f_] = dc_new * c_in[:, t]
-            dz[:, g_] = dc_new * act[:, i_]
-            dz[:, o_] = dh_new * tc
-            dz *= slope[:, t]
-            dc += dc_new * act[:, f_]
-            dh += dz @ u_t
-        flat = grad_z.reshape(batch * steps, 4 * units)
+            act, tc = gates[k], tanh_c[k]
+            dc_new += dh_new * act[..., o_] * (1.0 - tc * tc)
+            dz[..., i_] = dc_new * act[..., g_]
+            dz[..., f_] = dc_new * c_in[k]
+            dz[..., g_] = dc_new * act[..., i_]
+            dz[..., o_] = dh_new * tc
+            step_z = grad_z[k]
+            step_z *= dz
+            dc += dc_new * act[..., f_]
+            dh += np.matmul(step_z, u_t)
+        # back to time order, one (B*T, n) block per direction
+        flat_z, flat_h = ([a[to_steps[d], d].swapaxes(0, 1).reshape(batch * steps, -1)
+                           for d in range(2)] for a in (grad_z, h_in))
         gx = np.empty((batch, steps, in_dim))
-        np.matmul(flat, w.T, out=gx.reshape(batch * steps, in_dim))
-        gw = x.data.reshape(batch * steps, in_dim).T @ flat
-        gu = h_in.reshape(batch * steps, units).T @ flat
-        return gx, gw, gu, flat.sum(axis=0)
+        flat_gx = gx.reshape(batch * steps, in_dim)
+        np.matmul(flat_z[0], wf.T, out=flat_gx)
+        flat_gx += flat_z[1] @ wr.T
+        grads = [(flat_x.T @ gz, gh.T @ gz, gz.sum(axis=0)) for gz, gh in zip(flat_z, flat_h)]
+        return (gx, *grads[0], *grads[1])
 
-    return Tensor(out, (x, W, U, b), rule, op="lstm_sequence")
+    return Tensor(out, (x, *forward, *reverse), rule, op="bilstm_sequence")
 
 
 # ---------------------------------------------------------------------------

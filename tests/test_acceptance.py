@@ -35,6 +35,7 @@ from baitline.neural.siamese import (
 from baitline.synthetic import generate_topic_pair_corpus
 from baitline.tensor import (
     Tensor,
+    bilstm_sequence,
     check_gradients,
     concat,
     cosine_similarity,
@@ -42,7 +43,6 @@ from baitline.tensor import (
     dropout,
     embedding_lookup,
     l2_normalize,
-    lstm_sequence,
     matmul,
     max_pool_over_time,
     mean_over_time,
@@ -147,18 +147,21 @@ class TestAutodiffAcceptance:
         check(lambda: cross_entropy(softmax(logits, axis=-1), onehot), {"logits": logits})
         mx = Tensor(rng.normal(size=(5, 5)))
         check(lambda: tmean(multiply(mx, mx)), {"mx": mx})
-        # both directions over ragged rows, one of them all padding
+        # both directions of a layer over ragged rows, one of them all padding
         lstm_rng = np.random.default_rng(101)
         sx = Tensor(lstm_rng.normal(size=(3, 5, 4)))
-        sw = Tensor(lstm_rng.uniform(-0.5, 0.5, size=(4, 12)))
-        su = Tensor(lstm_rng.uniform(-0.5, 0.5, size=(3, 12)))
-        sb = Tensor(lstm_rng.uniform(-0.5, 0.5, size=(12,)))
+        directions = {
+            f"{side}{name}": Tensor(lstm_rng.uniform(-0.5, 0.5, size=shape))
+            for side in ("fwd_", "rev_")
+            for name, shape in (("w", (4, 12)), ("u", (3, 12)), ("b", (12,)))
+        }
+        fwd_weights = [directions[f"fwd_{name}"] for name in "wub"]
+        rev_weights = [directions[f"rev_{name}"] for name in "wub"]
         seq_mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [0, 0, 0, 0, 0]])
-        seq_probe = Tensor(lstm_rng.normal(size=(3, 5, 3)))
-        for reverse in (False, True):
-            check(lambda reverse=reverse: tsum(multiply(
-                      lstm_sequence(sx, sw, su, sb, seq_mask, reverse), seq_probe)),
-                  {"sx": sx, "sw": sw, "su": su, "sb": sb})
+        seq_probe = Tensor(lstm_rng.normal(size=(3, 5, 6)))
+        check(lambda: tsum(multiply(bilstm_sequence(sx, fwd_weights, rev_weights, seq_mask),
+                                    seq_probe)),
+              {"sx": sx, **directions})
 
         # full contrastive graph
         config = SiameseConfig(vocab_size=60, embed_dim=10, out_dim=6, max_len=8, seed=8)

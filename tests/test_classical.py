@@ -215,7 +215,7 @@ class TestDecisionTree:
         )
         path = tmp_path / "rf.json"
         save_rf(model, path)
-        loaded = load_rf(path)
+        loaded = load_rf(path, 1)
         assert loaded.trees[0].to_preorder() == tree.to_preorder()
         # grown to purity, so every training sample lands in a leaf of its class
         assert np.array_equal(loaded.predict_proba(X).argmax(axis=1), y)
@@ -230,15 +230,18 @@ class TestDecisionTree:
         nodes = tree.to_preorder()
         assert sum("f" in node for node in nodes) > 10
         assert nodes == recursive_fit_preorder(X, y, weights, np.random.default_rng(1), 2)
-        assert DecisionTree.from_preorder(nodes).to_preorder() == nodes
+        assert DecisionTree.from_preorder(nodes, X.shape[1]).to_preorder() == nodes
 
     def test_malformed_preorder_rejected(self):
         split = {"f": 0, "t": 0.5}
         leaf = {"p": [1.0, 0.0]}
         with pytest.raises(ValueError, match="ends before"):
-            DecisionTree.from_preorder([split, leaf])
+            DecisionTree.from_preorder([split, leaf], 1)
         with pytest.raises(ValueError, match="past its last leaf"):
-            DecisionTree.from_preorder([split, leaf, leaf, leaf])
+            DecisionTree.from_preorder([split, leaf, leaf, leaf], 1)
+        for feature in (1, -1):
+            with pytest.raises(ValueError, match="but there are 1 features"):
+                DecisionTree.from_preorder([{"f": feature, "t": 0.5}, leaf, leaf], 1)
 
 
 class TestRandomForest:
@@ -344,7 +347,7 @@ class TestRandomForest:
         model = train_random_forest(X, y, RandomForestConfig(n_estimators=5, seed=6))
         path = tmp_path / "rf.json"
         save_rf(model, path)
-        loaded = load_rf(path)
+        loaded = load_rf(path, X.shape[1])
         assert loaded.oob_score == model.oob_score
         assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
 
@@ -354,7 +357,7 @@ class TestRandomForest:
         path = tmp_path / "svm.json"
         save_svm(model, path)
         with pytest.raises(ValueError):
-            load_rf(path)
+            load_rf(path, X.shape[1])
 
 
 class TestSvm:
@@ -435,7 +438,7 @@ class TestSvm:
         model = train_svm(X, y, SvmConfig(epochs=20, seed=4))
         path = tmp_path / "svm.json"
         save_svm(model, path)
-        loaded = load_svm(path)
+        loaded = load_svm(path, X.shape[1])
         assert np.array_equal(loaded.w, model.w)
         assert loaded.b == model.b
         assert loaded.calibrator == model.calibrator
@@ -445,4 +448,4 @@ class TestSvm:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "baitline-model", "version": 9, "family": "svm"}')
         with pytest.raises(CheckpointVersionError):
-            load_svm(path)
+            load_svm(path, 2)

@@ -122,8 +122,40 @@ def neural_runs(tmp_path_factory):
     return root
 
 
+def _edit_header(path: Path, edit) -> None:
+    """Rewrite a checkpoint's JSON header line, keeping its payload."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + payload)
+
+
+def _retype_first_entry(key, value):
+    def edit(header):
+        header["tensors"][0][key] = value
+        return header
+    return edit
+
+
+HEADER_DEFECTS = {  # defect -> (header edit, culprit named in the message)
+    "header_not_object": (lambda header: [header], "not a JSON object"),
+    "header_without_tensors": (lambda header: {k: v for k, v in header.items() if k != "tensors"},
+                               "'tensors'"),
+    "entry_without_shape": (lambda header: {**header, "tensors": [{"name": "a"}]},
+                            "tensor entry 0"),
+    "entry_without_name": (lambda header: {**header, "tensors": [{"shape": [2]}]},
+                           "tensor entry 0"),
+    "negative_dimension": (_retype_first_entry("shape", [-1, 4]), "[-1, 4]"),
+    "fractional_dimension": (_retype_first_entry("shape", [2.5]), "[2.5]"),
+    "huge_dimension": (_retype_first_entry("shape", [10**9, 10**9]),
+                       "(1000000000, 1000000000)"),
+}
+
+
 def _corrupt(run_dir: Path, defect: str) -> tuple[str, str]:
     """Give a model directory one defect; returns (file name, culprit name)."""
+    if defect in HEADER_DEFECTS:
+        edit, culprit = HEADER_DEFECTS[defect]
+        _edit_header(run_dir / "model.tensors", edit)
+        return "model.tensors", culprit
     if defect == "version":
         (run_dir / "model.tensors").write_bytes(
             b'{"format": "baitline-tensors", "version": 42, "tensors": []}\n')
@@ -246,6 +278,7 @@ class TestTrainPredictEval:
 
     @pytest.mark.parametrize("family,defect", [
         ("contrastive", "version"),
+        *(("contrastive", defect) for defect in HEADER_DEFECTS),
         *((family, defect) for family in NEURAL_FAMILIES
           for defect in ("missing_tensor", "extra_tensor", "wrong_shape", "unknown_meta_key")),
         *((family, defect) for family in ("bilstm", "contrastive")
@@ -282,12 +315,22 @@ def _split_without(field):
     return edit
 
 
+def _split_on_feature(feature):
+    def edit(payload):
+        next(n for n in payload["trees"][0] if "f" in n)["f"] = feature
+    return edit
+
+
 CLASSICAL_DEFECTS = {
     "split_without_t": ("rf", _split_without("t"), "tree 0"),
     "split_without_f": ("rf", _split_without("f"), "tree 0"),
     "truncated_tree": ("rf", lambda payload: payload["trees"][1].pop(), "tree 1"),
     "overlong_tree": ("rf", lambda payload: payload["trees"][2].append({"p": [1.0, 0.0]}),
                       "tree 2"),
+    "split_on_missing_feature": ("rf", _split_on_feature(999), "tree 0"),
+    "split_on_negative_feature": ("rf", _split_on_feature(-1), "tree 0"),
+    "svm_short_w": ("svm", lambda payload: payload.update(w=payload["w"][:-3]), "'w'"),
+    "svm_long_w": ("svm", lambda payload: payload["w"].append(0.5), "'w'"),
     "svm_without_platt": ("svm", lambda payload: payload.pop("platt"), "platt"),
     "svm_without_w": ("svm", lambda payload: payload.pop("w"), "'w'"),
     "svm_without_b": ("svm", lambda payload: payload.pop("b"), "'b'"),

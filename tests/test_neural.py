@@ -24,7 +24,7 @@ from baitline.neural.siamese import (
 )
 from baitline.neural.trainer import tokenize_sides
 from baitline.synthetic import generate_class_marked_corpus, generate_topic_pair_corpus
-from baitline.tensor import check_gradients, embedding_lookup, max_pool_over_time
+from baitline.tensor import Tensor, check_gradients, embedding_lookup, max_pool_over_time
 from baitline.textproc import build_vocab, tokenize
 
 CB = Label.CLICKBAIT
@@ -83,7 +83,7 @@ class TestBiLstm:
         config = small_bilstm_config(epochs=25, batch_size=32, learning_rate=0.03,
                                      dropout_rate=0.0, seed=4)
         bundle = train_bilstm(corpus, config)
-        probs = bundle.predict_clickbait_proba(corpus.articles)
+        probs = bundle.scores(corpus.articles)
         preds = [label_from_clickbait_proba(p) for p in probs]
         accuracy = np.mean([p == a.label for p, a in zip(preds, corpus)])
         assert accuracy == 1.0
@@ -99,7 +99,7 @@ class TestBiLstm:
                                      embed_dim=12, title_units=6, content_units=8,
                                      seed=2)
         bundle = train_bilstm(train, config)
-        probs = bundle.predict_clickbait_proba(test.articles)
+        probs = bundle.scores(test.articles)
         preds = [label_from_clickbait_proba(p) for p in probs]
         accuracy = np.mean([p == a.label for p, a in zip(preds, test)])
         assert accuracy >= 0.95
@@ -108,7 +108,7 @@ class TestBiLstm:
         corpus = generate_class_marked_corpus(10, seed=5)
         bundle = train_bilstm(corpus, small_bilstm_config(epochs=0))
         assert bundle.train_losses == []
-        assert bundle.predict_clickbait_proba(corpus.articles).shape == (10,)
+        assert bundle.scores(corpus.articles).shape == (10,)
 
     def test_fixed_seed_bit_reproducible(self):
         corpus = generate_class_marked_corpus(16, seed=6)
@@ -139,8 +139,8 @@ class TestBiLstm:
         bundle.save(tmp_path / "run")
         loaded = BiLstmBundle.load(tmp_path / "run")
         assert np.allclose(
-            loaded.predict_clickbait_proba(corpus.articles),
-            bundle.predict_clickbait_proba(corpus.articles),
+            loaded.scores(corpus.articles),
+            bundle.scores(corpus.articles),
         )
 
 
@@ -155,7 +155,7 @@ class TestEncoderHead:
     def test_forward_simplex(self):
         corpus = generate_class_marked_corpus(10, seed=8)
         bundle = train_encoder_head(corpus, self.config())
-        probs = bundle.predict_clickbait_proba(corpus.articles)
+        probs = bundle.scores(corpus.articles)
         assert np.all((probs > 0) & (probs < 1))
 
     def test_argmax_tie_rule(self):
@@ -178,7 +178,7 @@ class TestEncoderHead:
     def test_overfits_small_corpus(self):
         corpus = generate_class_marked_corpus(20, seed=9)
         bundle = train_encoder_head(corpus, self.config(epochs=40))
-        probs = bundle.predict_clickbait_proba(corpus.articles)
+        probs = bundle.scores(corpus.articles)
         preds = [label_from_clickbait_proba(p) for p in probs]
         accuracy = np.mean([p == a.label for p, a in zip(preds, corpus)])
         assert accuracy == 1.0
@@ -189,8 +189,8 @@ class TestEncoderHead:
         bundle.save(tmp_path / "run")
         loaded = EncoderHeadBundle.load(tmp_path / "run")
         assert np.allclose(
-            loaded.predict_clickbait_proba(corpus.articles),
-            bundle.predict_clickbait_proba(corpus.articles),
+            loaded.scores(corpus.articles),
+            bundle.scores(corpus.articles),
         )
 
 
@@ -494,3 +494,25 @@ class TestVocabSizedTables:
     def test_more_rows_than_the_cap_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
             embedding_table(np.random.default_rng(0), 5, 4, 3)
+
+
+class TestScoring:
+    @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
+    def test_scores_build_no_graph_and_match_the_graph_forward(self, family):
+        bundle_cls, config, vocabs, _ = built_family(family)
+        bundle = bundle_cls.build(config, np.random.default_rng(13), **vocabs)
+        articles = generate_class_marked_corpus(70, seed=14).articles  # two batches
+        arrays = bundle.encode_articles(articles)
+        graph_scores = np.concatenate([bundle.batch_scores(*(a[start : start + 64] for a in arrays))
+                                       for start in (0, 64)])
+        graph_kept = []
+        batch_scores = bundle.batch_scores
+
+        def spy(*batch):
+            graph_kept.append(bool((Tensor(1.0) + Tensor(1.0)).parents))
+            return batch_scores(*batch)
+
+        bundle.batch_scores = spy
+        assert np.array_equal(bundle.scores(articles), graph_scores)
+        assert graph_kept == [False, False]
+        assert (Tensor(1.0) + Tensor(1.0)).parents  # the mode is back on after scoring

@@ -7,6 +7,7 @@ from baitline.tensor import (
     Tensor,
     add,
     backward,
+    bilstm_sequence,
     check_gradients,
     concat,
     cosine_similarity,
@@ -15,12 +16,12 @@ from baitline.tensor import (
     embedding_lookup,
     l2_normalize,
     load_tensors,
-    lstm_sequence,
     matmul,
     max_pool_over_time,
     mean_over_time,
     multiply,
     narrow,
+    no_grad,
     relu,
     reshape,
     save_tensors,
@@ -222,13 +223,12 @@ class TestPrimitiveGradients:
 
     def test_lstm_sequence(self):
         x = Tensor(self.rng.normal(size=(3, 4, 2)))
-        W = Tensor(self.rng.normal(size=(2, 8)))
-        U = Tensor(self.rng.normal(size=(2, 8)))
-        b = Tensor(self.rng.normal(size=(8,)))
+        fwd = [Tensor(self.rng.normal(size=shape)) for shape in ((2, 8), (2, 8), (8,))]
+        rev = [Tensor(self.rng.normal(size=shape)) for shape in ((2, 8), (2, 8), (8,))]
         mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 0, 0]])
-        for reverse in (False, True):
-            fd_check(lambda reverse=reverse: tsum(tanh(lstm_sequence(x, W, U, b, mask, reverse))),
-                     {"x": x, "W": W, "U": U, "b": b})
+        params = {"x": x, **{f"fwd{i}": t for i, t in enumerate(fwd)},
+                  **{f"rev{i}": t for i, t in enumerate(rev)}}
+        fd_check(lambda: tsum(tanh(bilstm_sequence(x, fwd, rev, mask))), params)
 
     def test_dropout_frozen_mask_gradient(self):
         # dropout with train=False is the identity path
@@ -237,7 +237,8 @@ class TestPrimitiveGradients:
 
 
 def per_step_lstm(x, W, U, b, mask, reverse):
-    """The per-step LSTM graph that ``lstm_sequence`` fuses, from primitives."""
+    """One direction of the per-step LSTM graph that ``bilstm_sequence`` fuses,
+    from primitives."""
     batch, steps, in_dim = x.shape
     units = U.shape[0]
     h = Tensor(np.zeros((batch, units)))
@@ -259,45 +260,113 @@ def per_step_lstm(x, W, U, b, mask, reverse):
     return stack_steps(outputs)
 
 
+def per_step_bilstm(x, forward, reverse, mask):
+    """Two per-step directions, concatenated: what ``bilstm_sequence`` computes."""
+    return concat([per_step_lstm(x, *forward, mask, False),
+                   per_step_lstm(x, *reverse, mask, True)], axis=2)
+
+
 class TestLstmSequence:
     rng = np.random.default_rng(12)
     # ragged rows, one all-padding row, one with a gap
     mask = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0], [1, 0, 1, 1, 0, 0]])
 
-    def weights(self, in_dim=5, units=3):
-        return (
-            Tensor(self.rng.normal(size=(4, 6, in_dim))),
-            Tensor(self.rng.uniform(-0.5, 0.5, size=(in_dim, 4 * units))),
-            Tensor(self.rng.uniform(-0.5, 0.5, size=(units, 4 * units))),
-            Tensor(self.rng.uniform(-0.5, 0.5, size=(4 * units,))),
-        )
+    def directions(self, in_dim=5, units=3):
+        return [
+            [Tensor(self.rng.uniform(-0.5, 0.5, size=shape))
+             for shape in ((in_dim, 4 * units), (units, 4 * units), (4 * units,))]
+            for _ in range(2)
+        ]
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_matches_per_step_graph(self, reverse):
-        inputs = self.weights()
-        probe = Tensor(self.rng.normal(size=(4, 6, 3)))
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_matches_per_step_graph(self, stacked):
+        """One layer, or two stacked so the input gradient of the upper layer
+        (both directions summed) flows into the lower one."""
+        x = Tensor(self.rng.normal(size=(4, 6, 5)))
+        layers = [self.directions()] + ([self.directions(in_dim=6)] if stacked else [])
+        leaves = [x] + [t for layer in layers for direction in layer for t in direction]
+        probe = Tensor(self.rng.normal(size=(4, 6, 6)))
         results = []
-        for run in (lstm_sequence, per_step_lstm):
-            out = run(*inputs, self.mask, reverse)
+        for run in (bilstm_sequence, per_step_bilstm):
+            out = x
+            for forward, reverse in layers:
+                out = run(out, forward, reverse, self.mask)
             backward(tsum(multiply(out, probe)))
-            results.append((out.data, [t.grad.copy() for t in inputs]))
+            results.append((out.data, [t.grad.copy() for t in leaves]))
         (fused, fused_grads), (oracle, oracle_grads) = results
         assert np.max(np.abs(fused - oracle)) <= 1e-12
         for got, want in zip(fused_grads, oracle_grads):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_padded_steps_repeat_the_state(self):
-        out = lstm_sequence(*self.weights(), self.mask).data
-        assert np.array_equal(out[1, 3:], np.repeat(out[1, 2:3], 3, axis=0))
-        assert np.array_equal(out[2], np.zeros((6, 3)))
-        assert np.array_equal(out[3, 1], out[3, 0])
+        x = Tensor(self.rng.normal(size=(4, 6, 5)))
+        out = bilstm_sequence(x, *self.directions(), self.mask).data
+        fwd, rev = out[..., :3], out[..., 3:]
+        assert np.array_equal(fwd[1, 3:], np.repeat(fwd[1, 2:3], 3, axis=0))
+        assert np.array_equal(rev[1, 3:], np.zeros((3, 3)))  # before its first real step
+        assert np.array_equal(out[2], np.zeros((6, 6)))
+        assert np.array_equal(fwd[3, 1], fwd[3, 0])
+        assert np.array_equal(rev[3, 1], rev[3, 2])
 
     def test_non_finite_weight_raises(self):
-        x, W, U, b = self.weights()
-        W.data[0, 0] = 1e308
-        x.data[:] = 10.0
+        for direction in range(2):
+            x = Tensor(np.full((4, 6, 5), 10.0))
+            weights = self.directions()
+            weights[direction][0].data[0, 0] = 1e308
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+                bilstm_sequence(x, *weights, self.mask)
+        # the guard also covers padded steps, here the all-padding row only
+        x = Tensor(np.zeros((4, 6, 5)))
+        x.data[2, :, 0] = 1e308
+        weights = self.directions()
+        weights[0][0].data[0] = 4.0
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
-            lstm_sequence(x, W, U, b, self.mask)
+            bilstm_sequence(x, *weights, self.mask)
+
+    def test_no_grad_keeps_the_outputs(self):
+        x = Tensor(self.rng.normal(size=(4, 6, 5)))
+        weights = self.directions()
+        with no_grad():
+            light = bilstm_sequence(x, *weights, self.mask)
+        assert light.parents == () and light.backward_rule is None
+        assert np.array_equal(light.data, bilstm_sequence(x, *weights, self.mask).data)
+
+    @pytest.mark.parametrize("batch,units", [(1, 32), (4, 64), (7, 16), (16, 32), (16, 64),
+                                             (32, 32), (64, 32), (64, 64)])
+    def test_stacked_matmul_matches_per_direction_gemm(self, batch, units):
+        """The step loop's one matmul over both directions gives the bits of
+        one GEMM per direction, forward (h @ U) and backward (dz @ U^T).  This
+        depends on the BLAS build numpy uses."""
+        rng = np.random.default_rng(batch * units)
+        u = rng.uniform(-0.5, 0.5, size=(2, units, 4 * units))
+        h = rng.normal(size=(2, batch, units))
+        dz = rng.normal(size=(2, batch, 4 * units))
+        stacked_h, stacked_dz = np.matmul(h, u), np.matmul(dz, u.swapaxes(1, 2))
+        for d in range(2):
+            assert np.array_equal(stacked_h[d], h[d] @ u[d])
+            assert np.array_equal(stacked_dz[d], dz[d] @ u[d].T)
+
+
+class TestNoGrad:
+    def test_ops_return_leaves(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3))
+        b = Tensor(np.ones((3, 2)))
+        with no_grad():
+            outs = [a + a, a - a, a * a, a @ b, concat([a, a]), narrow(a, 1, 0, 2),
+                    reshape(a, (3, 2)), stack_steps([a, a]), tanh(a), sigmoid(a), relu(a),
+                    softmax(a), tsum(a), tmean(a), dropout(a, 0.5, train=False)]
+        for out in outs:
+            assert out.parents == () and out.backward_rule is None
+        assert (a + a).parents == (a, a)
+
+    def test_mode_restored_after_exception(self):
+        with pytest.raises(ZeroDivisionError), no_grad():
+            1 / 0
+        assert Tensor(1.0).parents == () and (Tensor(1.0) + Tensor(2.0)).backward_rule is not None
+        with no_grad():
+            with pytest.raises(NonFiniteError), no_grad():
+                Tensor(np.inf)
+            assert (Tensor(1.0) + Tensor(2.0)).backward_rule is None
 
 
 class TestDropout:
