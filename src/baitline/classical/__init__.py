@@ -19,7 +19,7 @@ from .svm import (
     svm_objective,
     train_svm,
 )
-from .tree import DecisionTree, TreeNode, best_split, entropy
+from .tree import DecisionTree, best_split, entropy
 
 __all__ = [
     "DecisionTree",
@@ -28,7 +28,6 @@ __all__ = [
     "RandomForestModel",
     "SvmConfig",
     "SvmModel",
-    "TreeNode",
     "balanced_class_weights",
     "best_split",
     "compute_oob_score",

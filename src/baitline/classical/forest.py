@@ -23,22 +23,14 @@ class RandomForestConfig:
 
 @dataclass
 class RandomForestModel:
-    trees: list[DecisionTree]
+    trees: DecisionTree  # the whole forest, packed
     oob_indices: list[np.ndarray]  # per tree, the sample indices it never saw
     class_weights: np.ndarray
     oob_score: float
     config: RandomForestConfig = field(default_factory=RandomForestConfig)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Mean of per-tree leaf class-probability vectors, shape (n, 2)."""
-        X = np.asarray(X, dtype=np.float64)
-        acc = np.zeros((X.shape[0], 2))
-        for tree in self.trees:
-            acc += tree.predict_proba(X)
-        return acc / len(self.trees)
-
     def predict_clickbait_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_proba(X)[:, 0]
+        return self.trees.predict_proba(X)[:, 0]
 
 
 def balanced_class_weights(y: np.ndarray) -> np.ndarray:
@@ -68,15 +60,11 @@ def train_random_forest(
     n = X.shape[0]
     if n < 2 or len(y) != n:
         raise ValueError("need at least 2 aligned samples")
-    if config.class_weight == "balanced":
-        class_weights = balanced_class_weights(y)
-    elif config.class_weight == "none":
-        counts = np.bincount(y, minlength=2)
-        if counts[0] == 0 or counts[1] == 0:
-            raise ValueError("training needs both classes present")
-        class_weights = np.ones(2)
-    else:
+    if config.class_weight not in ("balanced", "none"):
         raise ValueError(f"unsupported class_weight {config.class_weight!r}")
+    class_weights = balanced_class_weights(y)  # also rejects a single class
+    if config.class_weight == "none":
+        class_weights = np.ones(2)
 
     if config.max_features == "sqrt":
         max_features = max(1, int(math.isqrt(X.shape[1])))
@@ -86,34 +74,22 @@ def train_random_forest(
         raise ValueError(f"unsupported max_features {config.max_features!r}")
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_estimators)
-    trees: list[DecisionTree] = []
+    fitted = []
     oob_indices: list[np.ndarray] = []
     for tree_seed in seeds:
         rng = np.random.default_rng(tree_seed)
         bootstrap = rng.integers(0, n, size=n)
-        in_bag = np.zeros(n, dtype=bool)
-        in_bag[bootstrap] = True
-        oob_indices.append(np.flatnonzero(~in_bag))
-        trees.append(
-            DecisionTree.fit(X[bootstrap], y[bootstrap], class_weights, rng, max_features)
-        )
+        oob_indices.append(np.setdiff1d(np.arange(n), bootstrap))
+        fitted.append(DecisionTree.fit(X[bootstrap], y[bootstrap], class_weights, rng, max_features))
 
+    trees = DecisionTree.join(fitted)
     oob_score = compute_oob_score(trees, oob_indices, X, y) if config.oob else float("nan")
-    return RandomForestModel(
-        trees=trees,
-        oob_indices=oob_indices,
-        class_weights=class_weights,
-        oob_score=oob_score,
-        config=config,
-    )
+    return RandomForestModel(trees=trees, oob_indices=oob_indices, class_weights=class_weights,
+                             oob_score=oob_score, config=config)
 
 
-def compute_oob_score(
-    trees: list[DecisionTree],
-    oob_indices: list[np.ndarray],
-    X: np.ndarray,
-    y: np.ndarray,
-) -> float:
+def compute_oob_score(trees: DecisionTree, oob_indices: list[np.ndarray], X: np.ndarray,
+                      y: np.ndarray) -> float:
     """Accuracy of out-of-bag votes over samples left out by at least one tree.
 
     Votes are mean leaf probabilities across the trees that never saw the
@@ -122,10 +98,8 @@ def compute_oob_score(
     n = X.shape[0]
     vote_sums = np.zeros((n, 2))
     vote_counts = np.zeros(n, dtype=np.int64)
-    for tree, oob in zip(trees, oob_indices):
-        if len(oob) == 0:
-            continue
-        vote_sums[oob] += tree.predict_proba(X[oob])
+    for values, oob in zip(trees.value[trees.leaves(X)], oob_indices):
+        vote_sums[oob] += values[oob]
         vote_counts[oob] += 1
     covered = vote_counts > 0
     if not covered.any():
@@ -141,7 +115,7 @@ def save_rf(model: RandomForestModel, path) -> None:
         "class_weights": model.class_weights.tolist(),
         "oob_score": model.oob_score,
         "oob_indices": [idx.tolist() for idx in model.oob_indices],
-        "trees": [tree.to_preorder() for tree in model.trees],
+        "trees": model.trees.to_preorder(),
     })
 
 
@@ -149,16 +123,11 @@ def load_rf(path, n_features: int) -> RandomForestModel:
     """Read an rf model whose trees split inputs of ``n_features`` features."""
     payload = load_model_json(path, "rf", ("config", "class_weights", "oob_score",
                                            "oob_indices", "trees"))
-    trees = []
-    for index, nodes in enumerate(payload["trees"]):
-        try:
-            trees.append(DecisionTree.from_preorder(nodes, n_features))
-        except ValueError as exc:
-            raise CheckpointVersionError(f"{path}: tree {index}: {exc}") from None
+    try:
+        trees = DecisionTree.from_preorder(payload["trees"], n_features)
+    except ValueError as exc:
+        raise CheckpointVersionError(f"{path}: {exc}") from None
     return RandomForestModel(
-        trees=trees,
-        oob_indices=[np.array(idx, dtype=np.int64) for idx in payload["oob_indices"]],
-        class_weights=np.array(payload["class_weights"]),
-        oob_score=float(payload["oob_score"]),
-        config=RandomForestConfig(**payload["config"]),
-    )
+        trees=trees, oob_indices=[np.array(idx, dtype=np.int64) for idx in payload["oob_indices"]],
+        class_weights=np.array(payload["class_weights"]), oob_score=float(payload["oob_score"]),
+        config=RandomForestConfig(**payload["config"]))

@@ -7,9 +7,11 @@ threshold, so training is fully deterministic given the candidate features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+
+from ..tensor.checkpoint import is_finite_number
 
 
 def entropy(class_counts) -> float:
@@ -22,12 +24,6 @@ def entropy(class_counts) -> float:
         raise ValueError("entropy of an empty count vector")
     probs = counts[counts > 0] / total
     return float(-(probs * np.log2(probs)).sum())
-
-
-def _weighted_counts(labels: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    counts = np.zeros(2)
-    np.add.at(counts, labels, weights)
-    return counts
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
@@ -96,31 +92,29 @@ def best_split(
     return features[f], float(thresholds[f, i]), float(gains[f, i])
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (class probabilities)."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    probs: np.ndarray | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.probs is not None
-
-
+@dataclass(eq=False)  # arrays do not compare to one truth value
 class DecisionTree:
-    """Single entropy tree grown to purity (or until no split is possible).
+    """Entropy trees grown to purity (or until no split is possible), held as
+    flat arrays: the struct-of-arrays layout of scikit-learn's ``Tree``.
 
-    Growing, serializing and loading walk the tree with an explicit stack, in
-    preorder (node, left subtree, right subtree), so depth is not limited by
-    the interpreter's recursion limit.
+    Each tree's nodes lie in preorder (node, left subtree, right subtree), the
+    trees of a forest one after another.  ``fit`` grows a forest of one tree
+    and ``join`` packs forests into one.  Growing and reading walk the preorder
+    with an explicit stack, so depth is not limited by the recursion limit.
     """
 
-    def __init__(self, root: TreeNode):
-        self.root = root
+    feature: np.ndarray  # (nodes,) the feature a split tests
+    threshold: np.ndarray  # (nodes,) a row whose feature value is <= this goes left
+    left: np.ndarray  # (nodes,) where rows go left; a leaf's own index, so rows stay
+    right: np.ndarray  # (nodes,) where the other rows go; a leaf's own index too
+    value: np.ndarray  # (nodes, 2) leaf class probabilities, zero at a split
+    roots: np.ndarray  # (trees,) the first node of each tree
+
+    @classmethod
+    def _from_rows(cls, rows: list[list], roots: list[int]) -> "DecisionTree":
+        """Pack node rows ``[feature, threshold, left, right, p0, p1]``."""
+        feature, threshold, left, right, p0, p1 = (np.array(column) for column in zip(*rows))
+        return cls(feature, threshold, left, right, np.column_stack([p0, p1]), np.array(roots))
 
     @classmethod
     def fit(
@@ -137,84 +131,120 @@ class DecisionTree:
         if max_features is None:
             max_features = n_features
 
-        root = TreeNode()
-        stack = [(np.arange(X.shape[0]), root)]
+        rows: list[list] = []
+        # the samples reaching a node, and the split whose right child it is (or -1)
+        stack = [(np.arange(X.shape[0]), -1)]
         while stack:
-            indices, node = stack.pop()
+            indices, parent = stack.pop()
+            node = len(rows)
+            if parent >= 0:
+                rows[parent][3] = node
             labels = y[indices]
-            counts = _weighted_counts(labels, class_weights[labels])
+            # summed one sample at a time, in sample order
+            counts = np.bincount(labels, class_weights[labels], minlength=2)
             split = None
             if counts[0] != 0.0 and counts[1] != 0.0:
-                if max_features < n_features:
-                    subset = rng.choice(n_features, size=max_features, replace=False)
-                else:
-                    subset = np.arange(n_features)
+                subset = (rng.choice(n_features, size=max_features, replace=False)
+                          if max_features < n_features else np.arange(n_features))
                 split = best_split(X[indices], labels, subset, class_weights)
                 if split is None and max_features < n_features:
                     # sampled features were all constant here; retry with every feature
                     split = best_split(X[indices], labels, np.arange(n_features), class_weights)
             if split is None:
-                node.probs = counts / counts.sum()
+                rows.append([0, 0.0, node, node, *(counts / counts.sum())])
                 continue
-            node.feature, node.threshold, _ = split
-            go_left = X[indices, node.feature] <= node.threshold
-            node.left, node.right = TreeNode(), TreeNode()
+            feature, threshold, _ = split
+            rows.append([feature, threshold, node + 1, -1, 0.0, 0.0])
+            go_left = X[indices, feature] <= threshold
             # the left subtree is grown first, so rng draws follow preorder
-            stack.append((indices[~go_left], node.right))
-            stack.append((indices[go_left], node.left))
-        return cls(root)
-
-    def predict_proba_one(self, x: np.ndarray) -> np.ndarray:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.probs
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return np.stack([self.predict_proba_one(row) for row in X])
-
-    def to_preorder(self) -> list[dict]:
-        """Serialize nodes in preorder (parent, left subtree, right subtree)."""
-        out: list[dict] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append({"p": [float(v) for v in node.probs]})
-                continue
-            out.append({"f": node.feature, "t": node.threshold})
-            stack.append(node.right)
-            stack.append(node.left)
-        return out
+            stack.append((indices[~go_left], node))
+            stack.append((indices[go_left], -1))
+        return cls._from_rows(rows, [0])
 
     @classmethod
-    def from_preorder(cls, nodes: list[dict], n_features: int) -> "DecisionTree":
-        """Read ``to_preorder`` output for inputs of ``n_features`` features; a
-        malformed node list or a split on a feature out of range raises
-        ValueError."""
-        root = TreeNode()
-        stack = [root]  # nodes still to be read, next one on top
-        for position, entry in enumerate(nodes):
-            if not stack:
-                raise ValueError(f"tree has {len(nodes) - position} entries past its last leaf")
-            node = stack.pop()
-            try:
-                if "p" in entry:
-                    node.probs = np.array(entry["p"], dtype=np.float64).reshape(2)
-                    continue
-                node.feature, node.threshold = int(entry["f"]), float(entry["t"])
-            except (KeyError, TypeError, ValueError):
-                raise ValueError(
-                    f"node {position} is neither a leaf {{'p': [p0, p1]}} nor a split "
-                    f"{{'f': feature, 't': threshold}}: {entry!r}"
-                ) from None
-            if not 0 <= node.feature < n_features:
-                raise ValueError(f"node {position} splits on feature {node.feature}, "
-                                 f"but there are {n_features} features")
-            node.left, node.right = TreeNode(), TreeNode()
-            stack.append(node.right)
-            stack.append(node.left)
-        if stack:
-            raise ValueError("tree ends before its last leaf")
-        return cls(root)
+    def join(cls, forests: list["DecisionTree"]) -> "DecisionTree":
+        """One forest holding the trees of ``forests``, in order."""
+        starts = np.cumsum([0] + [len(forest.left) for forest in forests[:-1]])
+        forests = [replace(forest, left=forest.left + start, right=forest.right + start,
+                           roots=forest.roots + start) for forest, start in zip(forests, starts)]
+        return cls(*(np.concatenate([getattr(forest, field.name) for forest in forests])
+                     for field in fields(cls)))
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """The leaf each row reaches in each tree, shape (trees, rows): every
+        row of every tree goes down one level per pass, until none moves."""
+        X = np.asarray(X, dtype=np.float64)
+        rows = np.arange(X.shape[0])
+        node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
+        while True:
+            below = np.where(X[rows, self.feature[node]] <= self.threshold[node],
+                             self.left[node], self.right[node])
+            if np.array_equal(below, node):
+                return node
+            node = below
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Mean of the trees' leaf class probabilities, shape (rows, 2).  The
+        sum runs in tree order, so a forest of one returns its leaf values."""
+        acc = np.zeros((len(X), 2))
+        for values in self.value[self.leaves(X)]:
+            acc += values
+        return acc / len(self.roots)
+
+    def to_preorder(self) -> list[list[dict]]:
+        """Each tree's nodes in preorder (parent, left subtree, right subtree)."""
+        leaf = self.left == np.arange(len(self.left))
+        nodes = [{"p": p} if is_leaf else {"f": f, "t": t} for is_leaf, f, t, p in zip(
+            leaf.tolist(), self.feature.tolist(), self.threshold.tolist(), self.value.tolist())]
+        ends = [*self.roots[1:].tolist(), len(nodes)]
+        return [nodes[start:end] for start, end in zip(self.roots.tolist(), ends)]
+
+    @classmethod
+    def from_preorder(cls, trees: list[list[dict]], n_features: int) -> "DecisionTree":
+        """Read ``to_preorder`` output for inputs of ``n_features`` features.
+
+        Raises ValueError, naming the tree and the node, when there is no tree,
+        a tree is not one whole list of preorder nodes, or a node is neither a
+        leaf of two finite probabilities in [0, 1] that sum to 1 nor a split on
+        an integer feature in [0, n_features) at a finite threshold.
+        """
+        if type(trees) is not list or not trees or any(type(nodes) is not list for nodes in trees):
+            raise ValueError("the trees are not a non-empty list of node lists")
+        rows, roots = [], []
+        for index, nodes in enumerate(trees):
+            roots.append(len(rows))
+            stack = [-1]  # per node still to be read: the split whose right child it is, or -1
+            for position, entry in enumerate(nodes):
+                if not stack:
+                    raise ValueError(f"tree {index} has entries past its last leaf")
+                parent, node = stack.pop(), len(rows)
+                if parent >= 0:
+                    rows[parent][3] = node
+                try:
+                    rows.append(_node_row(entry, node, n_features))
+                except ValueError as exc:
+                    raise ValueError(f"tree {index}: node {position}: {exc}") from None
+                if rows[node][2] != node:
+                    stack += [node, -1]
+            if stack:
+                raise ValueError(f"tree {index} ends before its last leaf")
+        return cls._from_rows(rows, roots)
+
+
+def _node_row(entry, node: int, n_features: int) -> list:
+    """The node row of one ``to_preorder`` entry, read as node ``node``."""
+    if type(entry) is dict and "p" in entry:
+        p = entry["p"]
+        p0, p1 = p if type(p) is list and len(p) == 2 else (None, None)
+        # a value within [0, 1] is finite
+        if (type(p0) in (int, float) and type(p1) in (int, float) and 0 <= p0 <= 1 and 0 <= p1 <= 1
+                and abs(p0 + p1 - 1) <= 1e-12):
+            return [0, 0.0, node, node, float(p0), float(p1)]
+        raise ValueError(f"leaf probabilities {p!r} are not two finite values in [0, 1] that sum to 1")
+    feature, threshold = (entry.get("f"), entry.get("t")) if type(entry) is dict else (None, None)
+    if type(feature) is not int or not is_finite_number(threshold):
+        raise ValueError(f"neither a leaf {{'p': [p0, p1]}} nor a split "
+                         f"{{'f': integer feature, 't': finite threshold}}: {entry!r}")
+    if not 0 <= feature < n_features:
+        raise ValueError(f"split on feature {feature}, but there are {n_features} features")
+    return [feature, float(threshold), node + 1, -1, 0.0, 0.0]

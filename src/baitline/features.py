@@ -20,6 +20,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import NewsArticle
+from .tensor.checkpoint import CheckpointVersionError, is_finite_number
 from .textproc import TokenizedDoc, _is_word, tokenize
 
 # Fixed 12-tag universal-style tag set.
@@ -396,12 +397,21 @@ class Standardizer:
 
     @classmethod
     def load(cls, path) -> "Standardizer":
+        """Read ``save`` output: ``N_FEATURES`` finite means and positive finite
+        deviations, else CheckpointVersionError naming the file and the key."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        return cls(
-            mean=np.array(payload["mean"], dtype=np.float64),
-            std=np.array(payload["std"], dtype=np.float64),
-        )
+        arrays = {}
+        for key in ("mean", "std"):
+            values = payload.get(key) if isinstance(payload, dict) else None
+            if not (type(values) is list and len(values) == N_FEATURES
+                    and all(is_finite_number(v) for v in values)):
+                raise CheckpointVersionError(f"{path}: standardizer {key!r} is missing or not "
+                                             f"a list of {N_FEATURES} finite numbers")
+            arrays[key] = np.array(values, dtype=np.float64)
+        if (arrays["std"] <= 0).any():
+            raise CheckpointVersionError(f"{path}: standardizer 'std' has a value <= 0")
+        return cls(**arrays)
 
 
 def fit_standardizer(matrix: np.ndarray) -> Standardizer:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -22,6 +23,11 @@ MODEL_HEADER = {"format": "baitline-model", "version": 1}
 class CheckpointVersionError(RuntimeError):
     """A model file this version cannot read: an unknown format or version,
     or content that does not fit the model it describes."""
+
+
+def is_finite_number(value) -> bool:
+    """Whether a JSON value is a number, not a boolean, that is a finite float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def save_model_json(path, family: str, body: dict) -> None:

@@ -58,7 +58,7 @@ from baitline.tensor import (
     tsum,
 )
 
-from test_classical import exhaustive_best_split
+from test_classical import exhaustive_best_split, per_row_leaf_probs
 from test_metrics import brute_force_ap
 
 CB = Label.CLICKBAIT
@@ -285,9 +285,9 @@ class TestOracleEquivalence:
         model = train_random_forest(X, y, RandomForestConfig(n_estimators=20, seed=11))
         sums = np.zeros((80, 2))
         counts = np.zeros(80, dtype=int)
-        for tree, oob in zip(model.trees, model.oob_indices):
+        for nodes, oob in zip(model.trees.to_preorder(), model.oob_indices):
             for i in oob:
-                sums[i] += tree.predict_proba_one(X[i])
+                sums[i] += per_row_leaf_probs(nodes, X[i:i + 1])[0]
                 counts[i] += 1
         correct = total = 0
         for i in range(80):

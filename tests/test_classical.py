@@ -23,7 +23,6 @@ from baitline.classical import (
     train_svm,
 )
 from baitline.classical.forest import RandomForestModel
-from baitline.classical.tree import TreeNode
 from baitline.tensor import CheckpointVersionError
 
 
@@ -191,14 +190,46 @@ def recursive_fit_preorder(X, y, class_weights, rng, max_features):
     return out
 
 
-def tree_depth(tree):
-    depth, stack = 0, [(tree.root, 0)]
-    while stack:
-        node, level = stack.pop()
+def tree_depth(nodes):
+    """Depth of one tree's preorder node list."""
+    depth, levels = 0, [0]  # levels of the nodes still to come, next one on top
+    for node in nodes:
+        level = levels.pop()
         depth = max(depth, level)
-        if not node.is_leaf:
-            stack += [(node.left, level + 1), (node.right, level + 1)]
+        if "f" in node:
+            levels += [level + 1, level + 1]
     return depth
+
+
+def per_row_leaf_probs(nodes, X):
+    """Reference walk: each row of ``X`` down one tree's preorder node list,
+    one node at a time, in plain python."""
+    right, waiting = {}, []  # a split's right child follows its whole left subtree
+    for i, node in enumerate(nodes):
+        if i and "p" in nodes[i - 1]:
+            right[waiting.pop()] = i
+        if "f" in node:
+            waiting.append(i)
+    out = []
+    for x in X:
+        i = 0
+        while "p" not in nodes[i]:
+            i = i + 1 if x[nodes[i]["f"]] <= nodes[i]["t"] else right[i]
+        out.append(nodes[i]["p"])
+    return np.array(out, dtype=np.float64).reshape(len(X), 2)
+
+
+def per_row_forest_proba(trees, X):
+    """Reference forest mean: the per-row walk of every tree, summed in tree order."""
+    acc = np.zeros((len(X), 2))
+    for nodes in trees.to_preorder():
+        acc += per_row_leaf_probs(nodes, X)
+    return acc / len(trees.roots)
+
+
+def leaf_forest(*leaf_probs):
+    """A forest of one-leaf trees, read through ``from_preorder``."""
+    return DecisionTree.from_preorder([[{"p": list(p)}] for p in leaf_probs], 3)
 
 
 class TestDecisionTree:
@@ -208,17 +239,19 @@ class TestDecisionTree:
         y = np.arange(n) % 2  # alternating labels: each split peels off one sample
         weights = balanced_class_weights(y)
         tree = DecisionTree.fit(X, y, weights, np.random.default_rng(0))
-        assert tree_depth(tree) > sys.getrecursionlimit()
+        assert tree_depth(tree.to_preorder()[0]) > sys.getrecursionlimit()
         model = RandomForestModel(
-            trees=[tree], oob_indices=[np.array([], dtype=int)],
+            trees=tree, oob_indices=[np.array([], dtype=int)],
             class_weights=weights, oob_score=float("nan"),
         )
         path = tmp_path / "rf.json"
         save_rf(model, path)
         loaded = load_rf(path, 1)
-        assert loaded.trees[0].to_preorder() == tree.to_preorder()
+        assert loaded.trees.to_preorder() == tree.to_preorder()
         # grown to purity, so every training sample lands in a leaf of its class
-        assert np.array_equal(loaded.predict_proba(X).argmax(axis=1), y)
+        proba = loaded.trees.predict_proba(X)
+        assert np.array_equal(proba.argmax(axis=1), y)
+        assert np.array_equal(proba, per_row_forest_proba(tree, X))
 
     def test_grows_in_recursive_preorder(self):
         # overlapping classes give a bushy tree; feature sampling draws from
@@ -227,28 +260,66 @@ class TestDecisionTree:
         X += np.random.default_rng(9).normal(scale=3.0, size=X.shape)
         weights = balanced_class_weights(y)
         tree = DecisionTree.fit(X, y, weights, np.random.default_rng(1), max_features=2)
-        nodes = tree.to_preorder()
+        [nodes] = tree.to_preorder()
         assert sum("f" in node for node in nodes) > 10
         assert nodes == recursive_fit_preorder(X, y, weights, np.random.default_rng(1), 2)
-        assert DecisionTree.from_preorder(nodes, X.shape[1]).to_preorder() == nodes
+        assert DecisionTree.from_preorder([nodes], X.shape[1]).to_preorder() == [nodes]
 
     def test_malformed_preorder_rejected(self):
         split = {"f": 0, "t": 0.5}
         leaf = {"p": [1.0, 0.0]}
-        with pytest.raises(ValueError, match="ends before"):
-            DecisionTree.from_preorder([split, leaf], 1)
-        with pytest.raises(ValueError, match="past its last leaf"):
-            DecisionTree.from_preorder([split, leaf, leaf, leaf], 1)
+        with pytest.raises(ValueError, match="tree 0 ends before"):
+            DecisionTree.from_preorder([[split, leaf]], 1)
+        with pytest.raises(ValueError, match="tree 1 ends before"):
+            DecisionTree.from_preorder([[leaf], []], 1)
+        with pytest.raises(ValueError, match="tree 0 has entries past its last leaf"):
+            DecisionTree.from_preorder([[split, leaf, leaf, leaf, leaf]], 1)
+        for trees in ([], {}, [leaf]):
+            with pytest.raises(ValueError, match="tree"):
+                DecisionTree.from_preorder(trees, 1)
         for feature in (1, -1):
-            with pytest.raises(ValueError, match="but there are 1 features"):
-                DecisionTree.from_preorder([{"f": feature, "t": 0.5}, leaf, leaf], 1)
+            with pytest.raises(ValueError, match="node 0: split on feature .*, but there are 1 "):
+                DecisionTree.from_preorder([[{"f": feature, "t": 0.5}, leaf, leaf]], 1)
+        for bad_split in ({"f": 1.7, "t": 0.5}, {"f": True, "t": 0.5}, {"f": "0", "t": 0.5},
+                          {"f": 0, "t": math.nan}, {"f": 0, "t": math.inf}, {"f": 0, "t": True},
+                          {"f": 0}, {"t": 0.5}, [0, 0.5]):
+            with pytest.raises(ValueError, match="tree 0: node 1: neither a leaf"):
+                DecisionTree.from_preorder([[split, bad_split, leaf, leaf, leaf]], 1)
+        for probs in ([math.nan, 1.0], [5.0, -4.0], [0.5, 0.6], [1.0], [1.0, 0.0, 0.0],
+                      [math.inf, 0.0], [True, False], ["1", "0"], 1.0):
+            with pytest.raises(ValueError, match="tree 1: node 2: leaf probabilities"):
+                DecisionTree.from_preorder([[leaf], [split, leaf, {"p": probs}]], 1)
+        # within 1e-12 of summing to 1, and integers are numbers
+        DecisionTree.from_preorder([[{"p": [0.3, 0.7 + 1e-13]}], [{"p": [0, 1]}]], 1)
+
+    def test_descent_matches_per_row_walk(self):
+        # forests over tied and duplicated rows, some with both labels so that
+        # leaves hold fractions and the order of the tree sum shows, scored on
+        # rows that hit every threshold exactly, on fresh rows and on NaN
+        rng = np.random.default_rng(12)
+        for seed in range(8):
+            X, y = separable_dataset(seed=seed, n_per_class=int(rng.integers(3, 40)),
+                                     d=int(rng.integers(1, 7)))
+            X = np.round(X + rng.normal(scale=2.0, size=X.shape), int(rng.integers(0, 3)))
+            twins = rng.integers(0, len(y), size=len(y) // 2)
+            X, y = np.vstack([X, X[twins]]), np.concatenate([y, 1 - y[twins]])
+            config = RandomForestConfig(n_estimators=int(rng.integers(1, 30)), seed=seed,
+                                        max_features=("sqrt", "all")[seed % 2])
+            trees = train_random_forest(X, y, config).trees
+            leaf = trees.left == np.arange(len(trees.left))
+            assert not np.isin(trees.value[leaf], (0, 1)).all()
+            probe = np.vstack([X, rng.normal(scale=3.0, size=X.shape),
+                               rng.choice(np.append(trees.threshold[~leaf], np.nan), size=X.shape)])
+            assert np.array_equal(trees.predict_proba(probe), per_row_forest_proba(trees, probe))
+            loaded = DecisionTree.from_preorder(trees.to_preorder(), X.shape[1])
+            assert np.array_equal(loaded.predict_proba(probe), trees.predict_proba(probe))
 
 
 class TestRandomForest:
     def test_separable_fixture_accuracy_and_oob(self):
         X, y = separable_dataset()
         model = train_random_forest(X, y, RandomForestConfig(n_estimators=25, seed=1))
-        preds = np.where(model.predict_proba(X)[:, 0] > 0.5, 0, 1)
+        preds = np.where(model.trees.predict_proba(X)[:, 0] > 0.5, 0, 1)
         assert (preds == y).all()
         assert 0.8 <= model.oob_score <= 1.0
 
@@ -257,7 +328,7 @@ class TestRandomForest:
         config = RandomForestConfig(n_estimators=1, seed=7)
         a = train_random_forest(X, y, config)
         b = train_random_forest(X, y, config)
-        assert a.trees[0].to_preorder() == b.trees[0].to_preorder()
+        assert a.trees.to_preorder() == b.trees.to_preorder()
         assert np.array_equal(a.oob_indices[0], b.oob_indices[0])
 
     def test_single_class_rejected(self):
@@ -273,16 +344,10 @@ class TestRandomForest:
     def test_leaf_probabilities_sum_to_one(self):
         X, y = separable_dataset(seed=3)
         model = train_random_forest(X, y, RandomForestConfig(n_estimators=10, seed=3))
-
-        def walk(node):
-            if node.is_leaf:
-                assert node.probs.sum() == pytest.approx(1.0, abs=1e-12)
-                return
-            walk(node.left)
-            walk(node.right)
-
-        for tree in model.trees:
-            walk(tree.root)
+        leaves = [node["p"] for nodes in model.trees.to_preorder() for node in nodes if "p" in node]
+        assert len(leaves) > 10
+        for probs in leaves:
+            assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_oob_score_matches_independent_recomputation(self):
         X, y = separable_dataset(seed=4, n_per_class=30)
@@ -291,9 +356,9 @@ class TestRandomForest:
         n = len(y)
         sums = [np.zeros(2) for _ in range(n)]
         counts = [0] * n
-        for tree, oob in zip(model.trees, model.oob_indices):
+        for nodes, oob in zip(model.trees.to_preorder(), model.oob_indices):
             for i in oob:
-                sums[i] += tree.predict_proba_one(X[i])
+                sums[i] += per_row_leaf_probs(nodes, X[i:i + 1])[0]
                 counts[i] += 1
         correct = total = 0
         for i in range(n):
@@ -306,26 +371,20 @@ class TestRandomForest:
         assert model.oob_score == correct / total
 
     def test_predict_proba_tie_goes_non_clickbait(self):
-        leaf0 = TreeNode(probs=np.array([1.0, 0.0]))
-        leaf1 = TreeNode(probs=np.array([0.0, 1.0]))
         model = RandomForestModel(
-            trees=[DecisionTree(leaf0), DecisionTree(leaf1)],
+            trees=leaf_forest([1.0, 0.0], [0.0, 1.0]),
             oob_indices=[np.array([], dtype=int)] * 2,
             class_weights=np.ones(2),
             oob_score=float("nan"),
         )
         x = np.zeros(3)
         assert model.predict_clickbait_proba(x[None, :])[0] == 0.5
-        mean = model.predict_proba(x[None, :])[0]
+        mean = model.trees.predict_proba(x[None, :])[0]
         pred = 0 if mean[0] > mean[1] else 1
         assert pred == 1  # non-clickbait on exact tie
 
     def test_hand_built_forest_average(self):
-        trees = [
-            DecisionTree(TreeNode(probs=np.array([0.8, 0.2]))),
-            DecisionTree(TreeNode(probs=np.array([0.5, 0.5]))),
-            DecisionTree(TreeNode(probs=np.array([0.2, 0.8]))),
-        ]
+        trees = leaf_forest([0.8, 0.2], [0.5, 0.5], [0.2, 0.8])
         model = RandomForestModel(
             trees=trees, oob_indices=[np.array([], dtype=int)] * 3,
             class_weights=np.ones(2), oob_score=float("nan"),
@@ -335,7 +394,7 @@ class TestRandomForest:
         )
 
     def test_all_trees_unanimous(self):
-        trees = [DecisionTree(TreeNode(probs=np.array([1.0, 0.0])))] * 4
+        trees = leaf_forest(*[[1.0, 0.0]] * 4)
         model = RandomForestModel(
             trees=trees, oob_indices=[np.array([], dtype=int)] * 4,
             class_weights=np.ones(2), oob_score=float("nan"),
@@ -349,7 +408,7 @@ class TestRandomForest:
         save_rf(model, path)
         loaded = load_rf(path, X.shape[1])
         assert loaded.oob_score == model.oob_score
-        assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
+        assert np.array_equal(loaded.trees.predict_proba(X), model.trees.predict_proba(X))
 
     def test_wrong_family_rejected(self, tmp_path):
         X, y = separable_dataset(seed=6, n_per_class=5)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from baitline import config as cfg
 from baitline.cli import build_parser, run
 from baitline.corpus import Corpus, Label, load_corpus, save_corpus
+from baitline.features import N_FEATURES
 from baitline.metrics import load_predictions
 from baitline.registry import FAMILIES
 from baitline.tensor.checkpoint import load_tensors, save_tensors
@@ -315,35 +317,71 @@ def _split_without(field):
     return edit
 
 
-def _split_on_feature(feature):
+def _split_with(field, value):
     def edit(payload):
-        next(n for n in payload["trees"][0] if "f" in n)["f"] = feature
+        next(n for n in payload["trees"][0] if "f" in n)[field] = value
     return edit
 
 
+def _leaf_with(probs):
+    def edit(payload):
+        next(n for n in payload["trees"][3] if "p" in n)["p"] = probs
+    return edit
+
+
+def _standardizer_with(key, value):
+    return lambda payload: payload.update({key: value}) if value is not None else payload.pop(key)
+
+
+# defect: (family, file edited, edit, what the message names besides the file)
 CLASSICAL_DEFECTS = {
-    "split_without_t": ("rf", _split_without("t"), "tree 0"),
-    "split_without_f": ("rf", _split_without("f"), "tree 0"),
-    "truncated_tree": ("rf", lambda payload: payload["trees"][1].pop(), "tree 1"),
-    "overlong_tree": ("rf", lambda payload: payload["trees"][2].append({"p": [1.0, 0.0]}),
-                      "tree 2"),
-    "split_on_missing_feature": ("rf", _split_on_feature(999), "tree 0"),
-    "split_on_negative_feature": ("rf", _split_on_feature(-1), "tree 0"),
-    "svm_short_w": ("svm", lambda payload: payload.update(w=payload["w"][:-3]), "'w'"),
-    "svm_long_w": ("svm", lambda payload: payload["w"].append(0.5), "'w'"),
-    "svm_without_platt": ("svm", lambda payload: payload.pop("platt"), "platt"),
-    "svm_without_w": ("svm", lambda payload: payload.pop("w"), "'w'"),
-    "svm_without_b": ("svm", lambda payload: payload.pop("b"), "'b'"),
-    "platt_without_a": ("svm", lambda payload: payload["platt"].pop("A"), "'A'"),
+    "split_without_t": ("rf", "model.json", _split_without("t"), "tree 0"),
+    "split_without_f": ("rf", "model.json", _split_without("f"), "tree 0"),
+    "truncated_tree": ("rf", "model.json", lambda payload: payload["trees"][1].pop(), "tree 1"),
+    "overlong_tree": ("rf", "model.json",
+                      lambda payload: payload["trees"][2].append({"p": [1.0, 0.0]}), "tree 2"),
+    "split_on_missing_feature": ("rf", "model.json", _split_with("f", 999), "tree 0: node 0"),
+    "split_on_negative_feature": ("rf", "model.json", _split_with("f", -1), "tree 0: node 0"),
+    "split_on_float_feature": ("rf", "model.json", _split_with("f", 1.7), "tree 0: node 0"),
+    "split_on_bool_feature": ("rf", "model.json", _split_with("f", True), "tree 0: node 0"),
+    "split_at_nan": ("rf", "model.json", _split_with("t", math.nan), "tree 0: node 0"),
+    "split_at_infinity": ("rf", "model.json", _split_with("t", math.inf), "tree 0: node 0"),
+    "leaf_nan": ("rf", "model.json", _leaf_with([math.nan, 1.0]), "tree 3: node "),
+    "leaf_out_of_range": ("rf", "model.json", _leaf_with([5.0, -4.0]), "tree 3: node "),
+    "leaf_not_summing_to_1": ("rf", "model.json", _leaf_with([0.5, 0.6]), "tree 3: node "),
+    "no_trees": ("rf", "model.json", lambda payload: payload.update(trees=[]), "trees"),
+    "svm_short_w": ("svm", "model.json", lambda payload: payload.update(w=payload["w"][:-3]),
+                    "'w'"),
+    "svm_long_w": ("svm", "model.json", lambda payload: payload["w"].append(0.5), "'w'"),
+    "svm_without_platt": ("svm", "model.json", lambda payload: payload.pop("platt"), "platt"),
+    "svm_without_w": ("svm", "model.json", lambda payload: payload.pop("w"), "'w'"),
+    "svm_without_b": ("svm", "model.json", lambda payload: payload.pop("b"), "'b'"),
+    "platt_without_a": ("svm", "model.json", lambda payload: payload["platt"].pop("A"), "'A'"),
+    "standardizer_without_mean": ("svm", "standardizer.json", _standardizer_with("mean", None),
+                                  "'mean'"),
+    "standardizer_without_std": ("rf", "standardizer.json", _standardizer_with("std", None),
+                                 "'std'"),
+    "standardizer_short_mean": ("svm", "standardizer.json",
+                                _standardizer_with("mean", [0.0] * 3), "'mean'"),
+    "standardizer_long_std": ("rf", "standardizer.json",
+                              _standardizer_with("std", [1.0] * (N_FEATURES + 1)), "'std'"),
+    "standardizer_nan_mean": ("rf", "standardizer.json",
+                              _standardizer_with("mean", [math.nan] * N_FEATURES), "'mean'"),
+    "standardizer_string_std": ("svm", "standardizer.json",
+                                _standardizer_with("std", ["1"] * N_FEATURES), "'std'"),
+    "standardizer_zero_std": ("svm", "standardizer.json",
+                              _standardizer_with("std", [0.0] * N_FEATURES), "'std'"),
+    "standardizer_negative_std": ("rf", "standardizer.json",
+                                  _standardizer_with("std", [-1.0] * N_FEATURES), "'std'"),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(CLASSICAL_DEFECTS))
 def test_malformed_classical_model_exit_4(tmp_path, classical_runs, data_dir, capsys, defect):
-    family, edit, culprit = CLASSICAL_DEFECTS[defect]
+    family, file_name, edit, culprit = CLASSICAL_DEFECTS[defect]
     run_dir = tmp_path / family
     shutil.copytree(classical_runs / family, run_dir)
-    model_path = run_dir / "model.json"
+    model_path = run_dir / file_name
     payload = json.loads(model_path.read_text(encoding="utf-8"))
     edit(payload)
     model_path.write_text(json.dumps(payload), encoding="utf-8")

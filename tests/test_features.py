@@ -397,7 +397,7 @@ class TestStandardizer:
             fit_standardizer(np.array([[1.0, 2.0]]))
 
     def test_save_load_round_trip(self, tmp_path):
-        std = fit_standardizer(np.array([[1.0, 5.0], [3.0, 9.0]]))
+        std = fit_standardizer(np.random.default_rng(3).normal(size=(4, N_FEATURES)))
         path = tmp_path / "std.json"
         std.save(path)
         loaded = Standardizer.load(path)
