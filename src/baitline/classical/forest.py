@@ -7,16 +7,18 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..tensor.checkpoint import CheckpointVersionError, load_model_json, save_model_json
+from ..tensor.checkpoint import (
+    CheckpointVersionError,
+    load_model_json,
+    save_model_json,
+    stored_config,
+)
 from .tree import DecisionTree
 
 
 @dataclass
 class RandomForestConfig:
     n_estimators: int = 150
-    criterion: str = "entropy"
-    class_weight: str = "balanced"
-    oob: bool = True
     seed: int = 0
     max_features: str = "sqrt"
 
@@ -53,18 +55,12 @@ def train_random_forest(
     """
     if config is None:
         config = RandomForestConfig()
-    if config.criterion != "entropy":
-        raise ValueError(f"unsupported criterion {config.criterion!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
     if n < 2 or len(y) != n:
         raise ValueError("need at least 2 aligned samples")
-    if config.class_weight not in ("balanced", "none"):
-        raise ValueError(f"unsupported class_weight {config.class_weight!r}")
     class_weights = balanced_class_weights(y)  # also rejects a single class
-    if config.class_weight == "none":
-        class_weights = np.ones(2)
 
     if config.max_features == "sqrt":
         max_features = max(1, int(math.isqrt(X.shape[1])))
@@ -83,9 +79,8 @@ def train_random_forest(
         fitted.append(DecisionTree.fit(X[bootstrap], y[bootstrap], class_weights, rng, max_features))
 
     trees = DecisionTree.join(fitted)
-    oob_score = compute_oob_score(trees, oob_indices, X, y) if config.oob else float("nan")
     return RandomForestModel(trees=trees, oob_indices=oob_indices, class_weights=class_weights,
-                             oob_score=oob_score, config=config)
+                             oob_score=compute_oob_score(trees, oob_indices, X, y), config=config)
 
 
 def compute_oob_score(trees: DecisionTree, oob_indices: list[np.ndarray], X: np.ndarray,
@@ -123,11 +118,16 @@ def load_rf(path, n_features: int) -> RandomForestModel:
     """Read an rf model whose trees split inputs of ``n_features`` features."""
     payload = load_model_json(path, "rf", ("config", "class_weights", "oob_score",
                                            "oob_indices", "trees"))
+    config = stored_config(path, RandomForestConfig, payload["config"])
+    oob_indices = payload["oob_indices"]
+    if not (type(oob_indices) is list and all(
+            type(idx) is list and all(type(i) is int for i in idx) for idx in oob_indices)):
+        raise CheckpointVersionError(f"{path}: rf field 'oob_indices' is not a list of integer lists")
     try:
         trees = DecisionTree.from_preorder(payload["trees"], n_features)
     except ValueError as exc:
         raise CheckpointVersionError(f"{path}: {exc}") from None
     return RandomForestModel(
-        trees=trees, oob_indices=[np.array(idx, dtype=np.int64) for idx in payload["oob_indices"]],
+        trees=trees, oob_indices=[np.array(idx, dtype=np.int64) for idx in oob_indices],
         class_weights=np.array(payload["class_weights"]), oob_score=float(payload["oob_score"]),
-        config=RandomForestConfig(**payload["config"]))
+        config=config)

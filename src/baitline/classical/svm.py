@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..tensor.checkpoint import CheckpointVersionError, load_model_json, save_model_json
+from ..tensor.core import _sigmoid
 
 
 @dataclass
 class SvmConfig:
-    kernel: str = "linear"
     C: float = 1.0
     epochs: int = 200
     seed: int = 0
@@ -33,12 +33,8 @@ class PlattScaler:
     B: float
 
     def proba(self, decision: float | np.ndarray) -> np.ndarray:
-        z = self.A * np.asarray(decision, dtype=np.float64) + self.B
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = np.exp(-z[pos]) / (1.0 + np.exp(-z[pos]))
-        out[~pos] = 1.0 / (1.0 + np.exp(z[~pos]))
-        return out
+        # ndmin=1: _sigmoid writes into its own arrays, which a 0-d input would not give it
+        return _sigmoid(-(self.A * np.array(decision, dtype=np.float64, ndmin=1) + self.B))
 
 
 @dataclass
@@ -72,8 +68,6 @@ def train_svm(X: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> 
     """Deterministic subgradient training plus Platt fitting on train decisions."""
     if config is None:
         config = SvmConfig()
-    if config.kernel != "linear":
-        raise ValueError(f"unsupported kernel {config.kernel!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
@@ -86,8 +80,8 @@ def train_svm(X: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> 
     lam = 1.0 / (config.C * n)
 
     # The bias rides in the weight vector as a constant-1 feature, so it is
-    # regularized along with w; on standardized inputs the bias is small and
-    # the reported objective uses the plain w either way.
+    # regularized along with w; on standardized inputs the bias is small.  The
+    # per-epoch objective is that of the augmented weights with no extra bias.
     Xa = np.hstack([X, np.ones((n, 1))])
     rng = np.random.default_rng(config.seed)
     wa = np.zeros(d + 1)
@@ -106,7 +100,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> 
                 wa += lr * y_signed[i] * Xa[i]
             if last_epoch:
                 tail_sum += wa
-        objective_by_epoch.append(_augmented_objective(wa, Xa, y_signed, config.C))
+        objective_by_epoch.append(svm_objective(wa, 0.0, Xa, y_signed, config.C))
 
     # suffix averaging over the final epoch removes the O(lr) oscillation
     # band of the last raw iterate
@@ -118,11 +112,6 @@ def train_svm(X: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> 
         w=w, b=b, C=config.C, calibrator=calibrator,
         objective_by_epoch=objective_by_epoch,
     )
-
-
-def _augmented_objective(wa: np.ndarray, Xa: np.ndarray, y_signed: np.ndarray, C: float) -> float:
-    margins = y_signed * (Xa @ wa)
-    return float(0.5 * (wa @ wa) + C * np.maximum(0.0, 1.0 - margins).sum())
 
 
 def platt_fit(decisions: np.ndarray, y_signed: np.ndarray, max_iter: int = 100) -> PlattScaler:
@@ -152,11 +141,7 @@ def platt_fit(decisions: np.ndarray, y_signed: np.ndarray, max_iter: int = 100) 
     B = math.log((prior0 + 1.0) / (prior1 + 1.0))
     fval = nll(A, B)
     for _ in range(max_iter):
-        z = decisions * A + B
-        p = np.empty_like(z)
-        pos = z >= 0
-        p[pos] = np.exp(-z[pos]) / (1.0 + np.exp(-z[pos]))
-        p[~pos] = 1.0 / (1.0 + np.exp(z[~pos]))
+        p = _sigmoid(-(decisions * A + B))
         d2 = p * (1.0 - p)
         h11 = float((decisions * decisions * d2).sum()) + sigma
         h22 = float(d2.sum()) + sigma

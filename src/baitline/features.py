@@ -20,7 +20,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import NewsArticle
-from .tensor.checkpoint import CheckpointVersionError, is_finite_number
+from .tensor.checkpoint import CheckpointVersionError, is_finite_number, read_json
 from .textproc import TokenizedDoc, _is_word, tokenize
 
 # Fixed 12-tag universal-style tag set.
@@ -399,8 +399,7 @@ class Standardizer:
     def load(cls, path) -> "Standardizer":
         """Read ``save`` output: ``N_FEATURES`` finite means and positive finite
         deviations, else CheckpointVersionError naming the file and the key."""
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = read_json(path)
         arrays = {}
         for key in ("mean", "std"):
             values = payload.get(key) if isinstance(payload, dict) else None

@@ -1,8 +1,8 @@
 """Evaluation machinery: per-class P/R/F1, PR curves with AP, McNemar's test.
 
-The chi-square tail probability needed by McNemar's test is computed from the
-regularized incomplete gamma function implemented here, keeping the toolkit
-free of a stats dependency.
+McNemar's statistic has one degree of freedom, so its chi-square tail is the
+closed form erfc(sqrt(x / 2)) from ``math``, keeping the toolkit free of a
+stats dependency.
 """
 
 from __future__ import annotations
@@ -13,72 +13,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import Label
-
-
-# ---------------------------------------------------------------------------
-# regularized incomplete gamma / chi-square tail
-# ---------------------------------------------------------------------------
-
-_MAX_ITER = 500
-_TINY = 1e-300
-_EPS = 3e-16
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    """P(a, x) by series expansion; valid for x < a + 1."""
-    ap = a
-    total = 1.0 / a
-    delta = total
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Q(a, x) by Lentz continued fraction; valid for x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def gammainc_upper(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x)."""
-    if a <= 0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_cf(a, x)
-
-
-def chi2_sf(x: float, dof: int = 1) -> float:
-    """Chi-square survival function P(X >= x) with ``dof`` degrees of freedom."""
-    if dof < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    return gammainc_upper(dof / 2.0, x / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +126,13 @@ def average_precision(scores: Sequence[float], golds: Sequence) -> float:
 # McNemar's paired test
 # ---------------------------------------------------------------------------
 
+def chi2_sf(x: float) -> float:
+    """Chi-square survival function P(X >= x) with one degree of freedom."""
+    if x < 0:
+        raise ValueError("x must be non-negative")
+    return math.erfc(math.sqrt(x / 2))
+
+
 def mcnemar(preds_a: Sequence, preds_b: Sequence, golds: Sequence) -> tuple[float, float]:
     """Continuity-corrected McNemar statistic and chi-square p-value (1 dof).
 
@@ -213,7 +154,7 @@ def mcnemar(preds_a: Sequence, preds_b: Sequence, golds: Sequence) -> tuple[floa
     if b + c == 0:
         return 0.0, 1.0
     statistic = (abs(b - c) - 1) ** 2 / (b + c)
-    return statistic, chi2_sf(statistic, dof=1)
+    return statistic, chi2_sf(statistic)
 
 
 # ---------------------------------------------------------------------------

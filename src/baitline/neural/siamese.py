@@ -157,12 +157,6 @@ class SiameseBundle(NeuralBundle):
         v_c = self.encoder.encode(*trim_padding(c_ids, c_masks))
         return cosine_similarity(Tensor(v_t), Tensor(v_c)).data
 
-    def similarity(self, article: NewsArticle) -> float:
-        return float(self.scores([article])[0])
-
-    def predict(self, article: NewsArticle) -> tuple[Label, float]:
-        return contrastive_predict(self, article, self.config.threshold)
-
     def predictions(self, articles) -> tuple[list[Label], list[float]]:
         pairs = [similarity_to_prediction(float(s), self.config.threshold)
                  for s in self.scores(articles)]
@@ -184,7 +178,7 @@ def contrastive_predict(
     bundle: SiameseBundle, article: NewsArticle, threshold: float = 0.75
 ) -> tuple[Label, float]:
     """Threshold the article's title-content similarity."""
-    return similarity_to_prediction(bundle.similarity(article), threshold)
+    return similarity_to_prediction(float(bundle.scores([article])[0]), threshold)
 
 
 def train_contrastive(corpus: Corpus, config: SiameseConfig | None = None) -> SiameseBundle:

@@ -10,7 +10,6 @@ those vocabularies build.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -18,7 +17,14 @@ import numpy as np
 
 from ..corpus import Label, argmax_predictions
 from ..tensor import GraphOptimizer, Tensor, backward, no_grad
-from ..tensor.checkpoint import CheckpointVersionError, load_tensors, save_tensors
+from ..tensor.checkpoint import (
+    CheckpointVersionError,
+    load_tensors,
+    read_json,
+    require_same_names,
+    save_tensors,
+    stored_config,
+)
 from ..textproc import TokenizedDoc, load_vocab, normalize, save_vocab, tokenize
 
 PREDICT_BATCH = 64
@@ -45,17 +51,10 @@ def trim_padding(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndar
     return ids[:, :length], mask[:, :length]
 
 
-def _require_same_names(path, kind: str, expected: set[str], found: set[str]) -> None:
-    if expected - found:
-        raise CheckpointVersionError(f"{path}: missing {kind} {sorted(expected - found)}")
-    if found - expected:
-        raise CheckpointVersionError(f"{path}: unexpected {kind} {sorted(found - expected)}")
-
-
 def load_params_strict(path, params: dict[str, Tensor]) -> None:
     """Fill ``params`` from a checkpoint that holds exactly these tensors."""
     values = load_tensors(path)
-    _require_same_names(path, "tensor", set(params), set(values))
+    require_same_names(path, "tensor", set(params), set(values))
     for name, param in params.items():
         if values[name].shape != param.data.shape:
             raise CheckpointVersionError(
@@ -133,18 +132,13 @@ class NeuralBundle:
     def load(cls, model_dir):
         model_dir = Path(model_dir)
         meta_path = model_dir / "model_meta.json"
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
+        meta = read_json(meta_path)
         family = meta.get("family") if isinstance(meta, dict) else None
         if family != cls.family:
             raise CheckpointVersionError(f"{meta_path}: expected a {cls.family!r} model, got {family!r}")
-        config = meta.get("config")
-        if not isinstance(config, dict):
-            raise CheckpointVersionError(f"{meta_path}: config is not an object")
-        expected = {f.name for f in dataclasses.fields(cls.config_type)}
-        _require_same_names(meta_path, "config key", expected, set(config))
+        config = stored_config(meta_path, cls.config_type, meta.get("config"))
         vocabs = {field: load_vocab(model_dir / name) for name, field in cls.vocab_files.items()}
-        bundle = cls.build(cls.config_type(**config), None, **vocabs)
+        bundle = cls.build(config, None, **vocabs)
         load_params_strict(model_dir / "model.tensors", bundle.params())
         bundle.train_losses = list(meta.get("train_losses", []))
         return bundle

@@ -8,6 +8,7 @@ model container is one object: format name, version, family, then fields.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -30,6 +31,33 @@ def is_finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+def read_json(path):
+    """The JSON value stored in ``path``; a file that is not UTF-8 JSON raises
+    CheckpointVersionError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointVersionError(f"{path}: not a UTF-8 JSON file: {exc}") from None
+
+
+def require_same_names(path, kind: str, expected: set[str], found: set[str]) -> None:
+    if expected - found:
+        raise CheckpointVersionError(f"{path}: missing {kind} {sorted(expected - found)}")
+    if found - expected:
+        raise CheckpointVersionError(f"{path}: unexpected {kind} {sorted(found - expected)}")
+
+
+def stored_config(path, config_type: type, config):
+    """A ``config_type`` dataclass from the ``config`` object stored in
+    ``path``, which must carry exactly that dataclass's keys."""
+    if not isinstance(config, dict):
+        raise CheckpointVersionError(f"{path}: config is not an object")
+    require_same_names(path, "config key", {f.name for f in dataclasses.fields(config_type)},
+                       set(config))
+    return config_type(**config)
+
+
 def save_model_json(path, family: str, body: dict) -> None:
     """Write a JSON model container: the header, then the family's fields."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -39,8 +67,7 @@ def save_model_json(path, family: str, body: dict) -> None:
 def load_model_json(path, family: str, fields=()) -> dict:
     """Read a JSON model container of this format, version and family that
     carries every one of ``fields``."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise CheckpointVersionError(f"{path}: not a model container")
     if any(payload.get(key) != value for key, value in MODEL_HEADER.items()):

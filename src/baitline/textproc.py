@@ -100,7 +100,6 @@ class Vocabulary:
     """
 
     token_to_id: dict[str, int] = field(repr=False)
-    max_size: int = 0
 
     def __post_init__(self):
         for token, idx in self.token_to_id.items():
@@ -151,7 +150,7 @@ def build_vocab(
     for tok in chosen:
         token_to_id[tok] = next_id
         next_id += 1
-    return Vocabulary(token_to_id=token_to_id, max_size=max_size)
+    return Vocabulary(token_to_id=token_to_id)
 
 
 def encode(
@@ -202,4 +201,4 @@ def load_vocab(path) -> Vocabulary:
                     f"{path}:{line_no}: token {token!r} repeats line {token_to_id[token] - 1}"
                 )
             token_to_id[token] = line_no + 1
-    return Vocabulary(token_to_id=token_to_id, max_size=len(token_to_id))
+    return Vocabulary(token_to_id=token_to_id)

@@ -354,8 +354,7 @@ class TestContrastiveSeparation:
         bundle = SiameseBundle.load(run_dir)
         test = load_corpus(test_path)
         sims_cb, sims_ncb = [], []
-        for art in test:
-            s = bundle.similarity(art)
+        for art, s in zip(test, bundle.scores(test.articles)):
             (sims_cb if art.label is CB else sims_ncb).append(s)
         separation = float(np.mean(sims_ncb) - np.mean(sims_cb))
 

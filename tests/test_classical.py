@@ -466,6 +466,18 @@ class TestSvm:
         assert scaler.proba(10.0) > 0.99
         assert scaler.proba(-10.0) < 0.01
 
+    def test_platt_proba_matches_two_branch_formula_bit_for_bit(self):
+        edges = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 750.0, -750.0]
+        decisions = np.concatenate([edges, np.linspace(-40.0, 40.0, 801)])
+        for A, B in ((-1.0, 0.0), (-2.0, 0.25), (0.5, -3.0)):
+            z = A * decisions + B
+            expected = np.empty_like(z)
+            pos = z >= 0
+            expected[pos] = np.exp(-z[pos]) / (1.0 + np.exp(-z[pos]))
+            expected[~pos] = 1.0 / (1.0 + np.exp(z[~pos]))
+            got = PlattScaler(A=A, B=B).proba(decisions)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (A, B)
+
     def test_platt_fit_recovers_orientation(self):
         rng = np.random.default_rng(11)
         decisions = rng.normal(size=400) * 2

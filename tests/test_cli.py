@@ -350,6 +350,18 @@ CLASSICAL_DEFECTS = {
     "leaf_out_of_range": ("rf", "model.json", _leaf_with([5.0, -4.0]), "tree 3: node "),
     "leaf_not_summing_to_1": ("rf", "model.json", _leaf_with([0.5, 0.6]), "tree 3: node "),
     "no_trees": ("rf", "model.json", lambda payload: payload.update(trees=[]), "trees"),
+    "oob_indices_not_a_list": ("rf", "model.json", lambda payload: payload.update(oob_indices="x"),
+                               "oob_indices"),
+    "config_with_unknown_key": ("rf", "model.json", lambda payload: payload["config"].update(bogus=1),
+                                "bogus"),
+    "config_without_seed": ("rf", "model.json", lambda payload: payload["config"].pop("seed"),
+                            "seed"),
+    "config_not_an_object": ("rf", "model.json",
+                             lambda payload: payload.update(config=list(payload["config"].values())),
+                             "config"),
+    "config_with_removed_option": ("rf", "model.json",
+                                   lambda payload: payload["config"].update(criterion="entropy"),
+                                   "criterion"),
     "svm_short_w": ("svm", "model.json", lambda payload: payload.update(w=payload["w"][:-3]),
                     "'w'"),
     "svm_long_w": ("svm", "model.json", lambda payload: payload["w"].append(0.5), "'w'"),
@@ -391,6 +403,22 @@ def test_malformed_classical_model_exit_4(tmp_path, classical_runs, data_dir, ca
                 "--out", str(tmp_path / "preds.tsv")]) == 4
     err = capsys.readouterr().err
     assert str(model_path) in err and culprit in err
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"], ids=["not_json", "not_utf8"])
+@pytest.mark.parametrize("family, file_name", [
+    ("rf", "model.json"), ("svm", "standardizer.json"), ("bilstm", "model_meta.json"),
+])
+def test_undecodable_model_file_exit_4(tmp_path, classical_runs, neural_runs, data_dir, capsys,
+                                       family, file_name, content):
+    run_dir = tmp_path / family
+    shutil.copytree((neural_runs if family == "bilstm" else classical_runs) / family, run_dir)
+    (run_dir / file_name).write_bytes(content)
+    capsys.readouterr()
+    assert run(["predict", "--model-dir", str(run_dir),
+                "--corpus", str(data_dir / "synthetic60.jsonl"),
+                "--out", str(tmp_path / "preds.tsv")]) == 4
+    assert str(run_dir / file_name) in capsys.readouterr().err
 
 
 TABLES = {
@@ -614,3 +642,15 @@ class TestConfigFile:
         snapshot = (run_dir / "config.ini").read_text()
         assert "n_estimators = 7" in snapshot  # file override beats profile
         assert "seed = 77" in snapshot  # flag beats file
+
+    @pytest.mark.parametrize("family, option, value",
+                             [("rf", "criterion", "entropy"), ("svm", "kernel", "linear")])
+    def test_removed_option_exit_3(self, tmp_path, corpus_path, capsys, family, option, value):
+        config_file = tmp_path / "run.ini"
+        config_file.write_text(f"[{family}]\n{option} = {value}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run([
+            "train", "--model", family, "--corpus", corpus_path, "--out", str(tmp_path / "run"),
+            "--profile", "desk", "--config", str(config_file),
+        ]) == 3
+        assert repr(option) in capsys.readouterr().err

@@ -11,7 +11,6 @@ from baitline.metrics import (
     confusion_counts,
     evaluate,
     export_pr_curve,
-    gammainc_upper,
     load_predictions,
     macro_f1,
     mcnemar,
@@ -31,25 +30,17 @@ class TestChiSquareTail:
     def test_against_erfc_identity(self):
         # for 1 dof: sf(x) = erfc(sqrt(x/2))
         for x in (0.1, 0.5, 1.0, 2.0, 4.0833, 7.7, 15.0):
-            assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-10)
+            assert chi2_sf(x) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-10)
 
     def test_tabulated_critical_values(self):
-        assert chi2_sf(3.841, 1) == pytest.approx(0.05, abs=5e-4)
-        assert chi2_sf(6.635, 1) == pytest.approx(0.01, abs=1e-4)
-        assert chi2_sf(10.828, 1) == pytest.approx(0.001, abs=1e-5)
+        assert chi2_sf(3.841) == pytest.approx(0.05, abs=5e-4)
+        assert chi2_sf(6.635) == pytest.approx(0.01, abs=1e-4)
+        assert chi2_sf(10.828) == pytest.approx(0.001, abs=1e-5)
 
     def test_edge_cases(self):
-        assert chi2_sf(0.0, 1) == 1.0
-        assert gammainc_upper(0.5, 0.0) == 1.0
+        assert chi2_sf(0.0) == 1.0
         with pytest.raises(ValueError):
-            gammainc_upper(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            chi2_sf(1.0, 0)
-
-    def test_two_dof_closed_form(self):
-        # for 2 dof: sf(x) = exp(-x/2)
-        for x in (0.5, 2.0, 5.0):
-            assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-10)
+            chi2_sf(-1.0)
 
 
 class TestPrf1:

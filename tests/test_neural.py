@@ -313,7 +313,7 @@ class TestContrastiveTraining:
         corpus = generate_topic_pair_corpus(12, seed=1)
         bundle = train_contrastive(corpus, siamese_config(epochs=0))
         assert bundle.train_losses == []
-        label, score = bundle.predict(corpus.articles[0])
+        label, score = contrastive_predict(bundle, corpus.articles[0], bundle.config.threshold)
         assert label in (CB, NCB)
         assert 0.0 <= score <= 1.0
 
@@ -328,8 +328,7 @@ class TestContrastiveTraining:
             corpus, siamese_config(epochs=15, batch_size=8, vocab_size=400)
         )
         deltas_cb, deltas_ncb = [], []
-        for art in corpus:
-            s = bundle.similarity(art)
+        for art, s in zip(corpus, bundle.scores(corpus.articles)):
             (deltas_cb if art.label is CB else deltas_ncb).append(1.0 - s)
         assert np.mean(deltas_ncb) < np.mean(deltas_cb)
 
@@ -379,8 +378,8 @@ class TestContrastiveTraining:
         bundle = train_contrastive(corpus, siamese_config(epochs=2))
         bundle.save(tmp_path / "run")
         loaded = SiameseBundle.load(tmp_path / "run")
-        for art in corpus.articles[:4]:
-            assert loaded.similarity(art) == pytest.approx(bundle.similarity(art), abs=1e-12)
+        articles = corpus.articles[:4]
+        assert loaded.scores(articles) == pytest.approx(bundle.scores(articles), abs=1e-12)
 
 
 class TestContrastivePredict:

@@ -184,4 +184,4 @@ class TestVocabSerialization:
 
     def test_reserved_token_constructor_guard(self):
         with pytest.raises(ValueError):
-            Vocabulary(token_to_id={"x": PAD_ID}, max_size=1)
+            Vocabulary(token_to_id={"x": PAD_ID})
