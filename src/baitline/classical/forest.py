@@ -9,6 +9,7 @@ import numpy as np
 
 from ..tensor.checkpoint import (
     CheckpointVersionError,
+    is_finite_number,
     load_model_json,
     save_model_json,
     stored_config,
@@ -69,16 +70,11 @@ def train_random_forest(
     else:
         raise ValueError(f"unsupported max_features {config.max_features!r}")
 
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_estimators)
-    fitted = []
-    oob_indices: list[np.ndarray] = []
-    for tree_seed in seeds:
-        rng = np.random.default_rng(tree_seed)
-        bootstrap = rng.integers(0, n, size=n)
-        oob_indices.append(np.setdiff1d(np.arange(n), bootstrap))
-        fitted.append(DecisionTree.fit(X[bootstrap], y[bootstrap], class_weights, rng, max_features))
-
-    trees = DecisionTree.join(fitted)
+    rngs = [np.random.default_rng(seed)
+            for seed in np.random.SeedSequence(config.seed).spawn(config.n_estimators)]
+    bootstraps = [rng.integers(0, n, size=n) for rng in rngs]
+    oob_indices = [np.setdiff1d(np.arange(n), bootstrap) for bootstrap in bootstraps]
+    trees = DecisionTree.fit(X, y, class_weights, rngs, bootstraps, max_features)
     return RandomForestModel(trees=trees, oob_indices=oob_indices, class_weights=class_weights,
                              oob_score=compute_oob_score(trees, oob_indices, X, y), config=config)
 
@@ -123,11 +119,19 @@ def load_rf(path, n_features: int) -> RandomForestModel:
     if not (type(oob_indices) is list and all(
             type(idx) is list and all(type(i) is int for i in idx) for idx in oob_indices)):
         raise CheckpointVersionError(f"{path}: rf field 'oob_indices' is not a list of integer lists")
+    oob_score, class_weights = payload["oob_score"], payload["class_weights"]
+    # NaN is what a forest with no out-of-bag sample stores
+    if not (type(oob_score) in (int, float) and (math.isnan(oob_score) or 0 <= oob_score <= 1)):
+        raise CheckpointVersionError(f"{path}: rf field 'oob_score' is neither in [0, 1] nor NaN")
+    if not (type(class_weights) is list and len(class_weights) == 2
+            and all(is_finite_number(w) and w > 0 for w in class_weights)):
+        raise CheckpointVersionError(
+            f"{path}: rf field 'class_weights' is not two finite positive numbers")
     try:
         trees = DecisionTree.from_preorder(payload["trees"], n_features)
     except ValueError as exc:
         raise CheckpointVersionError(f"{path}: {exc}") from None
     return RandomForestModel(
         trees=trees, oob_indices=[np.array(idx, dtype=np.int64) for idx in oob_indices],
-        class_weights=np.array(payload["class_weights"]), oob_score=float(payload["oob_score"]),
+        class_weights=np.array(class_weights, dtype=np.float64), oob_score=float(oob_score),
         config=config)

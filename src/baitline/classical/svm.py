@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..tensor.checkpoint import CheckpointVersionError, load_model_json, save_model_json
+from ..tensor.checkpoint import (CheckpointVersionError, is_finite_number, load_model_json,
+                                 save_model_json)
 from ..tensor.core import _sigmoid
 
 
@@ -185,6 +186,10 @@ def load_svm(path, n_features: int) -> SvmModel:
     platt = payload["platt"]
     if not isinstance(platt, dict) or not {"A", "B"} <= platt.keys():
         raise CheckpointVersionError(f"{path}: svm field 'platt' needs 'A' and 'B'")
+    for name, value in (("b", payload["b"]), ("C", payload["C"]),
+                        ("platt.A", platt["A"]), ("platt.B", platt["B"])):
+        if not is_finite_number(value):
+            raise CheckpointVersionError(f"{path}: svm field {name!r} is not a finite number")
     w = np.array(payload["w"], dtype=np.float64)
     if w.shape != (n_features,):
         raise CheckpointVersionError(

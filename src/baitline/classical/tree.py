@@ -7,7 +7,8 @@ threshold, so training is fully deterministic given the candidate features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,59 +38,90 @@ def _entropy2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -(_plogp(a / total) + _plogp(b / total))
 
 
-def best_split(
-    rows: np.ndarray,
-    labels: np.ndarray,
-    feature_indices,
-    class_weights: np.ndarray,
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, gain) among the candidate features.
+_RUN_VALUES = 1 << 11
 
-    Samples with feature value <= threshold go left.  Returns None when no
-    candidate feature admits a split (all rows identical on them), which
-    signals a leaf.
 
-    Weighted class masses are always formed as integer count * class weight,
-    so mathematically equal gains are bit-equal no matter how the counts were
-    obtained; ties then deterministically keep the lowest feature index and
-    lowest threshold.  All candidate (feature, threshold) pairs are scored at
-    once, from one sort of the candidate columns and one cumulative count.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = rows.shape[0]
-    features = sorted({int(f) for f in feature_indices})
-    if n < 2 or not features:
-        return None
-    w0 = float(class_weights[0])
-    w1 = float(class_weights[1])
-    n0_total = int((labels == 0).sum())
-    n1_total = int((labels == 1).sum())
-    total_weight = n0_total * w0 + n1_total * w1
-    parent_entropy = entropy([n0_total * w0, n1_total * w1])
+def best_split(X: np.ndarray, y: np.ndarray, samples: list, features: list,
+               class_weights: np.ndarray) -> list[tuple[int, float, float] | None]:
+    """Per node k, the best (feature, threshold, gain) over the rows ``samples[k]``
+    of ``X`` and the features ``features[k]`` (any order, repeats allowed), or
+    None if no candidate feature admits a split: a leaf.  Rows with feature value
+    <= threshold go left.  Masses are integer count * class weight, so equal gains
+    are bit-equal; ties keep the lowest feature, then the lowest threshold.  Nodes
+    share a pass in runs of at most ``_RUN_VALUES`` values, or one node, so a pass
+    needs no more memory than a search over one large node."""
+    splits, start, held = [], 0, 0
+    for end, (rows, candidates) in enumerate(zip(samples, features)):
+        values = len(rows) * len(candidates)
+        if held + values > _RUN_VALUES and end > start:
+            splits += _search_run(X, y, samples[start:end], features[start:end], class_weights)
+            start, held = end, 0
+        held += values
+    if start < len(samples):
+        splits += _search_run(X, y, samples[start:], features[start:], class_weights)
+    return splits
 
-    columns = rows[:, features].T  # (feature, sample)
-    order = np.argsort(columns, axis=1, kind="stable")
-    values = np.take_along_axis(columns, order, axis=1)
-    lo, hi = values[:, :-1], values[:, 1:]
+
+def _search_run(X: np.ndarray, y: np.ndarray, samples: list, features: list,
+                class_weights: np.ndarray) -> list[tuple[int, float, float] | None]:
+    """``best_split`` of a run of nodes in one pass: each (node, feature) column
+    is a segment of one array, sorted by value within segments, and one
+    cumulative class-0 count and one gain formula score every cut at once."""
+    w0, w1 = float(class_weights[0]), float(class_weights[1])
+    n_features = X.shape[1]
+    sizes = np.array([len(rows) for rows in samples], dtype=np.int64)
+    lists = [np.asarray(f, dtype=np.int64) for f in features]
+    # the distinct (node, feature) pairs in node, then feature order: one segment each
+    pairs = np.unique(np.repeat(np.arange(len(lists)), list(map(len, lists))) * n_features
+                      + np.concatenate(lists))
+    seg_node, seg_feature = np.divmod(pairs, n_features)
+    seg_size = sizes[seg_node]
+    seg_end = np.cumsum(seg_size)
+    seg_start = seg_end - seg_size
+    total = int(seg_end[-1]) if len(pairs) else 0
+    if not total:
+        return [None] * len(sizes)
+    seg = np.repeat(np.arange(len(pairs)), seg_size)
+    # element i of segment s is row i of its node
+    node_rows = np.concatenate([np.asarray(rows, dtype=np.int64) for rows in samples])
+    rows = node_rows[np.arange(total) + np.repeat((np.cumsum(sizes) - sizes)[seg_node] - seg_start,
+                                                  seg_size)]
+    values = X[rows, seg_feature[seg]]
+    order = np.lexsort((values, seg))  # stable: equal values keep sample order
+    values = values[order]
+    c0 = np.concatenate([[0], np.cumsum(y[rows[order]] == 0)])  # class-0 count before each element
+
+    # cut i sends elements seg_start..i of its segment left
+    lo, hi = values, np.append(values[1:], 0.0)
     thresholds = (lo + hi) / 2.0
     # a midpoint that collapses onto a data value (equal neighbours included)
     valid = ~((thresholds <= lo) | (thresholds >= hi))
-    if not valid.any():
-        return None
-    l0 = np.cumsum(labels[order] == 0, axis=1)[:, :-1]  # class-0 count left of each cut
-    l1 = np.arange(1, n) - l0
-    r0 = n0_total - l0
-    r1 = n1_total - l1
+    valid[seg_end - 1] = False  # the cut after a segment's last value crosses into the next
+    n0 = c0[seg_end] - c0[seg_start]
+    m0, m1 = n0 * w0, (seg_size - n0) * w1
+    l0 = c0[1:] - c0[seg_start][seg]
+    l1 = np.arange(1, total + 1) - seg_start[seg] - l0
+    r0 = n0[seg] - l0
+    r1 = (seg_size - n0)[seg] - l1
+    with np.errstate(invalid="ignore"):  # a crossing cut has nothing on its right
+        h_left = _entropy2(l0 * w0, l1 * w1)
+        h_right = _entropy2(r0 * w0, r1 * w1)
     wl = l0 * w0 + l1 * w1
     wr = r0 * w0 + r1 * w1
-    h_left = _entropy2(l0 * w0, l1 * w1)
-    h_right = _entropy2(r0 * w0, r1 * w1)
-    gains = parent_entropy - (wl * h_left + wr * h_right) / total_weight
+    gains = _entropy2(m0, m1)[seg] - (wl * h_left + wr * h_right) / (m0 + m1)[seg]
     gains[~valid] = -np.inf
-    # argmax keeps the first maximum: lowest feature, then lowest threshold
-    f, i = divmod(int(np.argmax(gains)), n - 1)
-    return features[f], float(thresholds[f, i]), float(gains[f, i])
+
+    # each node's cuts lie together, in feature-then-threshold order; the first
+    # maximum keeps the lowest feature, then the lowest threshold
+    extent = sizes * np.bincount(seg_node, minlength=len(sizes))
+    live = np.flatnonzero(extent)
+    starts = (np.cumsum(extent) - extent)[live]
+    best = np.maximum.reduceat(gains, starts)
+    first = np.minimum.reduceat(np.where(gains == np.repeat(best, extent[live]), np.arange(total),
+                                         total), starts)
+    found = {node: (int(seg_feature[seg[i]]), float(thresholds[i]), float(gains[i]))
+             for node, i, gain in zip(live.tolist(), first.tolist(), best.tolist()) if gain > -np.inf}
+    return [found.get(node) for node in range(len(sizes))]
 
 
 @dataclass(eq=False)  # arrays do not compare to one truth value
@@ -98,9 +130,9 @@ class DecisionTree:
     flat arrays: the struct-of-arrays layout of scikit-learn's ``Tree``.
 
     Each tree's nodes lie in preorder (node, left subtree, right subtree), the
-    trees of a forest one after another.  ``fit`` grows a forest of one tree
-    and ``join`` packs forests into one.  Growing and reading walk the preorder
-    with an explicit stack, so depth is not limited by the recursion limit.
+    trees of a forest one after another.  Growing and reading walk the
+    preorder with an explicit stack, so depth is not limited by the recursion
+    limit.
     """
 
     feature: np.ndarray  # (nodes,) the feature a split tests
@@ -111,10 +143,15 @@ class DecisionTree:
     roots: np.ndarray  # (trees,) the first node of each tree
 
     @classmethod
-    def _from_rows(cls, rows: list[list], roots: list[int]) -> "DecisionTree":
-        """Pack node rows ``[feature, threshold, left, right, p0, p1]``."""
-        feature, threshold, left, right, p0, p1 = (np.array(column) for column in zip(*rows))
-        return cls(feature, threshold, left, right, np.column_stack([p0, p1]), np.array(roots))
+    def _pack(cls, grown: list[array]) -> "DecisionTree":
+        """The forest of each tree's flat node rows [feature, threshold, left, right, p0, p1]."""
+        sizes = [len(rows) // 6 for rows in grown]
+        table = np.concatenate([np.frombuffer(rows) for rows in grown]).reshape(-1, 6)
+        roots = np.cumsum([0, *sizes[:-1]])
+        shift = np.repeat(roots, sizes)  # tree-local child indices to forest ones
+        return cls(table[:, 0].astype(np.int64), table[:, 1].copy(),
+                   table[:, 2].astype(np.int64) + shift, table[:, 3].astype(np.int64) + shift,
+                   table[:, 4:].copy(), roots)
 
     @classmethod
     def fit(
@@ -122,53 +159,58 @@ class DecisionTree:
         X: np.ndarray,
         y: np.ndarray,
         class_weights: np.ndarray,
-        rng: np.random.Generator,
-        max_features: int | None = None,
+        rngs: list[np.random.Generator],
+        samples: list[np.ndarray],
+        max_features: int,
     ) -> "DecisionTree":
+        """A forest of one tree per generator in ``rngs``: tree t grows on the rows
+        ``samples[t]`` of ``X``, and its impure nodes try ``max_features`` features
+        drawn from ``rngs[t]`` (every feature, with no draw, if that is all of them).
+        The trees grow in lockstep: at each step every tree takes the next node
+        of its preorder stack, and those nodes share one ``best_split`` call."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         n_features = X.shape[1]
-        if max_features is None:
-            max_features = n_features
-
-        rows: list[list] = []
-        # the samples reaching a node, and the split whose right child it is (or -1)
-        stack = [(np.arange(X.shape[0]), -1)]
-        while stack:
-            indices, parent = stack.pop()
-            node = len(rows)
-            if parent >= 0:
-                rows[parent][3] = node
-            labels = y[indices]
-            # summed one sample at a time, in sample order
-            counts = np.bincount(labels, class_weights[labels], minlength=2)
-            split = None
-            if counts[0] != 0.0 and counts[1] != 0.0:
-                subset = (rng.choice(n_features, size=max_features, replace=False)
-                          if max_features < n_features else np.arange(n_features))
-                split = best_split(X[indices], labels, subset, class_weights)
-                if split is None and max_features < n_features:
-                    # sampled features were all constant here; retry with every feature
-                    split = best_split(X[indices], labels, np.arange(n_features), class_weights)
-            if split is None:
-                rows.append([0, 0.0, node, node, *(counts / counts.sum())])
+        grown = [array("d") for _ in rngs]  # compact: every tree's nodes are held to the end
+        # per tree: the samples reaching a node, and the split whose right child it is (or -1)
+        stacks = [[(np.asarray(rows), -1)] for rows in samples]
+        while any(stacks):
+            impure = []  # (tree, node, samples) to split at this step
+            for tree, (rows, stack) in enumerate(zip(grown, stacks)):
+                if not stack:
+                    continue
+                indices, parent = stack.pop()
+                node = len(rows) // 6
+                if parent >= 0:
+                    rows[6 * parent + 3] = node
+                labels = y[indices]
+                # summed one sample at a time, in sample order
+                counts = np.bincount(labels, class_weights[labels], minlength=2)
+                rows.extend((0, 0.0, node, node, *(counts / counts.sum())))  # a leaf, unless split
+                if counts[0] != 0.0 and counts[1] != 0.0:
+                    impure.append((tree, node, indices))
+            if not impure:
                 continue
-            feature, threshold, _ = split
-            rows.append([feature, threshold, node + 1, -1, 0.0, 0.0])
-            go_left = X[indices, feature] <= threshold
-            # the left subtree is grown first, so rng draws follow preorder
-            stack.append((indices[~go_left], node))
-            stack.append((indices[go_left], -1))
-        return cls._from_rows(rows, [0])
-
-    @classmethod
-    def join(cls, forests: list["DecisionTree"]) -> "DecisionTree":
-        """One forest holding the trees of ``forests``, in order."""
-        starts = np.cumsum([0] + [len(forest.left) for forest in forests[:-1]])
-        forests = [replace(forest, left=forest.left + start, right=forest.right + start,
-                           roots=forest.roots + start) for forest, start in zip(forests, starts)]
-        return cls(*(np.concatenate([getattr(forest, field.name) for forest in forests])
-                     for field in fields(cls)))
+            subsets = [rngs[tree].choice(n_features, size=max_features, replace=False)
+                       if max_features < n_features else range(n_features) for tree, _, _ in impure]
+            splits = best_split(X, y, [indices for _, _, indices in impure], subsets, class_weights)
+            retry = [k for k, split in enumerate(splits) if split is None]
+            if retry and max_features < n_features:
+                # sampled features were all constant here; retry with every feature
+                found = best_split(X, y, [impure[k][2] for k in retry],
+                                   [range(n_features)] * len(retry), class_weights)
+                for k, split in zip(retry, found):
+                    splits[k] = split
+            for (tree, node, indices), split in zip(impure, splits):
+                if split is None:
+                    continue
+                feature, threshold, _ = split
+                grown[tree][6 * node:6 * node + 6] = array("d", (feature, threshold, node + 1, -1, 0, 0))
+                go_left = X[indices, feature] <= threshold
+                # the left subtree is grown first, so rng draws follow preorder
+                stacks[tree].append((indices[~go_left], node))
+                stacks[tree].append((indices[go_left], -1))
+        return cls._pack(grown)
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
         """The leaf each row reaches in each tree, shape (trees, rows): every
@@ -210,25 +252,24 @@ class DecisionTree:
         """
         if type(trees) is not list or not trees or any(type(nodes) is not list for nodes in trees):
             raise ValueError("the trees are not a non-empty list of node lists")
-        rows, roots = [], []
-        for index, nodes in enumerate(trees):
-            roots.append(len(rows))
+        grown = [array("d") for _ in trees]
+        for index, (nodes, rows) in enumerate(zip(trees, grown)):
             stack = [-1]  # per node still to be read: the split whose right child it is, or -1
             for position, entry in enumerate(nodes):
                 if not stack:
                     raise ValueError(f"tree {index} has entries past its last leaf")
-                parent, node = stack.pop(), len(rows)
+                parent, node = stack.pop(), len(rows) // 6
                 if parent >= 0:
-                    rows[parent][3] = node
+                    rows[6 * parent + 3] = node
                 try:
-                    rows.append(_node_row(entry, node, n_features))
+                    rows.extend(_node_row(entry, node, n_features))
                 except ValueError as exc:
                     raise ValueError(f"tree {index}: node {position}: {exc}") from None
-                if rows[node][2] != node:
+                if rows[6 * node + 2] != node:
                     stack += [node, -1]
             if stack:
                 raise ValueError(f"tree {index} ends before its last leaf")
-        return cls._from_rows(rows, roots)
+        return cls._pack(grown)
 
 
 def _node_row(entry, node: int, n_features: int) -> list:

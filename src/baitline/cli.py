@@ -179,7 +179,7 @@ def _resolve_model_config(args, family: str):
         flag_overrides["seed"] = int(os.environ.get(cfg.SEED_ENV_VAR, "0"))
     if args.epochs is not None:
         flag_overrides["epochs"] = args.epochs
-    return cfg.build_model_config(family, args.profile, file_overrides, flag_overrides)
+    return cfg.build_model_config(family, args.profile, file_overrides, flag_overrides, args.config)
 
 
 def cmd_train(args) -> int:

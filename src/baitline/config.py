@@ -25,8 +25,10 @@ def build_model_config(
     profile: str = "full",
     file_overrides: dict | None = None,
     flag_overrides: dict | None = None,
+    config_file=None,
 ):
-    """Resolve one model family's config dataclass through the precedence chain."""
+    """Resolve one model family's config dataclass through the precedence chain;
+    ``config_file`` names the file ``file_overrides`` came from, for messages."""
     if family not in FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
     if profile not in PROFILES:
@@ -41,7 +43,11 @@ def build_model_config(
                 continue
             if key not in values:
                 raise ValueError(f"unknown {family} option {key!r}")
-            values[key] = _coerce(value, values[key])
+            try:
+                values[key] = _coerce(value, values[key])
+            except ValueError:
+                raise ValueError(f"{config_file}: [{family}] {key} = {value!r} is not "
+                                 f"a valid {type(values[key]).__name__}") from None
     return cls(**values)
 
 

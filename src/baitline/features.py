@@ -132,12 +132,13 @@ class HeuristicTagger:
 
     def _token_tag(self, token: str) -> str:
         """The tag of a token wherever it stands; "" for capitalized words."""
-        if not _is_word(token):
-            return "PUNCT"
-        if token.isdigit():
-            return "NUM"
-        if any(c.isdigit() for c in token):
-            return "X"
+        if not token.isalpha():  # a token of letters only skips the per-character scans
+            if not _is_word(token):
+                return "PUNCT"
+            if token.isdigit():
+                return "NUM"
+            if any(c.isdigit() for c in token):
+                return "X"
         if token[0].isupper():
             return ""
         return self._lexical_class(token.lower())[0]
@@ -210,6 +211,8 @@ WordStats = tuple[int, int, int]  # (words, long words, letters), or one token's
 
 def _token_stats(token: str) -> WordStats:
     """(is word, is long, letter count) of one token, as 0/1 flags and a count."""
+    if token.isalpha():
+        return 1, int(len(token) > LONG_WORD_LETTERS), len(token)
     if not _is_word(token):
         return 0, 0, 0
     n_alpha = sum(1 for c in token if c.isalpha())

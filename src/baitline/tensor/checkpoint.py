@@ -61,7 +61,8 @@ def stored_config(path, config_type: type, config):
 def save_model_json(path, family: str, body: dict) -> None:
     """Write a JSON model container: the header, then the family's fields."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**MODEL_HEADER, "family": family, **body}, fh)
+        # dumps encodes in C; dump streams the same bytes through the Python encoder
+        fh.write(json.dumps({**MODEL_HEADER, "family": family, **body}))
 
 
 def load_model_json(path, family: str, fields=()) -> dict:
@@ -76,7 +77,7 @@ def load_model_json(path, family: str, fields=()) -> dict:
             f"version={payload.get('version')!r}"
         )
     if payload.get("family") != family:
-        raise ValueError(f"{path}: expected a {family!r} model, got {payload.get('family')!r}")
+        raise CheckpointVersionError(f"{path}: expected a {family!r} model, got {payload.get('family')!r}")
     missing = [name for name in fields if name not in payload]
     if missing:
         raise CheckpointVersionError(f"{path}: {family} model has no field {missing}")

@@ -2,11 +2,18 @@ import contextlib
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from baitline.corpus import Corpus, Label, NewsArticle
 from baitline.neural.encoder import uniform_param
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Property tests draw the same bounded set of cases on every run, with no
+# example database and no per-example time limit.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                          max_examples=100)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

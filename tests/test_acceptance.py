@@ -14,11 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from baitline.classical import (
-    RandomForestConfig,
-    best_split,
-    train_random_forest,
-)
+from baitline.classical import RandomForestConfig, train_random_forest
 from baitline.cli import run
 from baitline.corpus import Label, cohens_kappa, corpus_stats, load_corpus, save_corpus, split_by_source
 from baitline.ensemble import EnsembleConfig, ensemble_predict, fit_weights
@@ -58,7 +54,7 @@ from baitline.tensor import (
     tsum,
 )
 
-from test_classical import exhaustive_best_split, per_row_leaf_probs
+from test_classical import exhaustive_best_split, per_row_leaf_probs, split_alone
 from test_metrics import brute_force_ap
 
 CB = Label.CLICKBAIT
@@ -254,7 +250,7 @@ class TestOracleEquivalence:
             rows = np.round(rng.normal(size=(n, d)) * 3, 1)
             labels = rng.integers(0, 2, size=n)
             weights = np.array([1.0, float(rng.uniform(0.5, 2.0))])
-            got = best_split(rows, labels, range(d), weights)
+            got = split_alone(rows, labels, range(d), weights)
             expected = exhaustive_best_split(rows, labels, range(d), weights)
             if got != expected:
                 mismatches += 1

@@ -44,6 +44,11 @@ class TestEntropy:
             entropy([0, 0])
 
 
+def split_alone(rows, labels, features, class_weights):
+    """``best_split`` of one node holding every row: a batch of one."""
+    return best_split(rows, labels, [np.arange(len(rows))], [features], class_weights)[0]
+
+
 def exhaustive_best_split(rows, labels, features, class_weights):
     """Independent brute force: every midpoint of every candidate feature.
 
@@ -90,7 +95,7 @@ class TestBestSplit:
     def test_one_dimensional_fixture(self):
         rows = np.array([[1.0], [2.0], [9.0], [10.0]])
         labels = np.array([0, 0, 1, 1])
-        feature, threshold, gain = best_split(rows, labels, [0], np.ones(2))
+        feature, threshold, gain = split_alone(rows, labels, [0], np.ones(2))
         assert feature == 0
         assert threshold == 5.5
         assert gain == pytest.approx(1.0, abs=1e-12)
@@ -98,7 +103,7 @@ class TestBestSplit:
     def test_identical_rows_signal_leaf(self):
         rows = np.tile([[2.0, 3.0]], (5, 1))
         labels = np.array([0, 1, 0, 1, 0])
-        assert best_split(rows, labels, [0, 1], np.ones(2)) is None
+        assert split_alone(rows, labels, [0, 1], np.ones(2)) is None
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(10)
@@ -108,7 +113,7 @@ class TestBestSplit:
             rows = np.round(rng.normal(size=(n, d)) * 3, 1)
             labels = rng.integers(0, 2, size=n)
             weights = np.array([1.0, float(rng.uniform(0.5, 2.0))])
-            got = best_split(rows, labels, range(d), weights)
+            got = split_alone(rows, labels, range(d), weights)
             expected = exhaustive_best_split(rows, labels, range(d), weights)
             if expected is None:
                 assert got is None
@@ -133,7 +138,7 @@ class TestBestSplit:
             else:
                 weights = np.array([1.0, float(rng.uniform(0.5, 2.0))])
             features = rng.integers(0, d, size=int(rng.integers(1, 2 * d + 1)))
-            got = best_split(rows, labels, features, weights)
+            got = split_alone(rows, labels, features, weights)
             assert got == exhaustive_best_split(rows, labels, features, weights)
 
     def test_collapsed_midpoints_signal_leaf(self):
@@ -141,14 +146,48 @@ class TestBestSplit:
         lo, hi = 1.0, np.nextafter(1.0, 2.0)
         rows = np.array([[lo, -hi], [hi, -lo], [lo, -hi], [hi, -lo]])
         labels = np.array([0, 1, 0, 1])
-        assert best_split(rows, labels, [0, 1], np.ones(2)) is None
+        assert split_alone(rows, labels, [0, 1], np.ones(2)) is None
         assert exhaustive_best_split(rows, labels, [0, 1], np.ones(2)) is None
+
+    @pytest.mark.parametrize("run_values", [1, 300, None])
+    def test_batch_equals_each_node_alone(self, monkeypatch, run_values):
+        # nodes of mixed sizes over rows of one matrix, with repeated rows as in
+        # a bootstrap: n = 2 nodes, nodes with no valid cut (one row repeated,
+        # or constant candidate columns) between nodes with one, and candidate
+        # lists that are unsorted and repeat features; searched in runs of one
+        # node, of a few nodes, and at the default bound
+        if run_values is not None:
+            monkeypatch.setattr("baitline.classical.tree._RUN_VALUES", run_values)
+        rng = np.random.default_rng(14)
+        leaf_between_splits = 0
+        for _ in range(40):
+            n, d = int(rng.integers(4, 120)), int(rng.integers(1, 7))
+            X = np.round(rng.normal(size=(n, d)) * 3, int(rng.integers(0, 2)))
+            X[:, rng.random(d) < 0.3] = 1.5
+            y = rng.integers(0, 2, size=n)
+            weights = np.array([1.0, float(rng.uniform(0.5, 2.0))])
+            samples, features = [], []
+            for _ in range(int(rng.integers(1, 12))):
+                kind = rng.random()
+                if kind < 0.2:
+                    samples.append(rng.integers(0, n, size=2))
+                elif kind < 0.3:
+                    samples.append(np.full(int(rng.integers(2, 9)), rng.integers(0, n)))
+                else:
+                    samples.append(rng.integers(0, n, size=int(rng.integers(2, 2 * n))))
+                features.append(rng.integers(0, d, size=int(rng.integers(1, 2 * d + 1))))
+            got = best_split(X, y, samples, features, weights)
+            alone = [split_alone(X[rows], y[rows], f, weights) for rows, f in zip(samples, features)]
+            assert got == alone
+            leaf_between_splits += any(alone[k] is None and None not in (alone[k - 1], alone[k + 1])
+                                       for k in range(1, len(alone) - 1))
+        assert leaf_between_splits > 5
 
     def test_tie_breaks_to_lowest_feature(self):
         # identical duplicated feature: both give equal gain, feature 0 wins
         rows = np.array([[1.0, 1.0], [2.0, 2.0], [9.0, 9.0], [10.0, 10.0]])
         labels = np.array([0, 0, 1, 1])
-        feature, threshold, _ = best_split(rows, labels, [0, 1], np.ones(2))
+        feature, threshold, _ = split_alone(rows, labels, [0, 1], np.ones(2))
         assert feature == 0
         assert threshold == 5.5
 
@@ -174,9 +213,9 @@ def recursive_fit_preorder(X, y, class_weights, rng, max_features):
         split = None
         if counts.min() > 0:
             subset = rng.choice(n_features, size=max_features, replace=False)
-            split = best_split(X[indices], labels, subset, class_weights)
+            split = split_alone(X[indices], labels, subset, class_weights)
             if split is None:
-                split = best_split(X[indices], labels, range(n_features), class_weights)
+                split = split_alone(X[indices], labels, range(n_features), class_weights)
         if split is None:
             out.append({"p": (counts / counts.sum()).tolist()})
             return
@@ -188,6 +227,47 @@ def recursive_fit_preorder(X, y, class_weights, rng, max_features):
 
     grow(np.arange(len(y)))
     return out
+
+
+def per_tree_forest(X, y, config):
+    """Reference forest: trees grown one after another, each on a copy of its
+    bootstrap rows with its own explicit preorder stack and one split search
+    per node.  Returns the flat arrays (feature, threshold, left, right,
+    value, roots) of the packed forest."""
+    n, n_features = X.shape
+    class_weights = balanced_class_weights(y)
+    max_features = max(1, math.isqrt(n_features)) if config.max_features == "sqrt" else n_features
+    rows, roots = [], []
+    for tree_seed in np.random.SeedSequence(config.seed).spawn(config.n_estimators):
+        rng = np.random.default_rng(tree_seed)
+        bootstrap = rng.integers(0, n, size=n)
+        Xb, yb = X[bootstrap], y[bootstrap]
+        roots.append(len(rows))
+        stack = [(np.arange(n), -1)]
+        while stack:
+            indices, parent = stack.pop()
+            node = len(rows)
+            if parent >= 0:
+                rows[parent][3] = node
+            labels = yb[indices]
+            counts = np.bincount(labels, class_weights[labels], minlength=2)
+            split = None
+            if counts[0] != 0.0 and counts[1] != 0.0:
+                subset = (rng.choice(n_features, size=max_features, replace=False)
+                          if max_features < n_features else range(n_features))
+                split = split_alone(Xb[indices], labels, subset, class_weights)
+                if split is None and max_features < n_features:
+                    split = split_alone(Xb[indices], labels, range(n_features), class_weights)
+            if split is None:
+                rows.append([0, 0.0, node, node, *(counts / counts.sum())])
+                continue
+            feature, threshold, _ = split
+            rows.append([feature, threshold, node + 1, -1, 0.0, 0.0])
+            go_left = Xb[indices, feature] <= threshold
+            stack.append((indices[~go_left], node))
+            stack.append((indices[go_left], -1))
+    feature, threshold, left, right, p0, p1 = (np.array(column) for column in zip(*rows))
+    return feature, threshold, left, right, np.column_stack([p0, p1]), np.array(roots)
 
 
 def tree_depth(nodes):
@@ -238,7 +318,7 @@ class TestDecisionTree:
         X = np.arange(n, dtype=np.float64)[:, None]
         y = np.arange(n) % 2  # alternating labels: each split peels off one sample
         weights = balanced_class_weights(y)
-        tree = DecisionTree.fit(X, y, weights, np.random.default_rng(0))
+        tree = DecisionTree.fit(X, y, weights, [np.random.default_rng(0)], [np.arange(n)], 1)
         assert tree_depth(tree.to_preorder()[0]) > sys.getrecursionlimit()
         model = RandomForestModel(
             trees=tree, oob_indices=[np.array([], dtype=int)],
@@ -259,7 +339,7 @@ class TestDecisionTree:
         X, y = separable_dataset(seed=8, n_per_class=40, d=5)
         X += np.random.default_rng(9).normal(scale=3.0, size=X.shape)
         weights = balanced_class_weights(y)
-        tree = DecisionTree.fit(X, y, weights, np.random.default_rng(1), max_features=2)
+        tree = DecisionTree.fit(X, y, weights, [np.random.default_rng(1)], [np.arange(len(y))], 2)
         [nodes] = tree.to_preorder()
         assert sum("f" in node for node in nodes) > 10
         assert nodes == recursive_fit_preorder(X, y, weights, np.random.default_rng(1), 2)
@@ -322,6 +402,36 @@ class TestRandomForest:
         preds = np.where(model.trees.predict_proba(X)[:, 0] > 0.5, 0, 1)
         assert (preds == y).all()
         assert 0.8 <= model.oob_score <= 1.0
+
+    def test_lockstep_growth_equals_per_tree_oracle(self, monkeypatch):
+        # rounded values give ties, flipped twins give duplicate rows with both
+        # labels, and six constant columns of nine often leave all three
+        # sqrt-sampled features without a split, forcing the all-feature retry
+        searched_all = []
+
+        def spy(X, y, samples, features, class_weights):
+            searched_all.append(any(len(f) == X.shape[1] for f in features))
+            return best_split(X, y, samples, features, class_weights)
+
+        monkeypatch.setattr("baitline.classical.tree.best_split", spy)
+        rng = np.random.default_rng(15)
+        for seed in range(3):
+            X, y = separable_dataset(seed=seed, n_per_class=int(rng.integers(5, 40)), d=3)
+            X = np.round(X + rng.normal(scale=2.0, size=X.shape), int(rng.integers(0, 2)))
+            X = np.hstack([X, np.full((len(X), 6), 0.5)])[:, rng.permutation(9)]
+            twins = rng.integers(0, len(y), size=len(y) // 2)
+            X, y = np.vstack([X, X[twins]]), np.concatenate([y, 1 - y[twins]])
+            for n_estimators in (1, 30):
+                for max_features in ("sqrt", "all"):
+                    config = RandomForestConfig(n_estimators, seed, max_features)
+                    searched_all.clear()
+                    trees = train_random_forest(X, y, config).trees
+                    got = (trees.feature, trees.threshold, trees.left, trees.right, trees.value,
+                           trees.roots)
+                    for a, b in zip(got, per_tree_forest(X, y, config), strict=True):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                    if max_features == "sqrt" and n_estimators == 30:
+                        assert any(searched_all)  # the all-feature retry ran
 
     def test_fixed_seed_reproducible(self):
         X, y = separable_dataset(seed=2)
@@ -415,7 +525,7 @@ class TestRandomForest:
         model = train_svm(X, y, SvmConfig(epochs=3))
         path = tmp_path / "svm.json"
         save_svm(model, path)
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointVersionError, match="expected a 'rf' model, got 'svm'"):
             load_rf(path, X.shape[1])
 
 

@@ -369,6 +369,31 @@ CLASSICAL_DEFECTS = {
     "svm_without_w": ("svm", "model.json", lambda payload: payload.pop("w"), "'w'"),
     "svm_without_b": ("svm", "model.json", lambda payload: payload.pop("b"), "'b'"),
     "platt_without_a": ("svm", "model.json", lambda payload: payload["platt"].pop("A"), "'A'"),
+    "oob_score_not_a_number": ("rf", "model.json", lambda payload: payload.update(oob_score="x"),
+                               "'oob_score'"),
+    "oob_score_above_1": ("rf", "model.json", lambda payload: payload.update(oob_score=1.5),
+                          "'oob_score'"),
+    "class_weights_not_a_list": ("rf", "model.json",
+                                 lambda payload: payload.update(class_weights="x"),
+                                 "'class_weights'"),
+    "class_weights_short": ("rf", "model.json",
+                            lambda payload: payload.update(class_weights=[1.0]), "'class_weights'"),
+    "class_weights_negative": ("rf", "model.json",
+                               lambda payload: payload.update(class_weights=[-1.0, 1.0]),
+                               "'class_weights'"),
+    "class_weights_nan": ("rf", "model.json",
+                          lambda payload: payload.update(class_weights=[1.0, math.nan]),
+                          "'class_weights'"),
+    "rf_file_of_svm_family": ("rf", "model.json", lambda payload: payload.update(family="svm"),
+                              "got 'svm'"),
+    "svm_b_not_a_number": ("svm", "model.json", lambda payload: payload.update(b="x"), "'b'"),
+    "svm_c_nan": ("svm", "model.json", lambda payload: payload.update(C=math.nan), "'C'"),
+    "platt_a_not_a_number": ("svm", "model.json", lambda payload: payload["platt"].update(A="x"),
+                             "'platt.A'"),
+    "platt_b_infinite": ("svm", "model.json", lambda payload: payload["platt"].update(B=math.inf),
+                         "'platt.B'"),
+    "svm_file_of_rf_family": ("svm", "model.json", lambda payload: payload.update(family="rf"),
+                              "got 'rf'"),
     "standardizer_without_mean": ("svm", "standardizer.json", _standardizer_with("mean", None),
                                   "'mean'"),
     "standardizer_without_std": ("rf", "standardizer.json", _standardizer_with("std", None),
@@ -654,3 +679,17 @@ class TestConfigFile:
             "--profile", "desk", "--config", str(config_file),
         ]) == 3
         assert repr(option) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, option, value",
+                             [("rf", "n_estimators", "abc"), ("svm", "epochs", "1.5")])
+    def test_unconvertible_value_exit_3(self, tmp_path, corpus_path, capsys, family, option,
+                                        value):
+        config_file = tmp_path / "run.ini"
+        config_file.write_text(f"[{family}]\n{option} = {value}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run([
+            "train", "--model", family, "--corpus", corpus_path, "--out", str(tmp_path / "run"),
+            "--profile", "desk", "--config", str(config_file),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert f"{config_file}: [{family}] {option} = {value!r}" in err

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from baitline.corpus import Label, NewsArticle
@@ -255,12 +255,13 @@ class TestExtractFeatures:
 
 
 # Words for drawn articles: diacritics, closed-class entries, suffix-rule
-# words, digits, and tokens that are not words ("½", "_") or are digit words ("²").
+# words, digits, letter-digit mixtures, non-Latin letters, and tokens that are
+# not words ("½", "_") or are digit words ("²", "³¹").
 LETTER_WORDS = ["ana", "situația", "ce", "de", "cine", "în", "frumoasă", "lucrează",
-                "ștefan", "țară", "mâine", "oraș", "esc", "tor", "os"]
-OTHER_WORDS = ["2024", "x2", "½", "²", "a_b", "_", "covid19"]
+                "ștefan", "țară", "mâine", "oraș", "esc", "tor", "os", "Ωμέγα", "жена", "字"]
+OTHER_WORDS = ["2024", "x2", "½", "²", "³¹", "a_b", "_", "covid19", "4b", "a½", "b²c", "ж7"]
 word = st.sampled_from(LETTER_WORDS + OTHER_WORDS) | st.text(
-    alphabet="aăâîșțbcdeÎȘȚ0123½²_", min_size=1, max_size=8)
+    alphabet="aăâîșțbcdeÎȘȚ0123½²³¹_αΩжЖ字", min_size=1, max_size=8)
 
 
 def cased(words):
@@ -330,7 +331,6 @@ def rows_with_fresh_taggers(articles, tagger_type=HeuristicTagger):
 
 
 class TestFeatureMatrixMemo:
-    @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(text, text), min_size=1, max_size=4))
     def test_equals_fresh_tagger_per_article(self, texts):
         articles = [NewsArticle(id=f"a{i}", title=title, content=content,
@@ -339,7 +339,6 @@ class TestFeatureMatrixMemo:
         matrix = feature_matrix(articles)
         assert matrix.tobytes() == rows_with_fresh_taggers(articles).tobytes()
 
-    @settings(max_examples=100, deadline=None)
     @given(st.lists(text, min_size=1, max_size=4))
     def test_tags_and_readability_follow_reference_rules(self, texts):
         tagger = HeuristicTagger()  # one instance, so its memo is in play
