@@ -19,7 +19,7 @@ from .svm import (
     svm_objective,
     train_svm,
 )
-from .tree import DecisionTree, best_split, entropy
+from .tree import DecisionTree, best_split
 
 __all__ = [
     "DecisionTree",
@@ -31,7 +31,6 @@ __all__ = [
     "balanced_class_weights",
     "best_split",
     "compute_oob_score",
-    "entropy",
     "load_rf",
     "load_svm",
     "platt_fit",

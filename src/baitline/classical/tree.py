@@ -15,25 +15,14 @@ import numpy as np
 from ..tensor.checkpoint import is_finite_number
 
 
-def entropy(class_counts) -> float:
-    """Shannon entropy in bits of a (possibly weighted) count vector."""
-    counts = np.asarray(class_counts, dtype=np.float64)
-    if np.any(counts < 0):
-        raise ValueError("negative class counts")
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("entropy of an empty count vector")
-    probs = counts[counts > 0] / total
-    return float(-(probs * np.log2(probs)).sum())
-
-
 def _plogp(p: np.ndarray) -> np.ndarray:
     """p * log2(p) elementwise, with 0 for p == 0."""
     return p * np.log2(np.where(p > 0, p, 1.0))
 
 
 def _entropy2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``entropy([a, b])`` elementwise, bit for bit: a zero mass adds +0.0."""
+    """Shannon entropy in bits of the two-class masses (a, b), elementwise;
+    a zero mass adds +0.0.  ``a + b`` must be positive."""
     total = a + b
     return -(_plogp(a / total) + _plogp(b / total))
 

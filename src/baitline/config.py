@@ -68,6 +68,7 @@ def read_config_file(path) -> dict[str, dict[str, str]]:
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # option names keep their case: [svm] C
     parser.read(path, encoding="utf-8")
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
@@ -75,6 +76,7 @@ def read_config_file(path) -> dict[str, dict[str, str]]:
 def write_snapshot(path, sections: dict[str, dict]) -> None:
     """Write the resolved configuration as an INI snapshot."""
     parser = configparser.ConfigParser()
+    parser.optionxform = str
     for section, values in sections.items():
         parser[section] = {k: str(v) for k, v in values.items()}
     path = Path(path)

@@ -13,15 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import (
-    Tensor,
-    embedding_lookup,
-    mean_over_time,
-    multiply,
-    reshape,
-    sub,
-    tanh,
-)
+from ..tensor import Tensor, pooled_encode
 
 
 def uniform_param(rng: np.random.Generator | None, shape, scale: float = 0.1) -> Tensor:
@@ -60,8 +52,6 @@ class PooledTextEncoder:
 
     def __init__(self, rows: int, cap_rows: int, embed_dim: int, out_dim: int,
                  rng: np.random.Generator | None):
-        self.embed_dim = embed_dim
-        self.out_dim = out_dim
         self.embedding = embedding_table(rng, rows, cap_rows, embed_dim)
         self.proj_w = uniform_param(rng, (embed_dim, out_dim))
         self.ctx_w = uniform_param(rng, (embed_dim, out_dim))
@@ -76,18 +66,9 @@ class PooledTextEncoder:
         }
 
     def encode(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Build the encoding graph for a batch; every row needs a real token."""
+        """Encode a batch as one ``pooled_encode`` node; every row needs a real token."""
         ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
         mask = np.atleast_2d(np.asarray(mask))
         if (mask.sum(axis=1) == 0).any():
             raise ValueError("cannot encode an all-padding sequence")
-        batch, seq_len = ids.shape
-        emb = embedding_lookup(self.embedding, ids, mask)  # (B, T, E)
-        center = mean_over_time(emb, mask)  # (B, E)
-        centered = sub(emb, reshape(center, (batch, 1, self.embed_dim)))
-        centered = multiply(centered, Tensor(mask[:, :, None].astype(np.float64)))
-        flat = reshape(centered, (batch * seq_len, self.embed_dim))
-        token_part = reshape(flat @ self.proj_w, (batch, seq_len, self.out_dim))
-        context = reshape(center @ self.ctx_w + self.proj_b, (batch, 1, self.out_dim))
-        tokens = tanh(token_part + context)
-        return mean_over_time(tokens, mask)
+        return pooled_encode(self.embedding, self.proj_w, self.ctx_w, self.proj_b, ids, mask)

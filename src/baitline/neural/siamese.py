@@ -83,15 +83,6 @@ def cosine_dissimilarity_graph(u: Tensor, v: Tensor) -> Tensor:
     return 1.0 - cosine_similarity(u, v)
 
 
-def cosine_dissimilarity(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-    """Numeric convenience wrapper over the graph op."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    squeeze = u.ndim == 1
-    out = cosine_dissimilarity_graph(Tensor(np.atleast_2d(u)), Tensor(np.atleast_2d(v))).data
-    return float(out[0]) if squeeze else out
-
-
 def contrastive_loss_graph(v_t: Tensor, v_c: Tensor, y: np.ndarray, margin: float = 1.0) -> Tensor:
     """Mean over the batch of y*delta + (1-y)*max(0, margin - delta)."""
     y = np.asarray(y, dtype=np.float64)
@@ -101,16 +92,6 @@ def contrastive_loss_graph(v_t: Tensor, v_c: Tensor, y: np.ndarray, margin: floa
     pull = Tensor(y) * delta
     push = Tensor(1.0 - y) * relu(margin - delta)
     return tmean(pull + push)
-
-
-def contrastive_loss(v_t: np.ndarray, v_c: np.ndarray, y: np.ndarray, margin: float = 1.0) -> float:
-    """Loss value for plain arrays (rows are embedding vectors)."""
-    return contrastive_loss_graph(
-        Tensor(np.atleast_2d(np.asarray(v_t, dtype=np.float64))),
-        Tensor(np.atleast_2d(np.asarray(v_c, dtype=np.float64))),
-        np.atleast_1d(y),
-        margin,
-    ).item()
 
 
 @dataclass

@@ -280,11 +280,26 @@ def embedding_lookup(
     def rule(g):
         if mask is not None:
             g = g * mask[..., None]
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
-        return (gt,)
+        return (_scatter_rows(ids.reshape(-1), g.reshape(-1, g.shape[-1]), table.data.shape[0]),)
 
     return Tensor(out_data, (table,), rule, op="embedding_lookup")
+
+
+def _scatter_rows(ids: np.ndarray, grads: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, E) table gradient: row ``ids[i]`` receives ``grads[i]`` (N, E).
+
+    One ``np.bincount`` over the flat index ``id * E + col``.  Like
+    ``np.add.at`` it adds each element's contributions in position order to
+    a sum that starts at +0.0, so the bits are the same, sign of zero
+    included; such a sum is never -0.0, and a +-0.0 term never changes it.
+    """
+    width = grads.shape[1]
+    flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
+    summed = np.bincount(flat, weights=grads.reshape(-1), minlength=rows * width)
+    # in place, as the size stays: a reshaped view would cost backward a copy
+    # of the whole table
+    summed.resize((rows, width))
+    return summed
 
 
 _MASKED_MIN = -1e30  # stand-in for -inf that keeps the finiteness guard usable
@@ -329,6 +344,67 @@ def mean_over_time(x: Tensor, mask: np.ndarray) -> Tensor:
         return (g[:, None, :] * mask[:, :, None] / safe_counts[:, None, None],)
 
     return Tensor(out_data, (x,), rule, op="mean_over_time")
+
+
+def pooled_encode(table: Tensor, proj_w: Tensor, ctx_w: Tensor, proj_b: Tensor,
+                  ids: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Pooled text encoding of ids and a 0/1 mask (B, T) -> (B, O).
+
+    With x the table rows of the ids (zero at padding) and c their mean over
+    the real tokens, the output is the mean over real tokens of
+    tanh((x - c) @ proj_w + c @ ctx_w + proj_b).  Output and gradients have
+    the bits of the graph of ``embedding_lookup``, ``mean_over_time``, ``sub``,
+    ``multiply``, ``matmul``, ``add`` and ``tanh``: the same operations in the
+    same order, every GEMM over all B*T rows.  The backward skips what the
+    graph does for nothing: the constant mask's gradient, re-masking masked
+    arrays, the padded tokens' table terms (+-0.0 each, no-ops in
+    ``_scatter_rows``) and per-node finiteness scans; one scan of the tanh
+    input catches every non-finite intermediate.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    mask = np.asarray(mask, dtype=np.float64)
+    batch, steps = ids.shape
+    embed_dim, out_dim = proj_w.data.shape
+    mask3 = mask[:, :, None]
+    counts = mask.sum(axis=1)
+    safe_counts = np.where(counts == 0, 1.0, counts)[:, None]
+    centered = table.data[ids]
+    centered *= mask3
+    center = centered.sum(axis=1) / safe_counts  # (B, E)
+    centered -= center[:, None, :]
+    centered *= mask3
+    flat = centered.reshape(batch * steps, embed_dim)
+    tokens = (flat @ proj_w.data).reshape(batch, steps, out_dim)
+    tokens += (center @ ctx_w.data + proj_b.data)[:, None, :]
+    _ensure_finite(tokens, "pooled_encode")
+    np.tanh(tokens, out=tokens)
+    out_data = (tokens * mask3).sum(axis=1) / safe_counts
+
+    def rule(g):
+        g_pre = (g / safe_counts)[:, None, :] * mask3  # (g * mask) / counts, bit for bit
+        slope = tokens * tokens
+        np.subtract(1.0, slope, out=slope)
+        g_pre *= slope
+        g_ctx = _unbroadcast(g_pre, (batch, 1, out_dim)).reshape(batch, out_dim)
+        g_flat_pre = g_pre.reshape(batch * steps, out_dim)
+        g_flat = g_flat_pre @ proj_w.data.T
+        g_centered = g_flat.reshape(batch, steps, embed_dim)
+        # The graph masks g_centered again and adds the sum of its negation.
+        # Padded rows of g_flat are +-0.0 already, and the sum of g subtracted
+        # differs only in the sign of a zero, which no table-gradient sum keeps.
+        g_center = g_ctx @ ctx_w.data.T
+        g_center -= g_centered.sum(axis=1)
+        g_center /= safe_counts
+        g_centered += g_center[:, None, :]  # the embeddings' gradient on real tokens
+        real = np.flatnonzero(mask)
+        return (
+            _scatter_rows(ids.reshape(-1)[real], g_flat[real], table.data.shape[0]),
+            flat.T @ g_flat_pre,
+            center.T @ g_ctx,
+            _unbroadcast(g_ctx, proj_b.data.shape),
+        )
+
+    return Tensor(out_data, (table, proj_w, ctx_w, proj_b), rule, op="pooled_encode")
 
 
 def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:

@@ -29,6 +29,11 @@ KEPT_PUNCTUATION = set('.,!?:;"\'-')
 
 SENTENCE_TERMINATORS = {".", "!", "?"}
 
+# normalize() deletes each distinct dropped character with one str.replace
+# pass; past this many, one str.translate pass costs less (on text that is
+# not ASCII it looks up every character in a dict).
+_REPLACE_MAX = 64
+
 # Alnum runs (underscore excluded), otherwise any single non-space character.
 _TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_", re.UNICODE)
 
@@ -40,11 +45,14 @@ def normalize(text: str) -> str:
     Total function; returns "" for input with no kept characters.
     """
     lowered = text.lower()
-    kept = []
-    for ch in lowered:
-        if ch.isalpha() or ch.isdigit() or ch.isspace() or ch in KEPT_PUNCTUATION:
-            kept.append(ch)
-    return " ".join("".join(kept).split())
+    dropped = [ch for ch in set(lowered)
+               if not (ch.isalpha() or ch.isdigit() or ch.isspace() or ch in KEPT_PUNCTUATION)]
+    if len(dropped) > _REPLACE_MAX:
+        lowered = lowered.translate(dict.fromkeys(map(ord, dropped)))
+    else:
+        for ch in dropped:
+            lowered = lowered.replace(ch, "")
+    return " ".join(lowered.split())
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ class TokenizedDoc:
 
     def word_tokens(self) -> list[str]:
         """Tokens that carry word content (letters/digits), skipping punctuation."""
-        return [t for t in self.tokens if _is_word(t)]
+        return [t for t in self.tokens if t.isalpha() or _is_word(t)]
 
 
 def _is_word(token: str) -> bool:

@@ -24,9 +24,7 @@ from baitline.neural.siamese import (
     SiameseBundle,
     SiameseConfig,
     SiameseEncoder,
-    contrastive_loss,
     contrastive_loss_graph,
-    cosine_dissimilarity,
 )
 from baitline.synthetic import generate_topic_pair_corpus
 from baitline.tensor import (
@@ -44,6 +42,7 @@ from baitline.tensor import (
     mean_over_time,
     multiply,
     narrow,
+    pooled_encode,
     relu,
     reshape,
     sigmoid,
@@ -56,6 +55,7 @@ from baitline.tensor import (
 
 from test_classical import exhaustive_best_split, per_row_leaf_probs, split_alone
 from test_metrics import brute_force_ap
+from test_neural import contrastive_loss, cosine_dissimilarity
 
 CB = Label.CLICKBAIT
 NCB = Label.NON_CLICKBAIT
@@ -158,6 +158,19 @@ class TestAutodiffAcceptance:
         check(lambda: tsum(multiply(bilstm_sequence(sx, fwd_weights, rev_weights, seq_mask),
                                     seq_probe)),
               {"sx": sx, **directions})
+        # the fused pooled encoder over ragged rows with gaps
+        pool_rng = np.random.default_rng(102)
+        encoder_weights = {
+            name: Tensor(pool_rng.uniform(-0.8, 0.8, size=shape))
+            for name, shape in (("table", (9, 5)), ("proj_w", (5, 4)), ("ctx_w", (5, 4)),
+                                ("proj_b", (4,)))
+        }
+        gap_mask = np.array([[1, 0, 1, 1, 0, 1], [0, 0, 1, 0, 0, 0], [1, 1, 1, 1, 0, 0]])
+        gap_ids = pool_rng.integers(0, 9, size=(3, 6))
+        pool_probe = Tensor(pool_rng.normal(size=(3, 4)))
+        check(lambda: tsum(multiply(pooled_encode(*encoder_weights.values(), gap_ids, gap_mask),
+                                    pool_probe)),
+              encoder_weights)
 
         # full contrastive graph
         config = SiameseConfig(vocab_size=60, embed_dim=10, out_dim=6, max_len=8, seed=8)

@@ -12,7 +12,6 @@ from baitline.classical import (
     balanced_class_weights,
     best_split,
     compute_oob_score,
-    entropy,
     load_rf,
     load_svm,
     platt_fit,
@@ -23,7 +22,21 @@ from baitline.classical import (
     train_svm,
 )
 from baitline.classical.forest import RandomForestModel
+from baitline.classical.tree import _entropy2
 from baitline.tensor import CheckpointVersionError
+
+
+def entropy(class_counts) -> float:
+    """Shannon entropy in bits of a (possibly weighted) count vector: the
+    oracle of the tree's elementwise two-class entropy."""
+    counts = np.asarray(class_counts, dtype=np.float64)
+    if np.any(counts < 0):
+        raise ValueError("negative class counts")
+    total = counts.sum()
+    if total <= 0:
+        raise ValueError("entropy of an empty count vector")
+    probs = counts[counts > 0] / total
+    return float(-(probs * np.log2(probs)).sum())
 
 
 class TestEntropy:
@@ -43,6 +56,12 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy([0, 0])
 
+    def test_two_class_entropy_equals_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        a = np.concatenate([rng.integers(0, 60, size=300) * 1.7, [0.0, 5.0, 0.5]])
+        b = np.concatenate([rng.integers(1, 60, size=300) * 0.3, [2.0, 0.0, 0.5]])
+        assert np.array_equal(_entropy2(a, b), [entropy([x, y]) for x, y in zip(a, b)])
+
 
 def split_alone(rows, labels, features, class_weights):
     """``best_split`` of one node holding every row: a batch of one."""
@@ -60,16 +79,10 @@ def exhaustive_best_split(rows, labels, features, class_weights):
     labels = np.asarray(labels, dtype=np.int64)
     w0, w1 = float(class_weights[0]), float(class_weights[1])
 
-    def entropy2(a, b):
-        counts = np.array([a, b])
-        total = counts.sum()
-        probs = counts[counts > 0] / total
-        return float(-(probs * np.log2(probs)).sum())
-
     n0 = int((labels == 0).sum())
     n1 = int((labels == 1).sum())
     total = n0 * w0 + n1 * w1
-    parent = entropy2(n0 * w0, n1 * w1)
+    parent = entropy([n0 * w0, n1 * w1])
     best = None
     for f in sorted(int(v) for v in features):
         values = np.unique(rows[:, f])
@@ -83,8 +96,8 @@ def exhaustive_best_split(rows, labels, features, class_weights):
             wl = l0 * w0 + l1 * w1
             wr = (n0 - l0) * w0 + (n1 - l1) * w1
             gain = parent - (
-                wl * entropy2(l0 * w0, l1 * w1)
-                + wr * entropy2((n0 - l0) * w0, (n1 - l1) * w1)
+                wl * entropy([l0 * w0, l1 * w1])
+                + wr * entropy([(n0 - l0) * w0, (n1 - l1) * w1])
             ) / total
             if best is None or gain > best[2]:
                 best = (f, threshold, gain)

@@ -668,6 +668,18 @@ class TestConfigFile:
         assert "n_estimators = 7" in snapshot  # file override beats profile
         assert "seed = 77" in snapshot  # flag beats file
 
+    def test_svm_c_from_file(self, tmp_path, corpus_path):
+        """Option names keep their case: ``C`` reaches the SVM and the snapshot."""
+        config_file = tmp_path / "run.ini"
+        config_file.write_text("[svm]\nC = 0.5\n", encoding="utf-8")
+        run_dir = tmp_path / "run"
+        assert run([
+            "train", "--model", "svm", "--corpus", corpus_path, "--out", str(run_dir),
+            "--profile", "desk", "--config", str(config_file),
+        ]) == 0
+        assert json.loads((run_dir / "model.json").read_text())["C"] == 0.5
+        assert "C = 0.5" in (run_dir / "config.ini").read_text().splitlines()
+
     @pytest.mark.parametrize("family, option, value",
                              [("rf", "criterion", "entropy"), ("svm", "kernel", "linear")])
     def test_removed_option_exit_3(self, tmp_path, corpus_path, capsys, family, option, value):

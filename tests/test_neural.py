@@ -15,10 +15,9 @@ from baitline.neural.siamese import (
     SiameseBundle,
     SiameseConfig,
     SiameseEncoder,
-    contrastive_loss,
     contrastive_loss_graph,
     contrastive_predict,
-    cosine_dissimilarity,
+    cosine_dissimilarity_graph,
     similarity_to_prediction,
     train_contrastive,
 )
@@ -29,6 +28,24 @@ from baitline.textproc import build_vocab, tokenize
 
 CB = Label.CLICKBAIT
 NCB = Label.NON_CLICKBAIT
+
+
+def cosine_dissimilarity(u, v):
+    """``cosine_dissimilarity_graph`` on plain vectors, or on batches of rows."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    out = cosine_dissimilarity_graph(Tensor(np.atleast_2d(u)), Tensor(np.atleast_2d(v))).data
+    return float(out[0]) if u.ndim == 1 else out
+
+
+def contrastive_loss(v_t, v_c, y, margin=1.0):
+    """``contrastive_loss_graph``'s value for plain arrays (rows are embeddings)."""
+    return contrastive_loss_graph(
+        Tensor(np.atleast_2d(np.asarray(v_t, dtype=np.float64))),
+        Tensor(np.atleast_2d(np.asarray(v_c, dtype=np.float64))),
+        np.atleast_1d(y),
+        margin,
+    ).item()
 
 
 def small_bilstm_config(**overrides):

@@ -22,16 +22,19 @@ from baitline.tensor import (
     multiply,
     narrow,
     no_grad,
+    pooled_encode,
     relu,
     reshape,
     save_tensors,
     sigmoid,
     softmax,
     stack_steps,
+    sub,
     tanh,
     tmean,
     tsum,
 )
+from baitline.tensor.core import _scatter_rows
 from baitline.tensor.optim import GraphOptimizer, OptimizerState
 
 
@@ -345,6 +348,125 @@ class TestLstmSequence:
         for d in range(2):
             assert np.array_equal(stacked_h[d], h[d] @ u[d])
             assert np.array_equal(stacked_dz[d], dz[d] @ u[d].T)
+
+
+def graph_pooled_encode(table, proj_w, ctx_w, proj_b, ids, mask):
+    """The pooled text encoder as a graph of primitives: what ``pooled_encode``
+    fuses."""
+    batch, steps = ids.shape
+    embed_dim, out_dim = proj_w.shape
+    emb = embedding_lookup(table, ids, mask)
+    center = mean_over_time(emb, mask)
+    centered = sub(emb, reshape(center, (batch, 1, embed_dim)))
+    centered = multiply(centered, Tensor(mask[:, :, None].astype(np.float64)))
+    flat = reshape(centered, (batch * steps, embed_dim))
+    token_part = reshape(flat @ proj_w, (batch, steps, out_dim))
+    context = reshape(center @ ctx_w + proj_b, (batch, 1, out_dim))
+    return mean_over_time(tanh(token_part + context), mask)
+
+
+def encoder_weights(rng, rows=7, embed_dim=5, out_dim=4, scale=0.8):
+    return [Tensor(rng.uniform(-scale, scale, size=shape))
+            for shape in ((rows, embed_dim), (embed_dim, out_dim), (embed_dim, out_dim), (out_dim,))]
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestPooledEncode:
+    rng = np.random.default_rng(31)
+    MASKS = {
+        "prefix": [[1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1], [1, 1, 0, 0, 0, 0]],
+        "gaps": [[1, 0, 1, 1, 0, 1], [0, 0, 1, 0, 0, 0], [0, 1, 0, 1, 1, 0]],
+        "single-token rows": [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 1, 0, 0, 0]],
+        "one row": [[0, 1, 1, 0, 1, 0]],
+        "one step": [[1], [1]],
+        "an all-padding row": [[1, 1, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0]],
+    }
+
+    def run_both(self, weights, ids, mask, probes):
+        """Output and the four weight gradients of each encoder, with every
+        probe's encoding sharing the weights, as titles and contents do."""
+        results = []
+        for encode in (pooled_encode, graph_pooled_encode):
+            outs = [encode(*weights, ids, mask) for _ in probes]
+            loss = outs[0] * Tensor(probes[0])
+            for out, probe in zip(outs[1:], probes[1:]):
+                loss = loss + out * Tensor(probe)
+            backward(tsum(loss))
+            results.append([outs[0].data] + [w.grad.copy() for w in weights])
+        return results
+
+    @pytest.mark.parametrize("case", MASKS)
+    @pytest.mark.parametrize("encodings", [1, 2])
+    def test_matches_graph_bit_for_bit(self, case, encodings):
+        mask = np.array(self.MASKS[case])
+        # repeated ids, real ids under padding, and pad id 0 at real tokens
+        ids = self.rng.integers(0, 7, size=mask.shape)
+        weights = encoder_weights(self.rng)
+        probes = [self.rng.normal(size=(mask.shape[0], 4)) for _ in range(encodings)]
+        probes[0][0, :2] = [0.0, -0.0]
+        fused, graph = self.run_both(weights, ids, mask, probes)
+        for got, want in zip(fused, graph):
+            assert same_bits(got, want)
+
+    def test_matches_graph_on_random_shapes(self):
+        for _ in range(40):
+            batch, steps = (int(n) for n in self.rng.integers(1, 9, size=2))
+            embed_dim, out_dim, rows = (int(n) for n in self.rng.integers(1, 12, size=3))
+            mask = (self.rng.random((batch, steps)) < self.rng.random()).astype(np.int64)
+            ids = self.rng.integers(0, rows, size=(batch, steps))
+            weights = encoder_weights(self.rng, rows, embed_dim, out_dim, scale=2.0)
+            probes = [np.where(self.rng.random((batch, out_dim)) < 0.2, -0.0,
+                               self.rng.normal(size=(batch, out_dim))) for _ in range(2)]
+            fused, graph = self.run_both(weights, ids, mask, probes)
+            for got, want in zip(fused, graph):
+                assert same_bits(got, want)
+
+    def test_finite_differences(self):
+        mask = np.array(self.MASKS["gaps"])
+        ids = self.rng.integers(0, 7, size=mask.shape)
+        weights = encoder_weights(self.rng)
+        probe = Tensor(self.rng.normal(size=(3, 4)))
+        names = ("table", "proj_w", "ctx_w", "proj_b")
+        fd_check(lambda: tsum(multiply(pooled_encode(*weights, ids, mask), probe)),
+                 dict(zip(names, weights)))
+
+    def test_non_finite_weight_raises(self):
+        mask = np.array(self.MASKS["prefix"])
+        ids = np.array([[1, 2, 3, 4, 4, 4], [1, 2, 3, 4, 5, 6], [6, 5, 4, 4, 4, 4]])
+        # rows 1 and 2 of the table overflow the embedding sum of the first row;
+        # row 4 is read only by padding there
+        for index, where, value in ((1, (0, 0), np.inf), (2, (1, 0), np.nan), (3, 0, np.inf),
+                                    (0, ([1, 2], 0), 1e308), (0, (4, 0), np.inf)):
+            weights = encoder_weights(self.rng)
+            weights[index].data[where] = value
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+                pooled_encode(*weights, ids, mask)
+
+    def test_no_grad_returns_a_leaf(self):
+        mask = np.array(self.MASKS["gaps"])
+        ids = self.rng.integers(0, 7, size=mask.shape)
+        weights = encoder_weights(self.rng)
+        with no_grad():
+            light = pooled_encode(*weights, ids, mask)
+        assert light.parents == () and light.backward_rule is None
+        assert np.array_equal(light.data, pooled_encode(*weights, ids, mask).data)
+
+    def test_scatter_rows_equals_add_at(self):
+        """Repeated ids, -0.0 terms, a row that gets only -0.0 and one that
+        gets nothing, and magnitudes far enough apart that order matters."""
+        ids = self.rng.integers(0, 5, size=200)
+        grads = self.rng.normal(size=(200, 3)) * 10.0 ** self.rng.integers(-12, 12, size=(200, 1))
+        grads[self.rng.random((200, 3)) < 0.3] = -0.0
+        grads[ids == 4] = -0.0
+        want = np.zeros((6, 3))
+        np.add.at(want, ids, grads)
+        got = _scatter_rows(ids, grads, 6)
+        assert same_bits(got, want)
+        assert got.base is None  # so backward adopts it instead of copying
+        assert same_bits(_scatter_rows(ids[:0], grads[:0], 6), np.zeros((6, 3)))
 
 
 class TestNoGrad:

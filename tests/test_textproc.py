@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from baitline.tensor.checkpoint import CheckpointVersionError
 from baitline.textproc import (
+    KEPT_PUNCTUATION,
     OOV_ID,
     PAD_ID,
     SEPARATOR_TOKEN,
@@ -32,6 +35,40 @@ class TestNormalize:
 
     def test_preserves_diacritics(self):
         assert normalize("Țâșnit În Șanț") == "țâșnit în șanț"
+
+
+def loop_normalize(text: str) -> str:
+    """``normalize`` one character at a time: its oracle."""
+    kept = []
+    for ch in text.lower():
+        if ch.isalpha() or ch.isdigit() or ch.isspace() or ch in KEPT_PUNCTUATION:
+            kept.append(ch)
+    return " ".join("".join(kept).split())
+
+
+# Romanian diacritics, a dotted capital I (two code points in lower case),
+# non-ASCII digits and numerics, superscripts, combining marks, the separator,
+# kept and dropped punctuation, and unusual whitespace
+AWKWARD = "ȘșȚțĂăÎîÂâİßΣ٣۷०²½Ⅻ〇\u0301\u0327\u0308␟.,!?:;\"'-_@#\t\n\u00a0\u2028\u3000"
+UNICODE_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(AWKWARD)), max_size=80)
+
+
+class TestFastPathOracles:
+    @given(UNICODE_TEXT)
+    def test_normalize_equals_character_loop(self, text):
+        assert normalize(text) == loop_normalize(text)
+
+    @pytest.mark.parametrize("symbols", [63, 64, 400])
+    def test_normalize_equals_character_loop_with_many_dropped(self, symbols):
+        """``symbols`` arrows and math signs plus ½: both ways of deleting."""
+        text = "".join(f"{chr(0x2190 + i)}Șa½ {chr(0x2190 + i)}9" for i in range(symbols))
+        assert normalize(text) == loop_normalize(text)
+
+    @given(UNICODE_TEXT)
+    def test_word_tokens_equal_per_character_test(self, text):
+        for doc in (tokenize(text), tokenize(normalize(text))):
+            assert doc.word_tokens() == [
+                t for t in doc.tokens if any(c.isalpha() or c.isdigit() for c in t)]
 
 
 class TestTokenize:
