@@ -358,8 +358,8 @@ def pooled_encode(table: Tensor, proj_w: Tensor, ctx_w: Tensor, proj_b: Tensor,
     same order, every GEMM over all B*T rows.  The backward skips what the
     graph does for nothing: the constant mask's gradient, re-masking masked
     arrays, the padded tokens' table terms (+-0.0 each, no-ops in
-    ``_scatter_rows``) and per-node finiteness scans; one scan of the tanh
-    input catches every non-finite intermediate.
+    ``_scatter_rows``) and per-node finiteness scans: one scan of the rows
+    read and one of the tanh input catch every non-finite value.
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -369,6 +369,8 @@ def pooled_encode(table: Tensor, proj_w: Tensor, ctx_w: Tensor, proj_b: Tensor,
     counts = mask.sum(axis=1)
     safe_counts = np.where(counts == 0, 1.0, counts)[:, None]
     centered = table.data[ids]
+    # as embedding_lookup does, before masking can turn an Inf into NaN
+    _ensure_finite(centered, "pooled_encode")
     centered *= mask3
     center = centered.sum(axis=1) / safe_counts  # (B, E)
     centered -= center[:, None, :]

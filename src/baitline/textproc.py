@@ -29,11 +29,6 @@ KEPT_PUNCTUATION = set('.,!?:;"\'-')
 
 SENTENCE_TERMINATORS = {".", "!", "?"}
 
-# normalize() deletes each distinct dropped character with one str.replace
-# pass; past this many, one str.translate pass costs less (on text that is
-# not ASCII it looks up every character in a dict).
-_REPLACE_MAX = 64
-
 # Alnum runs (underscore excluded), otherwise any single non-space character.
 _TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_", re.UNICODE)
 
@@ -47,11 +42,8 @@ def normalize(text: str) -> str:
     lowered = text.lower()
     dropped = [ch for ch in set(lowered)
                if not (ch.isalpha() or ch.isdigit() or ch.isspace() or ch in KEPT_PUNCTUATION)]
-    if len(dropped) > _REPLACE_MAX:
-        lowered = lowered.translate(dict.fromkeys(map(ord, dropped)))
-    else:
-        for ch in dropped:
-            lowered = lowered.replace(ch, "")
+    for ch in dropped:
+        lowered = lowered.replace(ch, "")
     return " ".join(lowered.split())
 
 

@@ -436,14 +436,20 @@ class TestPooledEncode:
     def test_non_finite_weight_raises(self):
         mask = np.array(self.MASKS["prefix"])
         ids = np.array([[1, 2, 3, 4, 4, 4], [1, 2, 3, 4, 5, 6], [6, 5, 4, 4, 4, 4]])
-        # rows 1 and 2 of the table overflow the embedding sum of the first row;
-        # row 4 is read only by padding there
-        for index, where, value in ((1, (0, 0), np.inf), (2, (1, 0), np.nan), (3, 0, np.inf),
-                                    (0, ([1, 2], 0), 1e308), (0, (4, 0), np.inf)):
+        # table row 1 is read by real tokens, row 4 by padding in the first and
+        # last rows too; these raise without a numpy warning on the way
+        for index, where, value in ((0, (1, 0), np.inf), (0, (1, 1), np.nan), (0, (4, 0), np.inf),
+                                    (0, (4, 0), -np.inf), (1, (1, 0), np.nan), (3, 0, np.inf)):
             weights = encoder_weights(self.rng)
             weights[index].data[where] = value
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            with pytest.raises(NonFiniteError):
                 pooled_encode(*weights, ids, mask)
+        # rows 1 and 2 of the table overflow the embedding sum of the first row,
+        # which warns of the overflow first, as the graph's mean_over_time does
+        weights = encoder_weights(self.rng)
+        weights[0].data[[1, 2], 0] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            pooled_encode(*weights, ids, mask)
 
     def test_no_grad_returns_a_leaf(self):
         mask = np.array(self.MASKS["gaps"])

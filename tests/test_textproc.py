@@ -58,9 +58,9 @@ class TestFastPathOracles:
     def test_normalize_equals_character_loop(self, text):
         assert normalize(text) == loop_normalize(text)
 
-    @pytest.mark.parametrize("symbols", [63, 64, 400])
+    @pytest.mark.parametrize("symbols", [1, 400])
     def test_normalize_equals_character_loop_with_many_dropped(self, symbols):
-        """``symbols`` arrows and math signs plus ½: both ways of deleting."""
+        """``symbols`` distinct arrows and math signs plus ½, each deleted."""
         text = "".join(f"{chr(0x2190 + i)}Șa½ {chr(0x2190 + i)}9" for i in range(symbols))
         assert normalize(text) == loop_normalize(text)
 
