@@ -84,21 +84,28 @@ def train_svm(X: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> 
     # regularized along with w; on standardized inputs the bias is small.  The
     # per-epoch objective is that of the augmented weights with no extra bias.
     Xa = np.hstack([X, np.ones((n, 1))])
+    # Rows signed once: y*x is exact for y = +-1, and rounding is symmetric in
+    # sign, so (y*x).w and lr*(y*x) carry the bits of y*(x.w) and (lr*y)*x.
+    rows = list(Xa * y_signed[:, None])
     rng = np.random.default_rng(config.seed)
     wa = np.zeros(d + 1)
-    t = 0
+    step = np.empty(d + 1)
     objective_by_epoch: list[float] = []
     tail_sum = np.zeros(d + 1)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        # lr_t = 1/(lam*t) and the shrink factor 1 - lr_t*lam for this epoch's
+        # steps t, elementwise: the same roundings as working them out per step
+        lrs = 1.0 / (lam * np.arange(epoch * n + 1, (epoch + 1) * n + 1, dtype=np.float64))
+        shrinks = 1.0 - lrs * lam
         last_epoch = epoch == config.epochs - 1
-        for i in order:
-            t += 1
-            lr = 1.0 / (lam * t)
-            margin = y_signed[i] * (Xa[i] @ wa)
-            wa *= 1.0 - lr * lam
+        for i, lr, shrink in zip(order.tolist(), lrs.tolist(), shrinks.tolist()):
+            row = rows[i]
+            margin = row.dot(wa)
+            wa *= shrink
             if margin < 1.0:
-                wa += lr * y_signed[i] * Xa[i]
+                np.multiply(row, lr, out=step)
+                wa += step
             if last_epoch:
                 tail_sum += wa
         objective_by_epoch.append(svm_objective(wa, 0.0, Xa, y_signed, config.C))

@@ -185,9 +185,9 @@ def _resolve_model_config(args, family: str):
 def cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
     family = args.model
+    model_config = _resolve_model_config(args, family)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_config = _resolve_model_config(args, family)
 
     losses = FAMILIES[family].train(corpus, model_config, out_dir)
     with open(out_dir / "training.log", "w", encoding="utf-8") as fh:

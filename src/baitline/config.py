@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from pathlib import Path
 
 from .registry import FAMILIES
@@ -18,6 +19,13 @@ SEED_ENV_VAR = "BAITLINE_SEED"
 MODEL_FAMILIES = tuple(FAMILIES)
 
 PROFILES = ("full", "desk")
+
+# Options with a bounded range, whatever the family: (test, what the value must be)
+_RANGES = {
+    "epochs": (lambda v: v >= 0, ">= 0"),
+    "n_estimators": (lambda v: v >= 1, ">= 1"),
+    "C": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+}
 
 
 def build_model_config(
@@ -37,17 +45,19 @@ def build_model_config(
     values = {f.name: f.default for f in dataclasses.fields(cls)}
     if profile == "desk":
         values.update(FAMILIES[family].desk)
-    for overrides in (file_overrides or {}, flag_overrides or {}):
+    for from_file, overrides in ((True, file_overrides or {}), (False, flag_overrides or {})):
         for key, value in overrides.items():
             if value is None:
                 continue
             if key not in values:
                 raise ValueError(f"unknown {family} option {key!r}")
+            where = f"{config_file}: [{family}] {key} = {value!r}" if from_file else f"--{key} {value}"
             try:
                 values[key] = _coerce(value, values[key])
             except ValueError:
-                raise ValueError(f"{config_file}: [{family}] {key} = {value!r} is not "
-                                 f"a valid {type(values[key]).__name__}") from None
+                raise ValueError(f"{where} is not a valid {type(values[key]).__name__}") from None
+            if key in _RANGES and not _RANGES[key][0](values[key]):
+                raise ValueError(f"{where} is out of range: {key} must be {_RANGES[key][1]}")
     return cls(**values)
 
 

@@ -46,38 +46,43 @@ class Tagger(Protocol):
     def tag(self, doc: TokenizedDoc) -> list[str]: ...
 
 
-# Closed-class lexicons for the heuristic tagger (lowercase forms).
-_PRONOUNS = {
-    "eu", "tu", "el", "ea", "noi", "voi", "ei", "ele", "se", "îi", "le",
-    "ne", "vă", "mă", "te", "îl", "își", "sine", "acesta", "aceasta",
-    "aceștia", "acestea", "cineva", "ceva", "nimeni", "nimic", "toți", "toate",
-    "cine", "ce", "care",
-}
-_DETERMINERS = {
-    "un", "o", "niște", "acest", "această", "acele", "acel", "acea", "cel",
-    "cea", "cei", "cele", "al", "a", "ai", "ale", "orice", "fiecare", "alt",
-    "altă", "alți", "alte", "mult", "multă", "mulți", "multe", "puțin",
-}
-_ADPOSITIONS = {
-    "de", "la", "în", "pe", "cu", "din", "pentru", "prin", "fără", "despre",
-    "sub", "peste", "între", "către", "după", "până", "lângă", "spre", "ca",
-    "printre", "asupra", "contra",
-}
-_CONJUNCTIONS = {
-    "și", "sau", "dar", "iar", "că", "dacă", "deși", "însă", "ori", "nici",
-    "ci", "precum", "fiindcă", "deoarece", "să",
-}
-_ADVERBS = {
-    "nu", "mai", "foarte", "doar", "chiar", "azi", "ieri", "mâine", "aici",
-    "acolo", "așa", "atunci", "când", "unde", "cum", "deja", "tot", "prea",
-    "bine", "acum", "apoi", "totuși", "niciodată", "mereu", "oare",
-}
-_VERBS = {
-    "e", "este", "ești", "sunt", "suntem", "sunteți", "era", "erau", "fost",
-    "fi", "fie", "are", "am", "au", "avea", "aveau", "va", "vor", "vei",
-    "vom", "poate", "trebuie", "face", "fac", "spune", "spus", "vrea",
-    "vine", "zis",
-}
+# Closed-class lexicons for the heuristic tagger (lowercase forms), in rule
+# order: a word listed under two tags takes the first.
+_CLOSED_CLASS_LEXICONS = (
+    ("ADP", (
+        "de", "la", "în", "pe", "cu", "din", "pentru", "prin", "fără", "despre",
+        "sub", "peste", "între", "către", "după", "până", "lângă", "spre", "ca",
+        "printre", "asupra", "contra",
+    )),
+    ("CONJ", (
+        "și", "sau", "dar", "iar", "că", "dacă", "deși", "însă", "ori", "nici",
+        "ci", "precum", "fiindcă", "deoarece", "să",
+    )),
+    ("DET", (
+        "un", "o", "niște", "acest", "această", "acele", "acel", "acea", "cel",
+        "cea", "cei", "cele", "al", "a", "ai", "ale", "orice", "fiecare", "alt",
+        "altă", "alți", "alte", "mult", "multă", "mulți", "multe", "puțin",
+    )),
+    ("PRON", (
+        "eu", "tu", "el", "ea", "noi", "voi", "ei", "ele", "se", "îi", "le",
+        "ne", "vă", "mă", "te", "îl", "își", "sine", "acesta", "aceasta",
+        "aceștia", "acestea", "cineva", "ceva", "nimeni", "nimic", "toți", "toate",
+        "cine", "ce", "care",
+    )),
+    ("ADV", (
+        "nu", "mai", "foarte", "doar", "chiar", "azi", "ieri", "mâine", "aici",
+        "acolo", "așa", "atunci", "când", "unde", "cum", "deja", "tot", "prea",
+        "bine", "acum", "apoi", "totuși", "niciodată", "mereu", "oare",
+    )),
+    ("VERB", (
+        "e", "este", "ești", "sunt", "suntem", "sunteți", "era", "erau", "fost",
+        "fi", "fie", "are", "am", "au", "avea", "aveau", "va", "vor", "vei",
+        "vom", "poate", "trebuie", "face", "fac", "spune", "spus", "vrea",
+        "vine", "zis",
+    )),
+)
+# lowercase word -> closed-class tag; built last rule first so the first rule wins
+_CLOSED_CLASS = {word: tag for tag, words in reversed(_CLOSED_CLASS_LEXICONS) for word in words}
 
 # Suffix rules, tried in order after the lexicons; first match wins.
 _VERB_SUFFIXES = ("ează", "ește", "esc", "eze", "ând", "ind", "ăm", "im")
@@ -98,40 +103,49 @@ class HeuristicTagger:
     elsewhere in the doc explains them; remaining tokens go through the
     closed-class lexicons, then suffix rules, and default to NOUN.
 
-    Every rule except the capitalized-token one depends on the token alone, so
-    an instance memoizes those tags per token, and for capitalized tokens the
-    lexical class per lowercase form.  Use one instance per batch of docs.
+    Every rule except the sentence-initial one depends on the token alone, so
+    an instance memoizes each token's tag (PROPN for capitalized words) and
+    revisits only the first word of each sentence.  Use one instance per batch
+    of docs.
     """
 
     def __init__(self):
-        self._tags: dict[str, str] = {}  # token -> tag, "" for capitalized words
-        self._lexical: dict[str, tuple[str, bool]] = {}  # lowercase -> (class, closed)
+        self._tags: dict[str, str] = {}  # token -> tag wherever it stands
+        # Non-capitalized tokens that lowercase to another string ("aȘ", "ǅa"):
+        # the only tokens whose lowercase variant is not the token itself.
+        self._mixed_case: set[str] = set()
 
     def tag(self, doc: TokenizedDoc) -> list[str]:
         tokens = doc.tokens
         memo = self._tags
-        for token in set(tokens).difference(memo):
+        distinct = set(tokens)
+        for token in distinct.difference(memo):
             memo[token] = self._token_tag(token)
+            if not token[0].isupper() and token.lower() != token:
+                self._mixed_case.add(token)
         tags = list(map(memo.__getitem__, tokens))
-        capitalized = [i for i, tag in enumerate(tags) if not tag]
-        if not capitalized:
-            return tags
-        initial_positions = _sentence_initial_positions(tags, doc.sentence_boundaries)
-        lower_forms = None
-        for i in capitalized:
-            tags[i] = "PROPN"
-            if i not in initial_positions:
-                continue
-            lower = tokens[i].lower()
-            lexical, closed = self._lexical_class(lower)
-            if not closed and lower_forms is None:
-                lower_forms = {t.lower() for t in set(tokens) if not t[:1].isupper()}
-            if closed or lower in lower_forms:
-                tags[i] = lexical
+        first = 0
+        for end in doc.sentence_boundaries:
+            while first < end and tags[first] == "PUNCT":  # the sentence's first word
+                first += 1
+            if first < end and tags[first] == "PROPN":
+                lower = tokens[first].lower()
+                lexical, closed = self._lexical_class(lower)
+                if closed or self._has_lowercase_variant(lower, distinct):
+                    tags[first] = lexical
+            first = end
         return tags
 
+    def _has_lowercase_variant(self, lower: str, distinct: set[str]) -> bool:
+        """Whether a non-capitalized token of the doc lowercases to ``lower``."""
+        # str.lower is idempotent, so ``lower`` itself qualifies unless it still
+        # starts with an uppercase letter that has no lowercase form ("ϒ")
+        if lower in distinct and not lower[:1].isupper():
+            return True
+        return any(t.lower() == lower for t in self._mixed_case.intersection(distinct))
+
     def _token_tag(self, token: str) -> str:
-        """The tag of a token wherever it stands; "" for capitalized words."""
+        """The tag of a token wherever it stands; PROPN for capitalized words."""
         if not token.isalpha():  # a token of letters only skips the per-character scans
             if not _is_word(token):
                 return "PUNCT"
@@ -140,70 +154,24 @@ class HeuristicTagger:
             if any(c.isdigit() for c in token):
                 return "X"
         if token[0].isupper():
-            return ""
+            return "PROPN"
         return self._lexical_class(token.lower())[0]
 
-    def _lexical_class(self, lower: str) -> tuple[str, bool]:
+    @staticmethod
+    def _lexical_class(lower: str) -> tuple[str, bool]:
         """(closed-class tag, True) if the lexicons list it, else (open-class tag, False)."""
-        entry = self._lexical.get(lower)
-        if entry is None:
-            closed = self._closed_class(lower)
-            entry = (closed, True) if closed is not None else (self._open_class(lower), False)
-            self._lexical[lower] = entry
-        return entry
-
-    @staticmethod
-    def _closed_class(lower: str) -> str | None:
-        if lower in _ADPOSITIONS:
-            return "ADP"
-        if lower in _CONJUNCTIONS:
-            return "CONJ"
-        if lower in _DETERMINERS:
-            return "DET"
-        if lower in _PRONOUNS:
-            return "PRON"
-        if lower in _ADVERBS:
-            return "ADV"
-        if lower in _VERBS:
-            return "VERB"
-        return None
-
-    @staticmethod
-    def _open_class(lower: str) -> str:
+        closed = _CLOSED_CLASS.get(lower)
+        if closed is not None:
+            return closed, True
         # a suffix counts only when something precedes it, so match on lower[1:]
         stem = lower[1:]
         if stem.endswith(_VERB_SUFFIXES):
-            return "VERB"
+            return "VERB", False
         if stem.endswith(_NOUN_SUFFIXES):
-            return "NOUN"
+            return "NOUN", False
         if stem.endswith(_ADJ_SUFFIXES):
-            return "ADJ"
-        return "NOUN"
-
-
-def _sentence_initial_positions(tags: list[str], boundaries: tuple[int, ...]) -> set[int]:
-    """Index of the first word token in each sentence (leading punctuation skipped)."""
-    positions = set()
-    start = 0
-    for end in boundaries:
-        for i in range(start, end):
-            if tags[i] != "PUNCT":
-                positions.add(i)
-                break
-        start = end
-    return positions
-
-
-class StubTagger:
-    """Constant-tag tagger for tests and pipeline plumbing checks."""
-
-    def __init__(self, tag: str = "NOUN"):
-        if tag not in POS_TAGS:
-            raise ValueError(f"unknown tag {tag!r}")
-        self.constant = tag
-
-    def tag(self, doc: TokenizedDoc) -> list[str]:
-        return [self.constant] * len(doc.tokens)
+            return "ADJ", False
+        return "NOUN", False
 
 
 WordStats = tuple[int, int, int]  # (words, long words, letters), or one token's share
@@ -222,17 +190,22 @@ def _token_stats(token: str) -> WordStats:
 def _word_stats(doc: TokenizedDoc, memo: dict[str, WordStats] | None = None) -> WordStats:
     """(word count, long-word count, letter count) over word tokens.
 
-    ``memo`` maps tokens to their ``_token_stats``; pass one dict to share it
-    across docs.
+    Each distinct token's stats count once, times its frequency.  ``memo``
+    maps tokens to their ``_token_stats``; pass one dict to share it across
+    docs.
     """
     if memo is None:
         memo = {}
-    tokens = doc.tokens
-    for token in set(tokens).difference(memo):
-        memo[token] = _token_stats(token)
-    if not tokens:
-        return 0, 0, 0
-    return tuple(map(sum, zip(*map(memo.__getitem__, tokens))))
+    n_words = n_long = n_letters = 0
+    for token, count in Counter(doc.tokens).items():
+        stats = memo.get(token)
+        if stats is None:
+            stats = memo[token] = _token_stats(token)
+        is_word, is_long, letters = stats
+        n_words += is_word * count
+        n_long += is_long * count
+        n_letters += letters * count
+    return n_words, n_long, n_letters
 
 
 def lix(doc: TokenizedDoc, stats: WordStats | None = None) -> float:

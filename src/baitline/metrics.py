@@ -118,10 +118,6 @@ def pr_curve(scores: Sequence[float], golds: Sequence) -> PrCurve:
     return PrCurve(points=tuple(points), ap=ap)
 
 
-def average_precision(scores: Sequence[float], golds: Sequence) -> float:
-    return pr_curve(scores, golds).ap
-
-
 # ---------------------------------------------------------------------------
 # McNemar's paired test
 # ---------------------------------------------------------------------------

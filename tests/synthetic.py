@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Corpus, Label, NewsArticle
+from baitline.corpus import Corpus, Label, NewsArticle
 
 _SYLLABLES = (
     "ba", "re", "mi", "lo", "tu", "san", "ve", "cor", "dul", "pa",

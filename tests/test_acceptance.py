@@ -26,11 +26,9 @@ from baitline.neural.siamese import (
     SiameseEncoder,
     contrastive_loss_graph,
 )
-from baitline.synthetic import generate_topic_pair_corpus
 from baitline.tensor import (
     Tensor,
     bilstm_sequence,
-    check_gradients,
     concat,
     cosine_similarity,
     cross_entropy,
@@ -50,9 +48,10 @@ from baitline.tensor import (
     stack_steps,
     tanh,
     tmean,
-    tsum,
 )
 
+from gradcheck import check_gradients, tsum
+from synthetic import generate_topic_pair_corpus
 from test_classical import exhaustive_best_split, per_row_leaf_probs, split_alone
 from test_metrics import brute_force_ap
 from test_neural import contrastive_loss, cosine_dissimilarity

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from baitline.classical import (
     DecisionTree,
@@ -22,6 +24,7 @@ from baitline.classical import (
     train_svm,
 )
 from baitline.classical.forest import RandomForestModel
+from baitline.classical.svm import SvmModel
 from baitline.classical.tree import _entropy2
 from baitline.tensor import CheckpointVersionError
 
@@ -542,7 +545,87 @@ class TestRandomForest:
             load_rf(path, X.shape[1])
 
 
+def reference_train_svm(X, y, config):
+    """The per-sample subgradient loop, one numpy expression per step: the
+    oracle that ``train_svm`` must equal bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    y_signed = np.where(np.asarray(y) == 0, 1.0, -1.0)
+    lam = 1.0 / (config.C * n)
+    Xa = np.hstack([X, np.ones((n, 1))])
+    rng = np.random.default_rng(config.seed)
+    wa = np.zeros(d + 1)
+    t = 0
+    objective_by_epoch = []
+    tail_sum = np.zeros(d + 1)
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        last_epoch = epoch == config.epochs - 1
+        for i in order:
+            t += 1
+            lr = 1.0 / (lam * t)
+            margin = y_signed[i] * (Xa[i] @ wa)
+            wa *= 1.0 - lr * lam
+            if margin < 1.0:
+                wa += lr * y_signed[i] * Xa[i]
+            if last_epoch:
+                tail_sum += wa
+        objective_by_epoch.append(svm_objective(wa, 0.0, Xa, y_signed, config.C))
+    wa = tail_sum / n
+    w, b = wa[:-1], float(wa[-1])
+    calibrator = platt_fit(X @ w + b, y_signed)
+    return SvmModel(w=w, b=b, C=config.C, calibrator=calibrator,
+                    objective_by_epoch=objective_by_epoch)
+
+
+def float_bits(values):
+    """The IEEE bit patterns of float64 values: equal bits means equal values
+    with equal signs of zero."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def svm_problems(draw):
+    """A small training set with repeated rows and zero columns, plus a config."""
+    n_distinct = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    coordinate = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 1e-3]) | st.floats(-3.0, 3.0)
+    distinct = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                             min_size=n_distinct, max_size=n_distinct))
+    picks = draw(st.lists(st.integers(0, n_distinct - 1), min_size=2, max_size=12))
+    X = np.array([distinct[i] for i in picks], dtype=np.float64)
+    zero_columns = draw(st.lists(st.integers(0, d - 1), max_size=d))
+    X[:, zero_columns] = 0.0
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(picks) - 2,
+                           max_size=len(picks) - 2))
+    y = np.array([0, 1, *labels])
+    config = SvmConfig(C=draw(st.sampled_from([1e-3, 0.5, 1.0, 3.0]) | st.floats(1e-2, 5.0)),
+                       epochs=draw(st.integers(0, 6)), seed=draw(st.integers(0, 2**32 - 1)))
+    return X, y, config
+
+
 class TestSvm:
+    @given(svm_problems())
+    def test_equals_per_sample_reference_bit_for_bit(self, problem):
+        X, y, config = problem
+        got = train_svm(X, y, config)
+        expected = reference_train_svm(X, y, config)
+        assert float_bits(got.w) == float_bits(expected.w)
+        assert float_bits(got.b) == float_bits(expected.b)
+        assert float_bits([got.calibrator.A, got.calibrator.B]) == float_bits(
+            [expected.calibrator.A, expected.calibrator.B])
+        assert float_bits(got.objective_by_epoch) == float_bits(expected.objective_by_epoch)
+
+    def test_fixture_equals_per_sample_reference_bit_for_bit(self):
+        # the CLI's width (27 features plus the bias): a BLAS dot product may
+        # sum long vectors in blocks that the short drawn vectors never fill
+        X, y = separable_dataset(seed=13, n_per_class=25, d=27)
+        X[:, 3] = 0.0
+        config = SvmConfig(C=1.0, epochs=40, seed=5)
+        got, expected = train_svm(X, y, config), reference_train_svm(X, y, config)
+        assert float_bits(got.w) == float_bits(expected.w)
+        assert float_bits(got.objective_by_epoch) == float_bits(expected.objective_by_epoch)
+
     def test_separable_fixture_margins(self):
         X, y = separable_dataset(seed=7)
         model = train_svm(X, y, SvmConfig(epochs=80, seed=1))
@@ -613,8 +696,6 @@ class TestSvm:
     def test_predict_proba_matches_hand_sigmoid(self):
         model_x = np.array([0.5, -1.5])
         scaler = PlattScaler(A=-2.0, B=0.25)
-        from baitline.classical.svm import SvmModel
-
         model = SvmModel(w=np.array([1.0, 2.0]), b=0.5, C=1.0, calibrator=scaler)
         decision = model_x @ model.w + model.b
         expected = 1.0 / (1.0 + math.exp(-2.0 * decision + 0.25))

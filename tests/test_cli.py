@@ -693,6 +693,33 @@ class TestConfigFile:
         assert repr(option) in capsys.readouterr().err
 
     @pytest.mark.parametrize("family, option, value",
+                             [("svm", "C", "0"), ("svm", "C", "inf"), ("svm", "C", "-1"),
+                              ("svm", "C", "nan"), ("svm", "epochs", "-2"),
+                              ("rf", "n_estimators", "0")])
+    def test_out_of_range_value_exit_3(self, tmp_path, corpus_path, capsys, family, option,
+                                       value):
+        config_file = tmp_path / "run.ini"
+        config_file.write_text(f"[{family}]\n{option} = {value}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run([
+            "train", "--model", family, "--corpus", corpus_path, "--out", str(tmp_path / "run"),
+            "--profile", "desk", "--config", str(config_file),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert f"{config_file}: [{family}] {option} = {value!r} is out of range" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("family", ["svm", "contrastive"])
+    def test_negative_epochs_flag_exit_3(self, tmp_path, corpus_path, capsys, family):
+        capsys.readouterr()
+        assert run([
+            "train", "--model", family, "--corpus", corpus_path, "--out", str(tmp_path / "run"),
+            "--profile", "desk", "--epochs", "-2",
+        ]) == 3
+        assert "--epochs -2 is out of range" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("family, option, value",
                              [("rf", "n_estimators", "abc"), ("svm", "epochs", "1.5")])
     def test_unconvertible_value_exit_3(self, tmp_path, corpus_path, capsys, family, option,
                                         value):

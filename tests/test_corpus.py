@@ -17,7 +17,7 @@ from baitline.corpus import (
     save_corpus,
     split_by_source,
 )
-from baitline.synthetic import generate_topic_pair_corpus
+from synthetic import generate_topic_pair_corpus
 
 CB = Label.CLICKBAIT
 NCB = Label.NON_CLICKBAIT

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,6 @@ from baitline.features import (
     HeuristicTagger,
     N_FEATURES,
     POS_TAGS,
-    StubTagger,
     cl_score,
     export_features,
     extract_features,
@@ -22,10 +23,28 @@ from baitline.features import (
     rix,
     Standardizer,
 )
-from baitline.features import _ADJ_SUFFIXES, _NOUN_SUFFIXES, _VERB_SUFFIXES
+from baitline.features import (
+    _ADJ_SUFFIXES,
+    _CLOSED_CLASS_LEXICONS,
+    _NOUN_SUFFIXES,
+    _VERB_SUFFIXES,
+)
 from baitline.textproc import tokenize
+from synthetic import generate_topic_pair_corpus
 
 TWO_SENTENCE = "ana are mere. mihai cumpara portocale delicioase."
+
+
+class StubTagger:
+    """Constant-tag tagger for pipeline plumbing checks."""
+
+    def __init__(self, tag: str = "NOUN"):
+        if tag not in POS_TAGS:
+            raise ValueError(f"unknown tag {tag!r}")
+        self.constant = tag
+
+    def tag(self, doc):
+        return [self.constant] * len(doc.tokens)
 
 
 class TestReadability:
@@ -154,6 +173,15 @@ class TestHeuristicTagger:
         tags = tagger.tag(tokenize("Situația pare grea. situația continuă."))
         assert tags[0] == "NOUN"  # lowercase variant later in the doc
 
+    def test_mixed_case_token_is_a_lowercase_variant(self):
+        tagger = HeuristicTagger()
+        # "aȘ" and "ǅa" do not start capitalized and lowercase to "aș" and "ǆa"
+        assert tagger.tag(tokenize("Aș vine. aȘ pleacă."))[0] == "NOUN"
+        assert tagger.tag(tokenize("Ǆa vine. ǅa pleacă."))[0] == "NOUN"
+        assert tagger.tag(tokenize("Aș vine. ǅa pleacă."))[0] == "PROPN"
+        # "ϒa" lowercases to itself, which is capitalized: no lowercase variant
+        assert tagger.tag(tokenize("ϒa vine. ϒa pleacă."))[0] == "PROPN"
+
     def test_capitalized_non_initial_is_proper(self):
         tagger = HeuristicTagger()
         tags = tagger.tag(tokenize("azi vine Vlad"))
@@ -235,8 +263,6 @@ class TestExtractFeatures:
         assert rix1 == pytest.approx(3.0)
 
     def test_counts_non_negative_and_finite(self):
-        from baitline.synthetic import generate_topic_pair_corpus
-
         corpus = generate_topic_pair_corpus(30, seed=8)
         matrix = feature_matrix(corpus.articles)
         assert np.all(np.isfinite(matrix))
@@ -255,13 +281,18 @@ class TestExtractFeatures:
 
 
 # Words for drawn articles: diacritics, closed-class entries, suffix-rule
-# words, digits, letter-digit mixtures, non-Latin letters, and tokens that are
-# not words ("½", "_") or are digit words ("²", "³¹").
+# words, digits, letter-digit mixtures, non-Latin letters, tokens that are
+# not words ("½", "_") or are digit words ("²", "³¹"), and tokens whose case
+# mapping is unusual: mixed-case tokens that do not start capitalized ("aȘ",
+# "ǅa"), titlecase ǅ, final sigma ("aΣ" lowercases to "aς"), İ, which
+# lowercases to two characters, and ϒ, an uppercase letter with no lowercase.
 LETTER_WORDS = ["ana", "situația", "ce", "de", "cine", "în", "frumoasă", "lucrează",
-                "ștefan", "țară", "mâine", "oraș", "esc", "tor", "os", "Ωμέγα", "жена", "字"]
-OTHER_WORDS = ["2024", "x2", "½", "²", "³¹", "a_b", "_", "covid19", "4b", "a½", "b²c", "ж7"]
+                "ștefan", "țară", "mâine", "oraș", "esc", "tor", "os", "Ωμέγα", "жена", "字",
+                "aș", "aς", "ǆa", "ϒa"]
+OTHER_WORDS = ["2024", "x2", "½", "²", "³¹", "a_b", "_", "covid19", "4b", "a½", "b²c", "ж7",
+               "aȘ", "aΣ", "ǅa", "aǅ", "İa", "i̇a"]
 word = st.sampled_from(LETTER_WORDS + OTHER_WORDS) | st.text(
-    alphabet="aăâîșțbcdeÎȘȚ0123½²³¹_αΩжЖ字", min_size=1, max_size=8)
+    alphabet="aăâîșțbcdeÎȘȚ0123½²³¹_αΩжЖ字ǅΣςİ", min_size=1, max_size=8)
 
 
 def cased(words):
@@ -281,14 +312,25 @@ sentence = st.builds(
 )
 text = st.lists(sentence, min_size=1, max_size=5).map(" ".join)
 
+# Spellings of a few words, tried in every pair below, so that a capitalized
+# sentence opener meets each lowercase variant of itself and each near miss.
+CASE_VARIANTS = ["aș", "aȘ", "Aș", "AȘ", "ǆa", "ǅa", "Ǆa", "aς", "aΣ", "Aς", "ΑΣ", "ϒa",
+                 "i̇a", "İa", "aȘ½", "Aș½", "ana", "Ana", "Ce", "ce"]
+
 
 def reference_tags(doc):
     """The tagger's rules applied token by token, with no memo."""
     def is_word(token):
         return any(c.isalpha() or c.isdigit() for c in token)
 
+    def closed_class(lower):
+        for tag, words in _CLOSED_CLASS_LEXICONS:  # rule order: the first listing wins
+            if lower in words:
+                return tag
+        return None
+
     def lexical(lower):
-        closed = HeuristicTagger._closed_class(lower)
+        closed = closed_class(lower)
         if closed is not None:
             return closed, True
         for tag, suffixes in (("VERB", _VERB_SUFFIXES), ("NOUN", _NOUN_SUFFIXES),
@@ -350,6 +392,13 @@ class TestFeatureMatrixMemo:
             assert rix(doc) == n_long / n_sentences
             assert cl_score(doc) == (0.0588 * (100.0 * n_letters / n_words)
                                      - 0.296 * (100.0 * n_sentences / n_words) - 15.8)
+
+    def test_case_variant_pairs_follow_reference_rules(self):
+        tagger = HeuristicTagger()  # one instance, so its memo is in play
+        for opener, other in itertools.product(CASE_VARIANTS, repeat=2):
+            # each word opens one sentence, after punctuation in the second
+            doc = tokenize(f"{opener} {other}. - {other} {opener}.")
+            assert tagger.tag(doc) == reference_tags(doc), (opener, other)
 
     def test_capitalized_tag_does_not_leak_across_articles(self):
         # "Zorel" opens a sentence in both articles; only the second also has

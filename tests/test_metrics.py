@@ -6,7 +6,6 @@ import pytest
 from baitline.corpus import Label
 from baitline.metrics import (
     PredictionRow,
-    average_precision,
     chi2_sf,
     confusion_counts,
     evaluate,
@@ -163,10 +162,6 @@ class TestPrCurve:
     def test_no_positives_rejected(self):
         with pytest.raises(ValueError):
             pr_curve([0.5, 0.4], [NCB, NCB])
-
-    def test_average_precision_shortcut(self):
-        golds = [CB, NCB]
-        assert average_precision([0.9, 0.1], golds) == 1.0
 
 
 class TestMcNemar:

@@ -22,9 +22,10 @@ from baitline.neural.siamese import (
     train_contrastive,
 )
 from baitline.neural.trainer import tokenize_sides
-from baitline.synthetic import generate_class_marked_corpus, generate_topic_pair_corpus
-from baitline.tensor import Tensor, check_gradients, embedding_lookup, max_pool_over_time
+from baitline.tensor import Tensor, embedding_lookup, max_pool_over_time
 from baitline.textproc import build_vocab, tokenize
+from gradcheck import check_gradients
+from synthetic import generate_class_marked_corpus, generate_topic_pair_corpus
 
 CB = Label.CLICKBAIT
 NCB = Label.NON_CLICKBAIT

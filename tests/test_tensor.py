@@ -8,7 +8,6 @@ from baitline.tensor import (
     add,
     backward,
     bilstm_sequence,
-    check_gradients,
     concat,
     cosine_similarity,
     cross_entropy,
@@ -32,10 +31,10 @@ from baitline.tensor import (
     sub,
     tanh,
     tmean,
-    tsum,
 )
 from baitline.tensor.core import _scatter_rows
 from baitline.tensor.optim import GraphOptimizer, OptimizerState
+from gradcheck import check_gradients, tsum
 
 
 class TestForwardExamples:

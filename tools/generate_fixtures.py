@@ -1,6 +1,6 @@
 """Regenerate the fixture files shipped under tests/data/.
 
-Run from the repository root:  python3 tools/generate_fixtures.py
+Run from the repository root:  PYTHONPATH=src python3 tools/generate_fixtures.py
 
 Outputs:
   tests/data/synthetic60.jsonl        60-article topic-pair corpus
@@ -17,15 +17,19 @@ tests/test_metrics.py assert against.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from baitline.corpus import Label, save_corpus
 from baitline.metrics import PredictionRow, save_predictions
-from baitline.synthetic import generate_topic_pair_corpus
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
+TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
+DATA_DIR = TESTS_DIR / "data"
+
+sys.path.insert(0, str(TESTS_DIR))  # the synthetic corpus generator lives with the tests
+from synthetic import generate_topic_pair_corpus  # noqa: E402
 
 
 def write_synthetic60() -> None:
