@@ -10,7 +10,6 @@ Every command writes a resolved-config snapshot beside its outputs; the
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -176,7 +175,7 @@ def _resolve_model_config(args, family: str):
     if args.seed is not None:
         flag_overrides["seed"] = args.seed
     elif "seed" not in file_overrides:
-        flag_overrides["seed"] = int(os.environ.get(cfg.SEED_ENV_VAR, "0"))
+        flag_overrides["seed"] = cfg.seed_from_env()
     if args.epochs is not None:
         flag_overrides["epochs"] = args.epochs
     return cfg.build_model_config(family, args.profile, file_overrides, flag_overrides, args.config)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+import os
 from pathlib import Path
 
 from .registry import FAMILIES
@@ -22,9 +23,18 @@ PROFILES = ("full", "desk")
 
 # Options with a bounded range, whatever the family: (test, what the value must be)
 _RANGES = {
-    "epochs": (lambda v: v >= 0, ">= 0"),
-    "n_estimators": (lambda v: v >= 1, ">= 1"),
-    "C": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    **dict.fromkeys(("epochs", "seed"), (lambda v: v >= 0, ">= 0")),
+    **dict.fromkeys(
+        ("n_estimators", "batch_size", "n_layers", "title_vocab_size", "content_vocab_size",
+         "vocab_size", "title_max_len", "content_max_len", "max_len", "embed_dim",
+         "title_units", "content_units", "dense1", "dense2", "dense", "out_dim", "encoder_dim"),
+        (lambda v: v >= 1, ">= 1"),
+    ),
+    **dict.fromkeys(("C", "learning_rate"), (lambda v: 0.0 < v < math.inf, "finite and > 0")),
+    "dropout_rate": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "weight_decay": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    **dict.fromkeys(("margin", "threshold"), (math.isfinite, "finite")),
+    "max_features": (lambda v: v in ("sqrt", "all"), "sqrt or all"),
 }
 
 
@@ -52,13 +62,26 @@ def build_model_config(
             if key not in values:
                 raise ValueError(f"unknown {family} option {key!r}")
             where = f"{config_file}: [{family}] {key} = {value!r}" if from_file else f"--{key} {value}"
-            try:
-                values[key] = _coerce(value, values[key])
-            except ValueError:
-                raise ValueError(f"{where} is not a valid {type(values[key]).__name__}") from None
-            if key in _RANGES and not _RANGES[key][0](values[key]):
-                raise ValueError(f"{where} is out of range: {key} must be {_RANGES[key][1]}")
+            values[key] = _checked(where, key, value, values[key])
     return cls(**values)
+
+
+def seed_from_env() -> int:
+    """The default seed: ``BAITLINE_SEED``, or 0 when it is unset."""
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    return _checked(f"{SEED_ENV_VAR}={raw!r}", "seed", raw, 0)
+
+
+def _checked(where: str, key: str, value, template):
+    """``value`` coerced to ``template``'s type and range-checked; errors
+    begin with ``where``, the place the value came from."""
+    try:
+        value = _coerce(value, template)
+    except ValueError:
+        raise ValueError(f"{where} is not a valid {type(template).__name__}") from None
+    if key in _RANGES and not _RANGES[key][0](value):
+        raise ValueError(f"{where} is out of range: {key} must be {_RANGES[key][1]}")
+    return value
 
 
 def _coerce(value, template):

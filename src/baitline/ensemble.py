@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Label
+from .tensor.checkpoint import is_finite_number
 
 
 @dataclass(frozen=True)
@@ -20,10 +22,12 @@ class EnsembleConfig:
             raise ValueError(
                 f"{len(self.model_ids)} models but {len(self.weights)} weights"
             )
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
+        if not all(0.0 <= w < math.inf for w in self.weights):
+            raise ValueError(f"weights must be finite and non-negative, got {self.weights}")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
 
     def save(self, path) -> None:
         payload = {
@@ -36,17 +40,24 @@ class EnsembleConfig:
 
     @classmethod
     def load(cls, path) -> "EnsembleConfig":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        """The config in JSON file ``path``; any defect raises ValueError naming it."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: not a JSON ensemble config: {exc}") from None
         weights = payload.get("weights") if isinstance(payload, dict) else None
         if not isinstance(weights, dict):
             raise ValueError(f'{path}: ensemble config needs a "weights" object')
-        items = list(weights.items())
-        return cls(
-            model_ids=tuple(k for k, _ in items),
-            weights=tuple(float(v) for _, v in items),
-            threshold=float(payload.get("threshold", 0.5)),
-        )
+        threshold = payload.get("threshold", 0.5)
+        for what, value in [*((f"weight {k!r}", v) for k, v in weights.items()),
+                            ("threshold", threshold)]:
+            if not is_finite_number(value):
+                raise ValueError(f"{path}: {what} must be a finite number, got {value!r}")
+        try:
+            return cls(tuple(weights), tuple(float(v) for v in weights.values()), float(threshold))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def fit_weights(

@@ -277,12 +277,18 @@ def load_predictions(path) -> list[PredictionRow]:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
+            try:
+                score = float(parts[3])
+            except ValueError:
+                score = math.nan
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"{path}:{line_no}: score {parts[3]!r} is not a number in [0, 1]")
             rows.append(
                 PredictionRow(
                     id=parts[0],
                     gold=None if parts[1] == _NO_GOLD else Label.from_string(parts[1]),
                     pred=Label.from_string(parts[2]),
-                    score=float(parts[3]),
+                    score=score,
                 )
             )
     return rows

@@ -57,7 +57,7 @@ class PooledTextEncoder:
         self.ctx_w = uniform_param(rng, (embed_dim, out_dim))
         self.proj_b = uniform_param(rng, (out_dim,))
 
-    def params(self, prefix: str = "encoder") -> dict[str, Tensor]:
+    def params(self, prefix: str) -> dict[str, Tensor]:
         return {
             f"{prefix}.embedding": self.embedding,
             f"{prefix}.proj_w": self.proj_w,

@@ -1,14 +1,12 @@
-"""Classification head over a pluggable sequence encoder.
+"""Classification head over the pooled text encoder.
 
 The input is the title and content joined into one sequence by a reserved
-separator id, mirroring single-sequence fine-tuning setups.  Any encoder
-exposing ``encode(ids, mask) -> Tensor`` and ``params()`` plugs in; the
-default is the toolkit's own pooled text encoder.
+separator id, mirroring single-sequence fine-tuning setups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +14,7 @@ from ..corpus import Corpus
 from ..tensor import Tensor, cross_entropy, dropout, relu, softmax
 from ..textproc import Vocabulary, build_vocab, encode_ids
 from .encoder import PooledTextEncoder, uniform_param
-from .trainer import NeuralBundle, stack_encoded, tokenize_sides, trim_padding
+from .trainer import NeuralBundle, stack_encoded, trim_padding
 
 
 @dataclass
@@ -44,24 +42,35 @@ def join_with_separator(
     return encode_ids(list(title_ids) + [sep] + list(content_ids), max_len)
 
 
-class EncoderHead:
-    """Dropout -> dense -> softmax classifier on encoder summary vectors."""
+class EncoderHead(NeuralBundle):
+    """Pooled text encoder -> dropout -> dense -> softmax over the two classes."""
 
-    def __init__(self, encoder, in_dim: int, config: EncoderHeadConfig, rng: np.random.Generator | None):
-        self.encoder = encoder
+    family = "encoder-head"
+    config_type = EncoderHeadConfig
+    vocab_files = {"vocab.txt": "vocab"}
+
+    def __init__(self, config: EncoderHeadConfig, rng: np.random.Generator | None, vocab: Vocabulary):
         self.config = config
-        self.dense_w = uniform_param(rng, (in_dim, config.dense))
+        self.vocab = vocab
+        self.train_losses: list[float] = []
+        self.encoder = PooledTextEncoder(vocab.size, config.vocab_size + 2, config.embed_dim,
+                                         config.encoder_dim, rng)
+        self.dense_w = uniform_param(rng, (config.encoder_dim, config.dense))
         self.dense_b = uniform_param(rng, (config.dense,))
         self.out_w = uniform_param(rng, (config.dense, 2))
         self.out_b = uniform_param(rng, (2,))
 
+    @staticmethod
+    def vocabularies(config: EncoderHeadConfig, title_docs, content_docs) -> dict[str, Vocabulary]:
+        return {"vocab": build_vocab(title_docs + content_docs, config.vocab_size,
+                                     include_separator=True)}
+
     def params(self) -> dict[str, Tensor]:
-        out = dict(self.encoder.params(prefix="encoder"))
-        out.update({
+        return {
+            **self.encoder.params(prefix="encoder"),
             "head.dense_w": self.dense_w, "head.dense_b": self.dense_b,
             "head.out_w": self.out_w, "head.out_b": self.out_b,
-        })
-        return out
+        }
 
     def forward(
         self,
@@ -75,28 +84,6 @@ class EncoderHead:
         h = relu(x @ self.dense_w + self.dense_b)
         return softmax(h @ self.out_w + self.out_b, axis=-1)
 
-
-@dataclass
-class EncoderHeadBundle(NeuralBundle):
-    head: EncoderHead
-    vocab: Vocabulary
-    config: EncoderHeadConfig
-    train_losses: list[float] = field(default_factory=list)
-
-    family = "encoder-head"
-    config_type = EncoderHeadConfig
-    vocab_files = {"vocab.txt": "vocab"}
-
-    @classmethod
-    def build(cls, config: EncoderHeadConfig, rng: np.random.Generator | None,
-              vocab: Vocabulary) -> "EncoderHeadBundle":
-        encoder = PooledTextEncoder(vocab.size, config.vocab_size + 2, config.embed_dim,
-                                    config.encoder_dim, rng)
-        return cls(EncoderHead(encoder, config.encoder_dim, config, rng), vocab, config)
-
-    def params(self) -> dict[str, Tensor]:
-        return self.head.params()
-
     def encode_docs(self, articles, title_docs, content_docs) -> tuple[np.ndarray, ...]:
         id_for = self.vocab.id_for
         return stack_encoded([
@@ -106,20 +93,13 @@ class EncoderHeadBundle(NeuralBundle):
         ])
 
     def batch_loss(self, arrays, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
-        return cross_entropy(self.head.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])
+        return cross_entropy(self.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])
 
     def batch_scores(self, ids, mask) -> np.ndarray:
-        return self.head.forward(*trim_padding(ids, mask)).data[:, 0]
+        return self.forward(*trim_padding(ids, mask)).data[:, 0]
 
 
-def train_encoder_head(corpus: Corpus, config: EncoderHeadConfig | None = None) -> EncoderHeadBundle:
-    """Cross-entropy training with AdamW (decoupled weight decay)."""
-    if config is None:
-        config = EncoderHeadConfig()
-    labels = corpus.training_labels()
-    rng = np.random.default_rng(config.seed)
-    title_docs, content_docs = tokenize_sides(corpus.articles)
-    vocab = build_vocab(title_docs + content_docs, config.vocab_size, include_separator=True)
-    bundle = EncoderHeadBundle.build(config, rng, vocab=vocab)
-    return bundle.fit(bundle.encode_docs(corpus.articles, title_docs, content_docs), labels, rng,
-                      weight_decay=config.weight_decay, decoupled=True)
+def train_encoder_head(corpus: Corpus, config: EncoderHeadConfig) -> EncoderHead:
+    """Cross-entropy training with AdamW at the config's ``weight_decay``
+    (plain Adam at 0)."""
+    return EncoderHead.train(corpus, config)

@@ -8,7 +8,7 @@ the two classes.  Padded time steps carry hidden state through unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +26,8 @@ from ..tensor import (
     softmax,
 )
 from ..textproc import Vocabulary, build_vocab, encode
-from .embeddings import load_pretrained_embeddings
 from .encoder import embedding_table, uniform_param
-from .trainer import NeuralBundle, stack_encoded, tokenize_sides, trim_padding
+from .trainer import NeuralBundle, stack_encoded, trim_padding
 
 
 @dataclass
@@ -51,45 +50,30 @@ class BiLstmConfig:
     embedding_file: str | None = None  # optional pretrained word vectors
 
 
-class BiLstmLayer:
-    """A bidirectional layer: per direction (``fwd``, then ``bwd``) the input
-    weights W, the recurrent weights U and the bias b."""
-
-    def __init__(self, name: str, in_dim: int, units: int, rng: np.random.Generator | None):
-        shapes = {"W": (in_dim, 4 * units), "U": (units, 4 * units), "b": (4 * units,)}
-        self.weights = {f"{name}.{side}.{key}": uniform_param(rng, shape)
-                        for side in ("fwd", "bwd") for key, shape in shapes.items()}
-
-    def params(self) -> dict[str, Tensor]:
-        return dict(self.weights)
-
-    def run(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        """(B, T, in_dim) -> (B, T, 2 * units): forward then backward states."""
-        weights = list(self.weights.values())
-        return bilstm_sequence(x, weights[:3], weights[3:], mask)
-
-
 class BiLstmBranch:
     """Embedding table + stacked bidirectional layers + masked global max pool.
 
     The table has ``rows`` rows, one per vocabulary id; see ``embedding_table``
-    for ``cap_rows``.
+    for ``cap_rows``.  Each layer holds, per direction (``fwd``, then
+    ``bwd``), the input weights W, the recurrent weights U and the bias b.
     """
 
     def __init__(self, name: str, rows: int, cap_rows: int, embed_dim: int, units: int,
                  n_layers: int, rng: np.random.Generator | None):
         self.name = name
         self.embedding = embedding_table(rng, rows, cap_rows, embed_dim)
-        self.layers = []
+        self.layers: list[dict[str, Tensor]] = []
         in_dim = embed_dim
         for i in range(n_layers):
-            self.layers.append(BiLstmLayer(f"{name}.layer{i}", in_dim, units, rng))
+            shapes = {"W": (in_dim, 4 * units), "U": (units, 4 * units), "b": (4 * units,)}
+            self.layers.append({f"{name}.layer{i}.{side}.{key}": uniform_param(rng, shape)
+                                for side in ("fwd", "bwd") for key, shape in shapes.items()})
             in_dim = 2 * units
 
     def params(self) -> dict[str, Tensor]:
         out = {f"{self.name}.embedding": self.embedding}
         for layer in self.layers:
-            out.update(layer.params())
+            out.update(layer)
         return out
 
     def run(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -98,23 +82,31 @@ class BiLstmBranch:
         ids, mask = trim_padding(ids, mask)
         x = embedding_lookup(self.embedding, ids, mask)
         for layer in self.layers:
-            x = layer.run(x, mask)
+            weights = list(layer.values())
+            x = bilstm_sequence(x, weights[:3], weights[3:], mask)
         return max_pool_over_time(x, mask)
 
 
-class BiLstmClassifier:
-    """Title and content branches with ``title_rows`` and ``content_rows``
-    embedding rows, one per id of the branch's vocabulary."""
+class BiLstmClassifier(NeuralBundle):
+    """Title and content branches, each with one embedding row per id of its
+    vocabulary, and the dense head over their pooled vectors."""
 
-    def __init__(self, config: BiLstmConfig, title_rows: int, content_rows: int,
-                 rng: np.random.Generator | None):
+    family = "bilstm"
+    config_type = BiLstmConfig
+    vocab_files = {"vocab_title.txt": "title_vocab", "vocab_content.txt": "content_vocab"}
+
+    def __init__(self, config: BiLstmConfig, rng: np.random.Generator | None,
+                 title_vocab: Vocabulary, content_vocab: Vocabulary):
         self.config = config
+        self.title_vocab = title_vocab
+        self.content_vocab = content_vocab
+        self.train_losses: list[float] = []
         self.title_branch = BiLstmBranch(
-            "title", title_rows, config.title_vocab_size + 2, config.embed_dim,
+            "title", title_vocab.size, config.title_vocab_size + 2, config.embed_dim,
             config.title_units, config.n_layers, rng,
         )
         self.content_branch = BiLstmBranch(
-            "content", content_rows, config.content_vocab_size + 2, config.embed_dim,
+            "content", content_vocab.size, config.content_vocab_size + 2, config.embed_dim,
             config.content_units, config.n_layers, rng,
         )
         concat_dim = 2 * config.title_units + 2 * config.content_units
@@ -124,6 +116,15 @@ class BiLstmClassifier:
         self.dense2_b = uniform_param(rng, (config.dense2,))
         self.out_w = uniform_param(rng, (config.dense2, 2))
         self.out_b = uniform_param(rng, (2,))
+
+    @staticmethod
+    def vocabularies(config: BiLstmConfig, title_docs, content_docs) -> dict[str, Vocabulary]:
+        return {"title_vocab": build_vocab(title_docs, config.title_vocab_size),
+                "content_vocab": build_vocab(content_docs, config.content_vocab_size)}
+
+    def embedding_tables(self):
+        return ((self.title_vocab, self.title_branch.embedding),
+                (self.content_vocab, self.content_branch.embedding))
 
     def params(self) -> dict[str, Tensor]:
         out = {**self.title_branch.params(), **self.content_branch.params()}
@@ -152,28 +153,6 @@ class BiLstmClassifier:
         h2 = dropout(relu(h1 @ self.dense2_w + self.dense2_b), rate, train, rng)
         return softmax(h2 @ self.out_w + self.out_b, axis=-1)
 
-
-@dataclass
-class BiLstmBundle(NeuralBundle):
-    model: BiLstmClassifier
-    title_vocab: Vocabulary
-    content_vocab: Vocabulary
-    config: BiLstmConfig
-    train_losses: list[float] = field(default_factory=list)
-
-    family = "bilstm"
-    config_type = BiLstmConfig
-    vocab_files = {"vocab_title.txt": "title_vocab", "vocab_content.txt": "content_vocab"}
-
-    @classmethod
-    def build(cls, config: BiLstmConfig, rng: np.random.Generator | None,
-              title_vocab: Vocabulary, content_vocab: Vocabulary) -> "BiLstmBundle":
-        model = BiLstmClassifier(config, title_vocab.size, content_vocab.size, rng)
-        return cls(model, title_vocab, content_vocab, config)
-
-    def params(self) -> dict[str, Tensor]:
-        return self.model.params()
-
     def encode_docs(self, articles, title_docs, content_docs) -> tuple[np.ndarray, ...]:
         cfg = self.config
         return (
@@ -182,26 +161,12 @@ class BiLstmBundle(NeuralBundle):
         )
 
     def batch_loss(self, arrays, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
-        return cross_entropy(self.model.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])
+        return cross_entropy(self.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])
 
     def batch_scores(self, *arrays) -> np.ndarray:
-        return self.model.forward(*arrays).data[:, 0]
+        return self.forward(*arrays).data[:, 0]
 
 
-def train_bilstm(corpus: Corpus, config: BiLstmConfig | None = None) -> BiLstmBundle:
+def train_bilstm(corpus: Corpus, config: BiLstmConfig) -> BiLstmClassifier:
     """Cross-entropy training with Adam; bit-reproducible under a fixed seed."""
-    if config is None:
-        config = BiLstmConfig()
-    labels = corpus.training_labels()
-    rng = np.random.default_rng(config.seed)
-    title_docs, content_docs = tokenize_sides(corpus.articles)
-    bundle = BiLstmBundle.build(
-        config, rng,
-        title_vocab=build_vocab(title_docs, config.title_vocab_size),
-        content_vocab=build_vocab(content_docs, config.content_vocab_size),
-    )
-    if config.embedding_file:
-        for vocab, branch in ((bundle.title_vocab, bundle.model.title_branch),
-                              (bundle.content_vocab, bundle.model.content_branch)):
-            load_pretrained_embeddings(config.embedding_file, vocab, branch.embedding.data)
-    return bundle.fit(bundle.encode_docs(corpus.articles, title_docs, content_docs), labels, rng)
+    return BiLstmClassifier.train(corpus, config)

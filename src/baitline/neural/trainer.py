@@ -1,5 +1,5 @@
-"""What the neural families share: tokenization, the minibatch trainer,
-batched scoring, and the model directory.
+"""What the neural families share: tokenization, the train path and its
+minibatch loop, batched scoring, and the model directory.
 
 A model directory holds ``model.tensors``, ``model_meta.json`` (family,
 config, per-epoch losses) and the vocabulary files.  Loading is strict: the
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..corpus import Label, argmax_predictions
+from ..corpus import Corpus, Label, argmax_predictions
 from ..tensor import GraphOptimizer, Tensor, backward, no_grad
 from ..tensor.checkpoint import (
     CheckpointVersionError,
@@ -26,6 +26,7 @@ from ..tensor.checkpoint import (
     stored_config,
 )
 from ..textproc import TokenizedDoc, load_vocab, normalize, save_vocab, tokenize
+from .embeddings import load_pretrained_embeddings
 
 PREDICT_BATCH = 64
 
@@ -65,29 +66,47 @@ def load_params_strict(path, params: dict[str, Tensor]) -> None:
 
 
 class NeuralBundle:
-    """A neural model with its vocabularies, config and per-epoch losses.
+    """A neural model family: its weights, vocabularies, config and per-epoch
+    losses.
 
-    Subclasses are dataclasses with ``config`` and ``train_losses`` fields.
-    They set ``family``, ``config_type`` and ``vocab_files`` (file name ->
-    vocabulary field) and implement ``build(config, rng, **vocabs)`` (each
-    embedding table gets one row per id of its vocabulary; with ``rng`` None
-    the parameters start at zero, ready to be loaded),
+    Subclasses set ``family``, ``config_type`` and ``vocab_files`` (file name
+    -> vocabulary attribute) and implement ``__init__(config, rng, **vocabs)``
+    (each embedding table gets one row per id of its vocabulary; with ``rng``
+    None the parameters start at zero, ready to be loaded), the static
+    ``vocabularies(config, title_docs, content_docs)`` (the ``vocabs``),
     ``params()``, ``encode_docs(articles, title_docs, content_docs)`` (row-
     aligned arrays; ``articles`` only names an article in errors),
-    ``batch_loss(arrays, labels, rng)`` and ``batch_scores(*arrays)``.
+    ``batch_loss(arrays, labels, rng)`` and ``batch_scores(*arrays)``.  A
+    family whose config has ``embedding_file`` also implements
+    ``embedding_tables()``: (vocabulary, table) pairs for pretrained vectors.
     """
+
+    @classmethod
+    def train(cls, corpus: Corpus, config):
+        """A model built and fitted on ``corpus``; bit-reproducible under a
+        fixed ``config.seed``, and freshly initialized with ``epochs`` 0."""
+        labels = corpus.training_labels()
+        rng = np.random.default_rng(config.seed)
+        title_docs, content_docs = tokenize_sides(corpus.articles)
+        bundle = cls(config, rng, **cls.vocabularies(config, title_docs, content_docs))
+        if getattr(config, "embedding_file", None):
+            for vocab, table in bundle.embedding_tables():
+                load_pretrained_embeddings(config.embedding_file, vocab, table.data)
+        return bundle.fit(bundle.encode_docs(corpus.articles, title_docs, content_docs), labels, rng)
 
     def encode_articles(self, articles) -> tuple[np.ndarray, ...]:
         return self.encode_docs(articles, *tokenize_sides(articles))
 
-    def fit(self, arrays, labels: np.ndarray, rng: np.random.Generator, **optimizer_options):
+    def fit(self, arrays, labels: np.ndarray, rng: np.random.Generator):
         """Minibatch training in place; returns the bundle.
 
         Each epoch draws one permutation from ``rng``, takes one optimizer
-        step per ``batch_size`` slice of it and logs the mean batch loss.
+        step per ``batch_size`` slice of it and logs the mean batch loss.  The
+        optimizer is AdamW when the config sets a ``weight_decay``, else Adam.
         """
         config = self.config
-        optimizer = GraphOptimizer(self.params(), lr=config.learning_rate, **optimizer_options)
+        optimizer = GraphOptimizer(self.params(), config.learning_rate,
+                                   getattr(config, "weight_decay", 0.0))
         for _ in range(config.epochs):
             order = rng.permutation(len(labels))
             epoch_loss = 0.0
@@ -138,7 +157,7 @@ class NeuralBundle:
             raise CheckpointVersionError(f"{meta_path}: expected a {cls.family!r} model, got {family!r}")
         config = stored_config(meta_path, cls.config_type, meta.get("config"))
         vocabs = {field: load_vocab(model_dir / name) for name, field in cls.vocab_files.items()}
-        bundle = cls.build(config, None, **vocabs)
+        bundle = cls(config, None, **vocabs)
         load_params_strict(model_dir / "model.tensors", bundle.params())
         bundle.train_losses = list(meta.get("train_losses", []))
         return bundle

@@ -61,18 +61,6 @@ def _saved(bundle, out_dir: Path) -> list[float]:
     return bundle.train_losses
 
 
-def _train_bilstm(corpus: Corpus, config, out_dir: Path) -> list[float]:
-    return _saved(lstm.train_bilstm(corpus, config), out_dir)
-
-
-def _train_contrastive(corpus: Corpus, config, out_dir: Path) -> list[float]:
-    return _saved(siamese.train_contrastive(corpus, config), out_dir)
-
-
-def _train_encoder_head(corpus: Corpus, config, out_dir: Path) -> list[float]:
-    return _saved(heads.train_encoder_head(corpus, config), out_dir)
-
-
 def _predict_neural(bundle_type, model_dir: Path, corpus: Corpus):
     return bundle_type.load(model_dir).predictions(corpus.articles)
 
@@ -104,7 +92,8 @@ FAMILIES: dict[str, ModelFamily] = {
             "title_max_len": 12,
             "content_max_len": 32,
         },
-        _train_bilstm, partial(_predict_neural, lstm.BiLstmBundle),
+        lambda corpus, config, out_dir: _saved(lstm.train_bilstm(corpus, config), out_dir),
+        partial(_predict_neural, lstm.BiLstmClassifier),
     ),
     "contrastive": ModelFamily(
         siamese.SiameseConfig,
@@ -117,7 +106,8 @@ FAMILIES: dict[str, ModelFamily] = {
             "learning_rate": 0.02,
             "max_len": 48,
         },
-        _train_contrastive, partial(_predict_neural, siamese.SiameseBundle),
+        lambda corpus, config, out_dir: _saved(siamese.train_contrastive(corpus, config), out_dir),
+        partial(_predict_neural, siamese.SiameseEncoder),
     ),
     "encoder-head": ModelFamily(
         heads.EncoderHeadConfig,
@@ -132,6 +122,7 @@ FAMILIES: dict[str, ModelFamily] = {
             "weight_decay": 0.001,
             "max_len": 80,
         },
-        _train_encoder_head, partial(_predict_neural, heads.EncoderHeadBundle),
+        lambda corpus, config, out_dir: _saved(heads.train_encoder_head(corpus, config), out_dir),
+        partial(_predict_neural, heads.EncoderHead),
     ),
 }

@@ -16,12 +16,12 @@ import pytest
 
 from baitline.classical import RandomForestConfig, train_random_forest
 from baitline.cli import run
+from baitline.config import MODEL_FAMILIES
 from baitline.corpus import Label, cohens_kappa, corpus_stats, load_corpus, save_corpus, split_by_source
 from baitline.ensemble import EnsembleConfig, ensemble_predict, fit_weights
 from baitline.metrics import load_predictions, macro_f1, mcnemar, pr_curve, prf1
 from baitline.neural.lstm import BiLstmClassifier, BiLstmConfig
 from baitline.neural.siamese import (
-    SiameseBundle,
     SiameseConfig,
     SiameseEncoder,
     contrastive_loss_graph,
@@ -53,8 +53,9 @@ from baitline.tensor import (
 from gradcheck import check_gradients, tsum
 from synthetic import generate_topic_pair_corpus
 from test_classical import exhaustive_best_split, per_row_leaf_probs, split_alone
+from test_cli import rerun_files
 from test_metrics import brute_force_ap
-from test_neural import contrastive_loss, cosine_dissimilarity
+from test_neural import capped_vocab, contrastive_loss, cosine_dissimilarity
 
 CB = Label.CLICKBAIT
 NCB = Label.NON_CLICKBAIT
@@ -173,7 +174,7 @@ class TestAutodiffAcceptance:
 
         # full contrastive graph
         config = SiameseConfig(vocab_size=60, embed_dim=10, out_dim=6, max_len=8, seed=8)
-        encoder = SiameseEncoder(config, config.vocab_size + 2, np.random.default_rng(8))
+        encoder = SiameseEncoder(config, np.random.default_rng(8), capped_vocab(config.vocab_size))
         t_ids = rng.integers(2, 60, size=(2, 8))
         c_ids = rng.integers(2, 60, size=(2, 8))
         ones_mask = np.ones((2, 8), dtype=np.int64)
@@ -192,7 +193,7 @@ class TestAutodiffAcceptance:
             title_units=3, content_units=4, dense1=8, dense2=6,
             dropout_rate=0.0, title_max_len=4, content_max_len=6, seed=9,
         )
-        model = BiLstmClassifier(lstm_config, 32, 32, np.random.default_rng(9))
+        model = BiLstmClassifier(lstm_config, np.random.default_rng(9), capped_vocab(30), capped_vocab(30))
         bt_ids = rng.integers(0, 32, size=(2, 4))
         bc_ids = rng.integers(0, 32, size=(2, 6))
         bt_mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]])
@@ -359,7 +360,7 @@ class TestContrastiveSeparation:
         assert run(["predict", "--model-dir", str(run_dir), "--corpus", str(test_path),
                     "--out", str(preds_path)]) == 0
 
-        bundle = SiameseBundle.load(run_dir)
+        bundle = SiameseEncoder.load(run_dir)
         test = load_corpus(test_path)
         sims_cb, sims_ncb = [], []
         for art, s in zip(test, bundle.scores(test.articles)):
@@ -469,27 +470,12 @@ class TestEnsembleAcceptance:
 
 
 class TestDeterminismAcceptance:
-    def test_end_to_end_byte_identical(self, tmp_path, data_dir):
-        corpus_path = str(data_dir / "synthetic60.jsonl")
-        manifest_path = str(data_dir / "split_manifest.json")
-        outputs = []
-        for tag in ("first", "second"):
-            work = tmp_path / tag
-            work.mkdir()
-            train_path = work / "train.jsonl"
-            test_path = work / "test.jsonl"
-            assert run(["split", "--corpus", corpus_path, "--manifest", manifest_path,
-                        "--out-train", str(train_path), "--out-test", str(test_path)]) == 0
-            run_dir = work / "model"
-            assert run(["train", "--model", "contrastive", "--profile", "desk",
-                        "--corpus", str(train_path), "--out", str(run_dir),
-                        "--seed", "5", "--epochs", "8"]) == 0
-            preds_path = work / "preds.tsv"
-            assert run(["predict", "--model-dir", str(run_dir),
-                        "--corpus", str(test_path), "--out", str(preds_path)]) == 0
-            outputs.append(preds_path.read_bytes())
+    def test_end_to_end_byte_identical(self, tmp_path, monkeypatch):
+        outputs = [rerun_files(tmp_path / tag, MODEL_FAMILIES, monkeypatch)
+                   for tag in ("first", "second")]
         report_line(
             "determinism",
             outputs[0] == outputs[1],
-            f"{len(outputs[0])} byte prediction files identical across runs",
+            f"{len(outputs[0])} files from split, train and predict of "
+            f"{len(MODEL_FAMILIES)} families identical across runs",
         )

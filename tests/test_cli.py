@@ -215,9 +215,9 @@ class TestTrainPredictEval:
         run_dir = train_model(tmp_path, "contrastive", train_path, ("--epochs", "0"))
         assert (run_dir / "model.tensors").exists()
         assert (run_dir / "vocab.txt").exists()
-        from baitline.neural.siamese import SiameseBundle
+        from baitline.neural.siamese import SiameseEncoder
 
-        bundle = SiameseBundle.load(run_dir)
+        bundle = SiameseEncoder.load(run_dir)
         assert bundle.config.epochs == 0
 
     def test_svm_and_encoder_head_train(self, tmp_path, split_paths):
@@ -269,6 +269,17 @@ class TestTrainPredictEval:
         assert code == 0
         payload = json.loads((eval_dir / "report.json").read_text())
         assert payload["mcnemar_finetuned_p"] <= 0.001
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-0.5", "1.5", "abc"])
+    def test_eval_bad_score_names_file_and_line_exit_3(self, tmp_path, data_dir, capsys, score):
+        lines = (data_dir / "preds_contrastive_reference.tsv").read_text().splitlines()
+        lines[1] = "\t".join(lines[1].split("\t")[:3] + [score])
+        preds_path = tmp_path / "preds.tsv"
+        preds_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["eval", "--preds", str(preds_path), "--out-dir", str(tmp_path / "ev")]) == 3
+        assert f"{preds_path}:2: score {score!r}" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
 
     def test_predict_empty_corpus_exit_3(self, tmp_path, split_paths):
         train_path, _ = split_paths
@@ -616,8 +627,15 @@ class TestEnsembleCommands:
         ])
         assert code == 3
 
-    @pytest.mark.parametrize("payload", [{"threshold": 0.5}, {"weights": [1.0]}, [1.0]])
+    @pytest.mark.parametrize("payload", [
+        {"threshold": 0.5}, {"weights": [1.0]}, [1.0],
+        {"weights": {"contrastive": math.nan}}, {"weights": {"contrastive": "1"}},
+        {"weights": {"contrastive": 1.0}, "threshold": math.nan},
+        {"weights": {"contrastive": 1.0}, "threshold": None}, {"weights": {"contrastive": 0.5}},
+    ])
     def test_config_without_weights_object_exit_3(self, tmp_path, data_dir, capsys, payload):
+        """A config without a weights object of finite numbers summing to 1, or
+        with a threshold that is not a finite number, exits 3 naming the file."""
         config_path = tmp_path / "ensemble.json"
         config_path.write_text(json.dumps(payload), encoding="utf-8")
         reference = data_dir / "preds_contrastive_reference.tsv"
@@ -626,22 +644,57 @@ class TestEnsembleCommands:
                     "--preds", f"contrastive={reference}",
                     "--out", str(tmp_path / "out.tsv")]) == 3
         assert str(config_path) in capsys.readouterr().err
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_non_json_config_names_file_exit_3(self, tmp_path, data_dir, capsys):
+        config_path = tmp_path / "ensemble.json"
+        config_path.write_text("weights = contrastive:1\n", encoding="utf-8")
+        reference = data_dir / "preds_contrastive_reference.tsv"
+        capsys.readouterr()
+        assert run(["ensemble", "apply", "--config", str(config_path),
+                    "--preds", f"contrastive={reference}",
+                    "--out", str(tmp_path / "out.tsv")]) == 3
+        assert f"{config_path}: not a JSON ensemble config" in capsys.readouterr().err
+
+    def test_fit_nan_threshold_exit_3(self, tmp_path, data_dir, capsys):
+        reference = data_dir / "preds_contrastive_reference.tsv"
+        capsys.readouterr()
+        assert run(["ensemble", "fit", "--preds", f"contrastive={reference}",
+                    "--out", str(tmp_path / "e.json"), "--threshold", "nan"]) == 3
+        assert "threshold must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
+
+
+def rerun_files(work: Path, families, monkeypatch) -> dict[str, bytes]:
+    """Inside ``work``, with relative paths: split synthetic60, train each of
+    ``families`` at desk (seed 9; neural families with --epochs 2) and predict
+    the test side.  Returns every file written, relative path -> bytes: the
+    split, each run directory, each prediction file and its snapshot."""
+    data = Path(__file__).parent / "data"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run(["split", "--corpus", str(data / "synthetic60.jsonl"),
+                "--manifest", str(data / "split_manifest.json"),
+                "--out-train", "train.jsonl", "--out-test", "test.jsonl"]) == 0
+    for family in families:
+        epochs = ("--epochs", "2") if family in NEURAL_FAMILIES else ()
+        assert run(["train", "--model", family, "--corpus", "train.jsonl", "--out", family,
+                    "--profile", "desk", "--seed", "9", *epochs]) == 0
+        assert run(["predict", "--model-dir", family, "--corpus", "test.jsonl",
+                    "--out", f"{family}.tsv"]) == 0
+    return {path.relative_to(work).as_posix(): path.read_bytes()
+            for path in sorted(work.rglob("*")) if path.is_file()}
+
 
 class TestDeterminism:
-    def test_identical_runs_byte_identical_predictions(self, tmp_path, split_paths):
-        train_path, test_path = split_paths
-        outputs = []
-        for tag in ("one", "two"):
-            run_dir = tmp_path / f"det-{tag}"
-            assert run([
-                "train", "--model", "rf", "--corpus", train_path,
-                "--out", str(run_dir), "--profile", "desk", "--seed", "9",
-            ]) == 0
-            preds_path = tmp_path / f"preds-{tag}.tsv"
-            assert run(["predict", "--model-dir", str(run_dir), "--corpus", test_path,
-                        "--out", str(preds_path)]) == 0
-            outputs.append(preds_path.read_bytes())
-        assert outputs[0] == outputs[1]
+    @pytest.mark.parametrize("family", cfg.MODEL_FAMILIES)
+    def test_identical_runs_byte_identical_predictions(self, tmp_path, monkeypatch, family):
+        first = rerun_files(tmp_path / "one", [family], monkeypatch)
+        assert {f"{family}/training.log", f"{family}/config.ini", f"{family}.tsv"} <= first.keys()
+        second = rerun_files(tmp_path / "two", [family], monkeypatch)
+        assert first.keys() == second.keys()
+        for name, content in first.items():
+            assert content == second[name], name
 
     def test_seed_env_var_default(self, tmp_path, split_paths, monkeypatch):
         train_path, _ = split_paths
@@ -695,7 +748,18 @@ class TestConfigFile:
     @pytest.mark.parametrize("family, option, value",
                              [("svm", "C", "0"), ("svm", "C", "inf"), ("svm", "C", "-1"),
                               ("svm", "C", "nan"), ("svm", "epochs", "-2"),
-                              ("rf", "n_estimators", "0")])
+                              ("rf", "n_estimators", "0"), ("rf", "max_features", "log2"),
+                              ("rf", "seed", "-1"), ("bilstm", "n_layers", "0"),
+                              ("bilstm", "batch_size", "-3"), ("bilstm", "dropout_rate", "1"),
+                              ("bilstm", "embed_dim", "0"), ("contrastive", "batch_size", "0"),
+                              ("contrastive", "threshold", "nan"),
+                              ("contrastive", "margin", "inf"),
+                              ("contrastive", "learning_rate", "nan"),
+                              ("contrastive", "max_len", "0"),
+                              ("encoder-head", "weight_decay", "-5"),
+                              ("encoder-head", "weight_decay", "inf"),
+                              ("encoder-head", "learning_rate", "0"),
+                              ("encoder-head", "dropout_rate", "-0.1")])
     def test_out_of_range_value_exit_3(self, tmp_path, corpus_path, capsys, family, option,
                                        value):
         config_file = tmp_path / "run.ini"
@@ -717,6 +781,31 @@ class TestConfigFile:
             "--profile", "desk", "--epochs", "-2",
         ]) == 3
         assert "--epochs -2 is out of range" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("family", ["svm", "bilstm"])
+    def test_negative_seed_flag_exit_3(self, tmp_path, corpus_path, capsys, family):
+        capsys.readouterr()
+        assert run([
+            "train", "--model", family, "--corpus", corpus_path, "--out", str(tmp_path / "run"),
+            "--profile", "desk", "--seed", "-1",
+        ]) == 3
+        assert "--seed -1 is out of range: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value, problem", [("abc", "is not a valid int"),
+                                                ("-1", "is out of range: seed must be >= 0")])
+    def test_bad_seed_env_var_names_the_variable_exit_3(self, tmp_path, corpus_path, capsys,
+                                                         monkeypatch, value, problem):
+        monkeypatch.setenv("BAITLINE_SEED", value)
+        capsys.readouterr()
+        assert run([
+            "train", "--model", "svm", "--corpus", corpus_path, "--out", str(tmp_path / "run"),
+            "--profile", "desk",
+        ]) == 3
+        err = capsys.readouterr().err
+        assert f"BAITLINE_SEED={value!r} {problem}" in err
+        assert "--seed" not in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("family, option, value",

@@ -5,14 +5,13 @@ from baitline.corpus import Corpus, Label, NewsArticle, label_from_clickbait_pro
 from baitline.neural.embeddings import load_pretrained_embeddings
 from baitline.neural.encoder import embedding_table
 from baitline.neural.heads import (
-    EncoderHeadBundle,
+    EncoderHead,
     EncoderHeadConfig,
     join_with_separator,
     train_encoder_head,
 )
-from baitline.neural.lstm import BiLstmBranch, BiLstmBundle, BiLstmConfig, train_bilstm
+from baitline.neural.lstm import BiLstmBranch, BiLstmClassifier, BiLstmConfig, train_bilstm
 from baitline.neural.siamese import (
-    SiameseBundle,
     SiameseConfig,
     SiameseEncoder,
     contrastive_loss_graph,
@@ -22,8 +21,8 @@ from baitline.neural.siamese import (
     train_contrastive,
 )
 from baitline.neural.trainer import tokenize_sides
-from baitline.tensor import Tensor, embedding_lookup, max_pool_over_time
-from baitline.textproc import build_vocab, tokenize
+from baitline.tensor import Tensor, bilstm_sequence, embedding_lookup, max_pool_over_time
+from baitline.textproc import Vocabulary, build_vocab, tokenize
 from gradcheck import check_gradients
 from synthetic import generate_class_marked_corpus, generate_topic_pair_corpus
 
@@ -65,7 +64,7 @@ class TestBiLstm:
         corpus = generate_class_marked_corpus(12, seed=1)
         bundle = train_bilstm(corpus, small_bilstm_config(epochs=0))
         t_ids, t_mask, c_ids, c_mask = bundle.encode_articles(corpus.articles)
-        probs = bundle.model.forward(t_ids, t_mask, c_ids, c_mask)
+        probs = bundle.forward(t_ids, t_mask, c_ids, c_mask)
         assert np.all(np.abs(probs.data.sum(axis=1) - 1.0) < 1e-9)
         assert np.all((probs.data > 0) & (probs.data < 1))
 
@@ -77,7 +76,7 @@ class TestBiLstm:
         c_ids = np.zeros((batch, 16), dtype=np.int64)
         t_mask = np.zeros((batch, 8), dtype=np.int64)
         c_mask = np.zeros((batch, 16), dtype=np.int64)
-        probs = bundle.model.forward(t_ids, t_mask, c_ids, c_mask)
+        probs = bundle.forward(t_ids, t_mask, c_ids, c_mask)
         assert np.all(np.abs(probs.data.sum(axis=1) - 1.0) < 1e-9)
 
     def test_padding_trim_is_exact(self):
@@ -93,7 +92,8 @@ class TestBiLstm:
         # the same layers run over every column, padding included
         x = embedding_lookup(branch.embedding, wide_ids, wide_mask)
         for layer in branch.layers:
-            x = layer.run(x, wide_mask)
+            weights = list(layer.values())
+            x = bilstm_sequence(x, weights[:3], weights[3:], wide_mask)
         assert np.array_equal(max_pool_over_time(x, wide_mask).data, trimmed)
 
     def test_overfits_small_corpus(self):
@@ -133,8 +133,8 @@ class TestBiLstm:
         config = small_bilstm_config(epochs=2, seed=11)
         a = train_bilstm(corpus, config)
         b = train_bilstm(corpus, config)
-        for name, param in a.model.params().items():
-            assert np.array_equal(param.data, b.model.params()[name].data), name
+        for name, param in a.params().items():
+            assert np.array_equal(param.data, b.params()[name].data), name
         assert a.train_losses == b.train_losses
 
     def test_empty_and_single_class_rejected(self):
@@ -155,7 +155,7 @@ class TestBiLstm:
         corpus = generate_class_marked_corpus(12, seed=7)
         bundle = train_bilstm(corpus, small_bilstm_config(epochs=1))
         bundle.save(tmp_path / "run")
-        loaded = BiLstmBundle.load(tmp_path / "run")
+        loaded = BiLstmClassifier.load(tmp_path / "run")
         assert np.allclose(
             loaded.scores(corpus.articles),
             bundle.scores(corpus.articles),
@@ -205,7 +205,7 @@ class TestEncoderHead:
         corpus = generate_class_marked_corpus(10, seed=10)
         bundle = train_encoder_head(corpus, self.config(epochs=2))
         bundle.save(tmp_path / "run")
-        loaded = EncoderHeadBundle.load(tmp_path / "run")
+        loaded = EncoderHead.load(tmp_path / "run")
         assert np.allclose(
             loaded.scores(corpus.articles),
             bundle.scores(corpus.articles),
@@ -219,9 +219,18 @@ def siamese_config(**overrides):
     return SiameseConfig(**base)
 
 
+def capped_vocab(size):
+    """A vocabulary of ``size`` tokens, so its tables have the cap's rows."""
+    return Vocabulary({f"w{i}": i + 2 for i in range(size)})
+
+
 def fresh_encoder(config=None):
     config = config or siamese_config()
-    return SiameseEncoder(config, config.vocab_size + 2, np.random.default_rng(config.seed))
+    return SiameseEncoder(config, np.random.default_rng(config.seed), capped_vocab(config.vocab_size))
+
+
+def encode(encoder, ids, mask):
+    return encoder.encode_graph(ids, mask).data
 
 
 class TestSiameseEncode:
@@ -230,14 +239,14 @@ class TestSiameseEncode:
         rng = np.random.default_rng(0)
         ids = rng.integers(0, 100, size=(6, 24))
         mask = np.ones((6, 24), dtype=np.int64)
-        out = encoder.encode(ids, mask)
+        out = encode(encoder, ids, mask)
         assert np.all(np.abs((out**2).sum(axis=1) - 1.0) < 1e-9)
 
     def test_identical_inputs_identical_outputs(self):
         encoder = fresh_encoder()
         ids = np.array([[4, 5, 6, 0]])
         mask = np.array([[1, 1, 1, 0]])
-        assert np.array_equal(encoder.encode(ids, mask), encoder.encode(ids, mask))
+        assert np.array_equal(encode(encoder, ids, mask), encode(encoder, ids, mask))
 
     def test_padding_length_invariance(self):
         encoder = fresh_encoder()
@@ -245,14 +254,14 @@ class TestSiameseEncode:
         short_mask = np.array([[1, 1, 1]])
         long_ids = np.array([[4, 5, 6, 0, 0, 0, 0]])
         long_mask = np.array([[1, 1, 1, 0, 0, 0, 0]])
-        a = encoder.encode(short_ids, short_mask)
-        b = encoder.encode(long_ids, long_mask)
+        a = encode(encoder, short_ids, short_mask)
+        b = encode(encoder, long_ids, long_mask)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_all_pad_rejected(self):
         encoder = fresh_encoder()
         with pytest.raises(ValueError, match="padding"):
-            encoder.encode(np.zeros((1, 4), dtype=np.int64), np.zeros((1, 4), dtype=np.int64))
+            encode(encoder, np.zeros((1, 4), dtype=np.int64), np.zeros((1, 4), dtype=np.int64))
 
 
 class TestCosineDissimilarity:
@@ -355,8 +364,8 @@ class TestContrastiveTraining:
         config = siamese_config(epochs=3)
         a = train_contrastive(corpus, config)
         b = train_contrastive(corpus, config)
-        for name, param in a.encoder.params().items():
-            assert np.array_equal(param.data, b.encoder.params()[name].data), name
+        for name, param in a.params().items():
+            assert np.array_equal(param.data, b.params()[name].data), name
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -395,7 +404,7 @@ class TestContrastiveTraining:
         corpus = generate_topic_pair_corpus(16, seed=6)
         bundle = train_contrastive(corpus, siamese_config(epochs=2))
         bundle.save(tmp_path / "run")
-        loaded = SiameseBundle.load(tmp_path / "run")
+        loaded = SiameseEncoder.load(tmp_path / "run")
         articles = corpus.articles[:4]
         assert loaded.scores(articles) == pytest.approx(bundle.scores(articles), abs=1e-12)
 
@@ -462,7 +471,7 @@ class TestPretrainedEmbeddings:
 
 
 def built_family(family):
-    """(bundle class, config, vocabularies, table name -> vocabulary field)
+    """(model class, config, vocabularies, table name -> vocabulary field)
     for a small model of ``family`` over a 16-article corpus."""
     titles, contents = tokenize_sides(generate_class_marked_corpus(16, seed=12).articles)
     if family == "bilstm":
@@ -470,14 +479,14 @@ def built_family(family):
         vocabs = {"title_vocab": build_vocab(titles, config.title_vocab_size),
                   "content_vocab": build_vocab(contents, config.content_vocab_size)}
         tables = {"title.embedding": "title_vocab", "content.embedding": "content_vocab"}
-        return BiLstmBundle, config, vocabs, tables
+        return BiLstmClassifier, config, vocabs, tables
     if family == "contrastive":
         config = siamese_config()
         vocabs = {"vocab": build_vocab(titles + contents, config.vocab_size)}
-        return SiameseBundle, config, vocabs, {"siamese.embedding": "vocab"}
+        return SiameseEncoder, config, vocabs, {"siamese.embedding": "vocab"}
     config = EncoderHeadConfig(vocab_size=200, embed_dim=16, encoder_dim=16, dense=16, seed=1)
     vocabs = {"vocab": build_vocab(titles + contents, config.vocab_size, include_separator=True)}
-    return EncoderHeadBundle, config, vocabs, {"encoder.embedding": "vocab"}
+    return EncoderHead, config, vocabs, {"encoder.embedding": "vocab"}
 
 
 class TestVocabSizedTables:
@@ -485,11 +494,11 @@ class TestVocabSizedTables:
     def test_live_rows_and_rng_stream_match_capped_tables(self, capped_tables, family):
         bundle_cls, config, vocabs, tables = built_family(family)
         rng = np.random.default_rng(21)
-        sized = bundle_cls.build(config, rng, **vocabs).params()
+        sized = bundle_cls(config, rng, **vocabs).params()
         sized_next = rng.random(4)
         with capped_tables():
             rng = np.random.default_rng(21)
-            capped = bundle_cls.build(config, rng, **vocabs).params()
+            capped = bundle_cls(config, rng, **vocabs).params()
             capped_next = rng.random(4)
         assert np.array_equal(sized_next, capped_next)
         assert sized.keys() == capped.keys()
@@ -503,7 +512,7 @@ class TestVocabSizedTables:
     @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
     def test_load_builds_vocab_sized_zero_tables(self, family):
         bundle_cls, config, vocabs, tables = built_family(family)
-        params = bundle_cls.build(config, None, **vocabs).params()
+        params = bundle_cls(config, None, **vocabs).params()
         for name, field in tables.items():
             assert params[name].data.shape == (vocabs[field].size, config.embed_dim)
         assert not any(p.data.any() for p in params.values())
@@ -517,7 +526,7 @@ class TestScoring:
     @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
     def test_scores_build_no_graph_and_match_the_graph_forward(self, family):
         bundle_cls, config, vocabs, _ = built_family(family)
-        bundle = bundle_cls.build(config, np.random.default_rng(13), **vocabs)
+        bundle = bundle_cls(config, np.random.default_rng(13), **vocabs)
         articles = generate_class_marked_corpus(70, seed=14).articles  # two batches
         arrays = bundle.encode_articles(articles)
         graph_scores = np.concatenate([bundle.batch_scores(*(a[start : start + 64] for a in arrays))
