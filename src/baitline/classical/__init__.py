@@ -6,7 +6,7 @@ from .forest import (
     balanced_class_weights,
     compute_oob_score,
     load_rf,
-    save_rf,
+    rf_fields,
     train_random_forest,
 )
 from .svm import (
@@ -15,7 +15,7 @@ from .svm import (
     SvmModel,
     load_svm,
     platt_fit,
-    save_svm,
+    svm_fields,
     svm_objective,
     train_svm,
 )
@@ -34,8 +34,8 @@ __all__ = [
     "load_rf",
     "load_svm",
     "platt_fit",
-    "save_rf",
-    "save_svm",
+    "rf_fields",
+    "svm_fields",
     "svm_objective",
     "train_random_forest",
     "train_svm",

@@ -3,17 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..tensor.checkpoint import (
-    CheckpointVersionError,
-    is_finite_number,
-    load_model_json,
-    save_model_json,
-    stored_config,
-)
+from ..tensor.checkpoint import CheckpointVersionError, is_finite_number, require_fields
 from .tree import DecisionTree
 
 
@@ -100,38 +94,38 @@ def compute_oob_score(trees: DecisionTree, oob_indices: list[np.ndarray], X: np.
     return float((preds == y[covered]).sum() / covered.sum())
 
 
-def save_rf(model: RandomForestModel, path) -> None:
-    save_model_json(path, "rf", {
-        "config": asdict(model.config),
+def rf_fields(model: RandomForestModel) -> dict:
+    """The ``model.json`` fields of an rf model besides its config and its
+    losses, which hold the OOB score."""
+    return {
         "class_weights": model.class_weights.tolist(),
-        "oob_score": model.oob_score,
         "oob_indices": [idx.tolist() for idx in model.oob_indices],
         "trees": model.trees.to_preorder(),
-    })
+    }
 
 
-def load_rf(path, n_features: int) -> RandomForestModel:
-    """Read an rf model whose trees split inputs of ``n_features`` features."""
-    payload = load_model_json(path, "rf", ("config", "class_weights", "oob_score",
-                                           "oob_indices", "trees"))
-    config = stored_config(path, RandomForestConfig, payload["config"])
-    oob_indices = payload["oob_indices"]
+def load_rf(path, model: dict, n_features: int) -> RandomForestModel:
+    """The rf model in ``model``, the parsed ``model.json`` at ``path``, whose
+    trees split inputs of ``n_features`` features."""
+    require_fields(path, "rf", model, ("class_weights", "oob_indices", "trees"))
+    oob_indices = model["oob_indices"]
     if not (type(oob_indices) is list and all(
             type(idx) is list and all(type(i) is int for i in idx) for idx in oob_indices)):
         raise CheckpointVersionError(f"{path}: rf field 'oob_indices' is not a list of integer lists")
-    oob_score, class_weights = payload["oob_score"], payload["class_weights"]
+    losses, class_weights = model["losses"], model["class_weights"]
     # NaN is what a forest with no out-of-bag sample stores
-    if not (type(oob_score) in (int, float) and (math.isnan(oob_score) or 0 <= oob_score <= 1)):
-        raise CheckpointVersionError(f"{path}: rf field 'oob_score' is neither in [0, 1] nor NaN")
+    if not (len(losses) == 1 and (math.isnan(losses[0]) or 0 <= losses[0] <= 1)):
+        raise CheckpointVersionError(
+            f"{path}: rf field 'losses' is not one OOB score, in [0, 1] or NaN")
     if not (type(class_weights) is list and len(class_weights) == 2
             and all(is_finite_number(w) and w > 0 for w in class_weights)):
         raise CheckpointVersionError(
             f"{path}: rf field 'class_weights' is not two finite positive numbers")
     try:
-        trees = DecisionTree.from_preorder(payload["trees"], n_features)
+        trees = DecisionTree.from_preorder(model["trees"], n_features)
     except ValueError as exc:
         raise CheckpointVersionError(f"{path}: {exc}") from None
     return RandomForestModel(
         trees=trees, oob_indices=[np.array(idx, dtype=np.int64) for idx in oob_indices],
-        class_weights=np.array(class_weights, dtype=np.float64), oob_score=float(oob_score),
-        config=config)
+        class_weights=np.array(class_weights, dtype=np.float64), oob_score=float(losses[0]),
+        config=model["config"])

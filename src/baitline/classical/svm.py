@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..tensor.checkpoint import (CheckpointVersionError, is_finite_number, load_model_json,
-                                 save_model_json)
+from ..tensor.checkpoint import CheckpointVersionError, is_finite_number, require_fields
 from ..tensor.core import _sigmoid
 
 
@@ -177,35 +176,27 @@ def platt_fit(decisions: np.ndarray, y_signed: np.ndarray, max_iter: int = 100) 
     return PlattScaler(A=A, B=B)
 
 
-def save_svm(model: SvmModel, path) -> None:
-    save_model_json(path, "svm", {
-        "w": model.w.tolist(),
-        "b": model.b,
-        "C": model.C,
-        "platt": {"A": model.calibrator.A, "B": model.calibrator.B},
-        "objective_by_epoch": model.objective_by_epoch,
-    })
+def svm_fields(model: SvmModel) -> dict:
+    """The ``model.json`` fields of an svm model besides its config, which
+    holds C, and its losses, the objective at each epoch's end."""
+    return {"w": model.w.tolist(), "b": model.b,
+            "platt": {"A": model.calibrator.A, "B": model.calibrator.B}}
 
 
-def load_svm(path, n_features: int) -> SvmModel:
-    """Read an svm model with one weight for each of ``n_features`` features."""
-    payload = load_model_json(path, "svm", ("w", "b", "C", "platt"))
-    platt = payload["platt"]
+def load_svm(path, model: dict, n_features: int) -> SvmModel:
+    """The svm model in ``model``, the parsed ``model.json`` at ``path``, with
+    one weight for each of ``n_features`` features."""
+    require_fields(path, "svm", model, ("w", "b", "platt"))
+    platt = model["platt"]
     if not isinstance(platt, dict) or not {"A", "B"} <= platt.keys():
         raise CheckpointVersionError(f"{path}: svm field 'platt' needs 'A' and 'B'")
-    for name, value in (("b", payload["b"]), ("C", payload["C"]),
-                        ("platt.A", platt["A"]), ("platt.B", platt["B"])):
+    for name, value in (("b", model["b"]), ("platt.A", platt["A"]), ("platt.B", platt["B"])):
         if not is_finite_number(value):
             raise CheckpointVersionError(f"{path}: svm field {name!r} is not a finite number")
-    w = np.array(payload["w"], dtype=np.float64)
-    if w.shape != (n_features,):
+    w = model["w"]
+    if not (type(w) is list and len(w) == n_features and all(is_finite_number(v) for v in w)):
         raise CheckpointVersionError(
-            f"{path}: svm field 'w' has shape {w.shape}, expected ({n_features},)"
-        )
-    return SvmModel(
-        w=w,
-        b=float(payload["b"]),
-        C=float(payload["C"]),
-        calibrator=PlattScaler(A=float(platt["A"]), B=float(platt["B"])),
-        objective_by_epoch=list(payload.get("objective_by_epoch", [])),
-    )
+            f"{path}: svm field 'w' is not a list of {n_features} finite numbers")
+    return SvmModel(w=np.array(w, dtype=np.float64), b=float(model["b"]), C=model["config"].C,
+                    calibrator=PlattScaler(A=float(platt["A"]), B=float(platt["B"])),
+                    objective_by_epoch=list(model["losses"]))

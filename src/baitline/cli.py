@@ -16,8 +16,6 @@ from pathlib import Path
 
 from . import config as cfg
 from .corpus import (
-    Corpus,
-    CorpusFormatError,
     Label,
     corpus_stats,
     load_corpus,
@@ -44,7 +42,7 @@ from .metrics import (
     save_report,
 )
 from .registry import FAMILIES
-from .tensor.checkpoint import CheckpointVersionError
+from .tensor.checkpoint import MODEL_FILE, CheckpointVersionError, save_model_json
 
 
 def _add_common_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -188,7 +186,8 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    losses = FAMILIES[family].train(corpus, model_config, out_dir)
+    losses, fields = FAMILIES[family].train(corpus, model_config, out_dir)
+    save_model_json(out_dir / MODEL_FILE, family, model_config, losses, fields)
     with open(out_dir / "training.log", "w", encoding="utf-8") as fh:
         for epoch, value in enumerate(losses, start=1):
             fh.write(f"epoch {epoch}: {value!r}\n")
@@ -206,17 +205,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predict_rows(model_dir: Path, corpus: Corpus) -> list[PredictionRow]:
-    family = cfg.read_config_file(model_dir / "config.ini").get("run", {}).get("model")
-    if family is None:
-        raise CorpusFormatError(f"{model_dir}: config.ini lacks a run/model entry")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown model family {family!r}")
-    labels, scores = FAMILIES[family].predict(model_dir, corpus)
-    return [PredictionRow(a.id, a.label, label, score)
-            for a, label, score in zip(corpus, labels, scores)]
-
-
 def cmd_predict(args) -> int:
     model_dir = Path(args.model_dir)
     if not model_dir.exists():
@@ -224,7 +212,10 @@ def cmd_predict(args) -> int:
     corpus = load_corpus(args.corpus)
     if len(corpus) == 0:
         raise ValueError(f"corpus {corpus.name!r} is empty; nothing to predict")
-    rows = _predict_rows(model_dir, corpus)
+    model = cfg.read_model(model_dir / MODEL_FILE)  # the family is model.json's, not config.ini's
+    labels, scores = FAMILIES[model["family"]].predict(model_dir, model, corpus)
+    rows = [PredictionRow(a.id, a.label, label, score)
+            for a, label, score in zip(corpus, labels, scores)]
     save_predictions(rows, args.out)
     cfg.write_snapshot(
         str(args.out) + ".config.ini",

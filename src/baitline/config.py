@@ -14,6 +14,7 @@ import os
 from pathlib import Path
 
 from .registry import FAMILIES
+from .tensor.checkpoint import CheckpointVersionError, load_model_json, require_same_names
 
 SEED_ENV_VAR = "BAITLINE_SEED"
 
@@ -66,6 +67,29 @@ def build_model_config(
     return cls(**values)
 
 
+def read_model(path) -> dict:
+    """The model container at ``path`` (see ``load_model_json``), its
+    ``config`` object turned into the family's config: exactly the family's
+    keys, each coerced and range-checked like an INI value.  A defect raises
+    CheckpointVersionError naming the file."""
+    payload = load_model_json(path)
+    if payload.get("family") not in MODEL_FAMILIES:
+        raise CheckpointVersionError(f"{path}: unknown model family {payload.get('family')!r}")
+    config_type = FAMILIES[payload["family"]].config_type
+    fields = dataclasses.fields(config_type)
+    stored = payload["config"]
+    require_same_names(path, "config key", {f.name for f in fields}, set(stored))
+    try:
+        payload["config"] = config_type(**{
+            f.name: _checked(f"{path}: config {f.name} = {stored[f.name]!r}", f.name,
+                             stored[f.name], f.default)
+            for f in fields
+        })
+    except ValueError as exc:
+        raise CheckpointVersionError(str(exc)) from None
+    return payload
+
+
 def seed_from_env() -> int:
     """The default seed: ``BAITLINE_SEED``, or 0 when it is unset."""
     raw = os.environ.get(SEED_ENV_VAR, "0")
@@ -78,21 +102,27 @@ def _checked(where: str, key: str, value, template):
     try:
         value = _coerce(value, template)
     except ValueError:
-        raise ValueError(f"{where} is not a valid {type(template).__name__}") from None
+        kind = "str" if template is None else type(template).__name__
+        raise ValueError(f"{where} is not a valid {kind}") from None
     if key in _RANGES and not _RANGES[key][0](value):
         raise ValueError(f"{where} is out of range: {key} must be {_RANGES[key][1]}")
     return value
 
 
 def _coerce(value, template):
-    if isinstance(value, str):
-        if isinstance(template, bool):
-            return value.lower() in ("1", "true", "yes", "on")
-        if isinstance(template, int):
-            return int(value)
-        if isinstance(template, float):
-            return float(value)
-    return value
+    """``value`` as ``template``'s type: a string is converted, anything else
+    must have that type (an int passes for a float; ``None`` takes a string)."""
+    if template is None:
+        kinds = (str, type(None))
+    elif type(template) is float:
+        kinds = (int, float)
+    else:
+        kinds = (type(template),)
+    if isinstance(value, str) and str not in kinds:
+        return type(template)(value)
+    if type(value) not in kinds:
+        raise ValueError(value)
+    return float(value) if type(template) is float else value
 
 
 def read_config_file(path) -> dict[str, dict[str, str]]:
@@ -107,11 +137,12 @@ def read_config_file(path) -> dict[str, dict[str, str]]:
 
 
 def write_snapshot(path, sections: dict[str, dict]) -> None:
-    """Write the resolved configuration as an INI snapshot."""
+    """Write the resolved configuration as an INI snapshot, leaving out options
+    set to ``None``, their default, which an INI file would read as a string."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
     for section, values in sections.items():
-        parser[section] = {k: str(v) for k, v in values.items()}
+        parser[section] = {k: str(v) for k, v in values.items() if v is not None}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

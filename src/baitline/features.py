@@ -20,7 +20,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import NewsArticle
-from .tensor.checkpoint import CheckpointVersionError, is_finite_number, read_json
+from .tensor.checkpoint import CheckpointVersionError, is_finite_number
 from .textproc import TokenizedDoc, _is_word, tokenize
 
 # Fixed 12-tag universal-style tag set.
@@ -367,18 +367,22 @@ class Standardizer:
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         return (np.asarray(vectors, dtype=np.float64) - self.mean) / self.std
 
+    def fields(self) -> dict:
+        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
+
     def save(self, path) -> None:
+        """Export ``fields()`` as JSON; a model keeps them in its ``model.json``."""
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"mean": self.mean.tolist(), "std": self.std.tolist()}, fh)
+            json.dump(self.fields(), fh)
 
     @classmethod
-    def load(cls, path) -> "Standardizer":
-        """Read ``save`` output: ``N_FEATURES`` finite means and positive finite
-        deviations, else CheckpointVersionError naming the file and the key."""
-        payload = read_json(path)
+    def from_fields(cls, path, payload: dict) -> "Standardizer":
+        """The standardizer in ``payload``, read from the file ``path``:
+        ``N_FEATURES`` finite means and positive finite deviations, else
+        CheckpointVersionError naming the file and the key."""
         arrays = {}
         for key in ("mean", "std"):
-            values = payload.get(key) if isinstance(payload, dict) else None
+            values = payload.get(key)
             if not (type(values) is list and len(values) == N_FEATURES
                     and all(is_finite_number(v) for v in values)):
                 raise CheckpointVersionError(f"{path}: standardizer {key!r} is missing or not "

@@ -283,15 +283,18 @@ def load_predictions(path) -> list[PredictionRow]:
                 score = math.nan
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"{path}:{line_no}: score {parts[3]!r} is not a number in [0, 1]")
-            rows.append(
-                PredictionRow(
-                    id=parts[0],
-                    gold=None if parts[1] == _NO_GOLD else Label.from_string(parts[1]),
-                    pred=Label.from_string(parts[2]),
-                    score=score,
-                )
-            )
+            gold = None if parts[1] == _NO_GOLD else _label(path, line_no, "gold", parts[1])
+            rows.append(PredictionRow(parts[0], gold, _label(path, line_no, "predicted", parts[2]),
+                                      score))
     return rows
+
+
+def _label(path, line_no: int, column: str, text: str) -> Label:
+    try:
+        return Label.from_string(text)
+    except ValueError:
+        raise ValueError(f"{path}:{line_no}: {column} label {text!r} is neither "
+                         "'clickbait' nor 'non-clickbait'") from None
 
 
 def export_pr_curve(curve: PrCurve, path) -> None:

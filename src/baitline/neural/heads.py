@@ -45,8 +45,6 @@ def join_with_separator(
 class EncoderHead(NeuralBundle):
     """Pooled text encoder -> dropout -> dense -> softmax over the two classes."""
 
-    family = "encoder-head"
-    config_type = EncoderHeadConfig
     vocab_files = {"vocab.txt": "vocab"}
 
     def __init__(self, config: EncoderHeadConfig, rng: np.random.Generator | None, vocab: Vocabulary):

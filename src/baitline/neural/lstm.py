@@ -91,8 +91,6 @@ class BiLstmClassifier(NeuralBundle):
     """Title and content branches, each with one embedding row per id of its
     vocabulary, and the dense head over their pooled vectors."""
 
-    family = "bilstm"
-    config_type = BiLstmConfig
     vocab_files = {"vocab_title.txt": "title_vocab", "vocab_content.txt": "content_vocab"}
 
     def __init__(self, config: BiLstmConfig, rng: np.random.Generator | None,

@@ -54,8 +54,6 @@ class SiameseEncoder(NeuralBundle):
     """
 
     ANCHOR = 0.1
-    family = "contrastive"
-    config_type = SiameseConfig
     vocab_files = {"vocab.txt": "vocab"}
 
     def __init__(self, config: SiameseConfig, rng: np.random.Generator | None, vocab: Vocabulary):

@@ -1,30 +1,22 @@
 """What the neural families share: tokenization, the train path and its
 minibatch loop, batched scoring, and the model directory.
 
-A model directory holds ``model.tensors``, ``model_meta.json`` (family,
-config, per-epoch losses) and the vocabulary files.  Loading is strict: the
-meta file must carry exactly the family's config keys, and the checkpoint
-exactly the tensors, with the same shapes, of the model that config and
-those vocabularies build.
+A model directory holds ``model.tensors`` and the vocabulary files beside
+``model.json``, which keeps the config and the per-epoch losses.  Loading is
+strict: the checkpoint must hold exactly the tensors, with the same shapes,
+of the model that the stored config and those vocabularies build.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from ..corpus import Corpus, Label, argmax_predictions
-from ..tensor import GraphOptimizer, Tensor, backward, no_grad
-from ..tensor.checkpoint import (
-    CheckpointVersionError,
-    load_tensors,
-    read_json,
-    require_same_names,
-    save_tensors,
-    stored_config,
-)
+from ..tensor import GraphOptimizer, backward, no_grad
+from ..tensor.checkpoint import (CheckpointVersionError, load_tensors, require_same_names,
+                                 save_tensors)
 from ..textproc import TokenizedDoc, load_vocab, normalize, save_vocab, tokenize
 from .embeddings import load_pretrained_embeddings
 
@@ -52,27 +44,14 @@ def trim_padding(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndar
     return ids[:, :length], mask[:, :length]
 
 
-def load_params_strict(path, params: dict[str, Tensor]) -> None:
-    """Fill ``params`` from a checkpoint that holds exactly these tensors."""
-    values = load_tensors(path)
-    require_same_names(path, "tensor", set(params), set(values))
-    for name, param in params.items():
-        if values[name].shape != param.data.shape:
-            raise CheckpointVersionError(
-                f"{path}: tensor {name!r} has shape {values[name].shape}, "
-                f"expected {param.data.shape}"
-            )
-        param.data = values[name]
-
-
 class NeuralBundle:
     """A neural model family: its weights, vocabularies, config and per-epoch
     losses.
 
-    Subclasses set ``family``, ``config_type`` and ``vocab_files`` (file name
-    -> vocabulary attribute) and implement ``__init__(config, rng, **vocabs)``
-    (each embedding table gets one row per id of its vocabulary; with ``rng``
-    None the parameters start at zero, ready to be loaded), the static
+    Subclasses set ``vocab_files`` (file name -> vocabulary attribute) and
+    implement ``__init__(config, rng, **vocabs)`` (each embedding table gets
+    one row per id of its vocabulary; with ``rng`` None the parameters start
+    at zero, ready to be loaded), the static
     ``vocabularies(config, title_docs, content_docs)`` (the ``vocabs``),
     ``params()``, ``encode_docs(articles, title_docs, content_docs)`` (row-
     aligned arrays; ``articles`` only names an article in errors),
@@ -137,27 +116,27 @@ class NeuralBundle:
         return argmax_predictions(self.scores(articles))
 
     def save(self, out_dir) -> None:
+        """Write the weights and the vocabularies into ``out_dir``."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_tensors(out_dir / "model.tensors", {k: v.data for k, v in self.params().items()})
         for name, field in self.vocab_files.items():
             save_vocab(getattr(self, field), out_dir / name)
-        meta = {"family": self.family, "config": self.config.__dict__,
-                "train_losses": self.train_losses}
-        with open(out_dir / "model_meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2)
 
     @classmethod
-    def load(cls, model_dir):
+    def load(cls, model_dir, config):
+        """The model that ``save`` wrote into ``model_dir``, built by ``config``;
+        its checkpoint must hold exactly the model's tensors, in their shapes.
+        ``train_losses`` stays empty: the losses are kept in ``model.json``."""
         model_dir = Path(model_dir)
-        meta_path = model_dir / "model_meta.json"
-        meta = read_json(meta_path)
-        family = meta.get("family") if isinstance(meta, dict) else None
-        if family != cls.family:
-            raise CheckpointVersionError(f"{meta_path}: expected a {cls.family!r} model, got {family!r}")
-        config = stored_config(meta_path, cls.config_type, meta.get("config"))
         vocabs = {field: load_vocab(model_dir / name) for name, field in cls.vocab_files.items()}
         bundle = cls(config, None, **vocabs)
-        load_params_strict(model_dir / "model.tensors", bundle.params())
-        bundle.train_losses = list(meta.get("train_losses", []))
+        path, params = model_dir / "model.tensors", bundle.params()
+        values = load_tensors(path)
+        require_same_names(path, "tensor", set(params), set(values))
+        for name, param in params.items():
+            if values[name].shape != param.data.shape:
+                raise CheckpointVersionError(f"{path}: tensor {name!r} has shape "
+                                             f"{values[name].shape}, expected {param.data.shape}")
+            param.data = values[name]
         return bundle

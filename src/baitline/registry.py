@@ -1,10 +1,12 @@
 """The model-family registry that the config and the CLI read.
 
 Adding a family takes one ``FAMILIES`` entry: its config dataclass, its
-``desk`` profile overrides, ``train(corpus, config, out_dir) -> losses`` (the
-lines of ``training.log``) and a batched ``predict(model_dir, corpus) ->
-(labels, scores)``.  Trainers are called as attributes of their modules, so
-code that rebinds module-level functions (``benchmark/tracer.py``) sees them.
+``desk`` profile overrides, ``train(corpus, config, out_dir) -> (losses,
+fields)``, which writes any tensor and vocabulary files and returns the lines
+of ``training.log`` and the family's ``model.json`` fields, and a batched
+``predict(model_dir, model, corpus) -> (labels, scores)`` given the parsed
+``model.json``.  Trainers are called as attributes of their modules, so code
+that rebinds module-level functions (``benchmark/tracer.py``) sees them.
 """
 
 from __future__ import annotations
@@ -18,51 +20,52 @@ from .classical import forest, svm
 from .corpus import Corpus, Label, argmax_predictions
 from .features import HeuristicTagger, Standardizer, feature_matrix, fit_standardizer
 from .neural import heads, lstm, siamese
+from .tensor.checkpoint import MODEL_FILE
 
 
 @dataclass(frozen=True)
 class ModelFamily:
     config_type: type
     desk: dict[str, Any]
-    train: Callable[[Corpus, Any, Path], list[float]]
-    predict: Callable[[Path, Corpus], tuple[list[Label], list[float]]]
+    train: Callable[[Corpus, Any, Path], tuple[list[float], dict]]
+    predict: Callable[[Path, dict, Corpus], tuple[list[Label], list[float]]]
 
 
-def _standardized_features(corpus: Corpus, out_dir: Path):
-    """Features standardized by statistics fitted here and saved beside the model."""
+def _standardized_features(corpus: Corpus):
+    """Labels, and features standardized by statistics fitted here, which
+    are returned as ``model.json`` fields."""
     y = corpus.training_labels()
     X_raw = feature_matrix(corpus.articles, HeuristicTagger())
     standardizer = fit_standardizer(X_raw)
-    standardizer.save(out_dir / "standardizer.json")
-    return standardizer.apply(X_raw), y
+    return standardizer.apply(X_raw), y, standardizer.fields()
 
 
-def _train_rf(corpus: Corpus, config, out_dir: Path) -> list[float]:
-    model = forest.train_random_forest(*_standardized_features(corpus, out_dir), config)
-    forest.save_rf(model, out_dir / "model.json")
-    return [model.oob_score]
+def _train_rf(corpus: Corpus, config, out_dir: Path):
+    X, y, fields = _standardized_features(corpus)
+    model = forest.train_random_forest(X, y, config)
+    return [model.oob_score], {**fields, **forest.rf_fields(model)}
 
 
-def _train_svm(corpus: Corpus, config, out_dir: Path) -> list[float]:
-    model = svm.train_svm(*_standardized_features(corpus, out_dir), config)
-    svm.save_svm(model, out_dir / "model.json")
-    return model.objective_by_epoch
+def _train_svm(corpus: Corpus, config, out_dir: Path):
+    X, y, fields = _standardized_features(corpus)
+    model = svm.train_svm(X, y, config)
+    return model.objective_by_epoch, {**fields, **svm.svm_fields(model)}
 
 
-def _predict_classical(load, model_dir: Path, corpus: Corpus):
-    standardizer = Standardizer.load(model_dir / "standardizer.json")
+def _predict_classical(load, model_dir: Path, model: dict, corpus: Corpus):
+    path = model_dir / MODEL_FILE
+    standardizer = Standardizer.from_fields(path, model)
     X = standardizer.apply(feature_matrix(corpus.articles, HeuristicTagger()))
-    model = load(model_dir / "model.json", X.shape[1])
-    return argmax_predictions(model.predict_clickbait_proba(X))
+    return argmax_predictions(load(path, model, X.shape[1]).predict_clickbait_proba(X))
 
 
-def _saved(bundle, out_dir: Path) -> list[float]:
+def _saved(bundle, out_dir: Path):
     bundle.save(out_dir)
-    return bundle.train_losses
+    return bundle.train_losses, {}
 
 
-def _predict_neural(bundle_type, model_dir: Path, corpus: Corpus):
-    return bundle_type.load(model_dir).predictions(corpus.articles)
+def _predict_neural(bundle_type, model_dir: Path, model: dict, corpus: Corpus):
+    return bundle_type.load(model_dir, model["config"]).predictions(corpus.articles)
 
 
 # The desk profile shrinks capacity and sequence lengths so full training

@@ -2,8 +2,10 @@
 
 Checkpoint layout: one UTF-8 JSON header line carrying the format name,
 version, and the ordered tensor directory (name + shape), followed by each
-tensor's row-major little-endian float64 payload in directory order.  A JSON
-model container is one object: format name, version, family, then fields.
+tensor's row-major little-endian float64 payload in directory order.  Every
+model directory holds one JSON model container, ``model.json``: one object
+with the format name, version, family, config, per-epoch losses, then the
+family's own fields.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 FORMAT_NAME = "baitline-tensors"
 FORMAT_VERSION = 1
-MODEL_HEADER = {"format": "baitline-model", "version": 1}
+MODEL_FILE = "model.json"
+MODEL_HEADER = {"format": "baitline-model", "version": 2}
 
 
 class CheckpointVersionError(RuntimeError):
@@ -48,26 +51,18 @@ def require_same_names(path, kind: str, expected: set[str], found: set[str]) -> 
         raise CheckpointVersionError(f"{path}: unexpected {kind} {sorted(found - expected)}")
 
 
-def stored_config(path, config_type: type, config):
-    """A ``config_type`` dataclass from the ``config`` object stored in
-    ``path``, which must carry exactly that dataclass's keys."""
-    if not isinstance(config, dict):
-        raise CheckpointVersionError(f"{path}: config is not an object")
-    require_same_names(path, "config key", {f.name for f in dataclasses.fields(config_type)},
-                       set(config))
-    return config_type(**config)
-
-
-def save_model_json(path, family: str, body: dict) -> None:
-    """Write a JSON model container: the header, then the family's fields."""
+def save_model_json(path, family: str, config, losses, fields: dict) -> None:
+    """Write a JSON model container: the header, the family, its config
+    dataclass, its per-epoch losses, then the family's own fields."""
     with open(path, "w", encoding="utf-8") as fh:
         # dumps encodes in C; dump streams the same bytes through the Python encoder
-        fh.write(json.dumps({**MODEL_HEADER, "family": family, **body}))
+        fh.write(json.dumps({**MODEL_HEADER, "family": family, "config": dataclasses.asdict(config),
+                             "losses": list(losses), **fields}))
 
 
-def load_model_json(path, family: str, fields=()) -> dict:
-    """Read a JSON model container of this format, version and family that
-    carries every one of ``fields``."""
+def load_model_json(path) -> dict:
+    """Read a JSON model container of this format and version with a
+    ``config`` object and a ``losses`` list of numbers."""
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise CheckpointVersionError(f"{path}: not a model container")
@@ -76,12 +71,18 @@ def load_model_json(path, family: str, fields=()) -> dict:
             f"{path}: unsupported model container: format={payload.get('format')!r} "
             f"version={payload.get('version')!r}"
         )
-    if payload.get("family") != family:
-        raise CheckpointVersionError(f"{path}: expected a {family!r} model, got {payload.get('family')!r}")
+    if not isinstance(payload.get("config"), dict):
+        raise CheckpointVersionError(f"{path}: field 'config' is not an object")
+    losses = payload.get("losses")
+    if not (type(losses) is list and all(type(v) in (int, float) for v in losses)):
+        raise CheckpointVersionError(f"{path}: field 'losses' is not a list of numbers")
+    return payload
+
+
+def require_fields(path, family: str, payload: dict, fields) -> None:
     missing = [name for name in fields if name not in payload]
     if missing:
         raise CheckpointVersionError(f"{path}: {family} model has no field {missing}")
-    return payload
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:

@@ -168,11 +168,11 @@ def encode_ids(ids: list[int], max_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Pad/truncate a pre-built id list to ``max_len`` with its mask."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    ids = ids[:max_len]
     out = np.full(max_len, PAD_ID, dtype=np.int64)
     mask = np.zeros(max_len, dtype=np.int64)
-    for i, idx in enumerate(ids[:max_len]):
-        out[i] = idx
-        mask[i] = 1
+    out[: len(ids)] = ids
+    mask[: len(ids)] = 1
     return out, mask
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from baitline.classical import RandomForestConfig, train_random_forest
 from baitline.cli import run
-from baitline.config import MODEL_FAMILIES
+from baitline.config import MODEL_FAMILIES, read_model
 from baitline.corpus import Label, cohens_kappa, corpus_stats, load_corpus, save_corpus, split_by_source
 from baitline.ensemble import EnsembleConfig, ensemble_predict, fit_weights
 from baitline.metrics import load_predictions, macro_f1, mcnemar, pr_curve, prf1
@@ -360,7 +360,7 @@ class TestContrastiveSeparation:
         assert run(["predict", "--model-dir", str(run_dir), "--corpus", str(test_path),
                     "--out", str(preds_path)]) == 0
 
-        bundle = SiameseEncoder.load(run_dir)
+        bundle = SiameseEncoder.load(run_dir, read_model(run_dir / "model.json")["config"])
         test = load_corpus(test_path)
         sims_cb, sims_ncb = [], []
         for art, s in zip(test, bundle.scores(test.articles)):

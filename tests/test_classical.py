@@ -17,8 +17,8 @@ from baitline.classical import (
     load_rf,
     load_svm,
     platt_fit,
-    save_rf,
-    save_svm,
+    rf_fields,
+    svm_fields,
     svm_objective,
     train_random_forest,
     train_svm,
@@ -26,7 +26,17 @@ from baitline.classical import (
 from baitline.classical.forest import RandomForestModel
 from baitline.classical.svm import SvmModel
 from baitline.classical.tree import _entropy2
+from baitline.config import read_model
 from baitline.tensor import CheckpointVersionError
+from baitline.tensor.checkpoint import save_model_json
+
+
+def stored(tmp_path, family, config, losses, fields):
+    """A ``model.json`` written with these contents, and read back the way
+    ``predict`` reads it: (path, parsed container)."""
+    path = tmp_path / "model.json"
+    save_model_json(path, family, config, losses, fields)
+    return path, read_model(path)
 
 
 def entropy(class_counts) -> float:
@@ -340,9 +350,8 @@ class TestDecisionTree:
             trees=tree, oob_indices=[np.array([], dtype=int)],
             class_weights=weights, oob_score=float("nan"),
         )
-        path = tmp_path / "rf.json"
-        save_rf(model, path)
-        loaded = load_rf(path, 1)
+        path, payload = stored(tmp_path, "rf", model.config, [model.oob_score], rf_fields(model))
+        loaded = load_rf(path, payload, 1)
         assert loaded.trees.to_preorder() == tree.to_preorder()
         # grown to purity, so every training sample lands in a leaf of its class
         proba = loaded.trees.predict_proba(X)
@@ -530,19 +539,19 @@ class TestRandomForest:
     def test_serialization_round_trip(self, tmp_path):
         X, y = separable_dataset(seed=6, n_per_class=10)
         model = train_random_forest(X, y, RandomForestConfig(n_estimators=5, seed=6))
-        path = tmp_path / "rf.json"
-        save_rf(model, path)
-        loaded = load_rf(path, X.shape[1])
+        path, payload = stored(tmp_path, "rf", model.config, [model.oob_score], rf_fields(model))
+        loaded = load_rf(path, payload, X.shape[1])
         assert loaded.oob_score == model.oob_score
+        assert loaded.config == model.config
         assert np.array_equal(loaded.trees.predict_proba(X), model.trees.predict_proba(X))
 
     def test_wrong_family_rejected(self, tmp_path):
         X, y = separable_dataset(seed=6, n_per_class=5)
-        model = train_svm(X, y, SvmConfig(epochs=3))
-        path = tmp_path / "svm.json"
-        save_svm(model, path)
-        with pytest.raises(CheckpointVersionError, match="expected a 'rf' model, got 'svm'"):
-            load_rf(path, X.shape[1])
+        config = SvmConfig(epochs=3)
+        model = train_svm(X, y, config)
+        path, payload = stored(tmp_path, "svm", config, model.objective_by_epoch, svm_fields(model))
+        with pytest.raises(CheckpointVersionError, match="rf model has no field"):
+            load_rf(path, payload, X.shape[1])
 
 
 def reference_train_svm(X, y, config):
@@ -710,17 +719,18 @@ class TestSvm:
 
     def test_serialization_round_trip(self, tmp_path):
         X, y = separable_dataset(seed=12, n_per_class=8)
-        model = train_svm(X, y, SvmConfig(epochs=20, seed=4))
-        path = tmp_path / "svm.json"
-        save_svm(model, path)
-        loaded = load_svm(path, X.shape[1])
+        config = SvmConfig(epochs=20, seed=4)
+        model = train_svm(X, y, config)
+        path, payload = stored(tmp_path, "svm", config, model.objective_by_epoch, svm_fields(model))
+        loaded = load_svm(path, payload, X.shape[1])
         assert np.array_equal(loaded.w, model.w)
         assert loaded.b == model.b
         assert loaded.calibrator == model.calibrator
+        assert (loaded.C, loaded.objective_by_epoch) == (model.C, model.objective_by_epoch)
         assert np.array_equal(loaded.predict_clickbait_proba(X), model.predict_clickbait_proba(X))
 
     def test_bad_container_version(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "baitline-model", "version": 9, "family": "svm"}')
-        with pytest.raises(CheckpointVersionError):
-            load_svm(path, 2)
+        with pytest.raises(CheckpointVersionError, match="version=9"):
+            read_model(path)

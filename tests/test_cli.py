@@ -14,6 +14,7 @@ from baitline.corpus import Corpus, Label, load_corpus, save_corpus
 from baitline.features import N_FEATURES
 from baitline.metrics import load_predictions
 from baitline.registry import FAMILIES
+from baitline.tensor import checkpoint
 from baitline.tensor.checkpoint import load_tensors, save_tensors
 from baitline.textproc import normalize, tokenize
 
@@ -152,6 +153,25 @@ HEADER_DEFECTS = {  # defect -> (header edit, culprit named in the message)
 }
 
 
+def _config_with(key, value):
+    return lambda payload: payload["config"].update({key: value})
+
+
+# defect -> (model.json edit, culprit named in the message); the first entries
+# hold for any family, the rest need the family's own config keys
+MODEL_JSON_DEFECTS = {
+    "unknown_meta_key": (_config_with("not_a_field", 1), "not_a_field"),
+    "config_without_seed": (lambda payload: payload["config"].pop("seed"), "seed"),
+    "losses_not_a_list": (lambda payload: payload.update(losses="abc"), "'losses'"),
+    "unknown_family": (lambda payload: payload.update(family="xgboost"), "'xgboost'"),
+    "version_1": (lambda payload: payload.update(version=1), "version=1"),
+    "max_len_not_an_int": (_config_with("max_len", "abc"), "config max_len = 'abc'"),
+    "max_len_negative": (_config_with("max_len", -5), "config max_len = -5 is out of range"),
+    "threshold_not_a_float": (_config_with("threshold", "x"), "config threshold = 'x'"),
+    "out_dim_fractional": (_config_with("out_dim", 3.5), "config out_dim = 3.5"),
+}
+
+
 def _corrupt(run_dir: Path, defect: str) -> tuple[str, str]:
     """Give a model directory one defect; returns (file name, culprit name)."""
     if defect in HEADER_DEFECTS:
@@ -162,12 +182,13 @@ def _corrupt(run_dir: Path, defect: str) -> tuple[str, str]:
         (run_dir / "model.tensors").write_bytes(
             b'{"format": "baitline-tensors", "version": 42, "tensors": []}\n')
         return "model.tensors", "version 42"
-    if defect == "unknown_meta_key":
-        meta_path = run_dir / "model_meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["config"]["not_a_field"] = 1
-        meta_path.write_text(json.dumps(meta))
-        return "model_meta.json", "not_a_field"
+    if defect in MODEL_JSON_DEFECTS:
+        edit, culprit = MODEL_JSON_DEFECTS[defect]
+        model_path = run_dir / "model.json"
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        edit(payload)
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        return "model.json", culprit
     if defect in ("blank_vocab_line", "repeated_vocab_line", "added_vocab_line"):
         vocab_path = sorted(run_dir.glob("vocab*.txt"))[0]
         lines = vocab_path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -217,7 +238,7 @@ class TestTrainPredictEval:
         assert (run_dir / "vocab.txt").exists()
         from baitline.neural.siamese import SiameseEncoder
 
-        bundle = SiameseEncoder.load(run_dir)
+        bundle = SiameseEncoder.load(run_dir, cfg.read_model(run_dir / "model.json")["config"])
         assert bundle.config.epochs == 0
 
     def test_svm_and_encoder_head_train(self, tmp_path, split_paths):
@@ -270,15 +291,24 @@ class TestTrainPredictEval:
         payload = json.loads((eval_dir / "report.json").read_text())
         assert payload["mcnemar_finetuned_p"] <= 0.001
 
-    @pytest.mark.parametrize("score", ["nan", "inf", "-0.5", "1.5", "abc"])
-    def test_eval_bad_score_names_file_and_line_exit_3(self, tmp_path, data_dir, capsys, score):
+    @pytest.mark.parametrize("column, value, message", [
+        *(pytest.param(3, score, f"score {score!r}", id=score)
+          for score in ("nan", "inf", "-0.5", "1.5", "abc")),
+        pytest.param(1, "maybe", "gold label 'maybe'", id="gold-label"),
+        pytest.param(2, "maybe", "predicted label 'maybe'", id="predicted-label"),
+    ])
+    def test_eval_bad_score_names_file_and_line_exit_3(self, tmp_path, data_dir, capsys, column,
+                                                       value, message):
+        """A bad score, gold label or predicted label names the file and line."""
         lines = (data_dir / "preds_contrastive_reference.tsv").read_text().splitlines()
-        lines[1] = "\t".join(lines[1].split("\t")[:3] + [score])
+        fields = lines[1].split("\t")
+        fields[column] = value
+        lines[1] = "\t".join(fields)
         preds_path = tmp_path / "preds.tsv"
         preds_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert run(["eval", "--preds", str(preds_path), "--out-dir", str(tmp_path / "ev")]) == 3
-        assert f"{preds_path}:2: score {score!r}" in capsys.readouterr().err
+        assert f"{preds_path}:2: {message}" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
     def test_predict_empty_corpus_exit_3(self, tmp_path, split_paths):
@@ -293,7 +323,12 @@ class TestTrainPredictEval:
         ("contrastive", "version"),
         *(("contrastive", defect) for defect in HEADER_DEFECTS),
         *((family, defect) for family in NEURAL_FAMILIES
-          for defect in ("missing_tensor", "extra_tensor", "wrong_shape", "unknown_meta_key")),
+          for defect in ("missing_tensor", "extra_tensor", "wrong_shape", "unknown_meta_key",
+                         "config_without_seed", "losses_not_a_list", "unknown_family",
+                         "version_1")),
+        *((family, defect) for family in ("contrastive", "encoder-head")
+          for defect in ("max_len_not_an_int", "max_len_negative")),
+        *(("contrastive", defect) for defect in ("threshold_not_a_float", "out_dim_fractional")),
         *((family, defect) for family in ("bilstm", "contrastive")
           for defect in ("blank_vocab_line", "repeated_vocab_line", "added_vocab_line")),
     ])
@@ -376,14 +411,20 @@ CLASSICAL_DEFECTS = {
     "svm_short_w": ("svm", "model.json", lambda payload: payload.update(w=payload["w"][:-3]),
                     "'w'"),
     "svm_long_w": ("svm", "model.json", lambda payload: payload["w"].append(0.5), "'w'"),
+    "svm_w_string": ("svm", "model.json", lambda payload: payload["w"].__setitem__(0, "1.5"),
+                     "'w'"),
+    "svm_w_nan": ("svm", "model.json", lambda payload: payload["w"].__setitem__(0, math.nan),
+                  "'w'"),
     "svm_without_platt": ("svm", "model.json", lambda payload: payload.pop("platt"), "platt"),
     "svm_without_w": ("svm", "model.json", lambda payload: payload.pop("w"), "'w'"),
     "svm_without_b": ("svm", "model.json", lambda payload: payload.pop("b"), "'b'"),
     "platt_without_a": ("svm", "model.json", lambda payload: payload["platt"].pop("A"), "'A'"),
-    "oob_score_not_a_number": ("rf", "model.json", lambda payload: payload.update(oob_score="x"),
-                               "'oob_score'"),
-    "oob_score_above_1": ("rf", "model.json", lambda payload: payload.update(oob_score=1.5),
-                          "'oob_score'"),
+    "oob_score_not_a_number": ("rf", "model.json", lambda payload: payload.update(losses=["x"]),
+                               "'losses'"),
+    "oob_score_above_1": ("rf", "model.json", lambda payload: payload.update(losses=[1.5]),
+                          "'losses'"),
+    "oob_score_missing": ("rf", "model.json", lambda payload: payload.update(losses=[]),
+                          "'losses'"),
     "class_weights_not_a_list": ("rf", "model.json",
                                  lambda payload: payload.update(class_weights="x"),
                                  "'class_weights'"),
@@ -396,30 +437,41 @@ CLASSICAL_DEFECTS = {
                           lambda payload: payload.update(class_weights=[1.0, math.nan]),
                           "'class_weights'"),
     "rf_file_of_svm_family": ("rf", "model.json", lambda payload: payload.update(family="svm"),
-                              "got 'svm'"),
+                              "config key"),
     "svm_b_not_a_number": ("svm", "model.json", lambda payload: payload.update(b="x"), "'b'"),
-    "svm_c_nan": ("svm", "model.json", lambda payload: payload.update(C=math.nan), "'C'"),
+    "svm_c_nan": ("svm", "model.json", _config_with("C", math.nan), "config C = nan"),
     "platt_a_not_a_number": ("svm", "model.json", lambda payload: payload["platt"].update(A="x"),
                              "'platt.A'"),
     "platt_b_infinite": ("svm", "model.json", lambda payload: payload["platt"].update(B=math.inf),
                          "'platt.B'"),
     "svm_file_of_rf_family": ("svm", "model.json", lambda payload: payload.update(family="rf"),
-                              "got 'rf'"),
-    "standardizer_without_mean": ("svm", "standardizer.json", _standardizer_with("mean", None),
+                              "config key"),
+    "n_estimators_not_an_int": ("rf", "model.json", _config_with("n_estimators", "lots"),
+                                "config n_estimators = 'lots'"),
+    "max_features_unknown": ("rf", "model.json", _config_with("max_features", "half"),
+                             "config max_features = 'half' is out of range"),
+    "svm_epochs_negative": ("svm", "model.json", _config_with("epochs", -1),
+                            "config epochs = -1 is out of range"),
+    "losses_not_a_list": ("svm", "model.json", lambda payload: payload.update(losses="abc"),
+                          "'losses'"),
+    "unknown_family": ("rf", "model.json", lambda payload: payload.update(family="xgboost"),
+                       "'xgboost'"),
+    "version_1": ("svm", "model.json", lambda payload: payload.update(version=1), "version=1"),
+    "standardizer_without_mean": ("svm", "model.json", _standardizer_with("mean", None),
                                   "'mean'"),
-    "standardizer_without_std": ("rf", "standardizer.json", _standardizer_with("std", None),
+    "standardizer_without_std": ("rf", "model.json", _standardizer_with("std", None),
                                  "'std'"),
-    "standardizer_short_mean": ("svm", "standardizer.json",
+    "standardizer_short_mean": ("svm", "model.json",
                                 _standardizer_with("mean", [0.0] * 3), "'mean'"),
-    "standardizer_long_std": ("rf", "standardizer.json",
+    "standardizer_long_std": ("rf", "model.json",
                               _standardizer_with("std", [1.0] * (N_FEATURES + 1)), "'std'"),
-    "standardizer_nan_mean": ("rf", "standardizer.json",
+    "standardizer_nan_mean": ("rf", "model.json",
                               _standardizer_with("mean", [math.nan] * N_FEATURES), "'mean'"),
-    "standardizer_string_std": ("svm", "standardizer.json",
+    "standardizer_string_std": ("svm", "model.json",
                                 _standardizer_with("std", ["1"] * N_FEATURES), "'std'"),
-    "standardizer_zero_std": ("svm", "standardizer.json",
+    "standardizer_zero_std": ("svm", "model.json",
                               _standardizer_with("std", [0.0] * N_FEATURES), "'std'"),
-    "standardizer_negative_std": ("rf", "standardizer.json",
+    "standardizer_negative_std": ("rf", "model.json",
                                   _standardizer_with("std", [-1.0] * N_FEATURES), "'std'"),
 }
 
@@ -443,7 +495,7 @@ def test_malformed_classical_model_exit_4(tmp_path, classical_runs, data_dir, ca
 
 @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"], ids=["not_json", "not_utf8"])
 @pytest.mark.parametrize("family, file_name", [
-    ("rf", "model.json"), ("svm", "standardizer.json"), ("bilstm", "model_meta.json"),
+    ("rf", "model.json"), ("svm", "model.json"), ("bilstm", "model.json"),
 ])
 def test_undecodable_model_file_exit_4(tmp_path, classical_runs, neural_runs, data_dir, capsys,
                                        family, file_name, content):
@@ -477,7 +529,7 @@ def test_vocab_sized_tables_match_capped_tables(tmp_path, data_dir, capsys, capp
     assert run(["predict", "--model-dir", str(sized_dir), "--corpus", corpus_path,
                 "--out", str(tmp_path / "sized.tsv")]) == 0
     assert (tmp_path / "sized.tsv").read_bytes() == (tmp_path / "capped.tsv").read_bytes()
-    for name in ("training.log", "model_meta.json", "config.ini"):
+    for name in ("training.log", "model.json", "config.ini"):
         assert (sized_dir / name).read_bytes() == (capped_dir / name).read_bytes(), name
 
     config = cfg.build_model_config(family, "desk")
@@ -520,8 +572,20 @@ def test_wordless_title_names_the_article(tmp_path, split_paths, data_dir, capsy
     assert "syn-00003" in capsys.readouterr().err
 
 
+# beside config.ini, training.log and model.json
+MODEL_DIR_FILES = {
+    "rf": set(),
+    "svm": set(),
+    "bilstm": {"model.tensors", "vocab_title.txt", "vocab_content.txt"},
+    "contrastive": {"model.tensors", "vocab.txt"},
+    "encoder-head": {"model.tensors", "vocab.txt"},
+}
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_every_registered_family_trains_and_predicts(tmp_path, data_dir, family):
+def test_every_registered_family_trains_and_predicts(tmp_path, data_dir, monkeypatch, family):
+    """Training writes the family's files and nothing else; each predict
+    parses ``model.json`` once."""
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     model_flag = next(a for a in subparsers.choices["train"]._actions if a.dest == "model")
@@ -529,16 +593,57 @@ def test_every_registered_family_trains_and_predicts(tmp_path, data_dir, family)
 
     corpus_path = str(data_dir / "synthetic60.jsonl")
     run_dir = train_model(tmp_path, family, corpus_path)
+    assert {path.name for path in run_dir.iterdir()} == {
+        "config.ini", "training.log", "model.json", *MODEL_DIR_FILES[family]}
+    parsed = []
+    monkeypatch.setattr(checkpoint, "read_json",
+                        lambda path, read=checkpoint.read_json: parsed.append(path) or read(path))
     outputs = []
     for tag in ("one", "two"):
         preds_path = tmp_path / f"preds-{tag}.tsv"
         assert run(["predict", "--model-dir", str(run_dir), "--corpus", corpus_path,
                     "--out", str(preds_path)]) == 0
         outputs.append(preds_path.read_bytes())
+    assert parsed == [run_dir / "model.json"] * 2
     rows = load_predictions(tmp_path / "preds-one.tsv")
     assert [r.id for r in rows] == [a.id for a in load_corpus(corpus_path)]
     assert all(0.0 <= r.score <= 1.0 for r in rows)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_config_snapshot_reproduces_run_directory(tmp_path, data_dir, family):
+    """Training again with ``--config`` set to a run's own ``config.ini`` and
+    the same flags writes the same bytes."""
+    corpus_path = str(data_dir / "synthetic60.jsonl")
+    epochs = ("--epochs", "1") if family in NEURAL_FAMILIES else ()
+    first = train_model(tmp_path / "first", family, corpus_path, epochs)
+    again = train_model(tmp_path / "again", family, corpus_path,
+                        (*epochs, "--config", str(first / "config.ini")))
+    assert sorted(p.name for p in first.iterdir()) == sorted(p.name for p in again.iterdir())
+    for path in first.iterdir():
+        assert path.read_bytes() == (again / path.name).read_bytes(), path.name
+
+
+def test_model_json_alone_names_the_family(tmp_path, neural_runs, data_dir, capsys):
+    """``config.ini`` is an audit snapshot that predict does not read, and a
+    directory without ``model.json``, as written before it, exits 2."""
+    corpus_path = str(data_dir / "synthetic60.jsonl")
+    run_dir = tmp_path / "contrastive"
+    shutil.copytree(neural_runs / "contrastive", run_dir)
+    assert run(["predict", "--model-dir", str(run_dir), "--corpus", corpus_path,
+                "--out", str(tmp_path / "before.tsv")]) == 0
+    snapshot = run_dir / "config.ini"
+    snapshot.write_text(snapshot.read_text().replace("model = contrastive", "model = svm"))
+    assert run(["predict", "--model-dir", str(run_dir), "--corpus", corpus_path,
+                "--out", str(tmp_path / "after.tsv")]) == 0
+    assert (tmp_path / "before.tsv").read_bytes() == (tmp_path / "after.tsv").read_bytes()
+
+    (run_dir / "model.json").rename(run_dir / "model_meta.json")
+    capsys.readouterr()
+    assert run(["predict", "--model-dir", str(run_dir), "--corpus", corpus_path,
+                "--out", str(tmp_path / "old.tsv")]) == 2
+    assert str(run_dir / "model.json") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family,table,vocab_file", [
@@ -730,7 +835,7 @@ class TestConfigFile:
             "train", "--model", "svm", "--corpus", corpus_path, "--out", str(run_dir),
             "--profile", "desk", "--config", str(config_file),
         ]) == 0
-        assert json.loads((run_dir / "model.json").read_text())["C"] == 0.5
+        assert json.loads((run_dir / "model.json").read_text())["config"]["C"] == 0.5
         assert "C = 0.5" in (run_dir / "config.ini").read_text().splitlines()
 
     @pytest.mark.parametrize("family, option, value",

@@ -155,7 +155,7 @@ class TestBiLstm:
         corpus = generate_class_marked_corpus(12, seed=7)
         bundle = train_bilstm(corpus, small_bilstm_config(epochs=1))
         bundle.save(tmp_path / "run")
-        loaded = BiLstmClassifier.load(tmp_path / "run")
+        loaded = BiLstmClassifier.load(tmp_path / "run", bundle.config)
         assert np.allclose(
             loaded.scores(corpus.articles),
             bundle.scores(corpus.articles),
@@ -205,7 +205,7 @@ class TestEncoderHead:
         corpus = generate_class_marked_corpus(10, seed=10)
         bundle = train_encoder_head(corpus, self.config(epochs=2))
         bundle.save(tmp_path / "run")
-        loaded = EncoderHead.load(tmp_path / "run")
+        loaded = EncoderHead.load(tmp_path / "run", bundle.config)
         assert np.allclose(
             loaded.scores(corpus.articles),
             bundle.scores(corpus.articles),
@@ -404,7 +404,7 @@ class TestContrastiveTraining:
         corpus = generate_topic_pair_corpus(16, seed=6)
         bundle = train_contrastive(corpus, siamese_config(epochs=2))
         bundle.save(tmp_path / "run")
-        loaded = SiameseEncoder.load(tmp_path / "run")
+        loaded = SiameseEncoder.load(tmp_path / "run", bundle.config)
         articles = corpus.articles[:4]
         assert loaded.scores(articles) == pytest.approx(bundle.scores(articles), abs=1e-12)
 
