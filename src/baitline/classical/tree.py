@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import parallel
 from ..tensor.checkpoint import is_finite_number
 
 
@@ -28,6 +29,10 @@ def _entropy2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 _RUN_VALUES = 1 << 11
+
+# Sample rows, summed over a group's trees, below which a group of trees grows
+# faster in the calling process than in a forked child.
+FORK_MIN_ROW_TREES = 2_000
 
 
 def best_split(X: np.ndarray, y: np.ndarray, samples: list, features: list,
@@ -155,50 +160,25 @@ class DecisionTree:
         """A forest of one tree per generator in ``rngs``: tree t grows on the rows
         ``samples[t]`` of ``X``, and its impure nodes try ``max_features`` features
         drawn from ``rngs[t]`` (every feature, with no draw, if that is all of them).
-        The trees grow in lockstep: at each step every tree takes the next node
-        of its preorder stack, and those nodes share one ``best_split`` call."""
+
+        Contiguous groups of trees grow on the CPUs this process may use
+        (``parallel.fork_join``), at most one group per ``FORK_MIN_ROW_TREES``
+        sample rows summed over all trees.  A tree depends only on its own
+        generator and samples, so the forest, and the state each generator is
+        left in, do not depend on the grouping."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        n_features = X.shape[1]
-        grown = [array("d") for _ in rngs]  # compact: every tree's nodes are held to the end
-        # per tree: the samples reaching a node, and the split whose right child it is (or -1)
-        stacks = [[(np.asarray(rows), -1)] for rows in samples]
-        while any(stacks):
-            impure = []  # (tree, node, samples) to split at this step
-            for tree, (rows, stack) in enumerate(zip(grown, stacks)):
-                if not stack:
-                    continue
-                indices, parent = stack.pop()
-                node = len(rows) // 6
-                if parent >= 0:
-                    rows[6 * parent + 3] = node
-                labels = y[indices]
-                # summed one sample at a time, in sample order
-                counts = np.bincount(labels, class_weights[labels], minlength=2)
-                rows.extend((0, 0.0, node, node, *(counts / counts.sum())))  # a leaf, unless split
-                if counts[0] != 0.0 and counts[1] != 0.0:
-                    impure.append((tree, node, indices))
-            if not impure:
-                continue
-            subsets = [rngs[tree].choice(n_features, size=max_features, replace=False)
-                       if max_features < n_features else range(n_features) for tree, _, _ in impure]
-            splits = best_split(X, y, [indices for _, _, indices in impure], subsets, class_weights)
-            retry = [k for k, split in enumerate(splits) if split is None]
-            if retry and max_features < n_features:
-                # sampled features were all constant here; retry with every feature
-                found = best_split(X, y, [impure[k][2] for k in retry],
-                                   [range(n_features)] * len(retry), class_weights)
-                for k, split in zip(retry, found):
-                    splits[k] = split
-            for (tree, node, indices), split in zip(impure, splits):
-                if split is None:
-                    continue
-                feature, threshold, _ = split
-                grown[tree][6 * node:6 * node + 6] = array("d", (feature, threshold, node + 1, -1, 0, 0))
-                go_left = X[indices, feature] <= threshold
-                # the left subtree is grown first, so rng draws follow preorder
-                stacks[tree].append((indices[~go_left], node))
-                stacks[tree].append((indices[go_left], -1))
+        groups = parallel.split([len(rows) for rows in samples], FORK_MIN_ROW_TREES)
+
+        def grow(group: slice) -> tuple[list[array], list[dict]]:
+            grown = _grow(X, y, class_weights, rngs[group], samples[group], max_features)
+            return grown, [rng.bit_generator.state for rng in rngs[group]]
+
+        grown = []
+        for group, (rows, states) in zip(groups, parallel.fork_join(grow, groups)):
+            grown += rows
+            for rng, state in zip(rngs[group], states):
+                rng.bit_generator.state = state
         return cls._pack(grown)
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
@@ -259,6 +239,55 @@ class DecisionTree:
             if stack:
                 raise ValueError(f"tree {index} ends before its last leaf")
         return cls._pack(grown)
+
+
+def _grow(X: np.ndarray, y: np.ndarray, class_weights: np.ndarray,
+          rngs: list[np.random.Generator], samples: list[np.ndarray],
+          max_features: int) -> list[array]:
+    """Each tree's flat node rows, as ``DecisionTree._pack`` takes them, grown in
+    lockstep: at each step every tree takes the next node of its preorder
+    stack, and those nodes share one ``best_split`` call."""
+    n_features = X.shape[1]
+    grown = [array("d") for _ in rngs]  # compact: every tree's nodes are held to the end
+    # per tree: the samples reaching a node, and the split whose right child it is (or -1)
+    stacks = [[(np.asarray(rows), -1)] for rows in samples]
+    while any(stacks):
+        impure = []  # (tree, node, samples) to split at this step
+        for tree, (rows, stack) in enumerate(zip(grown, stacks)):
+            if not stack:
+                continue
+            indices, parent = stack.pop()
+            node = len(rows) // 6
+            if parent >= 0:
+                rows[6 * parent + 3] = node
+            labels = y[indices]
+            # summed one sample at a time, in sample order
+            counts = np.bincount(labels, class_weights[labels], minlength=2)
+            rows.extend((0, 0.0, node, node, *(counts / counts.sum())))  # a leaf, unless split
+            if counts[0] != 0.0 and counts[1] != 0.0:
+                impure.append((tree, node, indices))
+        if not impure:
+            continue
+        subsets = [rngs[tree].choice(n_features, size=max_features, replace=False)
+                   if max_features < n_features else range(n_features) for tree, _, _ in impure]
+        splits = best_split(X, y, [indices for _, _, indices in impure], subsets, class_weights)
+        retry = [k for k, split in enumerate(splits) if split is None]
+        if retry and max_features < n_features:
+            # sampled features were all constant here; retry with every feature
+            found = best_split(X, y, [impure[k][2] for k in retry],
+                               [range(n_features)] * len(retry), class_weights)
+            for k, split in zip(retry, found):
+                splits[k] = split
+        for (tree, node, indices), split in zip(impure, splits):
+            if split is None:
+                continue
+            feature, threshold, _ = split
+            grown[tree][6 * node:6 * node + 6] = array("d", (feature, threshold, node + 1, -1, 0, 0))
+            go_left = X[indices, feature] <= threshold
+            # the left subtree is grown first, so rng draws follow preorder
+            stacks[tree].append((indices[~go_left], node))
+            stacks[tree].append((indices[go_left], -1))
+    return grown
 
 
 def _node_row(entry, node: int, n_features: int) -> list:

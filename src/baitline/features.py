@@ -19,6 +19,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from . import parallel
 from .corpus import NewsArticle
 from .tensor.checkpoint import CheckpointVersionError, is_finite_number
 from .textproc import TokenizedDoc, _is_word, tokenize
@@ -298,6 +299,10 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 N_FEATURES = len(FEATURE_NAMES)
 
+# Characters of title and content below which a chunk of articles is
+# featurized faster in the calling process than in a forked child.
+FORK_MIN_CHARS = 48_000
+
 
 def extract_features(
     article: NewsArticle,
@@ -344,9 +349,23 @@ def extract_features(
 def feature_matrix(
     articles: Sequence[NewsArticle], tagger: Tagger | None = None
 ) -> np.ndarray:
-    """One feature row per article; an undefined feature names its article."""
+    """One feature row per article; an undefined feature names its article,
+    the first such in input order.
+
+    Contiguous chunks of articles, balanced by characters of title and
+    content, run on the CPUs this process may use (``parallel.fork_join``), at
+    most one chunk per ``FORK_MIN_CHARS`` characters; every row depends on its
+    article alone, so the matrix does not depend on the split.
+    """
     if tagger is None:
         tagger = HeuristicTagger()
+    chunks = parallel.split([len(a.title) + len(a.content) for a in articles], FORK_MIN_CHARS)
+    rows = parallel.fork_join(lambda chunk: _feature_rows(articles[chunk], tagger), chunks)
+    return np.concatenate(rows)
+
+
+def _feature_rows(articles: Sequence[NewsArticle], tagger: Tagger) -> np.ndarray:
+    """``feature_matrix`` of ``articles`` in this process."""
     word_memo: dict[str, WordStats] = {}
     rows = []
     for article in articles:

@@ -17,7 +17,7 @@ import pytest
 from baitline.classical import RandomForestConfig, train_random_forest
 from baitline.cli import run
 from baitline.config import MODEL_FAMILIES, read_model
-from baitline.corpus import Label, cohens_kappa, corpus_stats, load_corpus, save_corpus, split_by_source
+from baitline.corpus import Label, corpus_stats, load_corpus, save_corpus, split_by_source
 from baitline.ensemble import EnsembleConfig, ensemble_predict, fit_weights
 from baitline.metrics import load_predictions, macro_f1, mcnemar, pr_curve, prf1
 from baitline.neural.lstm import BiLstmClassifier, BiLstmConfig
@@ -50,6 +50,7 @@ from baitline.tensor import (
     tmean,
 )
 
+from annotation import cohens_kappa
 from gradcheck import check_gradients, tsum
 from synthetic import generate_topic_pair_corpus
 from test_classical import exhaustive_best_split, per_row_leaf_probs, split_alone

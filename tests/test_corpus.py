@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from baitline.corpus import (
-    AnnotationSet,
     Corpus,
     CorpusFormatError,
     Label,
     NewsArticle,
-    cohens_kappa,
     corpus_stats,
     load_corpus,
     load_split_manifest,
-    majority_label,
     save_corpus,
     split_by_source,
 )
+
+from annotation import AnnotationSet, cohens_kappa, majority_label
 from synthetic import generate_topic_pair_corpus
 
 CB = Label.CLICKBAIT
