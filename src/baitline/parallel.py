@@ -51,17 +51,22 @@ def split(weights: Sequence[float], break_even: float) -> list[slice]:
 def fork_join(fn: Callable[[T], R], work: Sequence[T]) -> list[R]:
     """``[fn(part) for part in work]``, part 0 run here and each other part in
     a forked child.  The first exception in part order is raised; a child that
-    ends without sending its outcome raises ChildProcessError naming its part."""
+    ends without sending its outcome raises ChildProcessError naming its part.
+    Parts whose pipe or fork fails (no process or file descriptor left) run
+    here, after the children's parts."""
     children = []  # (pid, read end of its pipe)
     try:
         for part in work[1:]:
-            read, write = os.pipe()
+            try:
+                read, write = os.pipe()
+            except OSError:
+                break
             try:
                 pid = os.fork()
             except OSError:
                 os.close(read)
                 os.close(write)
-                raise
+                break
             if pid == 0:
                 _child(fn, part, write)
             os.close(write)
@@ -75,7 +80,7 @@ def fork_join(fn: Callable[[T], R], work: Sequence[T]) -> list[R]:
             if not done:
                 raise value
             results.append(value)
-        return results
+        return results + [fn(part) for part in work[1 + len(children):]]
     finally:
         for pid, pipe in children:
             pipe.close()

@@ -14,10 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from baitline import parallel
+from baitline import features, parallel
 from baitline.classical import DecisionTree, RandomForestConfig, balanced_class_weights, train_random_forest
 from baitline.corpus import Corpus, NewsArticle, save_corpus
+from baitline.classical import tree
 from baitline.features import feature_matrix
+from baitline.registry import FAMILIES
 
 from synthetic import generate_topic_pair_corpus
 from test_classical import per_tree_forest, separable_dataset
@@ -119,6 +121,49 @@ class TestForkJoin:
 
         with pytest.raises(ChildProcessError, match="part 1 of 3 ended without a result"):
             parallel.fork_join(part, [0, 1, 2])
+
+    @pytest.mark.parametrize("forks", [0, 1, 2])
+    def test_parts_run_here_when_fork_fails(self, monkeypatch, forks):
+        # the first ``forks`` forks succeed, then every one fails as under RLIMIT_NPROC
+        fork = os.fork
+        made = []
+
+        def limited():
+            if len(made) == forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            made.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", limited)
+        results = parallel.fork_join(lambda k: (k * 3, os.getpid()), [0, 1, 2, 3])
+        assert [value for value, _ in results] == [0, 3, 6, 9]
+        here = [k for k, (_, pid) in enumerate(results) if pid == os.getpid()]
+        assert here == [0, *range(1 + forks, 4)]
+
+        def fail_from_one(k):
+            if k:
+                raise KeyError(f"part {k}")
+            return k
+
+        made.clear()
+        with pytest.raises(KeyError, match="part 1"):
+            parallel.fork_join(fail_from_one, [0, 1, 2, 3])
+
+    def test_fork_failure_gives_the_serial_features_and_forest(self, fan_out, monkeypatch):
+        articles = uneven_articles(12, seed=4)
+        X, y = separable_dataset(seed=2)
+        config = RandomForestConfig(n_estimators=6, seed=5)
+        fan_out(1)
+        serial = (feature_matrix(articles), train_random_forest(X, y, config).trees.to_preorder())
+
+        def unavailable():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", unavailable)
+        calls = fan_out(3)
+        assert feature_matrix(articles).tobytes() == serial[0].tobytes()
+        assert train_random_forest(X, y, config).trees.to_preorder() == serial[1]
+        assert calls == [3, 3]
 
     def test_serial_without_fork_or_affinity(self, monkeypatch):
         assert parallel.cpu_count() == len(os.sched_getaffinity(0))
@@ -277,7 +322,14 @@ def test_classical_runs_byte_identical_at_any_cpu_and_blas_thread_count(tmp_path
             runs[work.name] = json.loads(done.stdout.splitlines()[-1])
     parts = {name: record["parts"] for name, record in runs.items()}
     assert parts["cpus1-blas1"] == parts["cpus1-blas2"] == {"feature_matrix": 1, "DecisionTree": 1}
-    fanned = {"feature_matrix": min(len(all_cpus), 90), "DecisionTree": len(all_cpus)}
+    # unpinned, the largest calls split as far as the CPUs and the gates allow:
+    # all articles featurized, and a forest of one bootstrap of every article per tree
+    fanned = {"feature_matrix": len(parallel.split([len(a.title) + len(a.content) for a in joined],
+                                                   features.FORK_MIN_CHARS)),
+              "DecisionTree": max(len(parallel.split([len(joined)] * trees, tree.FORK_MIN_ROW_TREES))
+                                  for trees in (FAMILIES["rf"].desk["n_estimators"],
+                                                RandomForestConfig().n_estimators))}
+    assert min(fanned.values()) > 1
     assert parts[f"cpus{len(all_cpus)}-blas1"] == parts[f"cpus{len(all_cpus)}-blas2"] == fanned
     digests = [record["digests"] for record in runs.values()]
     # the corpus, and per run model.json, config.ini, training.log, the TSV and its snapshot
