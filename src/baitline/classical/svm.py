@@ -58,12 +58,6 @@ def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y_signed: np.ndarray, 
     return float(0.5 * (w @ w) + C * hinge)
 
 
-def _to_signed(y: np.ndarray) -> np.ndarray:
-    """Label 0 (clickbait) -> +1, label 1 (non-clickbait) -> -1."""
-    y = np.asarray(y, dtype=np.int64)
-    return np.where(y == 0, 1.0, -1.0)
-
-
 def train_svm(X: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> SvmModel:
     """Deterministic subgradient training plus Platt fitting on train decisions."""
     if config is None:
@@ -76,7 +70,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> 
     counts = np.bincount(y, minlength=2)
     if counts[0] == 0 or counts[1] == 0:
         raise ValueError("SVM training needs both classes present")
-    y_signed = _to_signed(y)
+    y_signed = np.where(y == 0, 1.0, -1.0)
     lam = 1.0 / (config.C * n)
 
     # The bias rides in the weight vector as a constant-1 feature, so it is
@@ -84,37 +78,41 @@ def train_svm(X: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> 
     # per-epoch objective is that of the augmented weights with no extra bias.
     Xa = np.hstack([X, np.ones((n, 1))])
     # Rows signed once: y*x is exact for y = +-1, and rounding is symmetric in
-    # sign, so (y*x).w and lr*(y*x) carry the bits of y*(x.w) and (lr*y)*x.
+    # sign, so (y*x).v carries the bits of y*(x.v).
     rows = list(Xa * y_signed[:, None])
     rng = np.random.default_rng(config.seed)
-    wa = np.zeros(d + 1)
-    step = np.empty(d + 1)
+    # Pegasos' scaled form (Shalev-Shwartz et al., 2007): under lr_t = 1/(lam*t)
+    # the shrink is 1 - 1/t, so w_t = v/(lam*(t-1)) with v the sum of the
+    # signed rows that violated before step t.  Step t violates iff
+    # row.v < lam*(t-1), and then v += row; step 1 (w_1 = 0) always does.
+    v = np.zeros(d + 1)
     objective_by_epoch: list[float] = []
     tail_sum = np.zeros(d + 1)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        # lr_t = 1/(lam*t) and the shrink factor 1 - lr_t*lam for this epoch's
-        # steps t, elementwise: the same roundings as working them out per step
-        lrs = 1.0 / (lam * np.arange(epoch * n + 1, (epoch + 1) * n + 1, dtype=np.float64))
-        shrinks = 1.0 - lrs * lam
-        last_epoch = epoch == config.epochs - 1
-        for i, lr, shrink in zip(order.tolist(), lrs.tolist(), shrinks.tolist()):
-            row = rows[i]
-            margin = row.dot(wa)
-            wa *= shrink
-            if margin < 1.0:
-                np.multiply(row, lr, out=step)
-                wa += step
-            if last_epoch:
-                tail_sum += wa
-        objective_by_epoch.append(svm_objective(wa, 0.0, Xa, y_signed, config.C))
-
-    # suffix averaging over the final epoch removes the O(lr) oscillation
-    # band of the last raw iterate
-    wa = tail_sum / n
-    w, b = wa[:-1], float(wa[-1])
-    decisions = X @ w + b
-    calibrator = platt_fit(decisions, y_signed)
+    # too large a C overflows the scaled weights: that raises below, not as a RuntimeWarning
+    with np.errstate(all="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            steps = np.arange(epoch * n + 1, (epoch + 1) * n + 1, dtype=np.float64)
+            thresholds = np.where(steps > 1.0, lam * (steps - 1.0), np.inf)
+            last_epoch = epoch == config.epochs - 1
+            for i, threshold, t in zip(order.tolist(), thresholds.tolist(), steps.tolist()):
+                row = rows[i]
+                if row.dot(v) < threshold:
+                    v += row
+                if last_epoch:
+                    tail_sum += v / t  # lam * w_{t+1}
+            w_end = v / (lam * ((epoch + 1) * n))
+            objective_by_epoch.append(svm_objective(w_end, 0.0, Xa, y_signed, config.C))
+        # suffix averaging over the final epoch removes the O(lr) oscillation
+        # band of the last raw iterate
+        wa = tail_sum / (lam * n)
+        w, b = wa[:-1], float(wa[-1])
+        calibrator = platt_fit(X @ w + b, y_signed)
+    if not np.isfinite([*objective_by_epoch, *wa, calibrator.A, calibrator.B]).all():
+        epoch = next((e for e, value in enumerate(objective_by_epoch, 1)
+                      if not math.isfinite(value)), config.epochs)
+        raise ArithmeticError(f"svm training is not finite at epoch {epoch}; "
+                              f"C = {config.C!r} is too large")
     return SvmModel(
         w=w, b=b, C=config.C, calibrator=calibrator,
         objective_by_epoch=objective_by_epoch,

@@ -13,6 +13,8 @@ DATA_DIR = Path(__file__).parent / "data"
 # example database and no per-example time limit.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
                           max_examples=100)
+# The same, drawn 20 times deeper: pytest --hypothesis-profile=ci-deep
+settings.register_profile("ci-deep", settings.get_profile("tier1"), max_examples=2000)
 settings.load_profile("tier1")
 
 

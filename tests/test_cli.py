@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from baitline import config as cfg
+from baitline.classical import svm
 from baitline.cli import build_parser, run
 from baitline.corpus import Corpus, Label, load_corpus, save_corpus
 from baitline.features import N_FEATURES
@@ -17,6 +18,8 @@ from baitline.registry import FAMILIES
 from baitline.tensor import checkpoint
 from baitline.tensor.checkpoint import load_tensors, save_tensors
 from baitline.textproc import normalize, tokenize
+
+from test_classical import SVM_REBASE_BOUND, reference_train_svm
 
 CB = Label.CLICKBAIT
 NCB = Label.NON_CLICKBAIT
@@ -625,6 +628,40 @@ def test_config_snapshot_reproduces_run_directory(tmp_path, data_dir, family):
         assert path.read_bytes() == (again / path.name).read_bytes(), path.name
 
 
+@pytest.mark.parametrize("profile", ["desk", "full"])
+def test_svm_rebase_keeps_labels_and_eval(tmp_path, data_dir, monkeypatch, profile):
+    """svm trained as shipped and with the loop it replaced, on the fixture:
+    the same labels, scores within the re-base bound, the same macro-F1, and
+    no article on which McNemar's test finds the two disagree."""
+    corpus_path = str(data_dir / "synthetic60.jsonl")
+    preds = {}
+    for form in ("scaled", "old"):
+        with monkeypatch.context() as m:
+            if form == "old":
+                m.setattr(svm, "train_svm",
+                          lambda X, y, config: reference_train_svm(X, y, config)[0])
+            run_dir = tmp_path / form
+            assert run(["train", "--model", "svm", "--corpus", corpus_path, "--out", str(run_dir),
+                        "--profile", profile, "--seed", "5"]) == 0
+        preds[form] = tmp_path / f"{form}.tsv"
+        assert run(["predict", "--model-dir", str(run_dir), "--corpus", corpus_path,
+                    "--out", str(preds[form])]) == 0
+    scaled, old = (load_predictions(preds[form]) for form in ("scaled", "old"))
+    assert [(r.id, r.pred) for r in scaled] == [(r.id, r.pred) for r in old]
+    assert [r.score for r in scaled] == pytest.approx([r.score for r in old],
+                                                      rel=SVM_REBASE_BOUND, abs=0.0)
+    reports = {}
+    for form in ("scaled", "old"):
+        out_dir = tmp_path / f"eval-{form}"
+        other = "old" if form == "scaled" else "scaled"
+        assert run(["eval", "--preds", str(preds[form]), "--out-dir", str(out_dir),
+                    "--compare", str(preds[other]), "--compare-name", other]) == 0
+        reports[form] = json.loads((out_dir / "report.json").read_text())
+    scaled_report = reports["scaled"]
+    assert scaled_report["macro_f1"] == reports["old"]["macro_f1"]
+    assert (scaled_report["mcnemar_old_statistic"], scaled_report["mcnemar_old_p"]) == (0.0, 1.0)
+
+
 def test_model_json_alone_names_the_family(tmp_path, neural_runs, data_dir, capsys):
     """``config.ini`` is an audit snapshot that predict does not read, and a
     directory without ``model.json``, as written before it, exits 2."""
@@ -877,6 +914,20 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{config_file}: [{family}] {option} = {value!r} is out of range" in err
         assert not (tmp_path / "run").exists()
+
+    def test_svm_non_finite_objective_exit_3(self, tmp_path, corpus_path, capsys):
+        """C = 1e300 is in range, but the objective overflows from epoch 1 on:
+        the run exits 3 naming C and that epoch, and saves no model."""
+        config_file = tmp_path / "run.ini"
+        config_file.write_text("[svm]\nC = 1e300\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run([
+            "train", "--model", "svm", "--corpus", corpus_path, "--out", str(tmp_path / "run"),
+            "--profile", "desk", "--config", str(config_file),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "at epoch 1" in err and "C = 1e+300" in err
+        assert list((tmp_path / "run").iterdir()) == []
 
     @pytest.mark.parametrize("family", ["svm", "contrastive"])
     def test_negative_epochs_flag_exit_3(self, tmp_path, corpus_path, capsys, family):
