@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..tensor.checkpoint import CheckpointVersionError, is_finite_number, require_fields
+from ..tensor.checkpoint import CheckpointVersionError, require_fields
 from .tree import DecisionTree
 
 
@@ -21,10 +21,7 @@ class RandomForestConfig:
 @dataclass
 class RandomForestModel:
     trees: DecisionTree  # the whole forest, packed
-    oob_indices: list[np.ndarray]  # per tree, the sample indices it never saw
-    class_weights: np.ndarray
-    oob_score: float
-    config: RandomForestConfig = field(default_factory=RandomForestConfig)
+    oob_score: float  # training's estimate; a loaded model keeps the stored one
 
     def predict_clickbait_proba(self, X: np.ndarray) -> np.ndarray:
         return self.trees.predict_proba(X)[:, 0]
@@ -69,8 +66,7 @@ def train_random_forest(
     bootstraps = [rng.integers(0, n, size=n) for rng in rngs]
     oob_indices = [np.setdiff1d(np.arange(n), bootstrap) for bootstrap in bootstraps]
     trees = DecisionTree.fit(X, y, class_weights, rngs, bootstraps, max_features)
-    return RandomForestModel(trees=trees, oob_indices=oob_indices, class_weights=class_weights,
-                             oob_score=compute_oob_score(trees, oob_indices, X, y), config=config)
+    return RandomForestModel(trees, compute_oob_score(trees, oob_indices, X, y))
 
 
 def compute_oob_score(trees: DecisionTree, oob_indices: list[np.ndarray], X: np.ndarray,
@@ -97,35 +93,20 @@ def compute_oob_score(trees: DecisionTree, oob_indices: list[np.ndarray], X: np.
 def rf_fields(model: RandomForestModel) -> dict:
     """The ``model.json`` fields of an rf model besides its config and its
     losses, which hold the OOB score."""
-    return {
-        "class_weights": model.class_weights.tolist(),
-        "oob_indices": [idx.tolist() for idx in model.oob_indices],
-        "trees": model.trees.to_preorder(),
-    }
+    return {"trees": model.trees.to_preorder()}
 
 
 def load_rf(path, model: dict, n_features: int) -> RandomForestModel:
     """The rf model in ``model``, the parsed ``model.json`` at ``path``, whose
     trees split inputs of ``n_features`` features."""
-    require_fields(path, "rf", model, ("class_weights", "oob_indices", "trees"))
-    oob_indices = model["oob_indices"]
-    if not (type(oob_indices) is list and all(
-            type(idx) is list and all(type(i) is int for i in idx) for idx in oob_indices)):
-        raise CheckpointVersionError(f"{path}: rf field 'oob_indices' is not a list of integer lists")
-    losses, class_weights = model["losses"], model["class_weights"]
+    require_fields(path, "rf", model, ("trees",))
+    losses = model["losses"]
     # NaN is what a forest with no out-of-bag sample stores
     if not (len(losses) == 1 and (math.isnan(losses[0]) or 0 <= losses[0] <= 1)):
         raise CheckpointVersionError(
             f"{path}: rf field 'losses' is not one OOB score, in [0, 1] or NaN")
-    if not (type(class_weights) is list and len(class_weights) == 2
-            and all(is_finite_number(w) and w > 0 for w in class_weights)):
-        raise CheckpointVersionError(
-            f"{path}: rf field 'class_weights' is not two finite positive numbers")
     try:
         trees = DecisionTree.from_preorder(model["trees"], n_features)
     except ValueError as exc:
         raise CheckpointVersionError(f"{path}: {exc}") from None
-    return RandomForestModel(
-        trees=trees, oob_indices=[np.array(idx, dtype=np.int64) for idx in oob_indices],
-        class_weights=np.array(class_weights, dtype=np.float64), oob_score=float(losses[0]),
-        config=model["config"])
+    return RandomForestModel(trees, float(losses[0]))

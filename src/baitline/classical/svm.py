@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..tensor.checkpoint import CheckpointVersionError, is_finite_number, require_fields
+from ..tensor.checkpoint import (CheckpointVersionError, finite_array, is_finite_number,
+                                 require_fields)
 from ..tensor.core import _sigmoid
 
 
@@ -191,10 +192,7 @@ def load_svm(path, model: dict, n_features: int) -> SvmModel:
     for name, value in (("b", model["b"]), ("platt.A", platt["A"]), ("platt.B", platt["B"])):
         if not is_finite_number(value):
             raise CheckpointVersionError(f"{path}: svm field {name!r} is not a finite number")
-    w = model["w"]
-    if not (type(w) is list and len(w) == n_features and all(is_finite_number(v) for v in w)):
-        raise CheckpointVersionError(
-            f"{path}: svm field 'w' is not a list of {n_features} finite numbers")
-    return SvmModel(w=np.array(w, dtype=np.float64), b=float(model["b"]), C=model["config"].C,
+    return SvmModel(w=finite_array(path, "svm field 'w'", model["w"], n_features),
+                    b=float(model["b"]), C=model["config"].C,
                     calibrator=PlattScaler(A=float(platt["A"]), B=float(platt["B"])),
                     objective_by_epoch=list(model["losses"]))

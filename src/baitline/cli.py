@@ -24,13 +24,7 @@ from .corpus import (
     split_by_source,
 )
 from .ensemble import EnsembleConfig, ensemble_predict, fit_weights
-from .features import (
-    FEATURE_NAMES,
-    HeuristicTagger,
-    export_features,
-    feature_matrix,
-    fit_standardizer,
-)
+from .features import FEATURE_NAMES, export_features, feature_matrix, fit_standardizer
 from .metrics import (
     PredictionRow,
     evaluate,
@@ -152,7 +146,7 @@ def cmd_split(args) -> int:
 
 def cmd_featurize(args) -> int:
     corpus = load_corpus(args.corpus)
-    matrix = feature_matrix(corpus.articles, HeuristicTagger())
+    matrix = feature_matrix(corpus.articles)
     export_features(matrix, args.out, FEATURE_NAMES)
     if args.standardizer_out:
         fit_standardizer(matrix).save(args.standardizer_out)

@@ -20,7 +20,18 @@ from .textproc import TokenizedDoc, tokenize
 
 
 class CorpusFormatError(ValueError):
-    """A corpus or manifest file violates the documented schema."""
+    """A corpus, manifest or prediction file violates the documented schema."""
+
+
+def numbered_lines(path):
+    """(1-based line number, text) for each line of the UTF-8 file ``path``; a
+    line that is not UTF-8 raises CorpusFormatError naming the file and the line."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                yield line_no, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"{path}:{line_no}: not UTF-8: {exc}") from None
 
 
 class Label(IntEnum):
@@ -135,28 +146,33 @@ class CorpusStats:
 def load_corpus(path, name: str | None = None) -> Corpus:
     """Load a JSON-lines corpus file, validating every record.
 
-    Errors report the 1-based line number and the offending value; file order
-    is preserved.
+    Errors report the 1-based line number and the offending value, or both
+    lines of a repeated id; file order is preserved.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"corpus file not found: {path}")
     articles: list[NewsArticle] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{line_no}: malformed record: {exc}") from None
-            if not isinstance(record, dict):
-                raise CorpusFormatError(f"{path}:{line_no}: record is not an object")
-            try:
-                articles.append(_article_from_record(record))
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(f"{path}:{line_no}: {exc}") from None
+    first_line: dict[str, int] = {}  # article id -> the line it is on
+    for line_no, line in numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}:{line_no}: malformed record: {exc}") from None
+        if not isinstance(record, dict):
+            raise CorpusFormatError(f"{path}:{line_no}: record is not an object")
+        try:
+            article = _article_from_record(record)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{path}:{line_no}: {exc}") from None
+        first = first_line.setdefault(article.id, line_no)
+        if first != line_no:
+            raise CorpusFormatError(
+                f"{path}:{line_no}: duplicate article id {article.id!r}, first on line {first}")
+        articles.append(article)
     return Corpus(tuple(articles), name=name if name is not None else path.stem)
 
 

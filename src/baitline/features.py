@@ -5,9 +5,9 @@ title part-of-speech counts, the question-word count, per-character
 punctuation counts, title LIX/RIX, body LIX/RIX/Coleman-Liau, and common and
 proper noun counts over title plus content.
 
-Part-of-speech tagging is pluggable; the default is a deterministic heuristic
-(closed-class lexicons, suffix rules, capitalization) so the pipeline has no
-external tagger dependency and every feature value is reproducible.
+Part-of-speech tags come from a deterministic heuristic (closed-class
+lexicons, suffix rules, capitalization), so the pipeline has no external
+tagger dependency and every feature value is reproducible.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import parallel
 from .corpus import NewsArticle
-from .tensor.checkpoint import CheckpointVersionError, is_finite_number
+from .tensor.checkpoint import CheckpointVersionError, finite_array
 from .textproc import TokenizedDoc, _is_word, tokenize
 
 # Fixed 12-tag universal-style tag set.
@@ -39,12 +39,6 @@ PUNCTUATION_FEATURES = ("?", "!", ".", ":", '"', "'")
 QUESTION_WORDS = {
     "cine", "ce", "care", "când", "unde", "cum", "cât", "câte", "câți", "oare",
 }
-
-
-class Tagger(Protocol):
-    """Anything that maps a tokenized doc to one tag per token."""
-
-    def tag(self, doc: TokenizedDoc) -> list[str]: ...
 
 
 # Closed-class lexicons for the heuristic tagger (lowercase forms), in rule
@@ -267,20 +261,10 @@ def punctuation_counts(title_text: str) -> dict[str, int]:
     return {ch: title_text.count(ch) for ch in PUNCTUATION_FEATURES}
 
 
-def pos_counts(
-    doc: TokenizedDoc, tagger: Tagger
-) -> tuple[dict[str, int], int, int]:
+def pos_counts(doc: TokenizedDoc, tagger: HeuristicTagger) -> tuple[dict[str, int], int, int]:
     """Histogram over the tag set plus (common noun, proper noun) counts."""
-    tags = tagger.tag(doc)
-    if len(tags) != len(doc.tokens):
-        raise ValueError(
-            f"tagger returned {len(tags)} tags for {len(doc.tokens)} tokens"
-        )
     histogram = dict.fromkeys(POS_TAGS, 0)
-    for tag, count in Counter(tags).items():
-        if tag not in histogram:
-            raise ValueError(f"tagger produced unknown tag {tag!r}")
-        histogram[tag] = count
+    histogram.update(Counter(tagger.tag(doc)))
     return histogram, histogram["NOUN"], histogram["PROPN"]
 
 
@@ -306,19 +290,17 @@ FORK_MIN_CHARS = 48_000
 
 def extract_features(
     article: NewsArticle,
-    tagger: Tagger | None = None,
+    tagger: HeuristicTagger,
     word_memo: dict[str, WordStats] | None = None,
 ) -> np.ndarray:
     """Assemble the fixed-order feature vector for one article.
 
     Title readability is computed on the title, body readability on the
     content, and noun counts on title plus content combined.  Raises when a
-    component is undefined (e.g. a title with no word tokens).  ``word_memo``
-    caches per-token word statistics; ``feature_matrix`` shares one across
-    its articles.
+    component is undefined (e.g. a title with no word tokens).  ``tagger``
+    memoizes tags and ``word_memo`` per-token word statistics;
+    ``feature_matrix`` shares one of each across a chunk of articles.
     """
-    if tagger is None:
-        tagger = HeuristicTagger()
     title_doc = tokenize(article.title)
     content_doc = tokenize(article.content)
 
@@ -346,9 +328,7 @@ def extract_features(
     return vector
 
 
-def feature_matrix(
-    articles: Sequence[NewsArticle], tagger: Tagger | None = None
-) -> np.ndarray:
+def feature_matrix(articles: Sequence[NewsArticle]) -> np.ndarray:
     """One feature row per article; an undefined feature names its article,
     the first such in input order.
 
@@ -357,15 +337,14 @@ def feature_matrix(
     most one chunk per ``FORK_MIN_CHARS`` characters; every row depends on its
     article alone, so the matrix does not depend on the split.
     """
-    if tagger is None:
-        tagger = HeuristicTagger()
     chunks = parallel.split([len(a.title) + len(a.content) for a in articles], FORK_MIN_CHARS)
-    rows = parallel.fork_join(lambda chunk: _feature_rows(articles[chunk], tagger), chunks)
+    rows = parallel.fork_join(lambda chunk: _feature_rows(articles[chunk]), chunks)
     return np.concatenate(rows)
 
 
-def _feature_rows(articles: Sequence[NewsArticle], tagger: Tagger) -> np.ndarray:
+def _feature_rows(articles: Sequence[NewsArticle]) -> np.ndarray:
     """``feature_matrix`` of ``articles`` in this process."""
+    tagger = HeuristicTagger()
     word_memo: dict[str, WordStats] = {}
     rows = []
     for article in articles:
@@ -399,14 +378,8 @@ class Standardizer:
         """The standardizer in ``payload``, read from the file ``path``:
         ``N_FEATURES`` finite means and positive finite deviations, else
         CheckpointVersionError naming the file and the key."""
-        arrays = {}
-        for key in ("mean", "std"):
-            values = payload.get(key)
-            if not (type(values) is list and len(values) == N_FEATURES
-                    and all(is_finite_number(v) for v in values)):
-                raise CheckpointVersionError(f"{path}: standardizer {key!r} is missing or not "
-                                             f"a list of {N_FEATURES} finite numbers")
-            arrays[key] = np.array(values, dtype=np.float64)
+        arrays = {key: finite_array(path, f"standardizer {key!r}", payload.get(key), N_FEATURES)
+                  for key in ("mean", "std")}
         if (arrays["std"] <= 0).any():
             raise CheckpointVersionError(f"{path}: standardizer 'std' has a value <= 0")
         return cls(**arrays)

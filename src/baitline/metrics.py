@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import Label
+from .corpus import Label, numbered_lines
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +268,29 @@ def save_predictions(rows: Sequence[PredictionRow], path) -> None:
 
 
 def load_predictions(path) -> list[PredictionRow]:
+    """The rows of a prediction file; a malformed line, or an article id on
+    a second line, raises ValueError naming the file and the line(s)."""
     rows: list[PredictionRow] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
-            try:
-                score = float(parts[3])
-            except ValueError:
-                score = math.nan
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(f"{path}:{line_no}: score {parts[3]!r} is not a number in [0, 1]")
-            gold = None if parts[1] == _NO_GOLD else _label(path, line_no, "gold", parts[1])
-            rows.append(PredictionRow(parts[0], gold, _label(path, line_no, "predicted", parts[2]),
-                                      score))
+    first_line: dict[str, int] = {}  # article id -> the line it is on
+    for line_no, line in numbered_lines(path):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ValueError(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
+        first = first_line.setdefault(parts[0], line_no)
+        if first != line_no:
+            raise ValueError(f"{path}:{line_no}: article id {parts[0]!r} repeats line {first}")
+        try:
+            score = float(parts[3])
+        except ValueError:
+            score = math.nan
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"{path}:{line_no}: score {parts[3]!r} is not a number in [0, 1]")
+        gold = None if parts[1] == _NO_GOLD else _label(path, line_no, "gold", parts[1])
+        rows.append(PredictionRow(parts[0], gold, _label(path, line_no, "predicted", parts[2]),
+                                  score))
     return rows
 
 

@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 from .classical import forest, svm
 from .corpus import Corpus, Label, argmax_predictions
-from .features import HeuristicTagger, Standardizer, feature_matrix, fit_standardizer
+from .features import Standardizer, feature_matrix, fit_standardizer
 from .neural import heads, lstm, siamese
 from .tensor.checkpoint import MODEL_FILE
 
@@ -35,7 +35,7 @@ def _standardized_features(corpus: Corpus):
     """Labels, and features standardized by statistics fitted here, which
     are returned as ``model.json`` fields."""
     y = corpus.training_labels()
-    X_raw = feature_matrix(corpus.articles, HeuristicTagger())
+    X_raw = feature_matrix(corpus.articles)
     standardizer = fit_standardizer(X_raw)
     return standardizer.apply(X_raw), y, standardizer.fields()
 
@@ -55,7 +55,7 @@ def _train_svm(corpus: Corpus, config, out_dir: Path):
 def _predict_classical(load, model_dir: Path, model: dict, corpus: Corpus):
     path = model_dir / MODEL_FILE
     standardizer = Standardizer.from_fields(path, model)
-    X = standardizer.apply(feature_matrix(corpus.articles, HeuristicTagger()))
+    X = standardizer.apply(feature_matrix(corpus.articles))
     return argmax_predictions(load(path, model, X.shape[1]).predict_clickbait_proba(X))
 
 

@@ -18,8 +18,7 @@ import sys
 
 import numpy as np
 
-FORMAT_NAME = "baitline-tensors"
-FORMAT_VERSION = 1
+TENSORS_HEADER = {"format": "baitline-tensors", "version": 1}
 MODEL_FILE = "model.json"
 MODEL_HEADER = {"format": "baitline-model", "version": 2}
 
@@ -32,6 +31,24 @@ class CheckpointVersionError(RuntimeError):
 def is_finite_number(value) -> bool:
     """Whether a JSON value is a number, not a boolean, that is a finite float."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def finite_array(path, what: str, values, n: int) -> np.ndarray:
+    """``values``, a JSON list of ``n`` finite numbers, as a float64 array;
+    anything else raises CheckpointVersionError naming the file and ``what``."""
+    if not (type(values) is list and len(values) == n and all(is_finite_number(v) for v in values)):
+        raise CheckpointVersionError(f"{path}: {what} is not a list of {n} finite numbers")
+    return np.array(values, dtype=np.float64)
+
+
+def check_header(path, kind: str, header, expected: dict) -> None:
+    """Raise CheckpointVersionError, naming the file and the format and
+    version found, unless ``header`` is a JSON object that carries the
+    format and version in ``expected``."""
+    found = header if isinstance(header, dict) else {}
+    if any(found.get(key) != value for key, value in expected.items()):
+        raise CheckpointVersionError(f"{path}: unsupported {kind}: format={found.get('format')!r} "
+                                     f"version={found.get('version')!r}")
 
 
 def read_json(path):
@@ -64,13 +81,7 @@ def load_model_json(path) -> dict:
     """Read a JSON model container of this format and version with a
     ``config`` object and a ``losses`` list of numbers."""
     payload = read_json(path)
-    if not isinstance(payload, dict):
-        raise CheckpointVersionError(f"{path}: not a model container")
-    if any(payload.get(key) != value for key, value in MODEL_HEADER.items()):
-        raise CheckpointVersionError(
-            f"{path}: unsupported model container: format={payload.get('format')!r} "
-            f"version={payload.get('version')!r}"
-        )
+    check_header(path, "model container", payload, MODEL_HEADER)
     if not isinstance(payload.get("config"), dict):
         raise CheckpointVersionError(f"{path}: field 'config' is not an object")
     losses = payload.get("losses")
@@ -87,11 +98,8 @@ def require_fields(path, family: str, payload: dict, fields) -> None:
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     names = sorted(tensors)
-    header = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
-    }
+    header = {**TENSORS_HEADER,
+              "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names]}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         for name in names:
@@ -105,16 +113,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise CheckpointVersionError(f"{path}: not a tensor checkpoint") from None
-        if not isinstance(header, dict):
-            raise CheckpointVersionError(f"{path}: checkpoint header is not a JSON object")
-        if header.get("format") != FORMAT_NAME:
-            raise CheckpointVersionError(
-                f"{path}: unknown checkpoint format {header.get('format')!r}"
-            )
-        if header.get("version") != FORMAT_VERSION:
-            raise CheckpointVersionError(
-                f"{path}: unsupported checkpoint version {header.get('version')!r}"
-            )
+        check_header(path, "tensor checkpoint", header, TENSORS_HEADER)
         entries = header.get("tensors")
         if not isinstance(entries, list):
             raise CheckpointVersionError(f"{path}: checkpoint header has no 'tensors' list")

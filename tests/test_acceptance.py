@@ -53,7 +53,7 @@ from baitline.tensor import (
 from annotation import cohens_kappa
 from gradcheck import check_gradients, tsum
 from synthetic import generate_topic_pair_corpus
-from test_classical import exhaustive_best_split, per_row_leaf_probs, split_alone
+from test_classical import exhaustive_best_split, reference_oob_score, split_alone
 from test_cli import rerun_files
 from test_metrics import brute_force_ap
 from test_neural import capped_vocab, contrastive_loss, cosine_dissimilarity
@@ -292,22 +292,9 @@ class TestOracleEquivalence:
             rng.normal(loc=1.5, size=(40, 5)),
         ])
         y = np.array([0] * 40 + [1] * 40)
-        model = train_random_forest(X, y, RandomForestConfig(n_estimators=20, seed=11))
-        sums = np.zeros((80, 2))
-        counts = np.zeros(80, dtype=int)
-        for nodes, oob in zip(model.trees.to_preorder(), model.oob_indices):
-            for i in oob:
-                sums[i] += per_row_leaf_probs(nodes, X[i:i + 1])[0]
-                counts[i] += 1
-        correct = total = 0
-        for i in range(80):
-            if counts[i] == 0:
-                continue
-            mean = sums[i] / counts[i]
-            pred = 0 if mean[0] > mean[1] else 1
-            total += 1
-            correct += pred == y[i]
-        recomputed = correct / total
+        config = RandomForestConfig(n_estimators=20, seed=11)
+        model = train_random_forest(X, y, config)
+        recomputed = reference_oob_score(model.trees, X, y, config)
         report_line("oracle-oob-score", model.oob_score == recomputed,
                     f"stored {model.oob_score:.6f} == recomputed {recomputed:.6f}")
 

@@ -333,6 +333,31 @@ def per_row_forest_proba(trees, X):
     return acc / len(trees.roots)
 
 
+def reference_oob_score(trees, X, y, config):
+    """The out-of-bag accuracy recomputed from the run seed: each tree's
+    bootstrap drawn again from its seed in ``SeedSequence(seed).spawn``, its
+    out-of-bag rows the ones that draw never picks, and every vote collected
+    one tree and one row at a time; exact ties go to non-clickbait."""
+    n = len(y)
+    sums = [np.zeros(2) for _ in range(n)]
+    counts = [0] * n
+    seeds = np.random.SeedSequence(config.seed).spawn(config.n_estimators)
+    for nodes, seed in zip(trees.to_preorder(), seeds, strict=True):
+        drawn = set(np.random.default_rng(seed).integers(0, n, size=n).tolist())
+        for i in sorted(set(range(n)) - drawn):
+            sums[i] += per_row_leaf_probs(nodes, X[i:i + 1])[0]
+            counts[i] += 1
+    correct = total = 0
+    for i in range(n):
+        if counts[i] == 0:
+            continue
+        mean = sums[i] / counts[i]
+        pred = 0 if mean[0] > mean[1] else 1
+        total += 1
+        correct += pred == y[i]
+    return correct / total
+
+
 def leaf_forest(*leaf_probs):
     """A forest of one-leaf trees, read through ``from_preorder``."""
     return DecisionTree.from_preorder([[{"p": list(p)}] for p in leaf_probs], 3)
@@ -346,11 +371,9 @@ class TestDecisionTree:
         weights = balanced_class_weights(y)
         tree = DecisionTree.fit(X, y, weights, [np.random.default_rng(0)], [np.arange(n)], 1)
         assert tree_depth(tree.to_preorder()[0]) > sys.getrecursionlimit()
-        model = RandomForestModel(
-            trees=tree, oob_indices=[np.array([], dtype=int)],
-            class_weights=weights, oob_score=float("nan"),
-        )
-        path, payload = stored(tmp_path, "rf", model.config, [model.oob_score], rf_fields(model))
+        model = RandomForestModel(trees=tree, oob_score=float("nan"))
+        path, payload = stored(tmp_path, "rf", RandomForestConfig(), [model.oob_score],
+                               rf_fields(model))
         loaded = load_rf(path, payload, 1)
         assert loaded.trees.to_preorder() == tree.to_preorder()
         # grown to purity, so every training sample lands in a leaf of its class
@@ -464,7 +487,7 @@ class TestRandomForest:
         a = train_random_forest(X, y, config)
         b = train_random_forest(X, y, config)
         assert a.trees.to_preorder() == b.trees.to_preorder()
-        assert np.array_equal(a.oob_indices[0], b.oob_indices[0])
+        assert a.oob_score == b.oob_score
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 3))
@@ -486,32 +509,13 @@ class TestRandomForest:
 
     def test_oob_score_matches_independent_recomputation(self):
         X, y = separable_dataset(seed=4, n_per_class=30)
-        model = train_random_forest(X, y, RandomForestConfig(n_estimators=15, seed=5))
-        # independent pass: per-sample vote collection in plain python
-        n = len(y)
-        sums = [np.zeros(2) for _ in range(n)]
-        counts = [0] * n
-        for nodes, oob in zip(model.trees.to_preorder(), model.oob_indices):
-            for i in oob:
-                sums[i] += per_row_leaf_probs(nodes, X[i:i + 1])[0]
-                counts[i] += 1
-        correct = total = 0
-        for i in range(n):
-            if counts[i] == 0:
-                continue
-            mean = sums[i] / counts[i]
-            pred = 0 if mean[0] > mean[1] else 1
-            total += 1
-            correct += pred == y[i]
-        assert model.oob_score == correct / total
+        config = RandomForestConfig(n_estimators=15, seed=5)
+        model = train_random_forest(X, y, config)
+        assert model.oob_score == reference_oob_score(model.trees, X, y, config)
 
     def test_predict_proba_tie_goes_non_clickbait(self):
-        model = RandomForestModel(
-            trees=leaf_forest([1.0, 0.0], [0.0, 1.0]),
-            oob_indices=[np.array([], dtype=int)] * 2,
-            class_weights=np.ones(2),
-            oob_score=float("nan"),
-        )
+        model = RandomForestModel(trees=leaf_forest([1.0, 0.0], [0.0, 1.0]),
+                                  oob_score=float("nan"))
         x = np.zeros(3)
         assert model.predict_clickbait_proba(x[None, :])[0] == 0.5
         mean = model.trees.predict_proba(x[None, :])[0]
@@ -520,29 +524,24 @@ class TestRandomForest:
 
     def test_hand_built_forest_average(self):
         trees = leaf_forest([0.8, 0.2], [0.5, 0.5], [0.2, 0.8])
-        model = RandomForestModel(
-            trees=trees, oob_indices=[np.array([], dtype=int)] * 3,
-            class_weights=np.ones(2), oob_score=float("nan"),
-        )
+        model = RandomForestModel(trees=trees, oob_score=float("nan"))
         assert model.predict_clickbait_proba(np.zeros(2)[None, :])[0] == pytest.approx(
             (0.8 + 0.5 + 0.2) / 3
         )
 
     def test_all_trees_unanimous(self):
         trees = leaf_forest(*[[1.0, 0.0]] * 4)
-        model = RandomForestModel(
-            trees=trees, oob_indices=[np.array([], dtype=int)] * 4,
-            class_weights=np.ones(2), oob_score=float("nan"),
-        )
+        model = RandomForestModel(trees=trees, oob_score=float("nan"))
         assert model.predict_clickbait_proba(np.zeros(2)[None, :])[0] == 1.0
 
     def test_serialization_round_trip(self, tmp_path):
         X, y = separable_dataset(seed=6, n_per_class=10)
-        model = train_random_forest(X, y, RandomForestConfig(n_estimators=5, seed=6))
-        path, payload = stored(tmp_path, "rf", model.config, [model.oob_score], rf_fields(model))
+        config = RandomForestConfig(n_estimators=5, seed=6)
+        model = train_random_forest(X, y, config)
+        path, payload = stored(tmp_path, "rf", config, [model.oob_score], rf_fields(model))
         loaded = load_rf(path, payload, X.shape[1])
         assert loaded.oob_score == model.oob_score
-        assert loaded.config == model.config
+        assert payload["config"] == config
         assert np.array_equal(loaded.trees.predict_proba(X), model.trees.predict_proba(X))
 
     def test_wrong_family_rejected(self, tmp_path):

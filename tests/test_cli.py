@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from baitline import config as cfg
-from baitline.classical import svm
+from baitline.classical import balanced_class_weights, svm
 from baitline.cli import build_parser, run
 from baitline.corpus import Corpus, Label, load_corpus, save_corpus
 from baitline.features import N_FEATURES
@@ -61,6 +61,26 @@ class TestIngest:
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert run(["ingest", "--corpus", str(tmp_path / "nope.jsonl")]) == 2
+
+    def test_non_utf8_corpus_names_file_and_line_exit_3(self, tmp_path, corpus_path, capsys):
+        raw = Path(corpus_path).read_bytes().split(b"\n")
+        raw[1] = raw[1].replace(b'"title": "', b'"title": "\xff', 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(raw))
+        capsys.readouterr()
+        assert run(["ingest", "--corpus", str(bad)]) == 3
+        assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
+
+    def test_repeated_id_names_file_and_both_lines_exit_3(self, tmp_path, corpus_path, capsys):
+        lines = Path(corpus_path).read_text(encoding="utf-8").splitlines()
+        lines.insert(4, lines[1])  # line 2's article again on line 5
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["ingest", "--corpus", str(bad)]) == 3
+        article_id = json.loads(lines[1])["id"]
+        assert (f"{bad}:5: duplicate article id {article_id!r}, first on line 2"
+                in capsys.readouterr().err)
 
     def test_malformed_corpus_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -142,7 +162,7 @@ def _retype_first_entry(key, value):
 
 
 HEADER_DEFECTS = {  # defect -> (header edit, culprit named in the message)
-    "header_not_object": (lambda header: [header], "not a JSON object"),
+    "header_not_object": (lambda header: [header], "format=None version=None"),
     "header_without_tensors": (lambda header: {k: v for k, v in header.items() if k != "tensors"},
                                "'tensors'"),
     "entry_without_shape": (lambda header: {**header, "tensors": [{"name": "a"}]},
@@ -184,7 +204,7 @@ def _corrupt(run_dir: Path, defect: str) -> tuple[str, str]:
     if defect == "version":
         (run_dir / "model.tensors").write_bytes(
             b'{"format": "baitline-tensors", "version": 42, "tensors": []}\n')
-        return "model.tensors", "version 42"
+        return "model.tensors", "format='baitline-tensors' version=42"
     if defect in MODEL_JSON_DEFECTS:
         edit, culprit = MODEL_JSON_DEFECTS[defect]
         model_path = run_dir / "model.json"
@@ -314,6 +334,39 @@ class TestTrainPredictEval:
         assert f"{preds_path}:2: {message}" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "ensemble fit", "ensemble apply"])
+    def test_repeated_prediction_id_names_both_lines_exit_3(self, tmp_path, data_dir, capsys,
+                                                           command):
+        lines = (data_dir / "preds_contrastive_reference.tsv").read_text().splitlines()
+        lines.insert(5, lines[2])  # line 3's article again on line 6
+        preds_path = tmp_path / "preds.tsv"
+        preds_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config_path = tmp_path / "ensemble.json"
+        config_path.write_text(json.dumps({"weights": {"contrastive": 1.0}}), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {"eval": ["eval", "--preds", str(preds_path), "--out-dir", str(out)],
+                "ensemble fit": ["ensemble", "fit", "--preds", f"contrastive={preds_path}",
+                                 "--out", str(out)],
+                "ensemble apply": ["ensemble", "apply", "--config", str(config_path),
+                                   "--preds", f"contrastive={preds_path}", "--out", str(out)]}
+        capsys.readouterr()
+        assert run(argv[command]) == 3
+        article_id = lines[2].split("\t")[0]
+        err = capsys.readouterr().err
+        assert f"{preds_path}:6: article id {article_id!r} repeats line 3" in err
+        assert not out.exists()
+
+    def test_non_utf8_prediction_file_names_file_and_line_exit_3(self, tmp_path, data_dir,
+                                                                 capsys):
+        raw = (data_dir / "preds_contrastive_reference.tsv").read_bytes().split(b"\n")
+        raw[3] = raw[3].replace(b"ref-", b"ref-\xff")
+        preds_path = tmp_path / "preds.tsv"
+        preds_path.write_bytes(b"\n".join(raw))
+        capsys.readouterr()
+        assert run(["eval", "--preds", str(preds_path), "--out-dir", str(tmp_path / "ev")]) == 3
+        assert f"{preds_path}:4: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
     def test_predict_empty_corpus_exit_3(self, tmp_path, split_paths):
         train_path, _ = split_paths
         run_dir = train_model(tmp_path, "rf", train_path)
@@ -399,8 +452,6 @@ CLASSICAL_DEFECTS = {
     "leaf_out_of_range": ("rf", "model.json", _leaf_with([5.0, -4.0]), "tree 3: node "),
     "leaf_not_summing_to_1": ("rf", "model.json", _leaf_with([0.5, 0.6]), "tree 3: node "),
     "no_trees": ("rf", "model.json", lambda payload: payload.update(trees=[]), "trees"),
-    "oob_indices_not_a_list": ("rf", "model.json", lambda payload: payload.update(oob_indices="x"),
-                               "oob_indices"),
     "config_with_unknown_key": ("rf", "model.json", lambda payload: payload["config"].update(bogus=1),
                                 "bogus"),
     "config_without_seed": ("rf", "model.json", lambda payload: payload["config"].pop("seed"),
@@ -428,17 +479,6 @@ CLASSICAL_DEFECTS = {
                           "'losses'"),
     "oob_score_missing": ("rf", "model.json", lambda payload: payload.update(losses=[]),
                           "'losses'"),
-    "class_weights_not_a_list": ("rf", "model.json",
-                                 lambda payload: payload.update(class_weights="x"),
-                                 "'class_weights'"),
-    "class_weights_short": ("rf", "model.json",
-                            lambda payload: payload.update(class_weights=[1.0]), "'class_weights'"),
-    "class_weights_negative": ("rf", "model.json",
-                               lambda payload: payload.update(class_weights=[-1.0, 1.0]),
-                               "'class_weights'"),
-    "class_weights_nan": ("rf", "model.json",
-                          lambda payload: payload.update(class_weights=[1.0, math.nan]),
-                          "'class_weights'"),
     "rf_file_of_svm_family": ("rf", "model.json", lambda payload: payload.update(family="svm"),
                               "config key"),
     "svm_b_not_a_number": ("svm", "model.json", lambda payload: payload.update(b="x"), "'b'"),
@@ -494,6 +534,29 @@ def test_malformed_classical_model_exit_4(tmp_path, classical_runs, data_dir, ca
                 "--out", str(tmp_path / "preds.tsv")]) == 4
     err = capsys.readouterr().err
     assert str(model_path) in err and culprit in err
+
+
+def test_rf_model_with_older_fields_predicts_the_same(tmp_path, classical_runs, data_dir):
+    """An rf ``model.json`` in the layout that also stored each tree's
+    out-of-bag rows and the class weights, drawn again here from the seed,
+    predicts byte for byte what the same model without them predicts."""
+    corpus = str(data_dir / "synthetic60.jsonl")
+    y = load_corpus(corpus).training_labels()
+    older = tmp_path / "older"
+    shutil.copytree(classical_runs / "rf", older)
+    payload = json.loads((older / "model.json").read_text(encoding="utf-8"))
+    seeds = np.random.SeedSequence(payload["config"]["seed"]).spawn(
+        payload["config"]["n_estimators"])
+    oob_indices = [np.setdiff1d(np.arange(len(y)), np.random.default_rng(seed).integers(
+        0, len(y), size=len(y))).tolist() for seed in seeds]
+    trees = payload.pop("trees")  # the older layout stored the trees last
+    payload.update(class_weights=balanced_class_weights(y).tolist(), oob_indices=oob_indices,
+                   trees=trees)
+    (older / "model.json").write_text(json.dumps(payload), encoding="utf-8")
+    for name, run_dir in (("current", classical_runs / "rf"), ("older", older)):
+        assert run(["predict", "--model-dir", str(run_dir), "--corpus", corpus,
+                    "--out", str(tmp_path / f"{name}.tsv")]) == 0
+    assert (tmp_path / "older.tsv").read_bytes() == (tmp_path / "current.tsv").read_bytes()
 
 
 @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"], ids=["not_json", "not_utf8"])

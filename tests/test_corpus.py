@@ -62,9 +62,15 @@ class TestLoadCorpus:
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        write_jsonl(path, [record(0), record(0)])
-        with pytest.raises(CorpusFormatError, match="duplicate"):
+        write_jsonl(path, [record(0), record(1), record(0)])
+        with pytest.raises(CorpusFormatError) as err:
             load_corpus(path)
+        assert str(err.value) == f"{path}:3: duplicate article id 'r0', first on line 1"
+
+    def test_duplicate_id_rejected_in_memory(self):
+        article = NewsArticle(id="r0", title="titlu", content="continut.", source="alfa")
+        with pytest.raises(CorpusFormatError, match="duplicate article id: 'r0'"):
+            Corpus((article, article))
 
     def test_empty_title_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
