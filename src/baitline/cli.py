@@ -201,8 +201,6 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model_dir = Path(args.model_dir)
-    if not model_dir.exists():
-        raise FileNotFoundError(f"model directory not found: {model_dir}")
     corpus = load_corpus(args.corpus)
     if len(corpus) == 0:
         raise ValueError(f"corpus {corpus.name!r} is empty; nothing to predict")
@@ -220,18 +218,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    rows = load_predictions(args.preds)
-    if any(r.gold is None for r in rows):
-        raise ValueError("evaluation needs gold labels in the prediction file")
-    golds = [r.gold for r in rows]
-    preds = [r.pred for r in rows]
-    scores = [r.score for r in rows]
-    report = evaluate(preds, golds, scores)
-    if args.compare:
-        other = load_predictions(args.compare)
-        if [r.id for r in other] != [r.id for r in rows]:
-            raise ValueError("compared prediction files cover different articles")
-        stat, p = mcnemar(preds, [r.pred for r in other], golds)
+    rows, *other = _aligned_rows([args.preds] + ([args.compare] if args.compare else []))
+    preds, golds = [r.pred for r in rows], [r.gold for r in rows]
+    report = evaluate(preds, golds, [r.score for r in rows])
+    if other:
+        stat, p = mcnemar(preds, [r.pred for r in other[0]], golds)
         report.mcnemar_vs[args.compare_name] = (stat, p)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,35 +247,40 @@ def _parse_pred_entries(entries: list[str]) -> list[tuple[str, str]]:
     return out
 
 
-def _aligned_rows(entries: list[tuple[str, str]]) -> tuple[list[str], list[Label], dict[str, list[PredictionRow]]]:
-    per_model: dict[str, list[PredictionRow]] = {}
-    ids: list[str] | None = None
-    golds: list[Label] | None = None
-    for model_id, path in entries:
+def _aligned_rows(paths: list[str]) -> list[list[PredictionRow]]:
+    """Each prediction file's rows; every row needs a gold label, and every file
+    the first file's ids and golds in its order, or ValueError names the line."""
+    per_file: list[list[PredictionRow]] = []
+    for path in paths:
         rows = load_predictions(path)
-        if any(r.gold is None for r in rows):
-            raise ValueError(f"{path}: ensemble needs gold labels present")
-        row_ids = [r.id for r in rows]
-        row_golds = [r.gold for r in rows]
-        if ids is None:
-            ids, golds = row_ids, row_golds
-        elif row_ids != ids or row_golds != golds:
-            raise ValueError(f"{path}: prediction files are not aligned")
-        per_model[model_id] = rows
-    return ids, golds, per_model
+        ref = per_file[0] if per_file else rows
+        for row, want in zip(rows, ref):
+            if row.gold is None:
+                raise ValueError(f"{path}:{row.line}: article {row.id!r} has no gold label")
+            if (row.id, row.gold) != (want.id, want.gold):
+                raise ValueError(f"{path}:{row.line}: article {row.id!r} ({row.gold.to_string()}) "
+                                 f"does not line up with {paths[0]}:{want.line}: article "
+                                 f"{want.id!r} ({want.gold.to_string()})")
+        if len(rows) != len(ref):
+            raise ValueError(f"{path}: {len(rows)} predictions, but {paths[0]} has {len(ref)}")
+        per_file.append(rows)
+    return per_file
 
 
 def cmd_ensemble_fit(args) -> int:
     entries = _parse_pred_entries(args.preds)
-    ids, golds, per_model = _aligned_rows(entries)
-    model_ids = [model_id for model_id, _ in entries]
+    per_model = _aligned_rows([path for _, path in entries])
     config = fit_weights(
-        model_ids,
-        [[r.pred for r in per_model[m]] for m in model_ids],
-        golds,
+        [model_id for model_id, _ in entries],
+        [[r.pred for r in rows] for rows in per_model],
+        [r.gold for r in per_model[0]],
         threshold=args.threshold,
     )
     config.save(args.out)
+    cfg.write_snapshot(
+        str(args.out) + ".config.ini",
+        {"ensemble": {"preds": " ".join(args.preds), "threshold": args.threshold}},
+    )
     for model_id, weight in zip(config.model_ids, config.weights):
         print(f"weight {model_id}: {weight:.6f}")
     return 0
@@ -296,12 +292,11 @@ def cmd_ensemble_apply(args) -> int:
     missing = [m for m in config.model_ids if m not in entries]
     if missing:
         raise ValueError(f"missing prediction files for models: {missing}")
-    ids, golds, per_model = _aligned_rows([(m, entries[m]) for m in config.model_ids])
+    per_model = _aligned_rows([entries[m] for m in config.model_ids])
     rows = []
-    for i, (article_id, gold) in enumerate(zip(ids, golds)):
-        scores = [per_model[m][i].score for m in config.model_ids]
-        label, combined = ensemble_predict(scores, config)
-        rows.append(PredictionRow(article_id, gold, label, combined))
+    for i, first in enumerate(per_model[0]):
+        label, combined = ensemble_predict([model_rows[i].score for model_rows in per_model], config)
+        rows.append(PredictionRow(first.id, first.gold, label, combined))
     save_predictions(rows, args.out)
     cfg.write_snapshot(
         str(args.out) + ".config.ini",

@@ -14,7 +14,8 @@ import os
 from pathlib import Path
 
 from .registry import FAMILIES
-from .tensor.checkpoint import CheckpointVersionError, load_model_json, require_same_names
+from .tensor.checkpoint import (CheckpointVersionError, load_model_json, numbered_lines,
+                                require_same_names)
 
 SEED_ENV_VAR = "BAITLINE_SEED"
 
@@ -125,21 +126,32 @@ def _coerce(value, template):
     return float(value) if type(template) is float else value
 
 
+# What a line the INI parser rejects does wrong, by the parser's error type
+_INI_DEFECTS = {
+    configparser.MissingSectionHeaderError: "an option above the first [section] header",
+    configparser.DuplicateSectionError: "section [{exc.section}] repeats",
+    configparser.DuplicateOptionError: "option {exc.option!r} repeats in section [{exc.section}]",
+}
+
+
 def read_config_file(path) -> dict[str, dict[str, str]]:
-    """Read an INI config; returns {section: {key: raw string value}}."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    """Read an INI config; returns {section: {key: raw string value}}.  A
+    line the parser rejects raises ValueError naming the file and the line."""
+    parser = configparser.ConfigParser(interpolation=None)  # a "%" reads literally
     parser.optionxform = str  # option names keep their case: [svm] C
-    parser.read(path, encoding="utf-8")
+    try:
+        parser.read_file((line for _, line in numbered_lines(path, ValueError)), source=str(path))
+    except configparser.Error as exc:  # a ParsingError lists its lines; the others carry one
+        line_no = getattr(exc, "lineno", None) or exc.errors[0][0]
+        defect = _INI_DEFECTS.get(type(exc), "neither a [section] header nor an option")
+        raise ValueError(f"{path}:{line_no}: {defect.format(exc=exc)}") from None
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def write_snapshot(path, sections: dict[str, dict]) -> None:
     """Write the resolved configuration as an INI snapshot, leaving out options
     set to ``None``, their default, which an INI file would read as a string."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a "%" is written as it is
     parser.optionxform = str
     for section, values in sections.items():
         parser[section] = {k: str(v) for k, v in values.items() if v is not None}

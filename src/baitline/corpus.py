@@ -16,22 +16,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .tensor.checkpoint import numbered_lines, read_json
 from .textproc import TokenizedDoc, tokenize
 
 
 class CorpusFormatError(ValueError):
     """A corpus, manifest or prediction file violates the documented schema."""
-
-
-def numbered_lines(path):
-    """(1-based line number, text) for each line of the UTF-8 file ``path``; a
-    line that is not UTF-8 raises CorpusFormatError naming the file and the line."""
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                yield line_no, raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{line_no}: not UTF-8: {exc}") from None
 
 
 class Label(IntEnum):
@@ -150,23 +140,15 @@ def load_corpus(path, name: str | None = None) -> Corpus:
     lines of a repeated id; file order is preserved.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"corpus file not found: {path}")
     articles: list[NewsArticle] = []
     first_line: dict[str, int] = {}  # article id -> the line it is on
-    for line_no, line in numbered_lines(path):
+    for line_no, line in numbered_lines(path, CorpusFormatError):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}:{line_no}: malformed record: {exc}") from None
-        if not isinstance(record, dict):
-            raise CorpusFormatError(f"{path}:{line_no}: record is not an object")
-        try:
-            article = _article_from_record(record)
-        except CorpusFormatError as exc:
+            article = _article_from_record(json.loads(line))
+        except ValueError as exc:  # CorpusFormatError, or a JSONDecodeError
             raise CorpusFormatError(f"{path}:{line_no}: {exc}") from None
         first = first_line.setdefault(article.id, line_no)
         if first != line_no:
@@ -176,7 +158,9 @@ def load_corpus(path, name: str | None = None) -> Corpus:
     return Corpus(tuple(articles), name=name if name is not None else path.stem)
 
 
-def _article_from_record(record: dict) -> NewsArticle:
+def _article_from_record(record) -> NewsArticle:
+    if not isinstance(record, dict):
+        raise CorpusFormatError("record is not an object")
     for field_name in ("id", "title", "content", "source"):
         if field_name not in record:
             raise CorpusFormatError(f"missing field {field_name!r}")
@@ -231,14 +215,7 @@ def split_by_source(
 
 def load_split_manifest(path) -> tuple[set[str], set[str]]:
     """Read a JSON manifest mapping source name -> "train" | "test"."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"split manifest not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            mapping = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}: malformed manifest: {exc}") from None
+    mapping = read_json(path, CorpusFormatError)
     if not isinstance(mapping, dict):
         raise CorpusFormatError(f"{path}: manifest must be an object")
     train, test = set(), set()

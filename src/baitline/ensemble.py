@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Label
-from .tensor.checkpoint import is_finite_number
+from .tensor.checkpoint import is_finite_number, read_json
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,7 @@ class EnsembleConfig:
     @classmethod
     def load(cls, path) -> "EnsembleConfig":
         """The config in JSON file ``path``; any defect raises ValueError naming it."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ValueError(f"{path}: not a JSON ensemble config: {exc}") from None
+        payload = read_json(path, ValueError)
         weights = payload.get("weights") if isinstance(payload, dict) else None
         if not isinstance(weights, dict):
             raise ValueError(f'{path}: ensemble config needs a "weights" object')

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import Label, numbered_lines
+from .corpus import Label
+from .tensor.checkpoint import numbered_lines
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +255,7 @@ class PredictionRow:
     gold: Label | None  # None for predictions over unlabeled corpora
     pred: Label
     score: float  # clickbait score in [0, 1]
+    line: int = field(default=0, compare=False)  # its line in the file it was read from
 
 
 _NO_GOLD = "-"
@@ -272,7 +274,7 @@ def load_predictions(path) -> list[PredictionRow]:
     a second line, raises ValueError naming the file and the line(s)."""
     rows: list[PredictionRow] = []
     first_line: dict[str, int] = {}  # article id -> the line it is on
-    for line_no, line in numbered_lines(path):
+    for line_no, line in numbered_lines(path, ValueError):
         line = line.rstrip("\r\n")
         if not line:
             continue
@@ -290,7 +292,7 @@ def load_predictions(path) -> list[PredictionRow]:
             raise ValueError(f"{path}:{line_no}: score {parts[3]!r} is not a number in [0, 1]")
         gold = None if parts[1] == _NO_GOLD else _label(path, line_no, "gold", parts[1])
         rows.append(PredictionRow(parts[0], gold, _label(path, line_no, "predicted", parts[2]),
-                                  score))
+                                  score, line_no))
     return rows
 
 

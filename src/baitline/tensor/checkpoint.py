@@ -1,4 +1,5 @@
-"""Model containers: the named-tensor checkpoint and the JSON model container.
+"""Model containers: the named-tensor checkpoint and the JSON model container,
+and the two readers every text and JSON file goes through.
 
 Checkpoint layout: one UTF-8 JSON header line carrying the format name,
 version, and the ordered tensor directory (name + shape), followed by each
@@ -51,14 +52,26 @@ def check_header(path, kind: str, header, expected: dict) -> None:
                                      f"version={found.get('version')!r}")
 
 
-def read_json(path):
-    """The JSON value stored in ``path``; a file that is not UTF-8 JSON raises
-    CheckpointVersionError naming it."""
+def numbered_lines(path, error: type[Exception]):
+    """(1-based line number, text) for each line, split at line feeds only, of
+    the UTF-8 file ``path``; a line that is not UTF-8 raises ``error`` naming the
+    file and the line: CheckpointVersionError for a model directory's files,
+    ValueError (exit 3) for inputs."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                yield line_no, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{line_no}: not UTF-8: {exc}") from None
+
+
+def read_json(path, error: type[Exception] = CheckpointVersionError):
+    """The JSON value stored in the UTF-8 file ``path``; a file that is not
+    UTF-8 JSON raises ``error`` (see ``numbered_lines``) naming it and the line."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise CheckpointVersionError(f"{path}: not a UTF-8 JSON file: {exc}") from None
+        return json.loads("".join(line for _, line in numbered_lines(path, error)))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}: not JSON: {exc.msg} at column {exc.colno}") from None
 
 
 def require_same_names(path, kind: str, expected: set[str], found: set[str]) -> None:

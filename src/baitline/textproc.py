@@ -1,8 +1,11 @@
 """Deterministic text normalization, tokenization, and integer encoding.
 
-A single tokenizer feeds every downstream consumer (corpus statistics,
-readability features, neural encoders) so that all derived numbers are
-reproducible from the raw text alone.
+One tokenizer feeds every consumer, so all derived numbers are reproducible
+from the raw text alone.  It runs twice per article: corpus statistics and
+features tokenize the raw text, the neural encoders its ``normalize`` form.
+One pass cannot serve both, since ``normalize`` drops characters and so joins
+their neighbours: ``tokenize("a(b c")`` gives ``a ( b c``, while
+``tokenize(normalize("a(b c"))`` gives ``ab c``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor.checkpoint import CheckpointVersionError
+from .tensor.checkpoint import CheckpointVersionError, numbered_lines
 
 PAD_ID = 0
 OOV_ID = 1
@@ -191,14 +194,13 @@ def load_vocab(path) -> Vocabulary:
     file and the line.
     """
     token_to_id: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            token = line.rstrip("\n")
-            if not token:
-                raise CheckpointVersionError(f"{path}:{line_no}: blank line in a vocabulary file")
-            if token in token_to_id:
-                raise CheckpointVersionError(
-                    f"{path}:{line_no}: token {token!r} repeats line {token_to_id[token] - 1}"
-                )
-            token_to_id[token] = line_no + 1
+    for line_no, line in numbered_lines(path, CheckpointVersionError):
+        token = line.rstrip("\r\n")  # tokens hold no whitespace
+        if not token:
+            raise CheckpointVersionError(f"{path}:{line_no}: blank line in a vocabulary file")
+        if token in token_to_id:
+            raise CheckpointVersionError(
+                f"{path}:{line_no}: token {token!r} repeats line {token_to_id[token] - 1}"
+            )
+        token_to_id[token] = line_no + 1
     return Vocabulary(token_to_id=token_to_id)

@@ -286,10 +286,12 @@ class TestOracleEquivalence:
                     f"200 random score sets <=100, {mismatches} mismatches")
 
     def test_oob_independent_recomputation(self):
+        # class means 1 sd apart: the out-of-bag score (0.8) sits well below the
+        # in-bag fit, so scoring a tree on another tree's rows shows
         rng = np.random.default_rng(302)
         X = np.vstack([
-            rng.normal(loc=-1.5, size=(40, 5)),
-            rng.normal(loc=1.5, size=(40, 5)),
+            rng.normal(loc=-0.5, size=(40, 5)),
+            rng.normal(loc=0.5, size=(40, 5)),
         ])
         y = np.array([0] * 40 + [1] * 40)
         config = RandomForestConfig(n_estimators=20, seed=11)

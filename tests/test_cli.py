@@ -212,6 +212,12 @@ def _corrupt(run_dir: Path, defect: str) -> tuple[str, str]:
         edit(payload)
         model_path.write_text(json.dumps(payload), encoding="utf-8")
         return "model.json", culprit
+    if defect == "non_utf8_vocab_line":
+        vocab_path = sorted(run_dir.glob("vocab*.txt"))[0]
+        lines = vocab_path.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        vocab_path.write_bytes(b"".join(lines))
+        return vocab_path.name, f"{vocab_path.name}:3: not UTF-8"
     if defect in ("blank_vocab_line", "repeated_vocab_line", "added_vocab_line"):
         vocab_path = sorted(run_dir.glob("vocab*.txt"))[0]
         lines = vocab_path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -386,7 +392,8 @@ class TestTrainPredictEval:
           for defect in ("max_len_not_an_int", "max_len_negative")),
         *(("contrastive", defect) for defect in ("threshold_not_a_float", "out_dim_fractional")),
         *((family, defect) for family in ("bilstm", "contrastive")
-          for defect in ("blank_vocab_line", "repeated_vocab_line", "added_vocab_line")),
+          for defect in ("blank_vocab_line", "repeated_vocab_line", "added_vocab_line",
+                         "non_utf8_vocab_line")),
     ])
     def test_corrupted_checkpoint_exit_4(self, tmp_path, neural_runs, data_dir, capsys,
                                          family, defect):
@@ -859,7 +866,7 @@ class TestEnsembleCommands:
         assert run(["ensemble", "apply", "--config", str(config_path),
                     "--preds", f"contrastive={reference}",
                     "--out", str(tmp_path / "out.tsv")]) == 3
-        assert f"{config_path}: not a JSON ensemble config" in capsys.readouterr().err
+        assert f"{config_path}:1: not JSON" in capsys.readouterr().err
 
     def test_fit_nan_threshold_exit_3(self, tmp_path, data_dir, capsys):
         reference = data_dir / "preds_contrastive_reference.tsv"
@@ -1040,3 +1047,136 @@ class TestConfigFile:
         ]) == 3
         err = capsys.readouterr().err
         assert f"{config_file}: [{family}] {option} = {value!r}" in err
+
+
+class TestInputReaders:
+    """Each input format has one reader: a defect exits 3 (4 in a model
+    directory), naming the file and the line, and leaves no output behind."""
+
+    def test_non_utf8_manifest(self, tmp_path, corpus_path, manifest_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(Path(manifest_path).read_bytes().replace(b'"train"', b'"tr\xffain"', 2))
+        capsys.readouterr()
+        assert run(["split", "--corpus", corpus_path, "--manifest", str(manifest),
+                    "--out-train", str(tmp_path / "a.jsonl"),
+                    "--out-test", str(tmp_path / "b.jsonl")]) == 3
+        assert f"{manifest}:2: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "a.jsonl").exists()
+
+    def test_non_utf8_ensemble_config(self, tmp_path, data_dir, capsys):
+        config_path = tmp_path / "ensemble.json"
+        config_path.write_bytes(b'{\n  "threshold": 0.5,\n  "weights": {"contrastive\xff": 1.0}\n}\n')
+        capsys.readouterr()
+        assert run(["ensemble", "apply", "--config", str(config_path),
+                    "--preds", f"contrastive={data_dir / 'preds_contrastive_reference.tsv'}",
+                    "--out", str(tmp_path / "out.tsv")]) == 3
+        assert f"{config_path}:3: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_non_utf8_word_vectors(self, tmp_path, corpus_path, capsys):
+        dim = cfg.build_model_config("contrastive", "desk").embed_dim
+        vectors_path = tmp_path / "vectors.txt"
+        vectors_path.write_bytes(b"".join(tok + b" 0.5" * dim + b"\n"
+                                          for tok in (b"stiri", b"\xffazi", b"care")))
+        config_path = tmp_path / "run.ini"
+        config_path.write_text(f"[contrastive]\nembedding_file = {vectors_path}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["train", "--model", "contrastive", "--corpus", corpus_path,
+                    "--out", str(tmp_path / "run"), "--profile", "desk", "--epochs", "0",
+                    "--config", str(config_path)]) == 3
+        assert f"{vectors_path}:2: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.json").exists()
+
+    @pytest.mark.parametrize("text, line, message", [
+        pytest.param(b"[svm]\nC = 0.5\xff\n", 2, "not UTF-8", id="not_utf8"),
+        pytest.param(b"C = 0.5\n[svm]\n", 1, "an option above the first [section] header",
+                     id="no_section_header"),
+        pytest.param(b"[svm]\nC = 0.5\n[rf]\nseed = 1\n[svm]\nepochs = 2\n", 5,
+                     "section [svm] repeats", id="repeated_section"),
+        pytest.param(b"[svm]\nC = 0.5\nepochs = 2\nC = 1\n", 4,
+                     "option 'C' repeats in section [svm]", id="repeated_option"),
+        pytest.param(b"[svm]\nC = 0.5\nnot an option\n", 3,
+                     "neither a [section] header nor an option", id="not_an_option"),
+    ])
+    def test_bad_ini_names_file_and_line(self, tmp_path, corpus_path, capsys, text, line,
+                                         message):
+        config_path = tmp_path / "run.ini"
+        config_path.write_bytes(text)
+        capsys.readouterr()
+        assert run(["train", "--model", "svm", "--corpus", corpus_path,
+                    "--out", str(tmp_path / "run"), "--profile", "desk",
+                    "--config", str(config_path)]) == 3
+        assert f"{config_path}:{line}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_compare_with_flipped_golds(self, tmp_path, data_dir, capsys):
+        """``--compare`` must cover the same articles with the same golds,
+        as ``ensemble`` requires of its files."""
+        preds_path = data_dir / "preds_contrastive_reference.tsv"
+        flipped = {"clickbait": "non-clickbait", "non-clickbait": "clickbait"}
+        rows = [line.split("\t") for line in preds_path.read_text().splitlines()]
+        compare_path = tmp_path / "flipped.tsv"
+        compare_path.write_text("".join(f"{i}\t{flipped[g]}\t{p}\t{s}\n" for i, g, p, s in rows),
+                                encoding="utf-8")
+        capsys.readouterr()
+        assert run(["eval", "--preds", str(preds_path), "--out-dir", str(tmp_path / "ev"),
+                    "--compare", str(compare_path)]) == 3
+        gold = rows[0][1]
+        assert (f"{compare_path}:1: article {rows[0][0]!r} ({flipped[gold]}) does not line up "
+                f"with {preds_path}:1: article {rows[0][0]!r} ({gold})") in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    def test_eval_compare_shorter_file(self, tmp_path, data_dir, capsys):
+        preds_path = data_dir / "preds_contrastive_reference.tsv"
+        lines = preds_path.read_text().splitlines(keepends=True)
+        compare_path = tmp_path / "short.tsv"
+        compare_path.write_text("".join(lines[:-1]), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["eval", "--preds", str(preds_path), "--out-dir", str(tmp_path / "ev"),
+                    "--compare", str(compare_path)]) == 3
+        assert (f"{compare_path}: {len(lines) - 1} predictions, but {preds_path} has "
+                f"{len(lines)}") in capsys.readouterr().err
+
+
+class TestPercentSign:
+    """INI files read and write ``%`` literally: no interpolation."""
+
+    def test_percent_in_a_value_is_a_type_error(self, tmp_path, corpus_path, capsys):
+        config_path = tmp_path / "run.ini"
+        config_path.write_text("[svm]\nC = 5%\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["train", "--model", "svm", "--corpus", corpus_path,
+                    "--out", str(tmp_path / "run"), "--profile", "desk",
+                    "--config", str(config_path)]) == 3
+        assert f"{config_path}: [svm] C = '5%' is not a valid float" in capsys.readouterr().err
+
+    def test_double_percent_reads_literally(self, tmp_path):
+        config_path = tmp_path / "run.ini"
+        config_path.write_text("[contrastive]\nembedding_file = v%%1.txt\n", encoding="utf-8")
+        assert cfg.read_config_file(config_path) == {
+            "contrastive": {"embedding_file": "v%%1.txt"}}
+
+    def test_percent_in_paths_reaches_the_snapshots(self, tmp_path, corpus_path, data_dir):
+        corpus_copy = tmp_path / "c%1.jsonl"
+        shutil.copyfile(corpus_path, corpus_copy)
+        run_dir = train_model(tmp_path, "svm", str(corpus_copy))
+        snapshot = cfg.read_config_file(run_dir / "config.ini")
+        assert snapshot["run"]["corpus"] == str(corpus_copy)
+        again = train_model(tmp_path / "again", "svm", str(corpus_copy),
+                            ("--config", str(run_dir / "config.ini")))
+        assert (again / "model.json").read_bytes() == (run_dir / "model.json").read_bytes()
+        preds_copy = tmp_path / "p%.tsv"
+        shutil.copyfile(data_dir / "preds_contrastive_reference.tsv", preds_copy)
+        assert run(["eval", "--preds", str(preds_copy), "--out-dir", str(tmp_path / "ev")]) == 0
+        assert cfg.read_config_file(tmp_path / "ev" / "config.ini")["eval"]["preds"] == str(
+            preds_copy)
+
+
+def test_ensemble_fit_writes_a_snapshot(tmp_path, data_dir):
+    entries = [f"{name}={data_dir / f'preds_{name}_reference.tsv'}"
+               for name in ("contrastive", "finetuned")]
+    out = tmp_path / "ensemble.json"
+    assert run(["ensemble", "fit", "--preds", *entries, "--out", str(out),
+                "--threshold", "0.4"]) == 0
+    assert cfg.read_config_file(str(out) + ".config.ini") == {
+        "ensemble": {"preds": " ".join(entries), "threshold": "0.4"}}

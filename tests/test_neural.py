@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -468,6 +470,15 @@ class TestPretrainedEmbeddings:
         path.write_text("ana 0.1 0.2\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_pretrained_embeddings(path, vocab, np.zeros((vocab.size, 4)))
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "-inf"])
+    def test_value_that_is_not_a_finite_number_names_the_line(self, tmp_path, value):
+        """Only vocabulary tokens' values are read; a bad one names the file and line."""
+        vocab = build_vocab([tokenize("ana are")], max_size=4)
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"zzz {value} 0.2\nana 0.1 0.2\nare 0.3 {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: a value of 'are' is not"):
+            load_pretrained_embeddings(path, vocab, np.zeros((vocab.size, 2)))
 
 
 def built_family(family):
