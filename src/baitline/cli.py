@@ -324,7 +324,7 @@ def run(argv: list[str] | None = None) -> int:
         handler = _COMMANDS[args.command]
     try:
         return handler(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckpointVersionError as exc:

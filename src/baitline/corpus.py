@@ -150,6 +150,8 @@ def load_corpus(path, name: str | None = None) -> Corpus:
             article = _article_from_record(json.loads(line))
         except ValueError as exc:  # CorpusFormatError, or a JSONDecodeError
             raise CorpusFormatError(f"{path}:{line_no}: {exc}") from None
+        except RecursionError:
+            raise CorpusFormatError(f"{path}:{line_no}: not JSON: nested too deeply") from None
         first = first_line.setdefault(article.id, line_no)
         if first != line_no:
             raise CorpusFormatError(

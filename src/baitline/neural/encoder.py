@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor, pooled_encode
+from ..textproc import PAD_ID
 
 
 def uniform_param(rng: np.random.Generator | None, shape, scale: float = 0.1) -> Tensor:
@@ -44,7 +45,7 @@ def embedding_table(rng: np.random.Generator | None, rows: int, cap_rows: int,
 
 
 class PooledTextEncoder:
-    """Token ids + mask -> (B, out_dim) summary vectors.
+    """Token ids, padded with ``PAD_ID``, -> (B, out_dim) summary vectors.
 
     The embedding table has ``rows`` rows, one per vocabulary id; see
     ``embedding_table`` for ``cap_rows``.
@@ -65,10 +66,10 @@ class PooledTextEncoder:
             f"{prefix}.proj_b": self.proj_b,
         }
 
-    def encode(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+    def encode(self, ids: np.ndarray) -> Tensor:
         """Encode a batch as one ``pooled_encode`` node; every row needs a real token."""
         ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
-        mask = np.atleast_2d(np.asarray(mask))
-        if (mask.sum(axis=1) == 0).any():
+        mask = ids != PAD_ID
+        if not mask.any(axis=1).all():
             raise ValueError("cannot encode an all-padding sequence")
         return pooled_encode(self.embedding, self.proj_w, self.ctx_w, self.proj_b, ids, mask)

@@ -7,14 +7,15 @@ separator id, mirroring single-sequence fine-tuning setups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from ..corpus import Corpus
 from ..tensor import Tensor, cross_entropy, dropout, relu, softmax
-from ..textproc import Vocabulary, build_vocab, encode_ids
+from ..textproc import TokenizedDoc, Vocabulary, build_vocab, encode_ids
 from .encoder import PooledTextEncoder, uniform_param
-from .trainer import NeuralBundle, stack_encoded, trim_padding
+from .trainer import NeuralBundle, trim_padding
 
 
 @dataclass
@@ -32,14 +33,16 @@ class EncoderHeadConfig:
     seed: int = 0
 
 
-def join_with_separator(
-    title_ids: list[int], content_ids: list[int], vocab: Vocabulary, max_len: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """title ids + [separator] + content ids, padded/truncated to max_len."""
+def join_with_separator(title_docs: list[TokenizedDoc], content_docs: list[TokenizedDoc],
+                        vocab: Vocabulary, max_len: int) -> np.ndarray:
+    """One ``encode_ids`` matrix whose row i is title i's ids + [separator] +
+    content i's ids, truncated and padded to max_len."""
     sep = vocab.separator_id
     if sep is None:
         raise ValueError("vocabulary has no separator id; build it with include_separator")
-    return encode_ids(list(title_ids) + [sep] + list(content_ids), max_len)
+    id_for = vocab.id_for
+    return encode_ids((chain(map(id_for, title.tokens), [sep], map(id_for, content.tokens))
+                       for title, content in zip(title_docs, content_docs)), max_len)
 
 
 class EncoderHead(NeuralBundle):
@@ -70,31 +73,21 @@ class EncoderHead(NeuralBundle):
             "head.out_w": self.out_w, "head.out_b": self.out_b,
         }
 
-    def forward(
-        self,
-        ids: np.ndarray,
-        mask: np.ndarray,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        summary = self.encoder.encode(ids, mask)
+    def forward(self, ids: np.ndarray, train: bool = False,
+                rng: np.random.Generator | None = None) -> Tensor:
+        summary = self.encoder.encode(ids)
         x = dropout(summary, self.config.dropout_rate, train, rng)
         h = relu(x @ self.dense_w + self.dense_b)
         return softmax(h @ self.out_w + self.out_b, axis=-1)
 
     def encode_docs(self, articles, title_docs, content_docs) -> tuple[np.ndarray, ...]:
-        id_for = self.vocab.id_for
-        return stack_encoded([
-            join_with_separator([id_for(t) for t in title.tokens], [id_for(t) for t in content.tokens],
-                                self.vocab, self.config.max_len)
-            for title, content in zip(title_docs, content_docs)
-        ])
+        return (join_with_separator(title_docs, content_docs, self.vocab, self.config.max_len),)
 
     def batch_loss(self, arrays, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
         return cross_entropy(self.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])
 
-    def batch_scores(self, ids, mask) -> np.ndarray:
-        return self.forward(*trim_padding(ids, mask)).data[:, 0]
+    def batch_scores(self, ids) -> np.ndarray:
+        return self.forward(trim_padding(ids)).data[:, 0]
 
 
 def train_encoder_head(corpus: Corpus, config: EncoderHeadConfig) -> EncoderHead:

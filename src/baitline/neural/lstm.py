@@ -25,9 +25,9 @@ from ..tensor import (
     relu,
     softmax,
 )
-from ..textproc import Vocabulary, build_vocab, encode
+from ..textproc import PAD_ID, Vocabulary, build_vocab, encode
 from .encoder import embedding_table, uniform_param
-from .trainer import NeuralBundle, stack_encoded, trim_padding
+from .trainer import NeuralBundle, trim_padding
 
 
 @dataclass
@@ -76,10 +76,11 @@ class BiLstmBranch:
             out.update(layer)
         return out
 
-    def run(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+    def run(self, ids: np.ndarray) -> Tensor:
         # Trailing all-padding columns only carry state and are ignored by
         # the pool, so dropping them leaves the output bit for bit the same.
-        ids, mask = trim_padding(ids, mask)
+        ids = trim_padding(ids)
+        mask = ids != PAD_ID
         x = embedding_lookup(self.embedding, ids, mask)
         for layer in self.layers:
             weights = list(layer.values())
@@ -133,18 +134,11 @@ class BiLstmClassifier(NeuralBundle):
         })
         return out
 
-    def forward(
-        self,
-        title_ids: np.ndarray,
-        title_mask: np.ndarray,
-        content_ids: np.ndarray,
-        content_mask: np.ndarray,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
+    def forward(self, title_ids: np.ndarray, content_ids: np.ndarray, train: bool = False,
+                rng: np.random.Generator | None = None) -> Tensor:
         """Class probability rows (softmax simplex) for a batch."""
-        pooled_title = self.title_branch.run(title_ids, title_mask)
-        pooled_content = self.content_branch.run(content_ids, content_mask)
+        pooled_title = self.title_branch.run(title_ids)
+        pooled_content = self.content_branch.run(content_ids)
         x = concat([pooled_title, pooled_content], axis=1)
         rate = self.config.dropout_rate
         h1 = dropout(relu(x @ self.dense1_w + self.dense1_b), rate, train, rng)
@@ -153,10 +147,8 @@ class BiLstmClassifier(NeuralBundle):
 
     def encode_docs(self, articles, title_docs, content_docs) -> tuple[np.ndarray, ...]:
         cfg = self.config
-        return (
-            *stack_encoded([encode(d, self.title_vocab, cfg.title_max_len) for d in title_docs]),
-            *stack_encoded([encode(d, self.content_vocab, cfg.content_max_len) for d in content_docs]),
-        )
+        return (encode(title_docs, self.title_vocab, cfg.title_max_len),
+                encode(content_docs, self.content_vocab, cfg.content_max_len))
 
     def batch_loss(self, arrays, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
         return cross_entropy(self.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])

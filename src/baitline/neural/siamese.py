@@ -22,9 +22,9 @@ from ..tensor import (
     relu,
     tmean,
 )
-from ..textproc import Vocabulary, build_vocab, encode
+from ..textproc import PAD_ID, Vocabulary, build_vocab, encode
 from .encoder import PooledTextEncoder
-from .trainer import NeuralBundle, stack_encoded, trim_padding
+from .trainer import NeuralBundle, trim_padding
 
 
 @dataclass
@@ -73,32 +73,31 @@ class SiameseEncoder(NeuralBundle):
     def params(self) -> dict[str, Tensor]:
         return self.core.params(prefix="siamese")
 
-    def encode_graph(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        pooled = self.core.encode(ids, mask)
+    def encode_graph(self, ids: np.ndarray) -> Tensor:
+        pooled = self.core.encode(ids)
         anchor = Tensor(np.full((pooled.shape[0], 1), self.ANCHOR))
         return l2_normalize(concat([pooled, anchor], axis=1))
 
     def encode_docs(self, articles, title_docs, content_docs) -> tuple[np.ndarray, ...]:
-        """Title and content ids and masks; every side needs a token."""
-        t_ids, t_masks = stack_encoded([encode(d, self.vocab, self.config.max_len) for d in title_docs])
-        c_ids, c_masks = stack_encoded([encode(d, self.vocab, self.config.max_len) for d in content_docs])
-        empty = np.flatnonzero((t_masks.sum(axis=1) == 0) | (c_masks.sum(axis=1) == 0))
+        """Title ids and content ids; every side needs a token."""
+        t_ids = encode(title_docs, self.vocab, self.config.max_len)
+        c_ids = encode(content_docs, self.vocab, self.config.max_len)
+        empty = np.flatnonzero((t_ids == PAD_ID).all(axis=1) | (c_ids == PAD_ID).all(axis=1))
         if len(empty):
             raise ValueError(f"article {articles[empty[0]].id!r}: cannot encode an all-padding sequence")
-        return t_ids, t_masks, c_ids, c_masks
+        return t_ids, c_ids
 
     def batch_loss(self, arrays, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
-        t_ids, t_masks, c_ids, c_masks = arrays
-        v_t = self.encode_graph(t_ids, t_masks)
-        v_c = self.encode_graph(c_ids, c_masks)
-        return contrastive_loss_graph(v_t, v_c, labels, self.config.margin)
+        t_ids, c_ids = arrays
+        return contrastive_loss_graph(self.encode_graph(t_ids), self.encode_graph(c_ids), labels,
+                                      self.config.margin)
 
-    def batch_scores(self, t_ids, t_masks, c_ids, c_masks) -> np.ndarray:
+    def batch_scores(self, t_ids, c_ids) -> np.ndarray:
         """Cosine similarity between each title and its content."""
         # The masked pools ignore trailing all-padding columns; a 64-row
         # batch at full length is slower than scoring one article at a time.
-        v_t = self.encode_graph(*trim_padding(t_ids, t_masks))
-        v_c = self.encode_graph(*trim_padding(c_ids, c_masks))
+        v_t = self.encode_graph(trim_padding(t_ids))
+        v_c = self.encode_graph(trim_padding(c_ids))
         return cosine_similarity(v_t, v_c).data
 
     def predictions(self, articles) -> tuple[list[Label], list[float]]:

@@ -17,7 +17,7 @@ from ..corpus import Corpus, Label, argmax_predictions
 from ..tensor import GraphOptimizer, backward, no_grad
 from ..tensor.checkpoint import (CheckpointVersionError, load_tensors, require_same_names,
                                  save_tensors)
-from ..textproc import TokenizedDoc, load_vocab, normalize, save_vocab, tokenize
+from ..textproc import PAD_ID, TokenizedDoc, load_vocab, normalize, save_vocab, tokenize
 from .embeddings import load_pretrained_embeddings
 
 PREDICT_BATCH = 64
@@ -31,17 +31,10 @@ def tokenize_sides(articles) -> tuple[list[TokenizedDoc], list[TokenizedDoc]]:
     )
 
 
-def stack_encoded(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-article ``(ids, mask)`` pairs into two (n, max_len) arrays."""
-    ids, masks = zip(*pairs)
-    return np.stack(ids), np.stack(masks)
-
-
-def trim_padding(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def trim_padding(ids: np.ndarray) -> np.ndarray:
     """Drop the batch's trailing all-padding columns, keeping at least one."""
-    real = np.flatnonzero(mask.any(axis=0))
-    length = real[-1] + 1 if len(real) else 1
-    return ids[:, :length], mask[:, :length]
+    real = np.flatnonzero((ids != PAD_ID).any(axis=0))
+    return ids[:, : real[-1] + 1 if len(real) else 1]
 
 
 class NeuralBundle:
@@ -53,8 +46,9 @@ class NeuralBundle:
     one row per id of its vocabulary; with ``rng`` None the parameters start
     at zero, ready to be loaded), the static
     ``vocabularies(config, title_docs, content_docs)`` (the ``vocabs``),
-    ``params()``, ``encode_docs(articles, title_docs, content_docs)`` (row-
-    aligned arrays; ``articles`` only names an article in errors),
+    ``params()``, ``encode_docs(articles, title_docs, content_docs)`` (one
+    (n, max_len) id matrix per encoded side, padded with ``PAD_ID``;
+    ``articles`` only names an article in errors),
     ``batch_loss(arrays, labels, rng)`` and ``batch_scores(*arrays)``.  A
     family whose config has ``embedding_file`` also implements
     ``embedding_tables()``: (vocabulary, table) pairs for pretrained vectors.

@@ -67,11 +67,16 @@ def numbered_lines(path, error: type[Exception]):
 
 def read_json(path, error: type[Exception] = CheckpointVersionError):
     """The JSON value stored in the UTF-8 file ``path``; a file that is not
-    UTF-8 JSON raises ``error`` (see ``numbered_lines``) naming it and the line."""
+    UTF-8 JSON, or nests too deeply for the decoder, raises ``error`` (see
+    ``numbered_lines``) naming it and the line (where the value starts)."""
+    text = "".join(line for _, line in numbered_lines(path, error))
     try:
-        return json.loads("".join(line for _, line in numbered_lines(path, error)))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path}:{exc.lineno}: not JSON: {exc.msg} at column {exc.colno}") from None
+    except RecursionError:
+        line = text[: len(text) - len(text.lstrip())].count("\n") + 1
+        raise error(f"{path}:{line}: not JSON: nested too deeply") from None
 
 
 def require_same_names(path, kind: str, expected: set[str], found: set[str]) -> None:
@@ -124,8 +129,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise CheckpointVersionError(f"{path}: not a tensor checkpoint") from None
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+            raise CheckpointVersionError(f"{path}:1: not a tensor checkpoint") from None
         check_header(path, "tensor checkpoint", header, TENSORS_HEADER)
         entries = header.get("tensors")
         if not isinstance(entries, list):

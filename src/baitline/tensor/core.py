@@ -262,23 +262,18 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor(out_data, (x,), rule, op="softmax")
 
 
-def embedding_lookup(
-    table: Tensor, ids: np.ndarray, mask: np.ndarray | None = None
-) -> Tensor:
+def embedding_lookup(table: Tensor, ids: np.ndarray, mask: np.ndarray) -> Tensor:
     """Gather rows of ``table`` for integer ``ids`` (B, T) -> (B, T, E).
 
-    With a mask, embeddings at padded positions are zeroed and the pad rows
-    of the table receive no gradient.
+    Embeddings at padded positions (mask 0) are zeroed, and the pad rows of
+    the table receive no gradient.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    out_data = table.data[ids]
-    if mask is not None:
-        mask = np.asarray(mask)
-        out_data = out_data * mask[..., None]
+    mask = np.asarray(mask)
+    out_data = table.data[ids] * mask[..., None]
 
     def rule(g):
-        if mask is not None:
-            g = g * mask[..., None]
+        g = g * mask[..., None]
         return (_scatter_rows(ids.reshape(-1), g.reshape(-1, g.shape[-1]), table.data.shape[0]),)
 
     return Tensor(out_data, (table,), rule, op="embedding_lookup")

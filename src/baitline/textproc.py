@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -156,27 +157,23 @@ def build_vocab(
     return Vocabulary(token_to_id=token_to_id)
 
 
-def encode(
-    doc: TokenizedDoc, vocab: Vocabulary, max_len: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map tokens to ids, truncating past ``max_len`` and right-padding.
+def encode(docs: list[TokenizedDoc], vocab: Vocabulary, max_len: int) -> np.ndarray:
+    """One (len(docs), max_len) id matrix: each doc's token ids, truncated to
+    the head ``max_len`` and right-padded with ``PAD_ID``.
 
-    Truncation keeps the head of the sequence.  Returns ``(ids, mask)`` of
-    length ``max_len``; the mask is 1 on real tokens and 0 on padding.
+    Every token id is at least 1 (``OOV_ID`` when the token is not in the
+    vocabulary), so ``ids != PAD_ID`` marks exactly the real positions.
     """
-    return encode_ids([vocab.id_for(tok) for tok in doc.tokens[:max_len]], max_len)
+    return encode_ids((map(vocab.id_for, doc.tokens) for doc in docs), max_len)
 
 
-def encode_ids(ids: list[int], max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pad/truncate a pre-built id list to ``max_len`` with its mask."""
+def encode_ids(rows, max_len: int) -> np.ndarray:
+    """Stack id rows, each cut to its first ``max_len`` ids and right-padded
+    with ``PAD_ID``, into one (n, max_len) int64 matrix.  A row may be any
+    iterable of ids: it is read only up to ``max_len``."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    ids = ids[:max_len]
-    out = np.full(max_len, PAD_ID, dtype=np.int64)
-    mask = np.zeros(max_len, dtype=np.int64)
-    out[: len(ids)] = ids
-    mask[: len(ids)] = 1
-    return out, mask
+    return np.stack([np.fromiter(chain(row, repeat(PAD_ID)), np.int64, max_len) for row in rows])
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:

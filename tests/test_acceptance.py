@@ -178,12 +178,11 @@ class TestAutodiffAcceptance:
         encoder = SiameseEncoder(config, np.random.default_rng(8), capped_vocab(config.vocab_size))
         t_ids = rng.integers(2, 60, size=(2, 8))
         c_ids = rng.integers(2, 60, size=(2, 8))
-        ones_mask = np.ones((2, 8), dtype=np.int64)
         y = np.array([1, 0])
 
         def contrastive_forward():
-            v_t = encoder.encode_graph(t_ids, ones_mask)
-            v_c = encoder.encode_graph(c_ids, ones_mask)
+            v_t = encoder.encode_graph(t_ids)
+            v_c = encoder.encode_graph(c_ids)
             return contrastive_loss_graph(v_t, v_c, y, config.margin)
 
         check(contrastive_forward, encoder.params(), max_coords=60)
@@ -195,14 +194,13 @@ class TestAutodiffAcceptance:
             dropout_rate=0.0, title_max_len=4, content_max_len=6, seed=9,
         )
         model = BiLstmClassifier(lstm_config, np.random.default_rng(9), capped_vocab(30), capped_vocab(30))
-        bt_ids = rng.integers(0, 32, size=(2, 4))
-        bc_ids = rng.integers(0, 32, size=(2, 6))
-        bt_mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]])
-        bc_mask = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 1, 1, 1]])
+        # padding is id 0, so the ragged rows end in zeros
+        bt_ids = rng.integers(1, 32, size=(2, 4)) * np.array([[1, 1, 1, 0], [1, 1, 0, 0]])
+        bc_ids = rng.integers(1, 32, size=(2, 6)) * np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 1, 1, 1]])
         bl_onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
 
         def bilstm_forward():
-            probs = model.forward(bt_ids, bt_mask, bc_ids, bc_mask)
+            probs = model.forward(bt_ids, bc_ids)
             return cross_entropy(probs, bl_onehot)
 
         check(bilstm_forward, model.params(), max_coords=8)

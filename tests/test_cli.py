@@ -1137,6 +1137,60 @@ class TestInputReaders:
         assert (f"{compare_path}: {len(lines) - 1} predictions, but {preds_path} has "
                 f"{len(lines)}") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["ingest", "--corpus", "{dir}"],
+        ["eval", "--preds", "{dir}", "--out-dir", "{out}"],
+        ["train", "--model", "svm", "--corpus", "{corpus}", "--config", "{dir}", "--out", "{out}"],
+        ["predict", "--model-dir", "{file}", "--corpus", "{corpus}", "--out", "{out}"],
+    ], ids=["ingest_corpus", "eval_preds", "train_config", "predict_model_dir"])
+    def test_directory_for_a_file_exit_2(self, tmp_path, corpus_path, capsys, command):
+        """A directory where a file is expected, or a file where a directory
+        is, exits 2 like a missing file, naming the path."""
+        paths = {"dir": tmp_path / "a-dir", "file": tmp_path / "a-file",
+                 "corpus": corpus_path, "out": tmp_path / "out"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("", encoding="utf-8")
+        culprit = paths["file"] if "{file}" in command else paths["dir"]
+        capsys.readouterr()
+        assert run([arg.format(**paths) for arg in command]) == 2
+        assert str(culprit) in capsys.readouterr().err
+        assert not paths["out"].exists()
+
+    NESTED = b"[" * 100_000 + b"]" * 100_000
+
+    def test_deeply_nested_manifest(self, tmp_path, corpus_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b"\n" + self.NESTED + b"\n")
+        capsys.readouterr()
+        assert run(["split", "--corpus", corpus_path, "--manifest", str(manifest),
+                    "--out-train", str(tmp_path / "a.jsonl"),
+                    "--out-test", str(tmp_path / "b.jsonl")]) == 3
+        assert f"{manifest}:2: not JSON: nested too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "a.jsonl").exists()
+
+    def test_deeply_nested_corpus_line(self, tmp_path, corpus_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(Path(corpus_path).read_bytes() + self.NESTED + b"\n")
+        capsys.readouterr()
+        assert run(["ingest", "--corpus", str(corpus)]) == 3
+        assert f"{corpus}:61: not JSON: nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file_name, culprit", [
+        ("model.json", ":1: not JSON: nested too deeply"),
+        ("model.tensors", ":1: not a tensor checkpoint"),
+    ])
+    def test_deeply_nested_model_file_exit_4(self, tmp_path, neural_runs, corpus_path, capsys,
+                                             file_name, culprit):
+        run_dir = tmp_path / "contrastive"
+        shutil.copytree(neural_runs / "contrastive", run_dir)
+        path = run_dir / file_name
+        path.write_bytes(self.NESTED + b"\n" + path.read_bytes().partition(b"\n")[2])
+        capsys.readouterr()
+        assert run(["predict", "--model-dir", str(run_dir), "--corpus", corpus_path,
+                    "--out", str(tmp_path / "preds.tsv")]) == 4
+        assert f"{path}{culprit}" in capsys.readouterr().err
+        assert not (tmp_path / "preds.tsv").exists()
+
 
 class TestPercentSign:
     """INI files read and write ``%`` literally: no interpolation."""

@@ -1,4 +1,10 @@
+import json
+import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +30,7 @@ from baitline.neural.siamese import (
 )
 from baitline.neural.trainer import tokenize_sides
 from baitline.tensor import Tensor, bilstm_sequence, embedding_lookup, max_pool_over_time
-from baitline.textproc import Vocabulary, build_vocab, tokenize
+from baitline.textproc import OOV_ID, Vocabulary, build_vocab, tokenize
 from gradcheck import check_gradients
 from synthetic import generate_class_marked_corpus, generate_topic_pair_corpus
 
@@ -65,8 +71,8 @@ class TestBiLstm:
     def test_forward_simplex(self):
         corpus = generate_class_marked_corpus(12, seed=1)
         bundle = train_bilstm(corpus, small_bilstm_config(epochs=0))
-        t_ids, t_mask, c_ids, c_mask = bundle.encode_articles(corpus.articles)
-        probs = bundle.forward(t_ids, t_mask, c_ids, c_mask)
+        t_ids, c_ids = bundle.encode_articles(corpus.articles)
+        probs = bundle.forward(t_ids, c_ids)
         assert np.all(np.abs(probs.data.sum(axis=1) - 1.0) < 1e-9)
         assert np.all((probs.data > 0) & (probs.data < 1))
 
@@ -76,9 +82,7 @@ class TestBiLstm:
         batch = 2
         t_ids = np.zeros((batch, 8), dtype=np.int64)
         c_ids = np.zeros((batch, 16), dtype=np.int64)
-        t_mask = np.zeros((batch, 8), dtype=np.int64)
-        c_mask = np.zeros((batch, 16), dtype=np.int64)
-        probs = bundle.forward(t_ids, t_mask, c_ids, c_mask)
+        probs = bundle.forward(t_ids, c_ids)
         assert np.all(np.abs(probs.data.sum(axis=1) - 1.0) < 1e-9)
 
     def test_padding_trim_is_exact(self):
@@ -87,10 +91,10 @@ class TestBiLstm:
         ids = rng.integers(2, 20, size=(3, 5))
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 0], [0, 0, 0, 0, 0]])
         ids[mask == 0] = 0
-        trimmed = branch.run(ids, mask).data
+        trimmed = branch.run(ids).data
         wide_ids = np.concatenate([ids, np.zeros((3, 7), dtype=ids.dtype)], axis=1)
         wide_mask = np.concatenate([mask, np.zeros((3, 7), dtype=mask.dtype)], axis=1)
-        assert np.array_equal(branch.run(wide_ids, wide_mask).data, trimmed)
+        assert np.array_equal(branch.run(wide_ids).data, trimmed)
         # the same layers run over every column, padding included
         x = embedding_lookup(branch.embedding, wide_ids, wide_mask)
         for layer in branch.layers:
@@ -185,15 +189,16 @@ class TestEncoderHead:
     def test_missing_separator_rejected(self):
         vocab = build_vocab([tokenize("ana are mere")], max_size=10)
         with pytest.raises(ValueError, match="separator"):
-            join_with_separator([2, 3], [4], vocab, max_len=8)
+            join_with_separator([tokenize("ana are")], [tokenize("mere")], vocab, max_len=8)
 
     def test_join_layout(self):
         vocab = build_vocab([tokenize("ana are mere")], max_size=10,
                             include_separator=True)
-        sep = vocab.separator_id
-        ids, mask = join_with_separator([7, 8], [9], vocab, max_len=6)
-        assert ids.tolist() == [7, 8, sep, 9, 0, 0]
-        assert mask.tolist() == [1, 1, 1, 1, 0, 0]
+        sep, id_for = vocab.separator_id, vocab.id_for
+        ids = join_with_separator([tokenize("ana are"), tokenize("")],
+                                  [tokenize("mere"), tokenize("ana pere")], vocab, max_len=6)
+        assert ids.tolist() == [[id_for("ana"), id_for("are"), sep, id_for("mere"), 0, 0],
+                                [sep, id_for("ana"), OOV_ID, 0, 0, 0]]
 
     def test_overfits_small_corpus(self):
         corpus = generate_class_marked_corpus(20, seed=9)
@@ -231,39 +236,33 @@ def fresh_encoder(config=None):
     return SiameseEncoder(config, np.random.default_rng(config.seed), capped_vocab(config.vocab_size))
 
 
-def encode(encoder, ids, mask):
-    return encoder.encode_graph(ids, mask).data
+def encode(encoder, ids):
+    return encoder.encode_graph(ids).data
 
 
 class TestSiameseEncode:
     def test_unit_norm(self):
         encoder = fresh_encoder()
         rng = np.random.default_rng(0)
-        ids = rng.integers(0, 100, size=(6, 24))
-        mask = np.ones((6, 24), dtype=np.int64)
-        out = encode(encoder, ids, mask)
+        ids = rng.integers(1, 100, size=(6, 24))
+        out = encode(encoder, ids)
         assert np.all(np.abs((out**2).sum(axis=1) - 1.0) < 1e-9)
 
     def test_identical_inputs_identical_outputs(self):
         encoder = fresh_encoder()
         ids = np.array([[4, 5, 6, 0]])
-        mask = np.array([[1, 1, 1, 0]])
-        assert np.array_equal(encode(encoder, ids, mask), encode(encoder, ids, mask))
+        assert np.array_equal(encode(encoder, ids), encode(encoder, ids))
 
     def test_padding_length_invariance(self):
         encoder = fresh_encoder()
-        short_ids = np.array([[4, 5, 6]])
-        short_mask = np.array([[1, 1, 1]])
-        long_ids = np.array([[4, 5, 6, 0, 0, 0, 0]])
-        long_mask = np.array([[1, 1, 1, 0, 0, 0, 0]])
-        a = encode(encoder, short_ids, short_mask)
-        b = encode(encoder, long_ids, long_mask)
+        a = encode(encoder, np.array([[4, 5, 6]]))
+        b = encode(encoder, np.array([[4, 5, 6, 0, 0, 0, 0]]))
         assert np.allclose(a, b, atol=1e-12)
 
     def test_all_pad_rejected(self):
         encoder = fresh_encoder()
         with pytest.raises(ValueError, match="padding"):
-            encode(encoder, np.zeros((1, 4), dtype=np.int64), np.zeros((1, 4), dtype=np.int64))
+            encode(encoder, np.zeros((1, 4), dtype=np.int64))
 
 
 class TestCosineDissimilarity:
@@ -389,13 +388,11 @@ class TestContrastiveTraining:
         rng = np.random.default_rng(5)
         t_ids = rng.integers(2, 100, size=(2, 10))
         c_ids = rng.integers(2, 100, size=(2, 10))
-        t_mask = np.ones((2, 10), dtype=np.int64)
-        c_mask = np.ones((2, 10), dtype=np.int64)
         y = np.array([1, 0])
 
         def forward():
-            v_t = encoder.encode_graph(t_ids, t_mask)
-            v_c = encoder.encode_graph(c_ids, c_mask)
+            v_t = encoder.encode_graph(t_ids)
+            v_c = encoder.encode_graph(c_ids)
             return contrastive_loss_graph(v_t, v_c, y, config.margin)
 
         report = check_gradients(forward, encoder.params(),
@@ -553,3 +550,48 @@ class TestScoring:
         assert np.array_equal(bundle.scores(articles), graph_scores)
         assert graph_kept == [False, False]
         assert (Tensor(1.0) + Tensor(1.0)).parents  # the mode is back on after scoring
+
+
+# Trains (one epoch) and predicts every neural family at both profiles in the
+# directory argv[1], then prints one JSON line: path -> sha256 of every file.
+NEURAL_RUNS = """
+import hashlib, json, os, sys
+from pathlib import Path
+
+from baitline.cli import run
+
+os.chdir(sys.argv[1])
+for profile in ("desk", "full"):
+    for family in ("bilstm", "contrastive", "encoder-head"):
+        out = f"{profile}/{family}"
+        for argv in (["train", "--model", family, "--corpus", "corpus.jsonl", "--out", out,
+                      "--profile", profile, "--seed", "5", "--epochs", "1"],
+                     ["predict", "--model-dir", out, "--corpus", "corpus.jsonl", "--out", out + ".tsv"]):
+            if run(argv) != 0:
+                sys.exit(f"{argv} failed")
+print(json.dumps({path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                  for path in sorted(Path(".").rglob("*")) if path.is_file()}))
+"""
+
+
+def test_neural_runs_byte_identical_at_one_and_two_blas_threads(tmp_path, data_dir):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    digests = {}
+    for threads in ("1", "2"):
+        work = tmp_path / f"blas{threads}"
+        work.mkdir()
+        shutil.copyfile(data_dir / "synthetic60.jsonl", work / "corpus.jsonl")
+        done = subprocess.run([sys.executable, "-c", NEURAL_RUNS, str(work)],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True,
+                              text=True, timeout=300, check=True)
+        digests[threads] = json.loads(done.stdout.splitlines()[-1])
+    assert sorted(p for p in digests["1"] if p.endswith(".tsv")) == [
+        f"{profile}/{family}.tsv" for profile in ("desk", "full")
+        for family in ("bilstm", "contrastive", "encoder-head")]
+    # OpenBLAS's threaded matrix products are not bit-equal to its single-
+    # threaded ones; on this corpus only the full-profile BiLSTM's weights show
+    # it, so that one file only has to exist
+    for run_digests in digests.values():
+        del run_digests["full/bilstm/model.tensors"]
+    assert digests["1"] == digests["2"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from baitline.neural.heads import join_with_separator
 from baitline.tensor.checkpoint import CheckpointVersionError
 from baitline.textproc import (
     KEPT_PUNCTUATION,
@@ -156,22 +157,19 @@ class TestBuildVocab:
 class TestEncode:
     def test_oov_and_padding(self):
         vocab = build_vocab([tokenize("a a")], max_size=4)
-        ids, mask = encode(tokenize("a z"), vocab, max_len=4)
-        assert ids.tolist() == [vocab.id_for("a"), OOV_ID, PAD_ID, PAD_ID]
-        assert mask.tolist() == [1, 1, 0, 0]
+        ids = encode([tokenize("a z")], vocab, max_len=4)
+        assert ids.tolist() == [[vocab.id_for("a"), OOV_ID, PAD_ID, PAD_ID]]
+        assert (ids != PAD_ID).tolist() == [[True, True, False, False]]
 
     def test_truncation_keeps_head(self):
         vocab = build_vocab([tokenize("a b c d e")], max_size=10)
-        doc = tokenize("a b c d e")
-        ids, mask = encode(doc, vocab, max_len=3)
-        assert ids.tolist() == [vocab.id_for("a"), vocab.id_for("b"), vocab.id_for("c")]
-        assert mask.tolist() == [1, 1, 1]
+        ids = encode([tokenize("a b c d e")], vocab, max_len=3)
+        assert ids.tolist() == [[vocab.id_for("a"), vocab.id_for("b"), vocab.id_for("c")]]
 
     def test_empty_doc_all_pad(self):
         vocab = build_vocab([tokenize("a")], max_size=2)
-        ids, mask = encode(tokenize(""), vocab, max_len=3)
-        assert ids.tolist() == [PAD_ID] * 3
-        assert mask.tolist() == [0, 0, 0]
+        ids = encode([tokenize(""), tokenize("a")], vocab, max_len=3)
+        assert ids.tolist() == [[PAD_ID] * 3, [vocab.id_for("a"), PAD_ID, PAD_ID]]
 
     def test_lengths_and_mask_sum(self):
         rng = np.random.default_rng(1)
@@ -180,14 +178,48 @@ class TestEncode:
             n = int(rng.integers(0, 12))
             doc = tokenize(" ".join("abcdz"[int(rng.integers(5))] for _ in range(n)))
             max_len = int(rng.integers(1, 10))
-            ids, mask = encode(doc, vocab, max_len)
-            assert len(ids) == max_len and len(mask) == max_len
-            assert mask.sum() == min(len(doc.tokens), max_len)
+            ids = encode([doc], vocab, max_len)
+            assert ids.shape == (1, max_len) and ids.dtype == np.int64
+            assert (ids != PAD_ID).sum() == min(len(doc.tokens), max_len)
 
     def test_encode_ids_helper(self):
-        ids, mask = encode_ids([5, 6], max_len=4)
-        assert ids.tolist() == [5, 6, 0, 0]
-        assert mask.tolist() == [1, 1, 0, 0]
+        ids = encode_ids([[5, 6], [7, 8, 9, 10, 11]], max_len=4)
+        assert ids.tolist() == [[5, 6, 0, 0], [7, 8, 9, 10]]
+
+
+# Words, a word the drawn vocabularies may leave out, and punctuation, which
+# build_vocab never keeps: real tokens that encode to OOV_ID.
+TOKENS = st.sampled_from(["ana", "are", "mere", "pere", "șoc", "7", "x", ".", "!", ","])
+DOCS = st.lists(st.lists(TOKENS, max_size=12).map(lambda words: tokenize(" ".join(words))),
+                min_size=1, max_size=6)
+
+
+def assert_padding_is_the_tail(ids, rows, max_len):
+    """Row i holds ``rows[i]`` truncated to max_len, then PAD_ID: the real
+    positions are exactly the first min(len, max_len), each an id >= 1."""
+    lengths = np.array([min(len(row), max_len) for row in rows])
+    assert ids.shape == (len(rows), max_len) and ids.dtype == np.int64
+    assert np.array_equal(ids != PAD_ID, np.arange(max_len) < lengths[:, None])
+    assert (ids[ids != PAD_ID] >= 1).all()
+    assert all(ids[i, :n].tolist() == list(rows[i][:n]) for i, n in enumerate(lengths))
+
+
+@given(DOCS, DOCS, st.integers(1, 8), st.booleans(), st.integers(1, 16))
+def test_encode_pads_with_id_zero_only(vocab_docs, docs, max_size, separator, max_len):
+    vocab = build_vocab(vocab_docs, max_size, include_separator=separator)
+    rows = [[vocab.id_for(token) for token in doc.tokens] for doc in docs]
+    assert_padding_is_the_tail(encode(docs, vocab, max_len), rows, max_len)
+
+
+@given(DOCS, DOCS, DOCS, st.integers(1, 8), st.integers(1, 16))
+def test_join_with_separator_pads_with_id_zero_only(vocab_docs, titles, contents, max_size,
+                                                    max_len):
+    vocab = build_vocab(vocab_docs, max_size, include_separator=True)
+    titles, contents = titles[: len(contents)], contents[: len(titles)]
+    rows = [[vocab.id_for(token) for token in title.tokens] + [vocab.separator_id]
+            + [vocab.id_for(token) for token in content.tokens]
+            for title, content in zip(titles, contents)]
+    assert_padding_is_the_tail(join_with_separator(titles, contents, vocab, max_len), rows, max_len)
 
 
 class TestVocabSerialization:
