@@ -12,10 +12,10 @@ from itertools import chain
 import numpy as np
 
 from ..corpus import Corpus
-from ..tensor import Tensor, cross_entropy, dropout, relu, softmax
+from ..tensor import Tensor, dropout, relu, softmax
 from ..textproc import TokenizedDoc, Vocabulary, build_vocab, encode_ids
 from .encoder import PooledTextEncoder, uniform_param
-from .trainer import NeuralBundle, trim_padding
+from .trainer import NeuralBundle
 
 
 @dataclass
@@ -47,8 +47,6 @@ def join_with_separator(title_docs: list[TokenizedDoc], content_docs: list[Token
 
 class EncoderHead(NeuralBundle):
     """Pooled text encoder -> dropout -> dense -> softmax over the two classes."""
-
-    vocab_files = {"vocab.txt": "vocab"}
 
     def __init__(self, config: EncoderHeadConfig, rng: np.random.Generator | None, vocab: Vocabulary):
         self.config = config
@@ -82,12 +80,6 @@ class EncoderHead(NeuralBundle):
 
     def encode_docs(self, articles, title_docs, content_docs) -> tuple[np.ndarray, ...]:
         return (join_with_separator(title_docs, content_docs, self.vocab, self.config.max_len),)
-
-    def batch_loss(self, arrays, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
-        return cross_entropy(self.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])
-
-    def batch_scores(self, ids) -> np.ndarray:
-        return self.forward(trim_padding(ids)).data[:, 0]
 
 
 def train_encoder_head(corpus: Corpus, config: EncoderHeadConfig) -> EncoderHead:

@@ -18,7 +18,6 @@ from ..tensor import (
     backward,  # noqa: F401  (benchmark/test_selftest.py checks tracing rebinds it here)
     bilstm_sequence,
     concat,
-    cross_entropy,
     dropout,
     embedding_lookup,
     max_pool_over_time,
@@ -92,7 +91,7 @@ class BiLstmClassifier(NeuralBundle):
     """Title and content branches, each with one embedding row per id of its
     vocabulary, and the dense head over their pooled vectors."""
 
-    vocab_files = {"vocab_title.txt": "title_vocab", "vocab_content.txt": "content_vocab"}
+    vocab_fields = ("title_vocab", "content_vocab")
 
     def __init__(self, config: BiLstmConfig, rng: np.random.Generator | None,
                  title_vocab: Vocabulary, content_vocab: Vocabulary):
@@ -149,12 +148,6 @@ class BiLstmClassifier(NeuralBundle):
         cfg = self.config
         return (encode(title_docs, self.title_vocab, cfg.title_max_len),
                 encode(content_docs, self.content_vocab, cfg.content_max_len))
-
-    def batch_loss(self, arrays, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
-        return cross_entropy(self.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])
-
-    def batch_scores(self, *arrays) -> np.ndarray:
-        return self.forward(*arrays).data[:, 0]
 
 
 def train_bilstm(corpus: Corpus, config: BiLstmConfig) -> BiLstmClassifier:

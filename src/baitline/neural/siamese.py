@@ -24,7 +24,7 @@ from ..tensor import (
 )
 from ..textproc import PAD_ID, Vocabulary, build_vocab, encode
 from .encoder import PooledTextEncoder
-from .trainer import NeuralBundle, trim_padding
+from .trainer import NeuralBundle
 
 
 @dataclass
@@ -54,7 +54,6 @@ class SiameseEncoder(NeuralBundle):
     """
 
     ANCHOR = 0.1
-    vocab_files = {"vocab.txt": "vocab"}
 
     def __init__(self, config: SiameseConfig, rng: np.random.Generator | None, vocab: Vocabulary):
         self.config = config
@@ -94,11 +93,7 @@ class SiameseEncoder(NeuralBundle):
 
     def batch_scores(self, t_ids, c_ids) -> np.ndarray:
         """Cosine similarity between each title and its content."""
-        # The masked pools ignore trailing all-padding columns; a 64-row
-        # batch at full length is slower than scoring one article at a time.
-        v_t = self.encode_graph(trim_padding(t_ids))
-        v_c = self.encode_graph(trim_padding(c_ids))
-        return cosine_similarity(v_t, v_c).data
+        return cosine_similarity(self.encode_graph(t_ids), self.encode_graph(c_ids)).data
 
     def predictions(self, articles) -> tuple[list[Label], list[float]]:
         pairs = [similarity_to_prediction(float(s), self.config.threshold)
@@ -133,11 +128,10 @@ def similarity_to_prediction(s: float, threshold: float = 0.75) -> tuple[Label, 
     return label, score
 
 
-def contrastive_predict(
-    bundle: SiameseEncoder, article: NewsArticle, threshold: float = 0.75
-) -> tuple[Label, float]:
-    """Threshold the article's title-content similarity."""
-    return similarity_to_prediction(float(bundle.scores([article])[0]), threshold)
+def contrastive_predict(bundle: SiameseEncoder, article: NewsArticle) -> tuple[Label, float]:
+    """The article's label and clickbait score, at the bundle's threshold."""
+    (label,), (score,) = bundle.predictions([article])
+    return label, score
 
 
 def train_contrastive(corpus: Corpus, config: SiameseConfig) -> SiameseEncoder:

@@ -1,10 +1,10 @@
 """What the neural families share: tokenization, the train path and its
 minibatch loop, batched scoring, and the model directory.
 
-A model directory holds ``model.tensors`` and the vocabulary files beside
-``model.json``, which keeps the config and the per-epoch losses.  Loading is
-strict: the checkpoint must hold exactly the tensors, with the same shapes,
-of the model that the stored config and those vocabularies build.
+A model directory holds ``model.tensors`` beside ``model.json``, which keeps
+the config, the per-epoch losses and each vocabulary's tokens in id order.
+Loading is strict: the checkpoint must hold exactly the tensors, with the
+same shapes, of the model that the stored config and vocabularies build.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from ..corpus import Corpus, Label, argmax_predictions
-from ..tensor import GraphOptimizer, backward, no_grad
-from ..tensor.checkpoint import (CheckpointVersionError, load_tensors, require_same_names,
-                                 save_tensors)
-from ..textproc import PAD_ID, TokenizedDoc, load_vocab, normalize, save_vocab, tokenize
+from ..tensor import GraphOptimizer, Tensor, backward, cross_entropy, no_grad
+from ..tensor.checkpoint import (MODEL_FILE, CheckpointVersionError, load_tensors, require_fields,
+                                 require_same_names, save_tensors)
+from ..textproc import PAD_ID, TokenizedDoc, normalize, tokenize, vocab_from_tokens
 from .embeddings import load_pretrained_embeddings
 
 PREDICT_BATCH = 64
@@ -38,21 +38,25 @@ def trim_padding(ids: np.ndarray) -> np.ndarray:
 
 
 class NeuralBundle:
-    """A neural model family: its weights, vocabularies, config and per-epoch
+    """A neural model family: its network, vocabularies, config and per-epoch
     losses.
 
-    Subclasses set ``vocab_files`` (file name -> vocabulary attribute) and
+    Subclasses name their vocabularies in ``vocab_fields`` (each is an
+    ``__init__`` argument, an attribute and a ``model.json`` field) and
     implement ``__init__(config, rng, **vocabs)`` (each embedding table gets
     one row per id of its vocabulary; with ``rng`` None the parameters start
     at zero, ready to be loaded), the static
     ``vocabularies(config, title_docs, content_docs)`` (the ``vocabs``),
     ``params()``, ``encode_docs(articles, title_docs, content_docs)`` (one
     (n, max_len) id matrix per encoded side, padded with ``PAD_ID``;
-    ``articles`` only names an article in errors),
-    ``batch_loss(arrays, labels, rng)`` and ``batch_scores(*arrays)``.  A
-    family whose config has ``embedding_file`` also implements
-    ``embedding_tables()``: (vocabulary, table) pairs for pretrained vectors.
+    ``articles`` only names an article in errors) and
+    ``forward(*arrays, train=False, rng=None)``, each row's two class
+    probabilities, or else ``batch_loss`` and ``batch_scores``.  A family
+    whose config has ``embedding_file`` also implements ``embedding_tables()``:
+    (vocabulary, table) pairs for pretrained vectors.
     """
+
+    vocab_fields = ("vocab",)
 
     @classmethod
     def train(cls, corpus: Corpus, config):
@@ -95,13 +99,23 @@ class NeuralBundle:
             self.train_losses.append(epoch_loss / n_batches)
         return self
 
+    def batch_loss(self, arrays, labels: np.ndarray, rng: np.random.Generator) -> Tensor:
+        """Cross-entropy of ``forward`` in training mode against the labels."""
+        return cross_entropy(self.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])
+
+    def batch_scores(self, *arrays) -> np.ndarray:
+        """Clickbait (class 0) probabilities."""
+        return self.forward(*arrays).data[:, 0]
+
     def scores(self, articles) -> np.ndarray:
         """``batch_scores`` of every article, encoded once and scored 64 at a
-        time under ``no_grad``, so scoring builds no graph."""
+        time under ``no_grad``, so scoring builds no graph.  Each batch drops
+        its trailing all-padding columns, which the masked pools ignore: a
+        64-row batch at full length is slower than one article at a time."""
         arrays = self.encode_articles(articles)
         with no_grad():
             return np.concatenate([
-                self.batch_scores(*(a[start : start + PREDICT_BATCH] for a in arrays))
+                self.batch_scores(*(trim_padding(a[start : start + PREDICT_BATCH]) for a in arrays))
                 for start in range(0, len(articles), PREDICT_BATCH)
             ])
 
@@ -109,22 +123,25 @@ class NeuralBundle:
         """Labels and clickbait scores; the argmax rule unless overridden."""
         return argmax_predictions(self.scores(articles))
 
-    def save(self, out_dir) -> None:
-        """Write the weights and the vocabularies into ``out_dir``."""
+    def save(self, out_dir) -> dict[str, list[str]]:
+        """Write the weights into ``out_dir``; returns the ``model.json``
+        fields: each vocabulary's tokens in id order."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_tensors(out_dir / "model.tensors", {k: v.data for k, v in self.params().items()})
-        for name, field in self.vocab_files.items():
-            save_vocab(getattr(self, field), out_dir / name)
+        return {name: getattr(self, name).ordered_tokens() for name in self.vocab_fields}
 
     @classmethod
-    def load(cls, model_dir, config):
-        """The model that ``save`` wrote into ``model_dir``, built by ``config``;
+    def load(cls, model_dir, model: dict):
+        """The model that ``save`` wrote into ``model_dir``, given ``model``,
+        its parsed ``model.json``: built by the stored config and vocabularies,
         its checkpoint must hold exactly the model's tensors, in their shapes.
         ``train_losses`` stays empty: the losses are kept in ``model.json``."""
         model_dir = Path(model_dir)
-        vocabs = {field: load_vocab(model_dir / name) for name, field in cls.vocab_files.items()}
-        bundle = cls(config, None, **vocabs)
+        model_path = model_dir / MODEL_FILE
+        require_fields(model_path, model["family"], model, cls.vocab_fields)
+        bundle = cls(model["config"], None, **{name: vocab_from_tokens(model_path, name, model[name])
+                                              for name in cls.vocab_fields})
         path, params = model_dir / "model.tensors", bundle.params()
         values = load_tensors(path)
         require_same_names(path, "tensor", set(params), set(values))

@@ -2,8 +2,8 @@
 
 Adding a family takes one ``FAMILIES`` entry: its config dataclass, its
 ``desk`` profile overrides, ``train(corpus, config, out_dir) -> (losses,
-fields)``, which writes any tensor and vocabulary files and returns the lines
-of ``training.log`` and the family's ``model.json`` fields, and a batched
+fields)``, which writes any tensor file and returns the lines of
+``training.log`` and the family's ``model.json`` fields, and a batched
 ``predict(model_dir, model, corpus) -> (labels, scores)`` given the parsed
 ``model.json``.  Trainers are called as attributes of their modules, so code
 that rebinds module-level functions (``benchmark/tracer.py``) sees them.
@@ -60,12 +60,11 @@ def _predict_classical(load, model_dir: Path, model: dict, corpus: Corpus):
 
 
 def _saved(bundle, out_dir: Path):
-    bundle.save(out_dir)
-    return bundle.train_losses, {}
+    return bundle.train_losses, bundle.save(out_dir)
 
 
 def _predict_neural(bundle_type, model_dir: Path, model: dict, corpus: Corpus):
-    return bundle_type.load(model_dir, model["config"]).predictions(corpus.articles)
+    return bundle_type.load(model_dir, model).predictions(corpus.articles)
 
 
 # The desk profile shrinks capacity and sequence lengths so full training

@@ -17,7 +17,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .tensor.checkpoint import CheckpointVersionError, numbered_lines
+from .tensor.checkpoint import CheckpointVersionError
 
 PAD_ID = 0
 OOV_ID = 1
@@ -123,7 +123,7 @@ class Vocabulary:
         return self.token_to_id.get(token, OOV_ID)
 
     def ordered_tokens(self) -> list[str]:
-        """Tokens sorted by id; line number in the text format is id - 2."""
+        """Tokens sorted by id: the token at index i has id i + 2."""
         return [t for t, _ in sorted(self.token_to_id.items(), key=lambda kv: kv[1])]
 
 
@@ -176,28 +176,18 @@ def encode_ids(rows, max_len: int) -> np.ndarray:
     return np.stack([np.fromiter(chain(row, repeat(PAD_ID)), np.int64, max_len) for row in rows])
 
 
-def save_vocab(vocab: Vocabulary, path) -> None:
-    """Write the ordered token list, one token per line (line = id - 2)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for token in vocab.ordered_tokens():
-            fh.write(token + "\n")
-
-
-def load_vocab(path) -> Vocabulary:
-    """Read a ``save_vocab`` file of a model directory.
-
-    Ids must stay dense, because a model's embedding table has one row per
-    id: a blank or repeated line raises ``CheckpointVersionError`` naming the
-    file and the line.
-    """
+def vocab_from_tokens(path, name: str, tokens) -> Vocabulary:
+    """The vocabulary that field ``name`` of the model file ``path`` holds as
+    its ``ordered_tokens()``.  Ids must stay dense, since an embedding table
+    has one row per id: anything but a list of distinct non-empty strings
+    raises CheckpointVersionError naming the file, the field and the first
+    bad entry."""
+    if type(tokens) is not list:
+        raise CheckpointVersionError(f"{path}: field {name!r} is not a list of tokens")
     token_to_id: dict[str, int] = {}
-    for line_no, line in numbered_lines(path, CheckpointVersionError):
-        token = line.rstrip("\r\n")  # tokens hold no whitespace
-        if not token:
-            raise CheckpointVersionError(f"{path}:{line_no}: blank line in a vocabulary file")
-        if token in token_to_id:
-            raise CheckpointVersionError(
-                f"{path}:{line_no}: token {token!r} repeats line {token_to_id[token] - 1}"
-            )
-        token_to_id[token] = line_no + 1
+    for index, token in enumerate(tokens):
+        if not (isinstance(token, str) and token) or token in token_to_id:
+            raise CheckpointVersionError(f"{path}: field {name!r} entry {index}, {token!r}, "
+                                         "is empty, not a string or a repeat")
+        token_to_id[token] = index + 2
     return Vocabulary(token_to_id=token_to_id)

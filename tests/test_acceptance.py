@@ -348,7 +348,7 @@ class TestContrastiveSeparation:
         assert run(["predict", "--model-dir", str(run_dir), "--corpus", str(test_path),
                     "--out", str(preds_path)]) == 0
 
-        bundle = SiameseEncoder.load(run_dir, read_model(run_dir / "model.json")["config"])
+        bundle = SiameseEncoder.load(run_dir, read_model(run_dir / "model.json"))
         test = load_corpus(test_path)
         sims_cb, sims_ncb = [], []
         for art, s in zip(test, bundle.scores(test.articles)):

@@ -194,6 +194,55 @@ MODEL_JSON_DEFECTS = {
     "out_dim_fractional": (_config_with("out_dim", 3.5), "config out_dim = 3.5"),
 }
 
+# the model.json fields that hold each neural family's vocabularies
+VOCAB_FIELDS = {"bilstm": ("title_vocab", "content_vocab"), "contrastive": ("vocab",),
+                "encoder-head": ("vocab",)}
+
+
+def _first_vocab_with(edit, culprit, file_name="model.json"):
+    """A defect that gives the first vocabulary field ``edit(tokens)``, or
+    drops it when ``edit`` is None; ``culprit`` is formatted with the field
+    and its first token."""
+    def apply(run_dir, payload):
+        field = VOCAB_FIELDS[payload["family"]][0]
+        tokens = payload.pop(field)
+        if edit is not None:
+            payload[field] = edit(list(tokens))
+        return file_name, culprit.format(field=field, token=tokens[0])
+    return apply
+
+
+def _set_token(index, token):
+    def edit(tokens):
+        tokens[index] = token
+        return tokens
+    return edit
+
+
+def _older_layout(run_dir, payload):
+    """Vocabularies in text files, one token a line, as written before they
+    moved into model.json."""
+    fields = VOCAB_FIELDS[payload["family"]]
+    for field in fields:
+        name = {"title_vocab": "vocab_title.txt", "content_vocab": "vocab_content.txt"}.get(
+            field, "vocab.txt")
+        (run_dir / name).write_text("".join(f"{token}\n" for token in payload.pop(field)),
+                                    encoding="utf-8")
+    return "model.json", f"model has no field {list(fields)}"
+
+
+VOCAB_DEFECTS = {  # defect -> apply(run_dir, model.json payload) -> (file name, culprit)
+    "missing_vocab_field": _first_vocab_with(None, "has no field [{field!r}]"),
+    "vocab_not_a_list": _first_vocab_with(" ".join, "field {field!r} is not a list"),
+    "empty_vocab_token": _first_vocab_with(_set_token(2, ""), "field {field!r} entry 2, '', is empty"),
+    "repeated_vocab_token": _first_vocab_with(lambda tokens: _set_token(2, tokens[0])(tokens),
+                                              "field {field!r} entry 2, {token!r}, is empty"),
+    # one row more than the stored table
+    "extra_vocab_token": _first_vocab_with(lambda tokens: tokens + ["zzz-new-token"], "embedding",
+                                           "model.tensors"),
+    "older_layout": _older_layout,
+}
+
 
 def _corrupt(run_dir: Path, defect: str) -> tuple[str, str]:
     """Give a model directory one defect; returns (file name, culprit name)."""
@@ -212,21 +261,12 @@ def _corrupt(run_dir: Path, defect: str) -> tuple[str, str]:
         edit(payload)
         model_path.write_text(json.dumps(payload), encoding="utf-8")
         return "model.json", culprit
-    if defect == "non_utf8_vocab_line":
-        vocab_path = sorted(run_dir.glob("vocab*.txt"))[0]
-        lines = vocab_path.read_bytes().splitlines(keepends=True)
-        lines[2] = b"\xff" + lines[2]
-        vocab_path.write_bytes(b"".join(lines))
-        return vocab_path.name, f"{vocab_path.name}:3: not UTF-8"
-    if defect in ("blank_vocab_line", "repeated_vocab_line", "added_vocab_line"):
-        vocab_path = sorted(run_dir.glob("vocab*.txt"))[0]
-        lines = vocab_path.read_text(encoding="utf-8").splitlines(keepends=True)
-        if defect == "added_vocab_line":  # one row more than the stored table
-            vocab_path.write_text("".join(lines) + "zzz-new-token\n", encoding="utf-8")
-            return "model.tensors", "embedding"
-        lines.insert(2, "\n" if defect == "blank_vocab_line" else lines[0])
-        vocab_path.write_text("".join(lines), encoding="utf-8")
-        return vocab_path.name, f"{vocab_path.name}:3:"
+    if defect in VOCAB_DEFECTS:
+        model_path = run_dir / "model.json"
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        file_name, culprit = VOCAB_DEFECTS[defect](run_dir, payload)
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        return file_name, culprit
     tensors = load_tensors(run_dir / "model.tensors")
     if defect == "missing_tensor":
         culprit = sorted(tensors)[0]
@@ -264,11 +304,12 @@ class TestTrainPredictEval:
         train_path, _ = split_paths
         run_dir = train_model(tmp_path, "contrastive", train_path, ("--epochs", "0"))
         assert (run_dir / "model.tensors").exists()
-        assert (run_dir / "vocab.txt").exists()
         from baitline.neural.siamese import SiameseEncoder
 
-        bundle = SiameseEncoder.load(run_dir, cfg.read_model(run_dir / "model.json")["config"])
+        model = cfg.read_model(run_dir / "model.json")
+        bundle = SiameseEncoder.load(run_dir, model)
         assert bundle.config.epochs == 0
+        assert bundle.vocab.ordered_tokens() == model["vocab"]
 
     def test_svm_and_encoder_head_train(self, tmp_path, split_paths):
         train_path, test_path = split_paths
@@ -391,9 +432,8 @@ class TestTrainPredictEval:
         *((family, defect) for family in ("contrastive", "encoder-head")
           for defect in ("max_len_not_an_int", "max_len_negative")),
         *(("contrastive", defect) for defect in ("threshold_not_a_float", "out_dim_fractional")),
-        *((family, defect) for family in ("bilstm", "contrastive")
-          for defect in ("blank_vocab_line", "repeated_vocab_line", "added_vocab_line",
-                         "non_utf8_vocab_line")),
+        *((family, defect) for family in NEURAL_FAMILIES
+          for defect in VOCAB_DEFECTS),
     ])
     def test_corrupted_checkpoint_exit_4(self, tmp_path, neural_runs, data_dir, capsys,
                                          family, defect):
@@ -583,10 +623,10 @@ def test_undecodable_model_file_exit_4(tmp_path, classical_runs, neural_runs, da
 
 
 TABLES = {
-    "bilstm": {"title.embedding": ("vocab_title.txt", "title_vocab_size"),
-               "content.embedding": ("vocab_content.txt", "content_vocab_size")},
-    "contrastive": {"siamese.embedding": ("vocab.txt", "vocab_size")},
-    "encoder-head": {"encoder.embedding": ("vocab.txt", "vocab_size")},
+    "bilstm": {"title.embedding": ("title_vocab", "title_vocab_size"),
+               "content.embedding": ("content_vocab", "content_vocab_size")},
+    "contrastive": {"siamese.embedding": ("vocab", "vocab_size")},
+    "encoder-head": {"encoder.embedding": ("vocab", "vocab_size")},
 }
 
 
@@ -611,9 +651,9 @@ def test_vocab_sized_tables_match_capped_tables(tmp_path, data_dir, capsys, capp
     assert sized.keys() == capped.keys()
     for name, values in sized.items():
         assert np.array_equal(values, capped[name][: len(values)]), name
-    for name, (vocab_file, cap_key) in TABLES[family].items():
-        n_tokens = len((sized_dir / vocab_file).read_text(encoding="utf-8").splitlines())
-        sized_shape = (n_tokens + 2, config.embed_dim)
+    model = json.loads((sized_dir / "model.json").read_text(encoding="utf-8"))
+    for name, (field, cap_key) in TABLES[family].items():
+        sized_shape = (len(model[field]) + 2, config.embed_dim)
         capped_shape = (getattr(config, cap_key) + 2, config.embed_dim)
         assert sized[name].shape == sized_shape
         assert capped[name].shape == capped_shape
@@ -649,9 +689,9 @@ def test_wordless_title_names_the_article(tmp_path, split_paths, data_dir, capsy
 MODEL_DIR_FILES = {
     "rf": set(),
     "svm": set(),
-    "bilstm": {"model.tensors", "vocab_title.txt", "vocab_content.txt"},
-    "contrastive": {"model.tensors", "vocab.txt"},
-    "encoder-head": {"model.tensors", "vocab.txt"},
+    "bilstm": {"model.tensors"},
+    "contrastive": {"model.tensors"},
+    "encoder-head": {"model.tensors"},
 }
 
 
@@ -753,11 +793,11 @@ def test_model_json_alone_names_the_family(tmp_path, neural_runs, data_dir, caps
     assert str(run_dir / "model.json") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("family,table,vocab_file", [
-    ("bilstm", "title.embedding", "vocab_title.txt"),
-    ("contrastive", "siamese.embedding", "vocab.txt"),
+@pytest.mark.parametrize("family,table,field", [
+    ("bilstm", "title.embedding", "title_vocab"),
+    ("contrastive", "siamese.embedding", "vocab"),
 ])
-def test_embedding_file_model_predicts(tmp_path, split_paths, family, table, vocab_file):
+def test_embedding_file_model_predicts(tmp_path, split_paths, family, table, field):
     train_path, test_path = split_paths
     dim = cfg.build_model_config(family, "desk").embed_dim
     tokens = sorted(set(tokenize(normalize(load_corpus(train_path).articles[0].title)).tokens))
@@ -770,7 +810,7 @@ def test_embedding_file_model_predicts(tmp_path, split_paths, family, table, voc
     config_path.write_text(f"[{family}]\nembedding_file = {vectors_path}\n", encoding="utf-8")
     run_dir = train_model(tmp_path, family, train_path, ("--config", str(config_path),
                                                          "--epochs", "0"))
-    vocab = (run_dir / vocab_file).read_text(encoding="utf-8").splitlines()
+    vocab = json.loads((run_dir / "model.json").read_text(encoding="utf-8"))[field]
     weights = load_tensors(run_dir / "model.tensors")[table]
     for tok, vec in vectors.items():
         assert weights[vocab.index(tok) + 2].tolist() == vec

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -30,7 +31,7 @@ from baitline.neural.siamese import (
 )
 from baitline.neural.trainer import tokenize_sides
 from baitline.tensor import Tensor, bilstm_sequence, embedding_lookup, max_pool_over_time
-from baitline.textproc import OOV_ID, Vocabulary, build_vocab, tokenize
+from baitline.textproc import OOV_ID, PAD_ID, Vocabulary, build_vocab, tokenize
 from gradcheck import check_gradients
 from synthetic import generate_class_marked_corpus, generate_topic_pair_corpus
 
@@ -54,6 +55,13 @@ def contrastive_loss(v_t, v_c, y, margin=1.0):
         np.atleast_1d(y),
         margin,
     ).item()
+
+
+def reloaded(bundle, family, run_dir):
+    """``bundle`` saved into ``run_dir`` and loaded back, given the
+    ``model.json`` fields that ``save`` returns."""
+    fields = bundle.save(run_dir)
+    return type(bundle).load(run_dir, {"family": family, "config": bundle.config, **fields})
 
 
 def small_bilstm_config(**overrides):
@@ -160,8 +168,7 @@ class TestBiLstm:
     def test_save_load_round_trip(self, tmp_path):
         corpus = generate_class_marked_corpus(12, seed=7)
         bundle = train_bilstm(corpus, small_bilstm_config(epochs=1))
-        bundle.save(tmp_path / "run")
-        loaded = BiLstmClassifier.load(tmp_path / "run", bundle.config)
+        loaded = reloaded(bundle, "bilstm", tmp_path / "run")
         assert np.allclose(
             loaded.scores(corpus.articles),
             bundle.scores(corpus.articles),
@@ -211,8 +218,7 @@ class TestEncoderHead:
     def test_save_load_round_trip(self, tmp_path):
         corpus = generate_class_marked_corpus(10, seed=10)
         bundle = train_encoder_head(corpus, self.config(epochs=2))
-        bundle.save(tmp_path / "run")
-        loaded = EncoderHead.load(tmp_path / "run", bundle.config)
+        loaded = reloaded(bundle, "encoder-head", tmp_path / "run")
         assert np.allclose(
             loaded.scores(corpus.articles),
             bundle.scores(corpus.articles),
@@ -341,7 +347,7 @@ class TestContrastiveTraining:
         corpus = generate_topic_pair_corpus(12, seed=1)
         bundle = train_contrastive(corpus, siamese_config(epochs=0))
         assert bundle.train_losses == []
-        label, score = contrastive_predict(bundle, corpus.articles[0], bundle.config.threshold)
+        label, score = contrastive_predict(bundle, corpus.articles[0])
         assert label in (CB, NCB)
         assert 0.0 <= score <= 1.0
 
@@ -402,8 +408,7 @@ class TestContrastiveTraining:
     def test_save_load_round_trip(self, tmp_path):
         corpus = generate_topic_pair_corpus(16, seed=6)
         bundle = train_contrastive(corpus, siamese_config(epochs=2))
-        bundle.save(tmp_path / "run")
-        loaded = SiameseEncoder.load(tmp_path / "run", bundle.config)
+        loaded = reloaded(bundle, "contrastive", tmp_path / "run")
         articles = corpus.articles[:4]
         assert loaded.scores(articles) == pytest.approx(bundle.scores(articles), abs=1e-12)
 
@@ -440,11 +445,12 @@ class TestContrastivePredict:
             NewsArticle(id="b", title="t", content="  ", source="s", label=CB)
 
     def test_predict_uses_bundle_threshold(self):
+        """Every similarity clears a -1 threshold, and none clears 2."""
         corpus = generate_topic_pair_corpus(8, seed=9)
-        bundle = train_contrastive(corpus, siamese_config(epochs=0))
         art = corpus.articles[0]
-        label, score = contrastive_predict(bundle, art, threshold=-1.0)
-        assert label is NCB  # every similarity clears a -1 threshold
+        for threshold, label in ((-1.0, NCB), (2.0, CB)):
+            bundle = train_contrastive(corpus, siamese_config(epochs=0, threshold=threshold))
+            assert contrastive_predict(bundle, art) == (label, bundle.predictions([art])[1][0])
 
 
 class TestPretrainedEmbeddings:
@@ -550,6 +556,28 @@ class TestScoring:
         assert np.array_equal(bundle.scores(articles), graph_scores)
         assert graph_kept == [False, False]
         assert (Tensor(1.0) + Tensor(1.0)).parents  # the mode is back on after scoring
+
+    @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
+    def test_batches_come_trimmed(self, family):
+        """Every family's ``batch_scores`` gets each side of a 64-article
+        batch without its trailing all-padding columns."""
+        bundle_cls, config, vocabs, _ = built_family(family)
+        lengths = {key: 300 for key in ("max_len", "title_max_len", "content_max_len")
+                   if hasattr(config, key)}
+        bundle = bundle_cls(dataclasses.replace(config, **lengths), np.random.default_rng(13),
+                            **vocabs)
+        articles = generate_class_marked_corpus(70, seed=14).articles
+        padded = bundle.encode_articles(articles)
+        assert any((a[:, -1] == PAD_ID).all() for a in padded)  # there is padding to trim
+        batches = []
+        batch_scores = bundle.batch_scores
+        bundle.batch_scores = lambda *batch: batches.append(batch) or batch_scores(*batch)
+        bundle.scores(articles)
+        assert [len(batch[0]) for batch in batches] == [64, 6]
+        for start, batch in zip((0, 64), batches):
+            for ids, full in zip(batch, padded):
+                assert (ids[:, -1] != PAD_ID).any()
+                assert np.array_equal(ids, full[start : start + 64, : ids.shape[1]])
 
 
 # Trains (one epoch) and predicts every neural family at both profiles in the

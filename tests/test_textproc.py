@@ -14,10 +14,9 @@ from baitline.textproc import (
     build_vocab,
     encode,
     encode_ids,
-    load_vocab,
     normalize,
-    save_vocab,
     tokenize,
+    vocab_from_tokens,
 )
 
 
@@ -223,33 +222,29 @@ def test_join_with_separator_pads_with_id_zero_only(vocab_docs, titles, contents
 
 
 class TestVocabSerialization:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         vocab = build_vocab([tokenize("ana are mere si pere")], max_size=4,
                             include_separator=True)
-        path = tmp_path / "vocab.txt"
-        save_vocab(vocab, path)
-        loaded = load_vocab(path)
+        loaded = vocab_from_tokens("model.json", "vocab", vocab.ordered_tokens())
         assert loaded.token_to_id == vocab.token_to_id
         assert loaded.separator_id == vocab.separator_id
 
-    @pytest.mark.parametrize("lines,culprit", [
-        ("ana\nare\n\nmere\n", "vocab.txt:3: blank line"),
-        ("ana\nare\nana\nmere\n", "vocab.txt:3: token 'ana' repeats line 1"),
-        ("ana\nare\n\n", "vocab.txt:3: blank line"),
-    ])
-    def test_gap_in_ids_rejected(self, tmp_path, lines, culprit):
-        path = tmp_path / "vocab.txt"
-        path.write_text(lines, encoding="utf-8")
-        with pytest.raises(CheckpointVersionError, match=culprit):
-            load_vocab(path)
+    @pytest.mark.parametrize("tokens,culprit", [
+        (["ana", "are", "", "mere"], "entry 2, '', is empty, not a string or a repeat"),
+        (["ana", "are", "ana", "mere"], "entry 2, 'ana', is empty, not a string or a repeat"),
+        (["ana", None], "entry 1, None, is empty"),
+        (["ana", ["are"]], r"entry 1, \['are'\], is empty"),
+        ("ana are", "is not a list of tokens"),
+        ({"ana": 2}, "is not a list of tokens"),
+    ], ids=["empty", "repeated", "not_a_string", "unhashable", "string", "object"])
+    def test_bad_field_rejected(self, tokens, culprit):
+        with pytest.raises(CheckpointVersionError, match=f"^model.json: field 'vocab' {culprit}"):
+            vocab_from_tokens("model.json", "vocab", tokens)
 
-    def test_line_number_is_id_minus_two(self, tmp_path):
+    def test_index_is_id_minus_two(self):
         vocab = build_vocab([tokenize("b a a")], max_size=5)
-        path = tmp_path / "vocab.txt"
-        save_vocab(vocab, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        for line_no, token in enumerate(lines):
-            assert vocab.token_to_id[token] == line_no + 2
+        for index, token in enumerate(vocab.ordered_tokens()):
+            assert vocab.token_to_id[token] == index + 2
 
     def test_reserved_token_constructor_guard(self):
         with pytest.raises(ValueError):
