@@ -231,12 +231,13 @@ class TestVocabSerialization:
 
     @pytest.mark.parametrize("tokens,culprit", [
         (["ana", "are", "", "mere"], "entry 2, '', is empty, not a string or a repeat"),
+        (["ana", "are", ""], "entry 2, '', is empty, not a string or a repeat"),
         (["ana", "are", "ana", "mere"], "entry 2, 'ana', is empty, not a string or a repeat"),
         (["ana", None], "entry 1, None, is empty"),
         (["ana", ["are"]], r"entry 1, \['are'\], is empty"),
         ("ana are", "is not a list of tokens"),
         ({"ana": 2}, "is not a list of tokens"),
-    ], ids=["empty", "repeated", "not_a_string", "unhashable", "string", "object"])
+    ], ids=["empty", "trailing_empty", "repeated", "not_a_string", "unhashable", "string", "object"])
     def test_bad_field_rejected(self, tokens, culprit):
         with pytest.raises(CheckpointVersionError, match=f"^model.json: field 'vocab' {culprit}"):
             vocab_from_tokens("model.json", "vocab", tokens)
