@@ -74,14 +74,18 @@ def compute_oob_score(trees: DecisionTree, oob_indices: list[np.ndarray], X: np.
     """Accuracy of out-of-bag votes over samples left out by at least one tree.
 
     Votes are mean leaf probabilities across the trees that never saw the
-    sample; exact probability ties resolve to non-clickbait.
+    sample; exact probability ties resolve to non-clickbait.  Rows descend
+    ``DecisionTree.ROW_BLOCK`` at a time, each summing its votes in tree order.
     """
     n = X.shape[0]
     vote_sums = np.zeros((n, 2))
     vote_counts = np.zeros(n, dtype=np.int64)
-    for values, oob in zip(trees.value[trees.leaves(X)], oob_indices):
-        vote_sums[oob] += values[oob]
-        vote_counts[oob] += 1
+    for start in range(0, n, trees.ROW_BLOCK):
+        stop = min(start + trees.ROW_BLOCK, n)
+        for values, oob in zip(trees.value[trees.leaves(X[start:stop])], oob_indices):
+            rows = oob[(oob >= start) & (oob < stop)]
+            vote_sums[rows] += values[rows - start]
+            vote_counts[rows] += 1
     covered = vote_counts > 0
     if not covered.any():
         return float("nan")

@@ -136,6 +136,10 @@ class DecisionTree:
     value: np.ndarray  # (nodes, 2) leaf class probabilities, zero at a split
     roots: np.ndarray  # (trees,) the first node of each tree
 
+    # rows per descent in predict_proba and the OOB score, so that the
+    # descent's (trees, rows) arrays do not grow with the corpus
+    ROW_BLOCK = 1024
+
     @classmethod
     def _pack(cls, grown: list[array]) -> "DecisionTree":
         """The forest of each tree's flat node rows [feature, threshold, left, right, p0, p1]."""
@@ -196,10 +200,13 @@ class DecisionTree:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Mean of the trees' leaf class probabilities, shape (rows, 2).  The
-        sum runs in tree order, so a forest of one returns its leaf values."""
+        sum runs in tree order, so a forest of one returns its leaf values.
+        Rows descend ``ROW_BLOCK`` at a time."""
         acc = np.zeros((len(X), 2))
-        for values in self.value[self.leaves(X)]:
-            acc += values
+        for start in range(0, len(X), self.ROW_BLOCK):
+            block = acc[start : start + self.ROW_BLOCK]
+            for values in self.value[self.leaves(X[start : start + self.ROW_BLOCK])]:
+                block += values
         return acc / len(self.roots)
 
     def to_preorder(self) -> list[list[dict]]:

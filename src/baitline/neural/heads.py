@@ -8,12 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
 from ..corpus import Corpus
 from ..tensor import Tensor, dropout, relu, softmax
-from ..textproc import TokenizedDoc, Vocabulary, build_vocab, encode_ids
+from ..tensor.checkpoint import MODEL_FILE, CheckpointVersionError
+from ..textproc import SEPARATOR_TOKEN, TokenizedDoc, Vocabulary, build_vocab, encode_ids
 from .encoder import PooledTextEncoder, uniform_param
 from .trainer import NeuralBundle
 
@@ -63,6 +65,16 @@ class EncoderHead(NeuralBundle):
     def vocabularies(config: EncoderHeadConfig, title_docs, content_docs) -> dict[str, Vocabulary]:
         return {"vocab": build_vocab(title_docs + content_docs, config.vocab_size,
                                      include_separator=True)}
+
+    @classmethod
+    def load(cls, model_dir, model: dict):
+        """As ``NeuralBundle.load``; the vocabulary must also hold the
+        separator token that joins title and content."""
+        tokens = model.get("vocab")
+        if type(tokens) is list and SEPARATOR_TOKEN not in tokens:
+            raise CheckpointVersionError(f"{Path(model_dir) / MODEL_FILE}: field 'vocab' has no "
+                                         f"separator token {SEPARATOR_TOKEN!r}")
+        return super().load(model_dir, model)
 
     def params(self) -> dict[str, Tensor]:
         return {

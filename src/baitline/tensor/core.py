@@ -2,7 +2,8 @@
 
 Graphs are built eagerly by the op functions below, except inside
 ``no_grad()``; ``backward`` runs a reverse topological sweep and accumulates
-gradients on every reachable node.  Any op that produces a NaN or Inf
+gradients on every reachable node, consuming the graph as it goes, so each
+graph supports one backward.  Any op that produces a NaN or Inf
 raises immediately, so numerical blowups surface at their source instead of
 as garbage metrics.
 """
@@ -490,6 +491,19 @@ def tmean(x: Tensor) -> Tensor:
 # fused recurrence
 # ---------------------------------------------------------------------------
 
+def _time_major(steps: int, batch: int, width: int):
+    """Two (B, T, width) buffers, the forward and the reverse direction's,
+    each reshaping to (B*T, width) rows in (b, t) order without a copy: the
+    halves of one (2, B, T, width) block.  At B = 1 they view one step-major
+    (T, 2, 1, width) block instead, the reverse half backwards in time.  That
+    hands numpy's matmul and sum the strides they have always had at that
+    size; numpy picks its kernel by stride, and the bits can follow."""
+    if batch > 1:
+        return np.empty((2, batch, steps, width))
+    block = np.empty((steps, 2, batch, width))
+    return [block[:, 0].swapaxes(0, 1), block[::-1, 1].swapaxes(0, 1)]
+
+
 def bilstm_sequence(
     x: Tensor, forward: Sequence[Tensor], reverse: Sequence[Tensor], mask: np.ndarray
 ) -> Tensor:
@@ -502,8 +516,13 @@ def bilstm_sequence(
     forward and time T-1-k in reverse, with the states stacked as (2, B, H),
     so a step is one matmul against the stacked U and one finiteness guard.
     Each input projection and each weight and input gradient is one GEMM
-    over all B*T rows.  Under ``no_grad`` only the states are kept; otherwise
-    the backward rule is backpropagation through time over the stored gates.
+    over all B*T rows in (b, t) order.  A step writes its hidden states once,
+    into the output.  With a graph kept (not under ``no_grad``), each step
+    also keeps its gate activations, the cell state it started from and the
+    tanh of the one it ends with; the hidden state it started from is read
+    back from the output.  The backward rule, backpropagation through time,
+    writes each step's gate gradient straight into the time-ordered block
+    that the GEMMs read, and drops what the steps kept before those GEMMs.
     """
     batch, steps, in_dim = x.data.shape
     (wf, uf, bf), (wr, ur, br) = ([t.data for t in ws] for ws in (forward, reverse))
@@ -521,8 +540,9 @@ def bilstm_sequence(
     carry_old = 1.0 - carry_new
     keep_graph = _grad_enabled
     if keep_graph:
-        h_in, c_in, tanh_c = (np.empty((steps, 2, batch, units)) for _ in range(3))
-    states = np.empty((steps, 2, batch, units))
+        c_in, tanh_c = (np.empty((steps, 2, batch, units)) for _ in range(2))
+    out = np.empty((batch, steps, 2 * units))
+    fwd_, rev_ = slice(0, units), slice(units, 2 * units)
     h = np.zeros((2, batch, units))
     c = np.zeros((2, batch, units))
     i_, f_, g_, o_ = (slice(k * units, (k + 1) * units) for k in range(4))
@@ -536,27 +556,23 @@ def bilstm_sequence(
         tc = np.tanh(c_new)
         m, keep = carry_new[k], carry_old[k]
         if keep_graph:
-            gates[k], h_in[k], c_in[k], tanh_c[k] = act, h, c, tc
+            gates[k], c_in[k], tanh_c[k] = act, c, tc
         c = m * c_new + keep * c
         h = m * (act[..., o_] * tc) + keep * h
-        states[k] = h
-    out = np.concatenate([states[to_steps[d], d].swapaxes(0, 1) for d in range(2)], axis=2)
+        out[:, k, fwd_], out[:, steps - 1 - k, rev_] = h
 
     def rule(grad_out):
-        # d gate / d pre-activation: s(1 - s) for the sigmoids, 1 - g^2 for g;
-        # each step's slice then turns into that step's gradient in place
-        grad_z = 1.0 - gates
-        grad_z *= gates
-        grad_z[..., g_] = 1.0 - gates[..., g_] * gates[..., g_]
-        grad_steps = np.stack([grad_out[:, to_steps[d], d * units:(d + 1) * units].swapaxes(0, 1)
-                               for d in range(2)], axis=1)
+        nonlocal gates, c_in, tanh_c
+        grad_z = _time_major(steps, batch, 4 * units)
+        step_z = np.empty((2, batch, 4 * units))
         dz = np.empty((2, batch, 4 * units))
         dh = np.zeros((2, batch, units))
         dc = np.zeros((2, batch, units))
         u_t = u.swapaxes(1, 2)
         for k in range(steps - 1, -1, -1):
             m, keep = carry_new[k], carry_old[k]
-            dh = grad_steps[k] + dh
+            np.add(grad_out[:, k, fwd_], dh[0], out=dh[0])
+            np.add(grad_out[:, steps - 1 - k, rev_], dh[1], out=dh[1])
             dh_new = m * dh
             dc_new = m * dc
             dh *= keep
@@ -567,13 +583,23 @@ def bilstm_sequence(
             dz[..., f_] = dc_new * c_in[k]
             dz[..., g_] = dc_new * act[..., i_]
             dz[..., o_] = dh_new * tc
-            step_z = grad_z[k]
+            # d gate / d pre-activation: s(1 - s) for the sigmoids, 1 - g^2 for g
+            np.subtract(1.0, act, out=step_z)
+            step_z *= act
+            step_z[..., g_] = 1.0 - act[..., g_] * act[..., g_]
             step_z *= dz
             dc += dc_new * act[..., f_]
             dh += np.matmul(step_z, u_t)
-        # back to time order, one (B*T, n) block per direction
-        flat_z, flat_h = ([a[to_steps[d], d].swapaxes(0, 1).reshape(batch * steps, -1)
-                           for d in range(2)] for a in (grad_z, h_in))
+            grad_z[0][:, k], grad_z[1][:, steps - 1 - k] = step_z
+        # a graph runs backward once, so what the steps stored can go now
+        gates = c_in = tanh_c = act = tc = None
+        # the state each step started from: the output one time step earlier
+        # forward, one later in reverse, and zero at either end
+        h_in = _time_major(steps, batch, units)
+        h_in[0][:, 0] = h_in[1][:, -1] = 0.0
+        h_in[0][:, 1:], h_in[1][:, :-1] = out[:, :-1, fwd_], out[:, 1:, rev_]
+        flat_z, flat_h = ([a[d].reshape(batch * steps, -1) for d in range(2)]
+                          for a in (grad_z, h_in))
         gx = np.empty((batch, steps, in_dim))
         flat_gx = gx.reshape(batch * steps, in_dim)
         np.matmul(flat_z[0], wf.T, out=flat_gx)
@@ -608,6 +634,14 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+_CONSUMED = "backward through a graph that an earlier backward consumed; build the graph again"
+
+
+def _consumed(grad_out):
+    """The rule of a node that a backward has run through."""
+    raise ValueError(_CONSUMED)
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``.grad`` on every node reachable from a scalar loss.
 
@@ -616,21 +650,33 @@ def backward(loss: Tensor) -> None:
     keep), copied otherwise, since rules may hand the same view or their own
     incoming gradient to several parents.  A node that gets no contribution
     ends with zeros and propagates nothing.
+
+    A graph supports one backward.  The sweep drops each node's parents and
+    rule as it reaches the node, so an intermediate node that the caller does
+    not hold is freed once its rule has run; a node the caller holds keeps
+    its ``.grad``.  A later backward that reaches a node so consumed raises
+    ``ValueError``.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
+    if any(node.backward_rule is _consumed for node in order):
+        raise ValueError(_CONSUMED)
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
+        parents, rule = node.parents, node.backward_rule
+        if rule is not None:
+            node.parents, node.backward_rule = (), _consumed
         if node.grad is None:
             node.grad = np.zeros_like(node.data)
             continue
-        if node.backward_rule is None:
+        if rule is None:
             continue
-        grads = node.backward_rule(node.grad)
-        for parent, g in zip(node.parents, grads):
+        grads = rule(node.grad)
+        for parent, g in zip(parents, grads):
             if g is None:
                 continue
             if parent.grad is not None:

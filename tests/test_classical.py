@@ -513,6 +513,23 @@ class TestRandomForest:
         model = train_random_forest(X, y, config)
         assert model.oob_score == reference_oob_score(model.trees, X, y, config)
 
+    def test_row_blocks_match_one_block_bit_for_bit(self, monkeypatch):
+        # twin rows with both labels give fractional leaves, so the order of
+        # each row's tree sum shows; 75 rows in blocks of 7 end on a short one
+        X, y = separable_dataset(seed=6, n_per_class=25, d=3)
+        rng = np.random.default_rng(6)
+        X = np.round(X + rng.normal(scale=2.0, size=X.shape), 1)
+        twins = rng.integers(0, len(y), size=len(y) // 2)
+        X, y = np.vstack([X, X[twins]]), np.concatenate([y, 1 - y[twins]])
+        config = RandomForestConfig(n_estimators=20, seed=6)
+        results = []
+        for block in (len(X), 7):
+            monkeypatch.setattr(DecisionTree, "ROW_BLOCK", block)
+            model = train_random_forest(X, y, config)
+            assert model.oob_score == reference_oob_score(model.trees, X, y, config)
+            results.append((model.oob_score, model.trees.predict_proba(X).tobytes()))
+        assert results[0] == results[1]
+
     def test_predict_proba_tie_goes_non_clickbait(self):
         model = RandomForestModel(trees=leaf_forest([1.0, 0.0], [0.0, 1.0]),
                                   oob_score=float("nan"))

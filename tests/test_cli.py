@@ -192,6 +192,9 @@ MODEL_JSON_DEFECTS = {
     "max_len_negative": (_config_with("max_len", -5), "config max_len = -5 is out of range"),
     "threshold_not_a_float": (_config_with("threshold", "x"), "config threshold = 'x'"),
     "out_dim_fractional": (_config_with("out_dim", 3.5), "config out_dim = 3.5"),
+    # the encoder head's separator token (id 2, the first entry) replaced
+    "vocab_without_separator": (lambda payload: payload["vocab"].__setitem__(0, "zzz-new-token"),
+                                "field 'vocab' has no separator token"),
 }
 
 # the model.json fields that hold each neural family's vocabularies
@@ -432,6 +435,7 @@ class TestTrainPredictEval:
         *((family, defect) for family in ("contrastive", "encoder-head")
           for defect in ("max_len_not_an_int", "max_len_negative")),
         *(("contrastive", defect) for defect in ("threshold_not_a_float", "out_dim_fractional")),
+        ("encoder-head", "vocab_without_separator"),
         *((family, defect) for family in NEURAL_FAMILIES
           for defect in VOCAB_DEFECTS),
     ])

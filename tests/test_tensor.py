@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from baitline.tensor import (
     CheckpointVersionError,
@@ -34,6 +38,7 @@ from baitline.tensor import (
 )
 from baitline.tensor.core import _scatter_rows
 from baitline.tensor.optim import GraphOptimizer
+from bilstm_oracle import stored_states_bilstm
 from gradcheck import check_gradients, tsum
 
 
@@ -150,6 +155,20 @@ class TestBackwardAnalytic:
             for b in nodes[i + 1 :]:
                 assert not np.shares_memory(a.grad, b.grad)
         assert np.array_equal(x.grad, 8.0 * x.data)
+
+    def test_a_graph_runs_backward_once(self):
+        x = Tensor(np.array([1.0, -2.0]))
+        y = multiply(x, x)
+        loss = tsum(y)
+        backward(loss)
+        grad = x.grad
+        assert y.parents == () and loss.parents == ()
+        for again in (loss, tsum(y), add(tsum(x), tsum(y))):
+            with pytest.raises(ValueError, match="earlier backward"):
+                backward(again)
+        assert x.grad is grad and np.array_equal(grad, 2 * x.data)  # a refusal changes nothing
+        backward(tsum(multiply(x, x)))  # a new graph over the same leaf
+        assert np.array_equal(x.grad, 2 * x.data)
 
     def test_node_without_contribution_gets_zeros(self):
         x = Tensor(np.array([1.0, 2.0]))
@@ -268,6 +287,23 @@ def per_step_bilstm(x, forward, reverse, mask):
                    per_step_lstm(x, *reverse, mask, True)], axis=2)
 
 
+def lstm_results(layer, x, weights, mask, probe):
+    """The output and the seven gradients (input, then each direction's W, U
+    and b) of ``layer`` on fresh copies of the leaves; under ``no_grad``, with
+    ``probe`` None, the output alone."""
+    leaves = [Tensor(x.copy())] + [Tensor(w.copy()) for direction in weights for w in direction]
+    if probe is None:
+        with no_grad():
+            return [layer(leaves[0], leaves[1:4], leaves[4:], mask).data]
+    out = layer(leaves[0], leaves[1:4], leaves[4:], mask)
+    backward(tsum(multiply(out, Tensor(probe))))
+    return [out.data] + [t.grad for t in leaves]
+
+
+lstm_masks = st.integers(1, 4).flatmap(lambda steps: st.lists(
+    st.lists(st.integers(0, 1), min_size=steps, max_size=steps), min_size=1, max_size=4))
+
+
 class TestLstmSequence:
     rng = np.random.default_rng(12)
     # ragged rows, one all-padding row, one with a gap
@@ -299,6 +335,61 @@ class TestLstmSequence:
         assert np.max(np.abs(fused - oracle)) <= 1e-12
         for got, want in zip(fused_grads, oracle_grads):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @given(mask=lstm_masks, in_dim=st.integers(1, 3), units=st.integers(1, 3),
+           scale=st.sampled_from([0.5, 2.0, 40.0]), seed=st.integers(0, 2**32 - 1))
+    @example(mask=[[1]], in_dim=2, units=2, scale=2.0, seed=0)
+    @example(mask=[[1, 0, 0, 1, 1]], in_dim=1, units=1, scale=2.0, seed=1)
+    # -0.0 in the output and in the reverse direction's U gradient
+    @example(mask=[[1, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]], in_dim=3, units=2, scale=40.0, seed=19)
+    def test_matches_stored_states_oracle_bit_for_bit(self, mask, in_dim, units, scale, seed):
+        """Ragged rows, all-padding rows, gaps, one row, one step; at scale 40
+        gates saturate to exact 0s and 1s, and some results hold -0.0."""
+        mask = np.array(mask)
+        batch, steps = mask.shape
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, steps, in_dim)) * scale
+        weights = [[rng.uniform(-scale, scale, size=shape)
+                    for shape in ((in_dim, 4 * units), (units, 4 * units), (4 * units,))]
+                   for _ in range(2)]
+        for probe in (rng.normal(size=(batch, steps, 2 * units)), None):
+            got = lstm_results(bilstm_sequence, x, weights, mask, probe)
+            want = lstm_results(stored_states_bilstm, x, weights, mask, probe)
+            for a, b in zip(got, want, strict=True):
+                assert same_bits(a, b)
+
+    def test_backward_frees_the_graph(self):
+        """Once backward has run, a loss the caller holds keeps nothing of its
+        graph alive: all that is still allocated, the leaves' gradients
+        included, is less than one layer's gate block."""
+        rng = np.random.default_rng(21)
+        batch, steps, in_dim, units = 4, 64, 8, 8
+        x = Tensor(rng.normal(size=(batch, steps, in_dim)))
+        layers = [[[Tensor(rng.uniform(-0.5, 0.5, size=shape))
+                    for shape in ((width, 4 * units), (units, 4 * units), (4 * units,))]
+                   for _ in range(2)]
+                  for width in (in_dim, 2 * units)]
+        mask = np.ones((batch, steps))
+        mask[1, 40:] = 0.0
+        gate_block = steps * 2 * batch * 4 * units * 8  # bytes: (T, 2, B, 4H) float64
+
+        def two_layers():
+            out = x
+            for forward, reverse in layers:
+                out = bilstm_sequence(out, forward, reverse, mask)
+            return tmean(out)
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss = two_layers()
+            held_at_loss = tracemalloc.get_traced_memory()[0] - start
+            backward(loss)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held_at_loss > 2 * gate_block  # both layers' gates were kept
+        assert held < gate_block
 
     def test_padded_steps_repeat_the_state(self):
         x = Tensor(self.rng.normal(size=(4, 6, 5)))
