@@ -12,12 +12,12 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .tensor.checkpoint import numbered_lines, read_json
-from .textproc import TokenizedDoc, tokenize
+from .textproc import tokenize
 
 
 class CorpusFormatError(ValueError):
@@ -233,9 +233,7 @@ def load_split_manifest(path) -> tuple[set[str], set[str]]:
     return train, test
 
 
-def corpus_stats(
-    corpus: Corpus, tokenizer: Callable[[str], TokenizedDoc] = tokenize
-) -> CorpusStats:
+def corpus_stats(corpus: Corpus) -> CorpusStats:
     """Token/sentence statistics of a labeled corpus.
 
     Token counts include word tokens only (punctuation tokens are not
@@ -256,8 +254,8 @@ def corpus_stats(
         per_source_total[art.source] = per_source_total.get(art.source, 0) + 1
         if art.label is Label.CLICKBAIT:
             per_source_clickbait[art.source] = per_source_clickbait.get(art.source, 0) + 1
-        title_doc = tokenizer(art.title)
-        content_doc = tokenizer(art.content)
+        title_doc = tokenize(art.title)
+        content_doc = tokenize(art.content)
         title_tokens += len(title_doc.word_tokens())
         content_tokens += len(content_doc.word_tokens())
         sentence_counts.append(content_doc.n_sentences)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Label
+from .metrics import confusion_counts
 from .tensor.checkpoint import is_finite_number, read_json
 
 
@@ -42,10 +43,16 @@ class EnsembleConfig:
     def load(cls, path) -> "EnsembleConfig":
         """The config in JSON file ``path``; any defect raises ValueError naming it."""
         payload = read_json(path, ValueError)
-        weights = payload.get("weights") if isinstance(payload, dict) else None
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: ensemble config must be a JSON object")
+        odd = sorted(payload.keys() ^ {"threshold", "weights"})
+        if odd:
+            problem = "unknown" if odd[0] in payload else "missing"
+            raise ValueError(f"{path}: {problem} ensemble config key {odd[0]!r} "
+                             '(the keys are "threshold" and "weights")')
+        weights, threshold = payload["weights"], payload["threshold"]
         if not isinstance(weights, dict):
             raise ValueError(f'{path}: ensemble config needs a "weights" object')
-        threshold = payload.get("threshold", 0.5)
         for what, value in [*((f"weight {k!r}", v) for k, v in weights.items()),
                             ("threshold", threshold)]:
             if not is_finite_number(value):
@@ -67,11 +74,8 @@ def fit_weights(
         raise ValueError("cannot fit ensemble weights on an empty validation set")
     if len(model_ids) != len(validation_preds):
         raise ValueError("one prediction list per model id is required")
-    accuracies = []
-    for preds in validation_preds:
-        if len(preds) != len(golds):
-            raise ValueError("prediction/gold length mismatch")
-        accuracies.append(sum(1 for p, g in zip(preds, golds) if p == g) / len(golds))
+    accuracies = [confusion_counts(preds, golds, Label.CLICKBAIT).accuracy
+                  for preds in validation_preds]
     total = sum(accuracies)
     if total == 0:
         raise ValueError("every model scored zero accuracy; weights undefined")

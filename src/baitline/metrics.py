@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,6 +23,9 @@ from .tensor.checkpoint import numbered_lines
 
 @dataclass(frozen=True)
 class ConfusionCounts:
+    """One class's confusion counts.  With two labels they fix every score of
+    both classes: the other class's counts are these mirrored."""
+
     tp: int
     fp: int
     fn: int
@@ -31,45 +35,50 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
+    @property
+    def accuracy(self) -> float:
+        return (self.tp + self.tn) / self.total
+
+    def prf1(self) -> tuple[float, float, float]:
+        """(precision, recall, f1) for this class.
+
+        Zero-denominator conventions: precision 0 without positive predictions,
+        recall 0 without gold positives, f1 0 when p + r = 0.
+        """
+        if self.total == 0:
+            raise ValueError("cannot score empty prediction lists")
+        precision = self.tp / (self.tp + self.fp) if (self.tp + self.fp) > 0 else 0.0
+        recall = self.tp / (self.tp + self.fn) if (self.tp + self.fn) > 0 else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
+        return precision, recall, f1
+
+    def mirrored(self) -> "ConfusionCounts":
+        """The other class's counts: its true positives are this class's true negatives."""
+        return ConfusionCounts(tp=self.tn, fp=self.fn, fn=self.fp, tn=self.tp)
+
+    @property
+    def macro_f1(self) -> float:
+        """Unweighted mean of the two classes' F1 scores."""
+        return (self.prf1()[2] + self.mirrored().prf1()[2]) / 2.0
+
 
 def confusion_counts(preds: Sequence, golds: Sequence, target) -> ConfusionCounts:
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} preds vs {len(golds)} golds")
-    tp = fp = fn = tn = 0
-    for p, g in zip(preds, golds):
-        if p == target:
-            if g == target:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if g == target:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp, fp, fn, tn)
+    # (predicted target, gold target) -> articles
+    cells = Counter((p == target, g == target) for p, g in zip(preds, golds))
+    return ConfusionCounts(tp=cells[True, True], fp=cells[True, False],
+                           fn=cells[False, True], tn=cells[False, False])
 
 
 def prf1(preds: Sequence, golds: Sequence, target) -> tuple[float, float, float]:
-    """(precision, recall, f1) for the target class.
-
-    Zero-denominator conventions: precision 0 without positive predictions,
-    recall 0 without gold positives, f1 0 when p + r = 0.
-    """
-    if len(preds) == 0:
-        raise ValueError("cannot score empty prediction lists")
-    c = confusion_counts(preds, golds, target)
-    precision = c.tp / (c.tp + c.fp) if (c.tp + c.fp) > 0 else 0.0
-    recall = c.tp / (c.tp + c.fn) if (c.tp + c.fn) > 0 else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
-    return precision, recall, f1
+    """(precision, recall, f1) for the target class; see ``ConfusionCounts.prf1``."""
+    return confusion_counts(preds, golds, target).prf1()
 
 
 def macro_f1(preds: Sequence, golds: Sequence) -> float:
     """Unweighted mean of the two per-class F1 scores."""
-    _, _, f1_cb = prf1(preds, golds, Label.CLICKBAIT)
-    _, _, f1_ncb = prf1(preds, golds, Label.NON_CLICKBAIT)
-    return (f1_cb + f1_ncb) / 2.0
+    return confusion_counts(preds, golds, Label.CLICKBAIT).macro_f1
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +168,17 @@ def mcnemar(preds_a: Sequence, preds_b: Sequence, golds: Sequence) -> tuple[floa
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ClassScores:
-    precision: float
-    recall: float
-    f1: float
-    confusion: ConfusionCounts
-
-
-@dataclass(frozen=True)
 class EvalReport:
-    n: int
-    per_class: dict[Label, ClassScores]
-    macro_f1: float
-    accuracy: float
-    ap: float | None = None
+    """The clickbait class's counts and, when scores were given, its PR curve;
+    every reported score derives from them.  ``mcnemar_vs`` maps the name of a
+    compared prediction file to McNemar's (statistic, p)."""
+
+    counts: ConfusionCounts
     curve: PrCurve | None = None
     mcnemar_vs: dict[str, tuple[float, float]] = field(default_factory=dict)
+
+    def per_class(self) -> tuple[tuple[Label, ConfusionCounts], ...]:
+        return ((Label.CLICKBAIT, self.counts), (Label.NON_CLICKBAIT, self.counts.mirrored()))
 
 
 def evaluate(
@@ -183,25 +187,8 @@ def evaluate(
     """Full per-class report; adds the PR curve and AP when scores are given."""
     if len(golds) == 0:
         raise ValueError("cannot evaluate an empty gold list")
-    if len(preds) != len(golds):
-        raise ValueError(f"length mismatch: {len(preds)} preds vs {len(golds)} golds")
-    per_class = {}
-    for target in (Label.CLICKBAIT, Label.NON_CLICKBAIT):
-        p, r, f1 = prf1(preds, golds, target)
-        per_class[target] = ClassScores(
-            precision=p, recall=r, f1=f1,
-            confusion=confusion_counts(preds, golds, target),
-        )
-    accuracy = sum(1 for p, g in zip(preds, golds) if p == g) / len(golds)
-    curve = pr_curve(scores, golds) if scores is not None else None
-    return EvalReport(
-        n=len(golds),
-        per_class=per_class,
-        macro_f1=(per_class[Label.CLICKBAIT].f1 + per_class[Label.NON_CLICKBAIT].f1) / 2.0,
-        accuracy=accuracy,
-        ap=curve.ap if curve is not None else None,
-        curve=curve,
-    )
+    counts = confusion_counts(preds, golds, Label.CLICKBAIT)
+    return EvalReport(counts, pr_curve(scores, golds) if scores is not None else None)
 
 
 def render_report(report: EvalReport) -> str:
@@ -209,15 +196,13 @@ def render_report(report: EvalReport) -> str:
     lines = [
         f"{'class':<15} {'precision':>9} {'recall':>9} {'f1':>9}",
     ]
-    for label in (Label.CLICKBAIT, Label.NON_CLICKBAIT):
-        s = report.per_class[label]
-        lines.append(
-            f"{label.to_string():<15} {s.precision:>9.4f} {s.recall:>9.4f} {s.f1:>9.4f}"
-        )
-    lines.append(f"{'macro f1':<15} {'':>9} {'':>9} {report.macro_f1:>9.4f}")
-    lines.append(f"{'accuracy':<15} {'':>9} {'':>9} {report.accuracy:>9.4f}")
-    if report.ap is not None:
-        lines.append(f"{'ap':<15} {'':>9} {'':>9} {report.ap:>9.4f}")
+    for label, counts in report.per_class():
+        p, r, f1 = counts.prf1()
+        lines.append(f"{label.to_string():<15} {p:>9.4f} {r:>9.4f} {f1:>9.4f}")
+    lines.append(f"{'macro f1':<15} {'':>9} {'':>9} {report.counts.macro_f1:>9.4f}")
+    lines.append(f"{'accuracy':<15} {'':>9} {'':>9} {report.counts.accuracy:>9.4f}")
+    if report.curve is not None:
+        lines.append(f"{'ap':<15} {'':>9} {'':>9} {report.curve.ap:>9.4f}")
     for other, (stat, p) in report.mcnemar_vs.items():
         lines.append(f"mcnemar vs {other}: statistic={stat:.4f} p={p:.6f}")
     return "\n".join(lines) + "\n"
@@ -225,20 +210,17 @@ def render_report(report: EvalReport) -> str:
 
 def report_to_dict(report: EvalReport) -> dict:
     """Flat machine-readable key-value form of the report."""
-    out: dict[str, float | int] = {"n": report.n, "accuracy": report.accuracy,
-                                   "macro_f1": report.macro_f1}
-    for label in (Label.CLICKBAIT, Label.NON_CLICKBAIT):
-        s = report.per_class[label]
+    out: dict[str, float | int] = {"n": report.counts.total, "accuracy": report.counts.accuracy,
+                                   "macro_f1": report.counts.macro_f1}
+    for label, counts in report.per_class():
         key = label.to_string().replace("-", "_")
-        out[f"{key}_precision"] = s.precision
-        out[f"{key}_recall"] = s.recall
-        out[f"{key}_f1"] = s.f1
-        out[f"{key}_tp"] = s.confusion.tp
-        out[f"{key}_fp"] = s.confusion.fp
-        out[f"{key}_fn"] = s.confusion.fn
-        out[f"{key}_tn"] = s.confusion.tn
-    if report.ap is not None:
-        out["ap"] = report.ap
+        out[f"{key}_precision"], out[f"{key}_recall"], out[f"{key}_f1"] = counts.prf1()
+        out[f"{key}_tp"] = counts.tp
+        out[f"{key}_fp"] = counts.fp
+        out[f"{key}_fn"] = counts.fn
+        out[f"{key}_tn"] = counts.tn
+    if report.curve is not None:
+        out["ap"] = report.curve.ap
     for other, (stat, p) in report.mcnemar_vs.items():
         out[f"mcnemar_{other}_statistic"] = stat
         out[f"mcnemar_{other}_p"] = p

@@ -392,7 +392,8 @@ class TestTrainPredictEval:
         preds_path = tmp_path / "preds.tsv"
         preds_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         config_path = tmp_path / "ensemble.json"
-        config_path.write_text(json.dumps({"weights": {"contrastive": 1.0}}), encoding="utf-8")
+        config_path.write_text(json.dumps({"threshold": 0.5, "weights": {"contrastive": 1.0}}),
+                               encoding="utf-8")
         out = tmp_path / "out"
         argv = {"eval": ["eval", "--preds", str(preds_path), "--out-dir", str(out)],
                 "ensemble fit": ["ensemble", "fit", "--preds", f"contrastive={preds_path}",
@@ -884,14 +885,20 @@ class TestEnsembleCommands:
         assert code == 3
 
     @pytest.mark.parametrize("payload", [
-        {"threshold": 0.5}, {"weights": [1.0]}, [1.0],
-        {"weights": {"contrastive": math.nan}}, {"weights": {"contrastive": "1"}},
+        {"threshold": 0.5}, {"weights": [1.0], "threshold": 0.5}, [1.0],
+        {"weights": {"contrastive": math.nan}, "threshold": 0.5},
+        {"weights": {"contrastive": "1"}, "threshold": 0.5},
         {"weights": {"contrastive": 1.0}, "threshold": math.nan},
-        {"weights": {"contrastive": 1.0}, "threshold": None}, {"weights": {"contrastive": 0.5}},
+        {"weights": {"contrastive": 1.0}, "threshold": None},
+        {"weights": {"contrastive": 0.5}, "threshold": 0.5},
+        {"weights": {"contrastive": 1.0}},
+        {"weights": {"contrastive": 1.0}, "treshold": 0.2},
+        {"weights": {"contrastive": 1.0}, "threshold": 0.5, "models": ["contrastive"]},
     ])
     def test_config_without_weights_object_exit_3(self, tmp_path, data_dir, capsys, payload):
-        """A config without a weights object of finite numbers summing to 1, or
-        with a threshold that is not a finite number, exits 3 naming the file."""
+        """A config without a weights object of finite numbers summing to 1, with
+        a threshold that is not a finite number, or without exactly the keys
+        threshold and weights, exits 3 naming the file and any odd key."""
         config_path = tmp_path / "ensemble.json"
         config_path.write_text(json.dumps(payload), encoding="utf-8")
         reference = data_dir / "preds_contrastive_reference.tsv"
@@ -899,7 +906,11 @@ class TestEnsembleCommands:
         assert run(["ensemble", "apply", "--config", str(config_path),
                     "--preds", f"contrastive={reference}",
                     "--out", str(tmp_path / "out.tsv")]) == 3
-        assert str(config_path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(config_path) in err
+        if isinstance(payload, dict) and payload.keys() != {"threshold", "weights"}:
+            odd = sorted(payload.keys() ^ {"threshold", "weights"})[0]
+            assert f"ensemble config key {odd!r}" in err
         assert not (tmp_path / "out.tsv").exists()
 
     def test_non_json_config_names_file_exit_3(self, tmp_path, data_dir, capsys):

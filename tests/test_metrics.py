@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from baitline.corpus import Label
 from baitline.metrics import (
@@ -222,6 +224,28 @@ class TestReferenceFixtures:
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (318, 19, 123, 1047)
 
 
+@st.composite
+def labelled_predictions(draw):
+    """(preds, golds, scores): golds of both classes or of one; predictions drawn,
+    of one class, or all wrong; scores with ties whenever a gold is clickbait."""
+    golds = draw(st.lists(st.sampled_from([CB, NCB]), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        golds = [golds[0]] * len(golds)
+    kind = draw(st.sampled_from(["drawn", "one class", "all wrong"]))
+    if kind == "all wrong":
+        preds = [NCB if g is CB else CB for g in golds]
+    else:
+        preds = draw(st.lists(st.sampled_from([CB, NCB]), min_size=len(golds),
+                              max_size=len(golds)))
+        if kind == "one class":
+            preds = [preds[0]] * len(preds)
+    scores = None
+    if CB in golds:
+        scores = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                               min_size=len(golds), max_size=len(golds)))
+    return preds, golds, scores
+
+
 class TestEvaluateReport:
     def golds_preds_scores(self):
         golds = [CB, CB, CB, CB, NCB, NCB]
@@ -229,14 +253,24 @@ class TestEvaluateReport:
         scores = [0.9, 0.8, 0.4, 0.3, 0.7, 0.2]
         return golds, preds, scores
 
-    def test_matches_component_ops(self):
-        golds, preds, scores = self.golds_preds_scores()
-        report = evaluate(preds, golds, scores)
-        assert report.per_class[CB].precision == prf1(preds, golds, CB)[0]
-        assert report.per_class[NCB].f1 == prf1(preds, golds, NCB)[2]
-        assert report.macro_f1 == pytest.approx(macro_f1(preds, golds), abs=1e-12)
-        assert report.ap == pr_curve(scores, golds).ap
-        assert report.n == 6
+    @given(labelled_predictions())
+    def test_matches_component_ops(self, case):
+        """Every value of the report, which derives all of them from the clickbait
+        class's counts and the PR curve, equals the one its own function computes."""
+        preds, golds, scores = case
+        expected = {"n": len(golds),
+                    "accuracy": sum(1 for p, g in zip(preds, golds) if p == g) / len(golds),
+                    "macro_f1": macro_f1(preds, golds)}
+        for target, key in ((CB, "clickbait"), (NCB, "non_clickbait")):
+            p, r, f1 = prf1(preds, golds, target)
+            c = confusion_counts(preds, golds, target)
+            expected.update({f"{key}_precision": p, f"{key}_recall": r, f"{key}_f1": f1,
+                             f"{key}_tp": c.tp, f"{key}_fp": c.fp, f"{key}_fn": c.fn,
+                             f"{key}_tn": c.tn})
+        if scores is not None:
+            expected["ap"] = pr_curve(scores, golds).ap
+        assert list(report_to_dict(evaluate(preds, golds, scores)).items()) == \
+            list(expected.items())
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,23 @@
-"""Train and predict every model family on the shipped 60-article fixture and
-print one ``sha256  path`` line per output file.
+"""Train, predict and evaluate every model family on the shipped 60-article
+fixture, ensemble the five, and print one ``sha256  path`` line per output file.
 
 Run from the repository root:
 
     PYTHONPATH=src python3 tools/run_digests.py OUT [--seed 5] [--embeddings]
 
 Each family trains on tests/data/synthetic60.jsonl at the desk profile and at
-the full profile (the neural families with --epochs 1), then predicts the same
-corpus.  OUT, which must not exist yet, receives the run directories, the
-prediction files and their config snapshots.  Every command runs inside OUT
-with relative paths, so no output file and no printed line depends on where
-the checkout lives: two source trees, or two processes under different
-PYTHONHASHSEED values, that print the same lines wrote the same bytes.
+the full profile (the neural families with --epochs 1), predicts the same
+corpus, and ``eval`` scores the prediction file into ``PROFILE/FAMILY.eval/``.
+Per profile, ``ensemble fit`` then fits weights on the five prediction files
+(``PROFILE/ensemble.json``), ``ensemble apply`` combines them
+(``PROFILE/ensemble.tsv``), and ``eval`` scores the result against the
+contrastive predictions with McNemar's test (``PROFILE/ensemble.eval/``).
+OUT, which must not exist yet, receives the run directories, the prediction
+files, the reports, the ensemble files and their config snapshots.  Every
+command runs inside OUT with relative paths, so no output file and no printed
+line depends on where the checkout lives: two source trees, or two processes
+under different PYTHONHASHSEED values, that print the same lines wrote the
+same bytes.
 
 --embeddings writes a seeded word-vector file covering every corpus token and
 sets ``embedding_file`` for bilstm and contrastive.
@@ -79,20 +85,31 @@ def main(argv: list[str] | None = None) -> int:
     with contextlib.redirect_stdout(sys.stderr):  # the commands' chatter
         for profile in ("desk", "full"):
             flags = ["--config", write_embedding_config(profile, args.seed)] if args.embeddings else []
+            commands = []
             for family in cfg.MODEL_FAMILIES:
                 run_dir = f"{profile}/{family}"
                 epochs = ["--epochs", "1"] if profile == "full" and family in NEURAL_FAMILIES else []
-                commands = (
+                commands += [
                     ["train", "--model", family, "--corpus", CORPUS.name, "--out", run_dir,
                      "--profile", profile, "--seed", str(args.seed), *flags, *epochs],
                     ["predict", "--model-dir", run_dir, "--corpus", CORPUS.name,
                      "--out", f"{run_dir}.tsv"],
-                )
-                for command in commands:
-                    code = run(command)
-                    if code != 0:
-                        print(f"error: {' '.join(command)} exited {code}")
-                        return code
+                    ["eval", "--preds", f"{run_dir}.tsv", "--out-dir", f"{run_dir}.eval"],
+                ]
+            preds = [f"{family}={profile}/{family}.tsv" for family in cfg.MODEL_FAMILIES]
+            commands += [
+                ["ensemble", "fit", "--preds", *preds, "--out", f"{profile}/ensemble.json"],
+                ["ensemble", "apply", "--config", f"{profile}/ensemble.json", "--preds", *preds,
+                 "--out", f"{profile}/ensemble.tsv"],
+                ["eval", "--preds", f"{profile}/ensemble.tsv", "--out-dir",
+                 f"{profile}/ensemble.eval", "--compare", f"{profile}/contrastive.tsv",
+                 "--compare-name", "contrastive"],
+            ]
+            for command in commands:
+                code = run(command)
+                if code != 0:
+                    print(f"error: {' '.join(command)} exited {code}")
+                    return code
     for path in sorted(Path(".").rglob("*"), key=Path.as_posix):
         if path.is_file():
             print(f"{sha256(path)}  {path.as_posix()}")
