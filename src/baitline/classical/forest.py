@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tensor.checkpoint import CheckpointVersionError, require_fields
+from ..tensor.checkpoint import CheckpointVersionError
 from .tree import DecisionTree
 
 
@@ -103,7 +103,6 @@ def rf_fields(model: RandomForestModel) -> dict:
 def load_rf(path, model: dict, n_features: int) -> RandomForestModel:
     """The rf model in ``model``, the parsed ``model.json`` at ``path``, whose
     trees split inputs of ``n_features`` features."""
-    require_fields(path, "rf", model, ("trees",))
     losses = model["losses"]
     # NaN is what a forest with no out-of-bag sample stores
     if not (len(losses) == 1 and (math.isnan(losses[0]) or 0 <= losses[0] <= 1)):

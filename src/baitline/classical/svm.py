@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..tensor.checkpoint import (CheckpointVersionError, finite_array, is_finite_number,
-                                 require_fields)
+from ..tensor.checkpoint import CheckpointVersionError, finite_array, is_finite_number
 from ..tensor.core import _sigmoid
 
 
@@ -42,7 +41,6 @@ class PlattScaler:
 class SvmModel:
     w: np.ndarray
     b: float
-    C: float
     calibrator: PlattScaler
     objective_by_epoch: list[float] = field(default_factory=list)  # at epoch ends
 
@@ -114,10 +112,7 @@ def train_svm(X: np.ndarray, y: np.ndarray, config: SvmConfig | None = None) -> 
                       if not math.isfinite(value)), config.epochs)
         raise ArithmeticError(f"svm training is not finite at epoch {epoch}; "
                               f"C = {config.C!r} is too large")
-    return SvmModel(
-        w=w, b=b, C=config.C, calibrator=calibrator,
-        objective_by_epoch=objective_by_epoch,
-    )
+    return SvmModel(w=w, b=b, calibrator=calibrator, objective_by_epoch=objective_by_epoch)
 
 
 def platt_fit(decisions: np.ndarray, y_signed: np.ndarray, max_iter: int = 100) -> PlattScaler:
@@ -185,7 +180,6 @@ def svm_fields(model: SvmModel) -> dict:
 def load_svm(path, model: dict, n_features: int) -> SvmModel:
     """The svm model in ``model``, the parsed ``model.json`` at ``path``, with
     one weight for each of ``n_features`` features."""
-    require_fields(path, "svm", model, ("w", "b", "platt"))
     platt = model["platt"]
     if not isinstance(platt, dict) or not {"A", "B"} <= platt.keys():
         raise CheckpointVersionError(f"{path}: svm field 'platt' needs 'A' and 'B'")
@@ -193,6 +187,6 @@ def load_svm(path, model: dict, n_features: int) -> SvmModel:
         if not is_finite_number(value):
             raise CheckpointVersionError(f"{path}: svm field {name!r} is not a finite number")
     return SvmModel(w=finite_array(path, "svm field 'w'", model["w"], n_features),
-                    b=float(model["b"]), C=model["config"].C,
+                    b=float(model["b"]),
                     calibrator=PlattScaler(A=float(platt["A"]), B=float(platt["B"])),
                     objective_by_epoch=list(model["losses"]))

@@ -14,8 +14,8 @@ import os
 from pathlib import Path
 
 from .registry import FAMILIES
-from .tensor.checkpoint import (CheckpointVersionError, load_model_json, numbered_lines,
-                                require_same_names)
+from .tensor.checkpoint import (MODEL_HEADER, CheckpointVersionError, check_header,
+                                numbered_lines, read_json, require_same_names)
 
 SEED_ENV_VAR = "BAITLINE_SEED"
 
@@ -69,25 +69,34 @@ def build_model_config(
 
 
 def read_model(path) -> dict:
-    """The model container at ``path`` (see ``load_model_json``), its
-    ``config`` object turned into the family's config: exactly the family's
+    """The model container at ``path``: the header of this format and version,
+    a ``losses`` list of numbers, and exactly the family's ``fields`` besides.
+    Its ``config`` object becomes the family's config: exactly the family's
     keys, each coerced and range-checked like an INI value.  A defect raises
     CheckpointVersionError naming the file."""
-    payload = load_model_json(path)
+    payload = read_json(path)
+    check_header(path, "model container", payload, MODEL_HEADER)
+    if not isinstance(payload.get("config"), dict):
+        raise CheckpointVersionError(f"{path}: field 'config' is not an object")
+    losses = payload.get("losses")
+    if not (type(losses) is list and all(type(v) in (int, float) for v in losses)):
+        raise CheckpointVersionError(f"{path}: field 'losses' is not a list of numbers")
     if payload.get("family") not in MODEL_FAMILIES:
         raise CheckpointVersionError(f"{path}: unknown model family {payload.get('family')!r}")
-    config_type = FAMILIES[payload["family"]].config_type
-    fields = dataclasses.fields(config_type)
+    family = FAMILIES[payload["family"]]
+    fields = dataclasses.fields(family.config_type)
     stored = payload["config"]
     require_same_names(path, "config key", {f.name for f in fields}, set(stored))
     try:
-        payload["config"] = config_type(**{
+        payload["config"] = family.config_type(**{
             f.name: _checked(f"{path}: config {f.name} = {stored[f.name]!r}", f.name,
                              stored[f.name], f.default)
             for f in fields
         })
     except ValueError as exc:
         raise CheckpointVersionError(str(exc)) from None
+    require_same_names(path, "field", {*MODEL_HEADER, "family", "config", "losses", *family.fields},
+                       set(payload))
     return payload
 
 

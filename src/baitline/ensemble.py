@@ -9,7 +9,9 @@ from typing import Sequence
 
 from .corpus import Label
 from .metrics import confusion_counts
-from .tensor.checkpoint import is_finite_number, read_json
+from .tensor.checkpoint import check_header, is_finite_number, read_json, require_same_names
+
+ENSEMBLE_HEADER = {"format": "baitline-ensemble", "version": 1}
 
 
 @dataclass(frozen=True)
@@ -31,25 +33,21 @@ class EnsembleConfig:
             raise ValueError(f"threshold must be finite, got {self.threshold}")
 
     def save(self, path) -> None:
-        payload = {
-            "threshold": self.threshold,
-            "weights": dict(zip(self.model_ids, self.weights)),
-        }
+        payload = {**ENSEMBLE_HEADER, "threshold": self.threshold,
+                   "weights": dict(zip(self.model_ids, self.weights))}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "EnsembleConfig":
-        """The config in JSON file ``path``; any defect raises ValueError naming it."""
+        """The config in JSON file ``path``: the header of this format and
+        version, then exactly a threshold and weights; any defect raises
+        ValueError naming the file."""
         payload = read_json(path, ValueError)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: ensemble config must be a JSON object")
-        odd = sorted(payload.keys() ^ {"threshold", "weights"})
-        if odd:
-            problem = "unknown" if odd[0] in payload else "missing"
-            raise ValueError(f"{path}: {problem} ensemble config key {odd[0]!r} "
-                             '(the keys are "threshold" and "weights")')
+        check_header(path, "ensemble config", payload, ENSEMBLE_HEADER, ValueError)
+        require_same_names(path, "ensemble config key", {*ENSEMBLE_HEADER, "threshold", "weights"},
+                           set(payload), ValueError)
         weights, threshold = payload["weights"], payload["threshold"]
         if not isinstance(weights, dict):
             raise ValueError(f'{path}: ensemble config needs a "weights" object')

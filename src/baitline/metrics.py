@@ -184,11 +184,13 @@ class EvalReport:
 def evaluate(
     preds: Sequence, golds: Sequence, scores: Sequence[float] | None = None
 ) -> EvalReport:
-    """Full per-class report; adds the PR curve and AP when scores are given."""
+    """Full per-class report; adds the PR curve and AP when scores are given
+    and some gold label is clickbait, the curve's positive class."""
     if len(golds) == 0:
         raise ValueError("cannot evaluate an empty gold list")
     counts = confusion_counts(preds, golds, Label.CLICKBAIT)
-    return EvalReport(counts, pr_curve(scores, golds) if scores is not None else None)
+    has_curve = scores is not None and counts.tp + counts.fn > 0
+    return EvalReport(counts, pr_curve(scores, golds) if has_curve else None)
 
 
 def render_report(report: EvalReport) -> str:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..corpus import Corpus, Label, argmax_predictions
 from ..tensor import GraphOptimizer, Tensor, backward, cross_entropy, no_grad
-from ..tensor.checkpoint import (MODEL_FILE, CheckpointVersionError, load_tensors, require_fields,
+from ..tensor.checkpoint import (MODEL_FILE, CheckpointVersionError, load_tensors,
                                  require_same_names, save_tensors)
 from ..textproc import PAD_ID, TokenizedDoc, normalize, tokenize, vocab_from_tokens
 from .embeddings import load_pretrained_embeddings
@@ -129,7 +129,7 @@ class NeuralBundle:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_tensors(out_dir / "model.tensors", {k: v.data for k, v in self.params().items()})
-        return {name: getattr(self, name).ordered_tokens() for name in self.vocab_fields}
+        return {name: list(getattr(self, name).tokens) for name in self.vocab_fields}
 
     @classmethod
     def load(cls, model_dir, model: dict):
@@ -139,7 +139,6 @@ class NeuralBundle:
         ``train_losses`` stays empty: the losses are kept in ``model.json``."""
         model_dir = Path(model_dir)
         model_path = model_dir / MODEL_FILE
-        require_fields(model_path, model["family"], model, cls.vocab_fields)
         bundle = cls(model["config"], None, **{name: vocab_from_tokens(model_path, name, model[name])
                                               for name in cls.vocab_fields})
         path, params = model_dir / "model.tensors", bundle.params()

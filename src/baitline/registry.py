@@ -3,7 +3,8 @@
 Adding a family takes one ``FAMILIES`` entry: its config dataclass, its
 ``desk`` profile overrides, ``train(corpus, config, out_dir) -> (losses,
 fields)``, which writes any tensor file and returns the lines of
-``training.log`` and the family's ``model.json`` fields, and a batched
+``training.log`` and the family's ``model.json`` fields, the names of those
+fields, which ``model.json`` must hold exactly, and a batched
 ``predict(model_dir, model, corpus) -> (labels, scores)`` given the parsed
 ``model.json``.  Trainers are called as attributes of their modules, so code
 that rebinds module-level functions (``benchmark/tracer.py``) sees them.
@@ -28,6 +29,7 @@ class ModelFamily:
     config_type: type
     desk: dict[str, Any]
     train: Callable[[Corpus, Any, Path], tuple[list[float], dict]]
+    fields: tuple[str, ...]
     predict: Callable[[Path, dict, Corpus], tuple[list[Label], list[float]]]
 
 
@@ -72,11 +74,11 @@ def _predict_neural(bundle_type, model_dir: Path, model: dict, corpus: Corpus):
 FAMILIES: dict[str, ModelFamily] = {
     "rf": ModelFamily(
         forest.RandomForestConfig, {"n_estimators": 30},
-        _train_rf, partial(_predict_classical, forest.load_rf),
+        _train_rf, ("mean", "std", "trees"), partial(_predict_classical, forest.load_rf),
     ),
     "svm": ModelFamily(
         svm.SvmConfig, {"epochs": 120},
-        _train_svm, partial(_predict_classical, svm.load_svm),
+        _train_svm, ("mean", "std", "w", "b", "platt"), partial(_predict_classical, svm.load_svm),
     ),
     "bilstm": ModelFamily(
         lstm.BiLstmConfig,
@@ -95,7 +97,7 @@ FAMILIES: dict[str, ModelFamily] = {
             "content_max_len": 32,
         },
         lambda corpus, config, out_dir: _saved(lstm.train_bilstm(corpus, config), out_dir),
-        partial(_predict_neural, lstm.BiLstmClassifier),
+        lstm.BiLstmClassifier.vocab_fields, partial(_predict_neural, lstm.BiLstmClassifier),
     ),
     "contrastive": ModelFamily(
         siamese.SiameseConfig,
@@ -109,7 +111,7 @@ FAMILIES: dict[str, ModelFamily] = {
             "max_len": 48,
         },
         lambda corpus, config, out_dir: _saved(siamese.train_contrastive(corpus, config), out_dir),
-        partial(_predict_neural, siamese.SiameseEncoder),
+        siamese.SiameseEncoder.vocab_fields, partial(_predict_neural, siamese.SiameseEncoder),
     ),
     "encoder-head": ModelFamily(
         heads.EncoderHeadConfig,
@@ -125,6 +127,6 @@ FAMILIES: dict[str, ModelFamily] = {
             "max_len": 80,
         },
         lambda corpus, config, out_dir: _saved(heads.train_encoder_head(corpus, config), out_dir),
-        partial(_predict_neural, heads.EncoderHead),
+        heads.EncoderHead.vocab_fields, partial(_predict_neural, heads.EncoderHead),
     ),
 }

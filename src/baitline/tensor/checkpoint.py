@@ -42,14 +42,15 @@ def finite_array(path, what: str, values, n: int) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def check_header(path, kind: str, header, expected: dict) -> None:
-    """Raise CheckpointVersionError, naming the file and the format and
-    version found, unless ``header`` is a JSON object that carries the
-    format and version in ``expected``."""
+def check_header(path, kind: str, header, expected: dict,
+                 error: type[Exception] = CheckpointVersionError) -> None:
+    """Raise ``error``, naming the file and the format and version found,
+    unless ``header`` is a JSON object that carries the format and version in
+    ``expected``."""
     found = header if isinstance(header, dict) else {}
     if any(found.get(key) != value for key, value in expected.items()):
-        raise CheckpointVersionError(f"{path}: unsupported {kind}: format={found.get('format')!r} "
-                                     f"version={found.get('version')!r}")
+        raise error(f"{path}: unsupported {kind}: format={found.get('format')!r} "
+                    f"version={found.get('version')!r}")
 
 
 def numbered_lines(path, error: type[Exception]):
@@ -79,11 +80,15 @@ def read_json(path, error: type[Exception] = CheckpointVersionError):
         raise error(f"{path}:{line}: not JSON: nested too deeply") from None
 
 
-def require_same_names(path, kind: str, expected: set[str], found: set[str]) -> None:
-    if expected - found:
-        raise CheckpointVersionError(f"{path}: missing {kind} {sorted(expected - found)}")
-    if found - expected:
-        raise CheckpointVersionError(f"{path}: unexpected {kind} {sorted(found - expected)}")
+def require_same_names(path, kind: str, expected: set[str], found: set[str],
+                       error: type[Exception] = CheckpointVersionError) -> None:
+    """Raise ``error`` naming the file and every missing and unexpected name
+    unless ``found`` is exactly ``expected``."""
+    defects = [f"{what} {kind} {sorted(names)}"
+               for what, names in (("missing", expected - found), ("unexpected", found - expected))
+               if names]
+    if defects:
+        raise error(f"{path}: {' and '.join(defects)}")
 
 
 def save_model_json(path, family: str, config, losses, fields: dict) -> None:
@@ -93,25 +98,6 @@ def save_model_json(path, family: str, config, losses, fields: dict) -> None:
         # dumps encodes in C; dump streams the same bytes through the Python encoder
         fh.write(json.dumps({**MODEL_HEADER, "family": family, "config": dataclasses.asdict(config),
                              "losses": list(losses), **fields}))
-
-
-def load_model_json(path) -> dict:
-    """Read a JSON model container of this format and version with a
-    ``config`` object and a ``losses`` list of numbers."""
-    payload = read_json(path)
-    check_header(path, "model container", payload, MODEL_HEADER)
-    if not isinstance(payload.get("config"), dict):
-        raise CheckpointVersionError(f"{path}: field 'config' is not an object")
-    losses = payload.get("losses")
-    if not (type(losses) is list and all(type(v) in (int, float) for v in losses)):
-        raise CheckpointVersionError(f"{path}: field 'losses' is not a list of numbers")
-    return payload
-
-
-def require_fields(path, family: str, payload: dict, fields) -> None:
-    missing = [name for name in fields if name not in payload]
-    if missing:
-        raise CheckpointVersionError(f"{path}: {family} model has no field {missing}")
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:

@@ -97,23 +97,23 @@ def tokenize(text: str) -> TokenizedDoc:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token-to-id map with reserved pad (0) and oov (1) slots.
+    """Distinct tokens after the reserved pad (0) and oov (1) ids: the token at
+    index i has id i + 2, so ids are dense in [0, size).  An optional
+    separator token (used to join title and content into one sequence)
+    occupies a regular token slot."""
 
-    Ids are dense in [0, size).  An optional separator token (used to join
-    title and content into one sequence) occupies a regular token slot.
-    """
-
-    token_to_id: dict[str, int] = field(repr=False)
+    tokens: tuple[str, ...]
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for token, idx in self.token_to_id.items():
-            if idx in (PAD_ID, OOV_ID):
-                raise ValueError(f"token {token!r} assigned reserved id {idx}")
+        # an instance attribute, not a cached_property: id_for runs once per token
+        object.__setattr__(self, "token_to_id",
+                           {token: index for index, token in enumerate(self.tokens, start=2)})
 
     @property
     def size(self) -> int:
         """Total id count including pad and oov."""
-        return len(self.token_to_id) + 2
+        return len(self.tokens) + 2
 
     @property
     def separator_id(self) -> int | None:
@@ -121,10 +121,6 @@ class Vocabulary:
 
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, OOV_ID)
-
-    def ordered_tokens(self) -> list[str]:
-        """Tokens sorted by id: the token at index i has id i + 2."""
-        return [t for t, _ in sorted(self.token_to_id.items(), key=lambda kv: kv[1])]
 
 
 def build_vocab(
@@ -144,17 +140,8 @@ def build_vocab(
     for doc in docs:
         counts.update(doc.word_tokens())
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    budget = max_size - 1 if include_separator else max_size
-    chosen = [tok for tok, _ in ranked[: max(budget, 0)]]
-    token_to_id: dict[str, int] = {}
-    next_id = 2
-    if include_separator:
-        token_to_id[SEPARATOR_TOKEN] = next_id
-        next_id += 1
-    for tok in chosen:
-        token_to_id[tok] = next_id
-        next_id += 1
-    return Vocabulary(token_to_id=token_to_id)
+    reserved = (SEPARATOR_TOKEN,) if include_separator else ()
+    return Vocabulary(reserved + tuple(tok for tok, _ in ranked[: max_size - len(reserved)]))
 
 
 def encode(docs: list[TokenizedDoc], vocab: Vocabulary, max_len: int) -> np.ndarray:
@@ -178,16 +165,16 @@ def encode_ids(rows, max_len: int) -> np.ndarray:
 
 def vocab_from_tokens(path, name: str, tokens) -> Vocabulary:
     """The vocabulary that field ``name`` of the model file ``path`` holds as
-    its ``ordered_tokens()``.  Ids must stay dense, since an embedding table
-    has one row per id: anything but a list of distinct non-empty strings
-    raises CheckpointVersionError naming the file, the field and the first
-    bad entry."""
+    its ``tokens``.  Ids must stay dense, since an embedding table has one row
+    per id: anything but a list of distinct non-empty strings raises
+    CheckpointVersionError naming the file, the field and the first bad
+    entry."""
     if type(tokens) is not list:
         raise CheckpointVersionError(f"{path}: field {name!r} is not a list of tokens")
-    token_to_id: dict[str, int] = {}
+    seen: set[str] = set()
     for index, token in enumerate(tokens):
-        if not (isinstance(token, str) and token) or token in token_to_id:
+        if not (isinstance(token, str) and token) or token in seen:
             raise CheckpointVersionError(f"{path}: field {name!r} entry {index}, {token!r}, "
                                          "is empty, not a string or a repeat")
-        token_to_id[token] = index + 2
-    return Vocabulary(token_to_id=token_to_id)
+        seen.add(token)
+    return Vocabulary(tuple(tokens))

@@ -27,15 +27,21 @@ from baitline.classical.forest import RandomForestModel
 from baitline.classical.svm import SvmModel
 from baitline.classical.tree import _entropy2
 from baitline.config import read_model
+from baitline.features import N_FEATURES
 from baitline.tensor import CheckpointVersionError
 from baitline.tensor.checkpoint import save_model_json
 
 
+# the standardizer fields every classical model.json holds, here the identity
+IDENTITY_STANDARDIZER = {"mean": [0.0] * N_FEATURES, "std": [1.0] * N_FEATURES}
+
+
 def stored(tmp_path, family, config, losses, fields):
-    """A ``model.json`` written with these contents, and read back the way
-    ``predict`` reads it: (path, parsed container)."""
+    """A ``model.json`` written with these contents and the identity
+    standardizer, and read back the way ``predict`` reads it: (path, parsed
+    container)."""
     path = tmp_path / "model.json"
-    save_model_json(path, family, config, losses, fields)
+    save_model_json(path, family, config, losses, {**IDENTITY_STANDARDIZER, **fields})
     return path, read_model(path)
 
 
@@ -562,12 +568,12 @@ class TestRandomForest:
         assert np.array_equal(loaded.trees.predict_proba(X), model.trees.predict_proba(X))
 
     def test_wrong_family_rejected(self, tmp_path):
+        """An rf container holding an svm model's fields is refused."""
         X, y = separable_dataset(seed=6, n_per_class=5)
-        config = SvmConfig(epochs=3)
-        model = train_svm(X, y, config)
-        path, payload = stored(tmp_path, "svm", config, model.objective_by_epoch, svm_fields(model))
-        with pytest.raises(CheckpointVersionError, match="rf model has no field"):
-            load_rf(path, payload, X.shape[1])
+        model = train_svm(X, y, SvmConfig(epochs=3))
+        with pytest.raises(CheckpointVersionError, match=r"missing field \['trees'\] and "
+                                                         r"unexpected field \['b', 'platt', 'w'\]"):
+            stored(tmp_path, "rf", RandomForestConfig(), [0.5], svm_fields(model))
 
 
 def reference_train_svm(X, y, config):
@@ -604,8 +610,7 @@ def reference_train_svm(X, y, config):
     wa = tail_sum / n
     w, b = wa[:-1], float(wa[-1])
     calibrator = platt_fit(X @ w + b, y_signed)
-    model = SvmModel(w=w, b=b, C=config.C, calibrator=calibrator,
-                     objective_by_epoch=objective_by_epoch)
+    model = SvmModel(w=w, b=b, calibrator=calibrator, objective_by_epoch=objective_by_epoch)
     return model, min_tie_gap
 
 
@@ -636,8 +641,7 @@ def reference_pegasos_svm(X, y, config):
     wa = tail_sum / (lam * n)
     w, b = wa[:-1], float(wa[-1])
     calibrator = platt_fit(X @ w + b, y_signed)
-    return SvmModel(w=w, b=b, C=config.C, calibrator=calibrator,
-                    objective_by_epoch=objective_by_epoch)
+    return SvmModel(w=w, b=b, calibrator=calibrator, objective_by_epoch=objective_by_epoch)
 
 
 # How far train_svm may move from the loop it replaced: the weights by this
@@ -829,7 +833,7 @@ class TestSvm:
     def test_predict_proba_matches_hand_sigmoid(self):
         model_x = np.array([0.5, -1.5])
         scaler = PlattScaler(A=-2.0, B=0.25)
-        model = SvmModel(w=np.array([1.0, 2.0]), b=0.5, C=1.0, calibrator=scaler)
+        model = SvmModel(w=np.array([1.0, 2.0]), b=0.5, calibrator=scaler)
         decision = model_x @ model.w + model.b
         expected = 1.0 / (1.0 + math.exp(-2.0 * decision + 0.25))
         assert model.predict_clickbait_proba(model_x[None, :])[0] == pytest.approx(expected, abs=1e-12)
@@ -850,7 +854,7 @@ class TestSvm:
         assert np.array_equal(loaded.w, model.w)
         assert loaded.b == model.b
         assert loaded.calibrator == model.calibrator
-        assert (loaded.C, loaded.objective_by_epoch) == (model.C, model.objective_by_epoch)
+        assert (payload["config"], loaded.objective_by_epoch) == (config, model.objective_by_epoch)
         assert np.array_equal(loaded.predict_clickbait_proba(X), model.predict_clickbait_proba(X))
 
     def test_bad_container_version(self, tmp_path):

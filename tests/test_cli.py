@@ -12,6 +12,7 @@ from baitline import config as cfg
 from baitline.classical import balanced_class_weights, svm
 from baitline.cli import build_parser, run
 from baitline.corpus import Corpus, Label, load_corpus, save_corpus
+from baitline.ensemble import ENSEMBLE_HEADER
 from baitline.features import N_FEATURES
 from baitline.metrics import load_predictions
 from baitline.registry import FAMILIES
@@ -184,6 +185,7 @@ def _config_with(key, value):
 # hold for any family, the rest need the family's own config keys
 MODEL_JSON_DEFECTS = {
     "unknown_meta_key": (_config_with("not_a_field", 1), "not_a_field"),
+    "unexpected_field": (lambda payload: payload.update(notes="x"), "unexpected field ['notes']"),
     "config_without_seed": (lambda payload: payload["config"].pop("seed"), "seed"),
     "losses_not_a_list": (lambda payload: payload.update(losses="abc"), "'losses'"),
     "unknown_family": (lambda payload: payload.update(family="xgboost"), "'xgboost'"),
@@ -231,11 +233,11 @@ def _older_layout(run_dir, payload):
             field, "vocab.txt")
         (run_dir / name).write_text("".join(f"{token}\n" for token in payload.pop(field)),
                                     encoding="utf-8")
-    return "model.json", f"model has no field {list(fields)}"
+    return "model.json", f"missing field {sorted(fields)}"
 
 
 VOCAB_DEFECTS = {  # defect -> apply(run_dir, model.json payload) -> (file name, culprit)
-    "missing_vocab_field": _first_vocab_with(None, "has no field [{field!r}]"),
+    "missing_vocab_field": _first_vocab_with(None, "missing field [{field!r}]"),
     "vocab_not_a_list": _first_vocab_with(" ".join, "field {field!r} is not a list"),
     "empty_vocab_token": _first_vocab_with(_set_token(2, ""), "field {field!r} entry 2, '', is empty"),
     "repeated_vocab_token": _first_vocab_with(lambda tokens: _set_token(2, tokens[0])(tokens),
@@ -312,7 +314,7 @@ class TestTrainPredictEval:
         model = cfg.read_model(run_dir / "model.json")
         bundle = SiameseEncoder.load(run_dir, model)
         assert bundle.config.epochs == 0
-        assert bundle.vocab.ordered_tokens() == model["vocab"]
+        assert list(bundle.vocab.tokens) == model["vocab"]
 
     def test_svm_and_encoder_head_train(self, tmp_path, split_paths):
         train_path, test_path = split_paths
@@ -364,6 +366,17 @@ class TestTrainPredictEval:
         payload = json.loads((eval_dir / "report.json").read_text())
         assert payload["mcnemar_finetuned_p"] <= 0.001
 
+        # no clickbait gold: every count is defined, the PR curve and AP are not
+        lines = [line for line in (data_dir / "preds_contrastive_reference.tsv").read_text(
+            encoding="utf-8").splitlines() if line.split("\t")[1] == "non-clickbait"][:20]
+        preds_path = tmp_path / "no_clickbait.tsv"
+        preds_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        eval_dir = tmp_path / "eval-no-clickbait"
+        assert run(["eval", "--preds", str(preds_path), "--out-dir", str(eval_dir)]) == 0
+        payload = json.loads((eval_dir / "report.json").read_text())
+        assert payload["n"] == 20 and "ap" not in payload
+        assert not (eval_dir / "pr_curve.tsv").exists()
+
     @pytest.mark.parametrize("column, value, message", [
         *(pytest.param(3, score, f"score {score!r}", id=score)
           for score in ("nan", "inf", "-0.5", "1.5", "abc")),
@@ -392,8 +405,8 @@ class TestTrainPredictEval:
         preds_path = tmp_path / "preds.tsv"
         preds_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         config_path = tmp_path / "ensemble.json"
-        config_path.write_text(json.dumps({"threshold": 0.5, "weights": {"contrastive": 1.0}}),
-                               encoding="utf-8")
+        config_path.write_text(json.dumps({**ENSEMBLE_HEADER, "threshold": 0.5,
+                                           "weights": {"contrastive": 1.0}}), encoding="utf-8")
         out = tmp_path / "out"
         argv = {"eval": ["eval", "--preds", str(preds_path), "--out-dir", str(out)],
                 "ensemble fit": ["ensemble", "fit", "--preds", f"contrastive={preds_path}",
@@ -431,8 +444,8 @@ class TestTrainPredictEval:
         *(("contrastive", defect) for defect in HEADER_DEFECTS),
         *((family, defect) for family in NEURAL_FAMILIES
           for defect in ("missing_tensor", "extra_tensor", "wrong_shape", "unknown_meta_key",
-                         "config_without_seed", "losses_not_a_list", "unknown_family",
-                         "version_1")),
+                         "unexpected_field", "config_without_seed", "losses_not_a_list",
+                         "unknown_family", "version_1")),
         *((family, defect) for family in ("contrastive", "encoder-head")
           for defect in ("max_len_not_an_int", "max_len_negative")),
         *(("contrastive", defect) for defect in ("threshold_not_a_float", "out_dim_fractional")),
@@ -504,6 +517,10 @@ CLASSICAL_DEFECTS = {
     "leaf_out_of_range": ("rf", "model.json", _leaf_with([5.0, -4.0]), "tree 3: node "),
     "leaf_not_summing_to_1": ("rf", "model.json", _leaf_with([0.5, 0.6]), "tree 3: node "),
     "no_trees": ("rf", "model.json", lambda payload: payload.update(trees=[]), "trees"),
+    "rf_unexpected_field": ("rf", "model.json", lambda payload: payload.update(notes="x"),
+                            "unexpected field ['notes']"),
+    "svm_unexpected_field": ("svm", "model.json", lambda payload: payload.update(notes="x"),
+                             "unexpected field ['notes']"),
     "config_with_unknown_key": ("rf", "model.json", lambda payload: payload["config"].update(bogus=1),
                                 "bogus"),
     "config_without_seed": ("rf", "model.json", lambda payload: payload["config"].pop("seed"),
@@ -588,10 +605,10 @@ def test_malformed_classical_model_exit_4(tmp_path, classical_runs, data_dir, ca
     assert str(model_path) in err and culprit in err
 
 
-def test_rf_model_with_older_fields_predicts_the_same(tmp_path, classical_runs, data_dir):
+def test_rf_model_with_older_fields_exit_4(tmp_path, classical_runs, data_dir, capsys):
     """An rf ``model.json`` in the layout that also stored each tree's
-    out-of-bag rows and the class weights, drawn again here from the seed,
-    predicts byte for byte what the same model without them predicts."""
+    out-of-bag rows and the class weights, drawn again here from the seed, is
+    refused like any container with fields its family does not write."""
     corpus = str(data_dir / "synthetic60.jsonl")
     y = load_corpus(corpus).training_labels()
     older = tmp_path / "older"
@@ -605,10 +622,12 @@ def test_rf_model_with_older_fields_predicts_the_same(tmp_path, classical_runs, 
     payload.update(class_weights=balanced_class_weights(y).tolist(), oob_indices=oob_indices,
                    trees=trees)
     (older / "model.json").write_text(json.dumps(payload), encoding="utf-8")
-    for name, run_dir in (("current", classical_runs / "rf"), ("older", older)):
-        assert run(["predict", "--model-dir", str(run_dir), "--corpus", corpus,
-                    "--out", str(tmp_path / f"{name}.tsv")]) == 0
-    assert (tmp_path / "older.tsv").read_bytes() == (tmp_path / "current.tsv").read_bytes()
+    capsys.readouterr()
+    assert run(["predict", "--model-dir", str(older), "--corpus", corpus,
+                "--out", str(tmp_path / "older.tsv")]) == 4
+    assert (f"{older / 'model.json'}: unexpected field ['class_weights', 'oob_indices']"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "older.tsv").exists()
 
 
 @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"], ids=["not_json", "not_utf8"])
@@ -702,7 +721,8 @@ MODEL_DIR_FILES = {
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_every_registered_family_trains_and_predicts(tmp_path, data_dir, monkeypatch, family):
-    """Training writes the family's files and nothing else; each predict
+    """Training writes the family's files and nothing else, and ``model.json``
+    holds the container keys and the family's declared fields; each predict
     parses ``model.json`` once."""
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
@@ -713,9 +733,12 @@ def test_every_registered_family_trains_and_predicts(tmp_path, data_dir, monkeyp
     run_dir = train_model(tmp_path, family, corpus_path)
     assert {path.name for path in run_dir.iterdir()} == {
         "config.ini", "training.log", "model.json", *MODEL_DIR_FILES[family]}
-    parsed = []
-    monkeypatch.setattr(checkpoint, "read_json",
-                        lambda path, read=checkpoint.read_json: parsed.append(path) or read(path))
+    model = json.loads((run_dir / "model.json").read_text(encoding="utf-8"))
+    assert model.keys() == {"format", "version", "family", "config", "losses",
+                            *FAMILIES[family].fields}
+    parsed, read = [], checkpoint.read_json
+    for module in (checkpoint, cfg):  # read_model calls config's binding
+        monkeypatch.setattr(module, "read_json", lambda path: parsed.append(path) or read(path))
     outputs = []
     for tag in ("one", "two"):
         preds_path = tmp_path / f"preds-{tag}.tsv"
@@ -854,6 +877,7 @@ class TestEnsembleCommands:
             "--out", str(config_path),
         ]) == 0
         payload = json.loads(config_path.read_text())
+        assert (payload["format"], payload["version"]) == ("baitline-ensemble", 1)
         assert sum(payload["weights"].values()) == pytest.approx(1.0, abs=1e-9)
         out_path = tmp_path / "preds_ensemble.tsv"
         assert run([
@@ -885,20 +909,25 @@ class TestEnsembleCommands:
         assert code == 3
 
     @pytest.mark.parametrize("payload", [
-        {"threshold": 0.5}, {"weights": [1.0], "threshold": 0.5}, [1.0],
-        {"weights": {"contrastive": math.nan}, "threshold": 0.5},
-        {"weights": {"contrastive": "1"}, "threshold": 0.5},
-        {"weights": {"contrastive": 1.0}, "threshold": math.nan},
-        {"weights": {"contrastive": 1.0}, "threshold": None},
-        {"weights": {"contrastive": 0.5}, "threshold": 0.5},
-        {"weights": {"contrastive": 1.0}},
-        {"weights": {"contrastive": 1.0}, "treshold": 0.2},
-        {"weights": {"contrastive": 1.0}, "threshold": 0.5, "models": ["contrastive"]},
+        *({**ENSEMBLE_HEADER, **payload} for payload in [
+            {"threshold": 0.5}, {"weights": [1.0], "threshold": 0.5},
+            {"weights": {"contrastive": math.nan}, "threshold": 0.5},
+            {"weights": {"contrastive": "1"}, "threshold": 0.5},
+            {"weights": {"contrastive": 1.0}, "threshold": math.nan},
+            {"weights": {"contrastive": 1.0}, "threshold": None},
+            {"weights": {"contrastive": 0.5}, "threshold": 0.5},
+            {"weights": {"contrastive": 1.0}},
+            {"weights": {"contrastive": 1.0}, "treshold": 0.2},
+            {"weights": {"contrastive": 1.0}, "threshold": 0.5, "models": ["contrastive"]},
+        ]),
+        [1.0],
+        {"weights": {"contrastive": 1.0}, "threshold": 0.5},
     ])
     def test_config_without_weights_object_exit_3(self, tmp_path, data_dir, capsys, payload):
-        """A config without a weights object of finite numbers summing to 1, with
-        a threshold that is not a finite number, or without exactly the keys
-        threshold and weights, exits 3 naming the file and any odd key."""
+        """A config without the format header, without a weights object of
+        finite numbers summing to 1, with a threshold that is not a finite
+        number, or without exactly the keys format, version, threshold and
+        weights, exits 3 naming the file and any odd key."""
         config_path = tmp_path / "ensemble.json"
         config_path.write_text(json.dumps(payload), encoding="utf-8")
         reference = data_dir / "preds_contrastive_reference.tsv"
@@ -908,9 +937,12 @@ class TestEnsembleCommands:
                     "--out", str(tmp_path / "out.tsv")]) == 3
         err = capsys.readouterr().err
         assert str(config_path) in err
-        if isinstance(payload, dict) and payload.keys() != {"threshold", "weights"}:
-            odd = sorted(payload.keys() ^ {"threshold", "weights"})[0]
-            assert f"ensemble config key {odd!r}" in err
+        keys = {*ENSEMBLE_HEADER, "threshold", "weights"}
+        if "format" not in payload:
+            assert "unsupported ensemble config: format=None version=None" in err
+        elif payload.keys() != keys:
+            assert "ensemble config key" in err
+            assert all(repr(odd) in err for odd in payload.keys() ^ keys)
         assert not (tmp_path / "out.tsv").exists()
 
     def test_non_json_config_names_file_exit_3(self, tmp_path, data_dir, capsys):

@@ -234,7 +234,7 @@ def siamese_config(**overrides):
 
 def capped_vocab(size):
     """A vocabulary of ``size`` tokens, so its tables have the cap's rows."""
-    return Vocabulary({f"w{i}": i + 2 for i in range(size)})
+    return Vocabulary(tuple(f"w{i}" for i in range(size)))
 
 
 def fresh_encoder(config=None):

@@ -10,7 +10,6 @@ from baitline.textproc import (
     OOV_ID,
     PAD_ID,
     SEPARATOR_TOKEN,
-    Vocabulary,
     build_vocab,
     encode,
     encode_ids,
@@ -225,7 +224,7 @@ class TestVocabSerialization:
     def test_round_trip(self):
         vocab = build_vocab([tokenize("ana are mere si pere")], max_size=4,
                             include_separator=True)
-        loaded = vocab_from_tokens("model.json", "vocab", vocab.ordered_tokens())
+        loaded = vocab_from_tokens("model.json", "vocab", list(vocab.tokens))
         assert loaded.token_to_id == vocab.token_to_id
         assert loaded.separator_id == vocab.separator_id
 
@@ -244,9 +243,5 @@ class TestVocabSerialization:
 
     def test_index_is_id_minus_two(self):
         vocab = build_vocab([tokenize("b a a")], max_size=5)
-        for index, token in enumerate(vocab.ordered_tokens()):
+        for index, token in enumerate(vocab.tokens):
             assert vocab.token_to_id[token] == index + 2
-
-    def test_reserved_token_constructor_guard(self):
-        with pytest.raises(ValueError):
-            Vocabulary(token_to_id={"x": PAD_ID})
