@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tensor.checkpoint import CheckpointVersionError
 from .tree import DecisionTree
 
 
@@ -106,10 +105,9 @@ def load_rf(path, model: dict, n_features: int) -> RandomForestModel:
     losses = model["losses"]
     # NaN is what a forest with no out-of-bag sample stores
     if not (len(losses) == 1 and (math.isnan(losses[0]) or 0 <= losses[0] <= 1)):
-        raise CheckpointVersionError(
-            f"{path}: rf field 'losses' is not one OOB score, in [0, 1] or NaN")
+        raise ValueError(f"{path}: rf field 'losses' is not one OOB score, in [0, 1] or NaN")
     try:
         trees = DecisionTree.from_preorder(model["trees"], n_features)
     except ValueError as exc:
-        raise CheckpointVersionError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     return RandomForestModel(trees, float(losses[0]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..tensor.checkpoint import CheckpointVersionError, finite_array, is_finite_number
+from ..tensor.checkpoint import finite_array, is_finite_number
 from ..tensor.core import _sigmoid
 
 
@@ -182,10 +182,10 @@ def load_svm(path, model: dict, n_features: int) -> SvmModel:
     one weight for each of ``n_features`` features."""
     platt = model["platt"]
     if not isinstance(platt, dict) or not {"A", "B"} <= platt.keys():
-        raise CheckpointVersionError(f"{path}: svm field 'platt' needs 'A' and 'B'")
+        raise ValueError(f"{path}: svm field 'platt' needs 'A' and 'B'")
     for name, value in (("b", model["b"]), ("platt.A", platt["A"]), ("platt.B", platt["B"])):
         if not is_finite_number(value):
-            raise CheckpointVersionError(f"{path}: svm field {name!r} is not a finite number")
+            raise ValueError(f"{path}: svm field {name!r} is not a finite number")
     return SvmModel(w=finite_array(path, "svm field 'w'", model["w"], n_features),
                     b=float(model["b"]),
                     calibrator=PlattScaler(A=float(platt["A"]), B=float(platt["B"])),

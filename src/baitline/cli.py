@@ -3,7 +3,9 @@
 Commands: ingest, split, featurize, train, predict, eval, ensemble (fit and
 apply).  Exit codes: 0 success, 2 missing input file, 3 schema or validation
 error, 4 incompatible checkpoint or model container, 1 unexpected failure.
-Every command writes a resolved-config snapshot beside its outputs; the
+The library's readers and loaders raise ValueError for any defect; ``predict``
+alone turns one found while reading the model directory into exit 4.  Every
+command writes a resolved-config snapshot beside its outputs; the
 ``BAITLINE_SEED`` environment variable supplies the default seed.
 """
 
@@ -36,7 +38,12 @@ from .metrics import (
     save_report,
 )
 from .registry import FAMILIES
-from .tensor.checkpoint import MODEL_FILE, CheckpointVersionError, save_model_json
+from .tensor.checkpoint import MODEL_FILE, save_model_json
+
+
+class CheckpointVersionError(RuntimeError):
+    """A model directory this version cannot read: an unknown format or
+    version, or content that does not fit the model it describes (exit 4)."""
 
 
 def _add_common_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -204,8 +211,12 @@ def cmd_predict(args) -> int:
     corpus = load_corpus(args.corpus)
     if len(corpus) == 0:
         raise ValueError(f"corpus {corpus.name!r} is empty; nothing to predict")
-    model = cfg.read_model(model_dir / MODEL_FILE)  # the family is model.json's, not config.ini's
-    labels, scores = FAMILIES[model["family"]].predict(model_dir, model, corpus)
+    try:
+        model = cfg.read_model(model_dir / MODEL_FILE)  # the family is model.json's, not config.ini's
+        predictor = FAMILIES[model["family"]].load(model_dir, model)
+    except ValueError as exc:
+        raise CheckpointVersionError(str(exc)) from None
+    labels, scores = predictor.predictions(corpus.articles)
     rows = [PredictionRow(a.id, a.label, label, score)
             for a, label, score in zip(corpus, labels, scores)]
     save_predictions(rows, args.out)

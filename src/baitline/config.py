@@ -14,8 +14,7 @@ import os
 from pathlib import Path
 
 from .registry import FAMILIES
-from .tensor.checkpoint import (MODEL_HEADER, CheckpointVersionError, check_header,
-                                numbered_lines, read_json, require_same_names)
+from .tensor.checkpoint import MODEL_HEADER, check_header, numbered_lines, read_json, require_same_names
 
 SEED_ENV_VAR = "BAITLINE_SEED"
 
@@ -73,28 +72,25 @@ def read_model(path) -> dict:
     a ``losses`` list of numbers, and exactly the family's ``fields`` besides.
     Its ``config`` object becomes the family's config: exactly the family's
     keys, each coerced and range-checked like an INI value.  A defect raises
-    CheckpointVersionError naming the file."""
+    ValueError naming the file."""
     payload = read_json(path)
     check_header(path, "model container", payload, MODEL_HEADER)
     if not isinstance(payload.get("config"), dict):
-        raise CheckpointVersionError(f"{path}: field 'config' is not an object")
+        raise ValueError(f"{path}: field 'config' is not an object")
     losses = payload.get("losses")
     if not (type(losses) is list and all(type(v) in (int, float) for v in losses)):
-        raise CheckpointVersionError(f"{path}: field 'losses' is not a list of numbers")
+        raise ValueError(f"{path}: field 'losses' is not a list of numbers")
     if payload.get("family") not in MODEL_FAMILIES:
-        raise CheckpointVersionError(f"{path}: unknown model family {payload.get('family')!r}")
+        raise ValueError(f"{path}: unknown model family {payload.get('family')!r}")
     family = FAMILIES[payload["family"]]
     fields = dataclasses.fields(family.config_type)
     stored = payload["config"]
     require_same_names(path, "config key", {f.name for f in fields}, set(stored))
-    try:
-        payload["config"] = family.config_type(**{
-            f.name: _checked(f"{path}: config {f.name} = {stored[f.name]!r}", f.name,
-                             stored[f.name], f.default)
-            for f in fields
-        })
-    except ValueError as exc:
-        raise CheckpointVersionError(str(exc)) from None
+    payload["config"] = family.config_type(**{
+        f.name: _checked(f"{path}: config {f.name} = {stored[f.name]!r}", f.name,
+                         stored[f.name], f.default)
+        for f in fields
+    })
     require_same_names(path, "field", {*MODEL_HEADER, "family", "config", "losses", *family.fields},
                        set(payload))
     return payload
@@ -149,7 +145,7 @@ def read_config_file(path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(interpolation=None)  # a "%" reads literally
     parser.optionxform = str  # option names keep their case: [svm] C
     try:
-        parser.read_file((line for _, line in numbered_lines(path, ValueError)), source=str(path))
+        parser.read_file((line for _, line in numbered_lines(path)), source=str(path))
     except configparser.Error as exc:  # a ParsingError lists its lines; the others carry one
         line_no = getattr(exc, "lineno", None) or exc.errors[0][0]
         defect = _INI_DEFECTS.get(type(exc), "neither a [section] header nor an option")

@@ -20,10 +20,6 @@ from .tensor.checkpoint import numbered_lines, read_json
 from .textproc import tokenize
 
 
-class CorpusFormatError(ValueError):
-    """A corpus, manifest or prediction file violates the documented schema."""
-
-
 class Label(IntEnum):
     CLICKBAIT = 0
     NON_CLICKBAIT = 1
@@ -33,7 +29,7 @@ class Label(IntEnum):
         try:
             return _LABEL_FROM_STRING[value]
         except KeyError:
-            raise CorpusFormatError(f"unknown label string: {value!r}") from None
+            raise ValueError(f"unknown label string: {value!r}") from None
 
     def to_string(self) -> str:
         return "clickbait" if self is Label.CLICKBAIT else "non-clickbait"
@@ -65,9 +61,9 @@ class NewsArticle:
 
     def __post_init__(self):
         if not self.title.strip():
-            raise CorpusFormatError(f"article {self.id!r}: empty title")
+            raise ValueError(f"article {self.id!r}: empty title")
         if not self.content.strip():
-            raise CorpusFormatError(f"article {self.id!r}: empty content")
+            raise ValueError(f"article {self.id!r}: empty content")
 
 
 @dataclass(frozen=True)
@@ -85,13 +81,11 @@ class Corpus:
         seen: set[str] = set()
         for art in self.articles:
             if art.id in seen:
-                raise CorpusFormatError(f"duplicate article id: {art.id!r}")
+                raise ValueError(f"duplicate article id: {art.id!r}")
             seen.add(art.id)
         labeled = [a for a in self.articles if a.label is not None]
         if labeled and len(labeled) != len(self.articles):
-            raise CorpusFormatError(
-                f"corpus {self.name!r} mixes labeled and unlabeled articles"
-            )
+            raise ValueError(f"corpus {self.name!r} mixes labeled and unlabeled articles")
 
     def __len__(self) -> int:
         return len(self.articles)
@@ -142,19 +136,19 @@ def load_corpus(path, name: str | None = None) -> Corpus:
     path = Path(path)
     articles: list[NewsArticle] = []
     first_line: dict[str, int] = {}  # article id -> the line it is on
-    for line_no, line in numbered_lines(path, CorpusFormatError):
+    for line_no, line in numbered_lines(path):
         line = line.strip()
         if not line:
             continue
         try:
             article = _article_from_record(json.loads(line))
-        except ValueError as exc:  # CorpusFormatError, or a JSONDecodeError
-            raise CorpusFormatError(f"{path}:{line_no}: {exc}") from None
+        except ValueError as exc:  # a schema defect, or a JSONDecodeError
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
         except RecursionError:
-            raise CorpusFormatError(f"{path}:{line_no}: not JSON: nested too deeply") from None
+            raise ValueError(f"{path}:{line_no}: not JSON: nested too deeply") from None
         first = first_line.setdefault(article.id, line_no)
         if first != line_no:
-            raise CorpusFormatError(
+            raise ValueError(
                 f"{path}:{line_no}: duplicate article id {article.id!r}, first on line {first}")
         articles.append(article)
     return Corpus(tuple(articles), name=name if name is not None else path.stem)
@@ -162,16 +156,16 @@ def load_corpus(path, name: str | None = None) -> Corpus:
 
 def _article_from_record(record) -> NewsArticle:
     if not isinstance(record, dict):
-        raise CorpusFormatError("record is not an object")
+        raise ValueError("record is not an object")
     for field_name in ("id", "title", "content", "source"):
         if field_name not in record:
-            raise CorpusFormatError(f"missing field {field_name!r}")
+            raise ValueError(f"missing field {field_name!r}")
         if not isinstance(record[field_name], str):
-            raise CorpusFormatError(f"field {field_name!r} must be a string")
+            raise ValueError(f"field {field_name!r} must be a string")
     label = None
     if record.get("label") is not None:
         if not isinstance(record["label"], str):
-            raise CorpusFormatError(f"field 'label' must be a string")
+            raise ValueError(f"field 'label' must be a string")
         label = Label.from_string(record["label"])
     return NewsArticle(
         id=record["id"],
@@ -217,9 +211,9 @@ def split_by_source(
 
 def load_split_manifest(path) -> tuple[set[str], set[str]]:
     """Read a JSON manifest mapping source name -> "train" | "test"."""
-    mapping = read_json(path, CorpusFormatError)
+    mapping = read_json(path)
     if not isinstance(mapping, dict):
-        raise CorpusFormatError(f"{path}: manifest must be an object")
+        raise ValueError(f"{path}: manifest must be an object")
     train, test = set(), set()
     for source, side in mapping.items():
         if side == "train":
@@ -227,9 +221,7 @@ def load_split_manifest(path) -> tuple[set[str], set[str]]:
         elif side == "test":
             test.add(source)
         else:
-            raise CorpusFormatError(
-                f"{path}: source {source!r} assigned to unknown side {side!r}"
-            )
+            raise ValueError(f"{path}: source {source!r} assigned to unknown side {side!r}")
     return train, test
 
 

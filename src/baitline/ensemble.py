@@ -44,10 +44,10 @@ class EnsembleConfig:
         """The config in JSON file ``path``: the header of this format and
         version, then exactly a threshold and weights; any defect raises
         ValueError naming the file."""
-        payload = read_json(path, ValueError)
-        check_header(path, "ensemble config", payload, ENSEMBLE_HEADER, ValueError)
+        payload = read_json(path)
+        check_header(path, "ensemble config", payload, ENSEMBLE_HEADER)
         require_same_names(path, "ensemble config key", {*ENSEMBLE_HEADER, "threshold", "weights"},
-                           set(payload), ValueError)
+                           set(payload))
         weights, threshold = payload["weights"], payload["threshold"]
         if not isinstance(weights, dict):
             raise ValueError(f'{path}: ensemble config needs a "weights" object')

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import parallel
 from .corpus import NewsArticle
-from .tensor.checkpoint import CheckpointVersionError, finite_array
+from .tensor.checkpoint import finite_array
 from .textproc import TokenizedDoc, _is_word, tokenize
 
 # Fixed 12-tag universal-style tag set.
@@ -377,11 +377,11 @@ class Standardizer:
     def from_fields(cls, path, payload: dict) -> "Standardizer":
         """The standardizer in ``payload``, read from the file ``path``:
         ``N_FEATURES`` finite means and positive finite deviations, else
-        CheckpointVersionError naming the file and the key."""
+        ValueError naming the file and the key."""
         arrays = {key: finite_array(path, f"standardizer {key!r}", payload.get(key), N_FEATURES)
                   for key in ("mean", "std")}
         if (arrays["std"] <= 0).any():
-            raise CheckpointVersionError(f"{path}: standardizer 'std' has a value <= 0")
+            raise ValueError(f"{path}: standardizer 'std' has a value <= 0")
         return cls(**arrays)
 
 

@@ -258,7 +258,7 @@ def load_predictions(path) -> list[PredictionRow]:
     a second line, raises ValueError naming the file and the line(s)."""
     rows: list[PredictionRow] = []
     first_line: dict[str, int] = {}  # article id -> the line it is on
-    for line_no, line in numbered_lines(path, ValueError):
+    for line_no, line in numbered_lines(path):
         line = line.rstrip("\r\n")
         if not line:
             continue

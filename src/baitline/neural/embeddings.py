@@ -17,7 +17,7 @@ def load_pretrained_embeddings(path, vocab: Vocabulary, table: np.ndarray) -> No
     """Write the file's vectors into the rows of ``table``, the model's own
     (rows, embed_dim) embedding table, for vocabulary tokens, in place."""
     embed_dim = table.shape[1]
-    for line_no, line in numbered_lines(path, ValueError):
+    for line_no, line in numbered_lines(path):
         parts = line.split()
         if not parts:
             continue

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..corpus import Corpus
 from ..tensor import Tensor, dropout, relu, softmax
-from ..tensor.checkpoint import MODEL_FILE, CheckpointVersionError
+from ..tensor.checkpoint import MODEL_FILE
 from ..textproc import SEPARATOR_TOKEN, TokenizedDoc, Vocabulary, build_vocab, encode_ids
 from .encoder import PooledTextEncoder, uniform_param
 from .trainer import NeuralBundle
@@ -72,8 +72,8 @@ class EncoderHead(NeuralBundle):
         separator token that joins title and content."""
         tokens = model.get("vocab")
         if type(tokens) is list and SEPARATOR_TOKEN not in tokens:
-            raise CheckpointVersionError(f"{Path(model_dir) / MODEL_FILE}: field 'vocab' has no "
-                                         f"separator token {SEPARATOR_TOKEN!r}")
+            raise ValueError(f"{Path(model_dir) / MODEL_FILE}: field 'vocab' has no "
+                             f"separator token {SEPARATOR_TOKEN!r}")
         return super().load(model_dir, model)
 
     def params(self) -> dict[str, Tensor]:

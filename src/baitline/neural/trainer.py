@@ -15,8 +15,7 @@ import numpy as np
 
 from ..corpus import Corpus, Label, argmax_predictions
 from ..tensor import GraphOptimizer, Tensor, backward, cross_entropy, no_grad
-from ..tensor.checkpoint import (MODEL_FILE, CheckpointVersionError, load_tensors,
-                                 require_same_names, save_tensors)
+from ..tensor.checkpoint import MODEL_FILE, load_tensors, require_same_names, save_tensors
 from ..textproc import PAD_ID, TokenizedDoc, normalize, tokenize, vocab_from_tokens
 from .embeddings import load_pretrained_embeddings
 
@@ -146,7 +145,7 @@ class NeuralBundle:
         require_same_names(path, "tensor", set(params), set(values))
         for name, param in params.items():
             if values[name].shape != param.data.shape:
-                raise CheckpointVersionError(f"{path}: tensor {name!r} has shape "
-                                             f"{values[name].shape}, expected {param.data.shape}")
+                raise ValueError(f"{path}: tensor {name!r} has shape "
+                                 f"{values[name].shape}, expected {param.data.shape}")
             param.data = values[name]
         return bundle

@@ -4,10 +4,12 @@ Adding a family takes one ``FAMILIES`` entry: its config dataclass, its
 ``desk`` profile overrides, ``train(corpus, config, out_dir) -> (losses,
 fields)``, which writes any tensor file and returns the lines of
 ``training.log`` and the family's ``model.json`` fields, the names of those
-fields, which ``model.json`` must hold exactly, and a batched
-``predict(model_dir, model, corpus) -> (labels, scores)`` given the parsed
-``model.json``.  Trainers are called as attributes of their modules, so code
-that rebinds module-level functions (``benchmark/tracer.py``) sees them.
+fields, which ``model.json`` must hold exactly, and ``load(model_dir, model)``,
+which takes the parsed ``model.json`` and returns a model whose batched
+``predictions(articles)`` gives ``(labels, scores)``; a defect in the model
+directory raises ValueError naming the file.  Trainers are called as
+attributes of their modules, so code that rebinds module-level functions
+(``benchmark/tracer.py``) sees them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Any, Callable
 
 from .classical import forest, svm
 from .corpus import Corpus, Label, argmax_predictions
-from .features import Standardizer, feature_matrix, fit_standardizer
+from .features import N_FEATURES, Standardizer, feature_matrix, fit_standardizer
 from .neural import heads, lstm, siamese
 from .tensor.checkpoint import MODEL_FILE
 
@@ -30,7 +32,7 @@ class ModelFamily:
     desk: dict[str, Any]
     train: Callable[[Corpus, Any, Path], tuple[list[float], dict]]
     fields: tuple[str, ...]
-    predict: Callable[[Path, dict, Corpus], tuple[list[Label], list[float]]]
+    load: Callable[[Path, dict], Any]
 
 
 def _standardized_features(corpus: Corpus):
@@ -54,19 +56,25 @@ def _train_svm(corpus: Corpus, config, out_dir: Path):
     return model.objective_by_epoch, {**fields, **svm.svm_fields(model)}
 
 
-def _predict_classical(load, model_dir: Path, model: dict, corpus: Corpus):
+@dataclass(frozen=True)
+class _Standardized:
+    """An rf or svm model behind the standardizer fitted with it."""
+
+    standardizer: Standardizer
+    model: Any
+
+    def predictions(self, articles) -> tuple[list[Label], list[float]]:
+        X = self.standardizer.apply(feature_matrix(articles))
+        return argmax_predictions(self.model.predict_clickbait_proba(X))
+
+
+def _load_classical(load, model_dir: Path, model: dict) -> _Standardized:
     path = model_dir / MODEL_FILE
-    standardizer = Standardizer.from_fields(path, model)
-    X = standardizer.apply(feature_matrix(corpus.articles))
-    return argmax_predictions(load(path, model, X.shape[1]).predict_clickbait_proba(X))
+    return _Standardized(Standardizer.from_fields(path, model), load(path, model, N_FEATURES))
 
 
 def _saved(bundle, out_dir: Path):
     return bundle.train_losses, bundle.save(out_dir)
-
-
-def _predict_neural(bundle_type, model_dir: Path, model: dict, corpus: Corpus):
-    return bundle_type.load(model_dir, model).predictions(corpus.articles)
 
 
 # The desk profile shrinks capacity and sequence lengths so full training
@@ -74,11 +82,11 @@ def _predict_neural(bundle_type, model_dir: Path, model: dict, corpus: Corpus):
 FAMILIES: dict[str, ModelFamily] = {
     "rf": ModelFamily(
         forest.RandomForestConfig, {"n_estimators": 30},
-        _train_rf, ("mean", "std", "trees"), partial(_predict_classical, forest.load_rf),
+        _train_rf, ("mean", "std", "trees"), partial(_load_classical, forest.load_rf),
     ),
     "svm": ModelFamily(
         svm.SvmConfig, {"epochs": 120},
-        _train_svm, ("mean", "std", "w", "b", "platt"), partial(_predict_classical, svm.load_svm),
+        _train_svm, ("mean", "std", "w", "b", "platt"), partial(_load_classical, svm.load_svm),
     ),
     "bilstm": ModelFamily(
         lstm.BiLstmConfig,
@@ -97,7 +105,7 @@ FAMILIES: dict[str, ModelFamily] = {
             "content_max_len": 32,
         },
         lambda corpus, config, out_dir: _saved(lstm.train_bilstm(corpus, config), out_dir),
-        lstm.BiLstmClassifier.vocab_fields, partial(_predict_neural, lstm.BiLstmClassifier),
+        lstm.BiLstmClassifier.vocab_fields, lstm.BiLstmClassifier.load,
     ),
     "contrastive": ModelFamily(
         siamese.SiameseConfig,
@@ -111,7 +119,7 @@ FAMILIES: dict[str, ModelFamily] = {
             "max_len": 48,
         },
         lambda corpus, config, out_dir: _saved(siamese.train_contrastive(corpus, config), out_dir),
-        siamese.SiameseEncoder.vocab_fields, partial(_predict_neural, siamese.SiameseEncoder),
+        siamese.SiameseEncoder.vocab_fields, siamese.SiameseEncoder.load,
     ),
     "encoder-head": ModelFamily(
         heads.EncoderHeadConfig,
@@ -127,6 +135,6 @@ FAMILIES: dict[str, ModelFamily] = {
             "max_len": 80,
         },
         lambda corpus, config, out_dir: _saved(heads.train_encoder_head(corpus, config), out_dir),
-        heads.EncoderHead.vocab_fields, partial(_predict_neural, heads.EncoderHead),
+        heads.EncoderHead.vocab_fields, heads.EncoderHead.load,
     ),
 }

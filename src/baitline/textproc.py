@@ -17,8 +17,6 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .tensor.checkpoint import CheckpointVersionError
-
 PAD_ID = 0
 OOV_ID = 1
 
@@ -167,14 +165,13 @@ def vocab_from_tokens(path, name: str, tokens) -> Vocabulary:
     """The vocabulary that field ``name`` of the model file ``path`` holds as
     its ``tokens``.  Ids must stay dense, since an embedding table has one row
     per id: anything but a list of distinct non-empty strings raises
-    CheckpointVersionError naming the file, the field and the first bad
-    entry."""
+    ValueError naming the file, the field and the first bad entry."""
     if type(tokens) is not list:
-        raise CheckpointVersionError(f"{path}: field {name!r} is not a list of tokens")
+        raise ValueError(f"{path}: field {name!r} is not a list of tokens")
     seen: set[str] = set()
     for index, token in enumerate(tokens):
         if not (isinstance(token, str) and token) or token in seen:
-            raise CheckpointVersionError(f"{path}: field {name!r} entry {index}, {token!r}, "
-                                         "is empty, not a string or a repeat")
+            raise ValueError(f"{path}: field {name!r} entry {index}, {token!r}, "
+                             "is empty, not a string or a repeat")
         seen.add(token)
     return Vocabulary(tuple(tokens))

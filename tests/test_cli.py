@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import shutil
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from baitline import config as cfg
 from baitline.classical import balanced_class_weights, svm
@@ -174,6 +178,7 @@ HEADER_DEFECTS = {  # defect -> (header edit, culprit named in the message)
     "fractional_dimension": (_retype_first_entry("shape", [2.5]), "[2.5]"),
     "huge_dimension": (_retype_first_entry("shape", [10**9, 10**9]),
                        "(1000000000, 1000000000)"),
+    "tensors_version_true": (lambda header: {**header, "version": True}, "version=True"),
 }
 
 
@@ -190,6 +195,8 @@ MODEL_JSON_DEFECTS = {
     "losses_not_a_list": (lambda payload: payload.update(losses="abc"), "'losses'"),
     "unknown_family": (lambda payload: payload.update(family="xgboost"), "'xgboost'"),
     "version_1": (lambda payload: payload.update(version=1), "version=1"),
+    "version_float": (lambda payload: payload.update(version=2.0), "version=2.0"),
+    "version_true": (lambda payload: payload.update(version=True), "version=True"),
     "max_len_not_an_int": (_config_with("max_len", "abc"), "config max_len = 'abc'"),
     "max_len_negative": (_config_with("max_len", -5), "config max_len = -5 is out of range"),
     "threshold_not_a_float": (_config_with("threshold", "x"), "config threshold = 'x'"),
@@ -279,6 +286,9 @@ def _corrupt(run_dir: Path, defect: str) -> tuple[str, str]:
     elif defect == "extra_tensor":
         culprit = "extra.weight"
         tensors[culprit] = np.zeros(3)
+    elif defect in ("nan_payload", "inf_payload"):
+        culprit = sorted(tensors)[-1]
+        tensors[culprit].flat[-1] = math.nan if defect == "nan_payload" else -math.inf
     else:
         culprit = "head.out_b" if "head.out_b" in tensors else sorted(tensors)[-1]
         tensors[culprit] = np.zeros(tensors[culprit].size + 1)
@@ -443,9 +453,10 @@ class TestTrainPredictEval:
         ("contrastive", "version"),
         *(("contrastive", defect) for defect in HEADER_DEFECTS),
         *((family, defect) for family in NEURAL_FAMILIES
-          for defect in ("missing_tensor", "extra_tensor", "wrong_shape", "unknown_meta_key",
-                         "unexpected_field", "config_without_seed", "losses_not_a_list",
-                         "unknown_family", "version_1")),
+          for defect in ("missing_tensor", "extra_tensor", "wrong_shape", "nan_payload",
+                         "inf_payload", "unknown_meta_key", "unexpected_field",
+                         "config_without_seed", "losses_not_a_list", "unknown_family",
+                         "version_1", "version_float", "version_true")),
         *((family, defect) for family in ("contrastive", "encoder-head")
           for defect in ("max_len_not_an_int", "max_len_negative")),
         *(("contrastive", defect) for defect in ("threshold_not_a_float", "out_dim_fractional")),
@@ -569,6 +580,8 @@ CLASSICAL_DEFECTS = {
     "unknown_family": ("rf", "model.json", lambda payload: payload.update(family="xgboost"),
                        "'xgboost'"),
     "version_1": ("svm", "model.json", lambda payload: payload.update(version=1), "version=1"),
+    "version_float": ("svm", "model.json", lambda payload: payload.update(version=2.0),
+                      "version=2.0"),
     "standardizer_without_mean": ("svm", "model.json", _standardizer_with("mean", None),
                                   "'mean'"),
     "standardizer_without_std": ("rf", "model.json", _standardizer_with("std", None),
@@ -644,6 +657,50 @@ def test_undecodable_model_file_exit_4(tmp_path, classical_runs, neural_runs, da
                 "--corpus", str(data_dir / "synthetic60.jsonl"),
                 "--out", str(tmp_path / "preds.tsv")]) == 4
     assert str(run_dir / file_name) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def feed4(tmp_path_factory) -> Path:
+    """The fixture's first 4 articles, in a directory of their own."""
+    lines = (Path(__file__).parent / "data" / "synthetic60.jsonl").read_bytes().splitlines(True)
+    path = tmp_path_factory.mktemp("mutations") / "feed4.jsonl"
+    path.write_bytes(b"".join(lines[:4]))
+    return path
+
+
+# what a mutation sets one model.json key to: each JSON type, and numbers out of most ranges
+MUTATION_VALUES = [None, True, 1.5, -1, "x", [], {}, [1], {"a": 1}, 1e308]
+
+
+@pytest.mark.parametrize("family", ["rf", "svm", *NEURAL_FAMILIES])
+@given(data=st.data())
+def test_model_directory_mutations_exit_0_or_4(classical_runs, neural_runs, feed4, family, data):
+    """A model directory with a model file cut short, or with one top-level,
+    config or platt key of model.json set to another JSON value, predicts
+    (exit 0) or exits 4 naming the file; it never exits 3 and never raises."""
+    source = (neural_runs if family in NEURAL_FAMILIES else classical_runs) / family
+    files = {path.name: path.read_bytes() for path in source.glob("model.*")}
+    if data.draw(st.booleans(), label="cut short"):
+        name = data.draw(st.sampled_from(sorted(files)), label="file")
+        files[name] = files[name][: data.draw(st.integers(0, len(files[name]) - 1), label="bytes")]
+    else:
+        payload = json.loads(files["model.json"])
+        objects = {"model.json": payload, **{key: payload[key] for key in ("config", "platt")
+                                             if key in payload}}
+        where = objects[data.draw(st.sampled_from(sorted(objects)), label="object")]
+        where[data.draw(st.sampled_from(sorted(where)), label="key")] = data.draw(
+            st.sampled_from(MUTATION_VALUES), label="value")
+        files["model.json"] = json.dumps(payload).encode()
+    run_dir = feed4.parent / family
+    run_dir.mkdir(exist_ok=True)
+    for name, content in files.items():
+        (run_dir / name).write_bytes(content)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["predict", "--model-dir", str(run_dir), "--corpus", str(feed4),
+                    "--out", str(run_dir / "preds.tsv")])
+    assert code in (0, 4), err.getvalue()
+    assert code == 0 or any(str(run_dir / name) in err.getvalue() for name in files), err.getvalue()
 
 
 TABLES = {
@@ -919,6 +976,7 @@ class TestEnsembleCommands:
             {"weights": {"contrastive": 1.0}},
             {"weights": {"contrastive": 1.0}, "treshold": 0.2},
             {"weights": {"contrastive": 1.0}, "threshold": 0.5, "models": ["contrastive"]},
+            {"version": True, "weights": {"contrastive": 1.0}, "threshold": 0.5},
         ]),
         [1.0],
         {"weights": {"contrastive": 1.0}, "threshold": 0.5},

@@ -5,7 +5,6 @@ import pytest
 
 from baitline.corpus import (
     Corpus,
-    CorpusFormatError,
     Label,
     NewsArticle,
     corpus_stats,
@@ -48,7 +47,7 @@ class TestLoadCorpus:
     def test_unknown_label_names_line_and_value(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [record(0), record(1, "maybe")])
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(ValueError) as err:
             load_corpus(path)
         assert ":2:" in str(err.value)
         assert "maybe" in str(err.value)
@@ -56,20 +55,20 @@ class TestLoadCorpus:
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(record(0)) + "\n{not json\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(ValueError) as err:
             load_corpus(path)
         assert ":2:" in str(err.value)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [record(0), record(1), record(0)])
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(ValueError) as err:
             load_corpus(path)
         assert str(err.value) == f"{path}:3: duplicate article id 'r0', first on line 1"
 
     def test_duplicate_id_rejected_in_memory(self):
         article = NewsArticle(id="r0", title="titlu", content="continut.", source="alfa")
-        with pytest.raises(CorpusFormatError, match="duplicate article id: 'r0'"):
+        with pytest.raises(ValueError, match="duplicate article id: 'r0'"):
             Corpus((article, article))
 
     def test_empty_title_rejected(self, tmp_path):
@@ -77,7 +76,7 @@ class TestLoadCorpus:
         bad = record(0)
         bad["title"] = "   "
         write_jsonl(path, [bad])
-        with pytest.raises(CorpusFormatError, match="title"):
+        with pytest.raises(ValueError, match="title"):
             load_corpus(path)
 
     def test_missing_field_rejected(self, tmp_path):
@@ -85,7 +84,7 @@ class TestLoadCorpus:
         bad = record(0)
         del bad["source"]
         write_jsonl(path, [bad])
-        with pytest.raises(CorpusFormatError, match="source"):
+        with pytest.raises(ValueError, match="source"):
             load_corpus(path)
 
     def test_missing_file(self, tmp_path):
@@ -97,7 +96,7 @@ class TestLoadCorpus:
         unlabeled = record(1)
         del unlabeled["label"]
         write_jsonl(path, [record(0), unlabeled])
-        with pytest.raises(CorpusFormatError, match="mixes"):
+        with pytest.raises(ValueError, match="mixes"):
             load_corpus(path)
 
     def test_round_trip_identity(self, tmp_path):
@@ -169,7 +168,7 @@ class TestSplitBySource:
     def test_manifest_unknown_side(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"a": "dev"}), encoding="utf-8")
-        with pytest.raises(CorpusFormatError, match="dev"):
+        with pytest.raises(ValueError, match="dev"):
             load_split_manifest(path)
 
 

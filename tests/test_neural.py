@@ -437,11 +437,9 @@ class TestContrastivePredict:
             assert 0.0 <= score <= 1.0
 
     def test_empty_side_rejected_at_construction(self):
-        from baitline.corpus import CorpusFormatError
-
-        with pytest.raises(CorpusFormatError, match="title"):
+        with pytest.raises(ValueError, match="title"):
             NewsArticle(id="b", title=" ", content="c.", source="s", label=CB)
-        with pytest.raises(CorpusFormatError, match="content"):
+        with pytest.raises(ValueError, match="content"):
             NewsArticle(id="b", title="t", content="  ", source="s", label=CB)
 
     def test_predict_uses_bundle_threshold(self):

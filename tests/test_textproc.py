@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from baitline.neural.heads import join_with_separator
-from baitline.tensor.checkpoint import CheckpointVersionError
 from baitline.textproc import (
     KEPT_PUNCTUATION,
     OOV_ID,
@@ -238,7 +237,7 @@ class TestVocabSerialization:
         ({"ana": 2}, "is not a list of tokens"),
     ], ids=["empty", "trailing_empty", "repeated", "not_a_string", "unhashable", "string", "object"])
     def test_bad_field_rejected(self, tokens, culprit):
-        with pytest.raises(CheckpointVersionError, match=f"^model.json: field 'vocab' {culprit}"):
+        with pytest.raises(ValueError, match=f"^model.json: field 'vocab' {culprit}"):
             vocab_from_tokens("model.json", "vocab", tokens)
 
     def test_index_is_id_minus_two(self):
