@@ -18,10 +18,14 @@ from ..textproc import PAD_ID
 
 
 def uniform_param(rng: np.random.Generator | None, shape, scale: float = 0.1) -> Tensor:
-    """Uniform(-scale, scale) values; zeros without ``rng``, for a model
-    whose values are about to be loaded."""
+    """Uniform(-scale, scale) values; without ``rng``, zeros for a model
+    whose values are about to be loaded: a read-only zero-stride view that
+    allocates nothing, so a stored config naming a huge size is refused by
+    the load's shape check, not by the allocator."""
     if rng is None:
-        return Tensor(np.zeros(shape))
+        param = Tensor(0.0)  # a finiteness scan of the view would allocate its shape
+        param.data = np.broadcast_to(param.data, shape)
+        return param
     return Tensor(rng.uniform(-scale, scale, size=shape))
 
 
@@ -36,7 +40,7 @@ def embedding_table(rng: np.random.Generator | None, rows: int, cap_rows: int,
     per uniform value), so every later draw matches a full-size table.
     """
     if rng is None:
-        return Tensor(np.zeros((rows, embed_dim)))
+        return uniform_param(None, (rows, embed_dim))
     if rows > cap_rows:  # a negative advance would rewind the stream
         raise ValueError(f"{rows} embedding rows exceed the cap of {cap_rows}")
     table = uniform_param(rng, (rows, embed_dim))

@@ -1,5 +1,5 @@
 """What the neural families share: tokenization, the train path and its
-minibatch loop, batched scoring, and the model directory.
+minibatch loop, length-sorted chunked scoring, and the model directory.
 
 A model directory holds ``model.tensors`` beside ``model.json``, which keeps
 the config, the per-epoch losses and each vocabulary's tokens in id order.
@@ -19,7 +19,8 @@ from ..tensor.checkpoint import MODEL_FILE, load_tensors, require_same_names, sa
 from ..textproc import PAD_ID, TokenizedDoc, normalize, tokenize, vocab_from_tokens
 from .embeddings import load_pretrained_embeddings
 
-PREDICT_BATCH = 64
+PREDICT_BATCH = 16  # rows per scoring chunk
+ROW_TILE = 4  # a scored chunk's rows are a multiple of this
 
 
 def tokenize_sides(articles) -> tuple[list[TokenizedDoc], list[TokenizedDoc]]:
@@ -43,8 +44,8 @@ class NeuralBundle:
     Subclasses name their vocabularies in ``vocab_fields`` (each is an
     ``__init__`` argument, an attribute and a ``model.json`` field) and
     implement ``__init__(config, rng, **vocabs)`` (each embedding table gets
-    one row per id of its vocabulary; with ``rng`` None the parameters start
-    at zero, ready to be loaded), the static
+    one row per id of its vocabulary; with ``rng`` None the parameters are
+    read-only zeros that allocate nothing, ready to be loaded), the static
     ``vocabularies(config, title_docs, content_docs)`` (the ``vocabs``),
     ``params()``, ``encode_docs(articles, title_docs, content_docs)`` (one
     (n, max_len) id matrix per encoded side, padded with ``PAD_ID``;
@@ -107,16 +108,28 @@ class NeuralBundle:
         return self.forward(*arrays).data[:, 0]
 
     def scores(self, articles) -> np.ndarray:
-        """``batch_scores`` of every article, encoded once and scored 64 at a
-        time under ``no_grad``, so scoring builds no graph.  Each batch drops
-        its trailing all-padding columns, which the masked pools ignore: a
-        64-row batch at full length is slower than one article at a time."""
+        """``batch_scores`` of every article under ``no_grad``, so scoring
+        builds no graph.  The articles are encoded once and sorted by their
+        real ids over all sides (stable, longest first); each run of
+        ``PREDICT_BATCH`` of them is scored as one chunk, cut to its own
+        longest row, so a chunk holds little padding and memory follows the
+        chunk, not the file.
+
+        An article's score does not depend on the others in the file: every
+        scoring op treats rows alike and apart, trailing padding is masked
+        out of every pool, and a chunk is padded to a multiple of
+        ``ROW_TILE`` rows by repeating its last row, since OpenBLAS's
+        two-column output GEMMs give a row the same bits only at such sizes."""
         arrays = self.encode_articles(articles)
+        lengths = sum((a != PAD_ID).sum(axis=1) for a in arrays)
+        order = np.argsort(-lengths, kind="stable")
+        out = np.empty(len(order))
         with no_grad():
-            return np.concatenate([
-                self.batch_scores(*(trim_padding(a[start : start + PREDICT_BATCH]) for a in arrays))
-                for start in range(0, len(articles), PREDICT_BATCH)
-            ])
+            for start in range(0, len(order), PREDICT_BATCH):
+                rows = order[start : start + PREDICT_BATCH]
+                tiled = np.pad(rows, (0, -len(rows) % ROW_TILE), mode="edge")
+                out[rows] = self.batch_scores(*(trim_padding(a[tiled]) for a in arrays))[: len(rows)]
+        return out
 
     def predictions(self, articles) -> tuple[list[Label], list[float]]:
         """Labels and clickbait scores; the argmax rule unless overridden."""
@@ -138,8 +151,11 @@ class NeuralBundle:
         ``train_losses`` stays empty: the losses are kept in ``model.json``."""
         model_dir = Path(model_dir)
         model_path = model_dir / MODEL_FILE
-        bundle = cls(model["config"], None, **{name: vocab_from_tokens(model_path, name, model[name])
-                                              for name in cls.vocab_fields})
+        vocabs = {name: vocab_from_tokens(model_path, name, model[name]) for name in cls.vocab_fields}
+        try:
+            bundle = cls(model["config"], None, **vocabs)
+        except ValueError as exc:  # a shape past numpy's index range, even as a view
+            raise ValueError(f"{model_path}: the config builds no model: {exc}") from None
         path, params = model_dir / "model.tensors", bundle.params()
         values = load_tensors(path)
         require_same_names(path, "tensor", set(params), set(values))

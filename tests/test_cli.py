@@ -476,6 +476,30 @@ class TestTrainPredictEval:
         err = capsys.readouterr().err
         assert file_name in err and culprit in err
 
+    @pytest.mark.parametrize("family,sizes,file_name,culprit", [
+        ("bilstm", {"dense1": 10**12}, "model.tensors", "'head.dense1_w' has shape"),
+        ("contrastive", {"embed_dim": 10**12}, "model.tensors", "'siamese.embedding' has shape"),
+        ("encoder-head", {"dense": 10**12}, "model.tensors", "'head.dense_w' has shape"),
+        # a (1e10, 1e10) tensor has more elements than numpy can index
+        ("bilstm", {"dense1": 10**10, "dense2": 10**10}, "model.json", "builds no model"),
+    ], ids=["bilstm-dense1", "contrastive-embed_dim", "encoder-head-dense", "bilstm-index-range"])
+    def test_huge_config_size_exit_4(self, tmp_path, neural_runs, data_dir, capsys, family,
+                                     sizes, file_name, culprit):
+        """A stored size far past any memory is refused naming the file and
+        the tensor, before a tensor of that size is allocated."""
+        run_dir = tmp_path / family
+        shutil.copytree(neural_runs / family, run_dir)
+        model_path = run_dir / "model.json"
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        payload["config"].update(sizes)
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", "--model-dir", str(run_dir),
+                    "--corpus", str(data_dir / "synthetic60.jsonl"),
+                    "--out", str(tmp_path / "preds.tsv")]) == 4
+        err = capsys.readouterr().err
+        assert str(run_dir / file_name) in err and culprit in err
+
 
 @pytest.fixture(scope="module")
 def classical_runs(tmp_path_factory):

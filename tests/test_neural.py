@@ -5,10 +5,13 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from baitline.corpus import Corpus, Label, NewsArticle, label_from_clickbait_proba
 from baitline.neural.embeddings import load_pretrained_embeddings
@@ -29,8 +32,8 @@ from baitline.neural.siamese import (
     similarity_to_prediction,
     train_contrastive,
 )
-from baitline.neural.trainer import tokenize_sides
-from baitline.tensor import Tensor, bilstm_sequence, embedding_lookup, max_pool_over_time
+from baitline.neural.trainer import tokenize_sides, trim_padding
+from baitline.tensor import Tensor, bilstm_sequence, embedding_lookup, max_pool_over_time, no_grad
 from baitline.textproc import OOV_ID, PAD_ID, Vocabulary, build_vocab, tokenize
 from gradcheck import check_gradients
 from synthetic import generate_class_marked_corpus, generate_topic_pair_corpus
@@ -534,15 +537,95 @@ class TestVocabSizedTables:
             embedding_table(np.random.default_rng(0), 5, 4, 3)
 
 
+def chunk_rows(arrays):
+    """The scoring layout: row indices sorted by real ids over all sides
+    (stable, longest first), cut into runs of 16, each padded to a multiple
+    of 4 rows by repeating its last row."""
+    lengths = [sum(int((a[i] != PAD_ID).sum()) for a in arrays) for i in range(len(arrays[0]))]
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    chunks = [order[start : start + 16] for start in range(0, len(order), 16)]
+    return [chunk + chunk[-1:] * (-len(chunk) % 4) for chunk in chunks]
+
+
+def scores_64_at_a_time(bundle, articles):
+    """The scoring loop that length-sorted chunks replaced, kept as an
+    oracle: 64 articles at a time in file order, each batch cut to its last
+    column with a real id."""
+    arrays = bundle.encode_articles(articles)
+    with no_grad():
+        return np.concatenate([
+            bundle.batch_scores(*(trim_padding(a[start : start + 64]) for a in arrays))
+            for start in range(0, len(articles), 64)
+        ])
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def labels_of(bundle, scores):
+    """The labels ``predictions`` gives for ``scores``."""
+    if isinstance(bundle, SiameseEncoder):
+        return [similarity_to_prediction(float(s), bundle.config.threshold)[0] for s in scores]
+    return [label_from_clickbait_proba(float(p)) for p in scores]
+
+
+# The largest move of a score against the 64-at-a-time oracle, for an article
+# that the oracle scored in a batch of 1 or in a batch's last, partial 4-row
+# tile.  Measured: at most 2.2e-16 with weights at their initial scale and
+# 1.8e-15 with saturating ones, at 1 and 2 BLAS threads; large logits can
+# amplify a last-bit move in the output GEMM, hence the room.
+ORACLE_BOUND = 1e-13
+
+ARTICLE_SHAPES = {  # (title words, content words) ranges, upper bounds exclusive
+    "feed": ((5, 16), (40, 81)),
+    "real-length": ((10, 26), (150, 401)),
+    "one-token title": ((1, 2), (1, 301)),
+}
+
+
+@st.composite
+def scored_files(draw):
+    """(article shapes, word seed, weight scale, shuffle seed) for one file."""
+    shapes = draw(st.lists(st.sampled_from(sorted(ARTICLE_SHAPES)), min_size=1, max_size=40))
+    return (shapes, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([1.0, 40.0])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def file_articles(shapes, seed, words):
+    rng = np.random.default_rng(seed)
+    articles = []
+    for i, shape in enumerate(shapes):
+        title, content = (" ".join(rng.choice(words, int(rng.integers(lo, hi))))
+                          for lo, hi in ARTICLE_SHAPES[shape])
+        articles.append(NewsArticle(id=f"p{i}", title=title, content=content, source="s"))
+    return articles
+
+
+def property_bundle(family, scale):
+    """A small model of ``family`` whose weights are scaled by ``scale``, and
+    the words of its vocabularies plus one out-of-vocabulary word."""
+    bundle_cls, config, vocabs, _ = built_family(family)
+    if family == "bilstm":  # caps that leave titles and short contents their own lengths
+        config = dataclasses.replace(config, title_max_len=12, content_max_len=40)
+    bundle = bundle_cls(config, np.random.default_rng(17), **vocabs)
+    for param in bundle.params().values():
+        param.data = param.data * scale
+    words = sorted({t for v in vocabs.values() for t in v.tokens if t.isalnum()} | {"zzzoov"})
+    return bundle, words
+
+
 class TestScoring:
     @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
     def test_scores_build_no_graph_and_match_the_graph_forward(self, family):
         bundle_cls, config, vocabs, _ = built_family(family)
         bundle = bundle_cls(config, np.random.default_rng(13), **vocabs)
-        articles = generate_class_marked_corpus(70, seed=14).articles  # two batches
+        articles = generate_class_marked_corpus(70, seed=14).articles  # five chunks
         arrays = bundle.encode_articles(articles)
-        graph_scores = np.concatenate([bundle.batch_scores(*(a[start : start + 64] for a in arrays))
-                                       for start in (0, 64)])
+        graph_scores = np.empty(len(articles))
+        for rows in chunk_rows(arrays):
+            real = rows[: len(set(rows))]
+            graph_scores[real] = bundle.batch_scores(*(trim_padding(a[rows]) for a in arrays))[: len(real)]
         graph_kept = []
         batch_scores = bundle.batch_scores
 
@@ -552,13 +635,14 @@ class TestScoring:
 
         bundle.batch_scores = spy
         assert np.array_equal(bundle.scores(articles), graph_scores)
-        assert graph_kept == [False, False]
+        assert graph_kept == [False] * 5
         assert (Tensor(1.0) + Tensor(1.0)).parents  # the mode is back on after scoring
 
     @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
     def test_batches_come_trimmed(self, family):
-        """Every family's ``batch_scores`` gets each side of a 64-article
-        batch without its trailing all-padding columns."""
+        """Every family's ``batch_scores`` gets 16-row chunks of the articles
+        sorted longest first, the last one padded to 8 rows with its last
+        article, each side without the chunk's trailing all-padding columns."""
         bundle_cls, config, vocabs, _ = built_family(family)
         lengths = {key: 300 for key in ("max_len", "title_max_len", "content_max_len")
                    if hasattr(config, key)}
@@ -571,11 +655,60 @@ class TestScoring:
         batch_scores = bundle.batch_scores
         bundle.batch_scores = lambda *batch: batches.append(batch) or batch_scores(*batch)
         bundle.scores(articles)
-        assert [len(batch[0]) for batch in batches] == [64, 6]
-        for start, batch in zip((0, 64), batches):
+        assert [len(batch[0]) for batch in batches] == [16, 16, 16, 16, 8]
+        for rows, batch in zip(chunk_rows(padded), batches):
             for ids, full in zip(batch, padded):
                 assert (ids[:, -1] != PAD_ID).any()
-                assert np.array_equal(ids, full[start : start + 64, : ids.shape[1]])
+                assert np.array_equal(ids, full[rows, : ids.shape[1]])
+
+    @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
+    @given(scored_files())
+    def test_score_does_not_depend_on_the_other_articles(self, family, drawn):
+        """An article's score has the same bits alone, in its file and in the
+        shuffled file; against the 64-at-a-time oracle it is the same when
+        every oracle batch has a multiple of 4 rows, and otherwise within
+        ``ORACLE_BOUND`` with the same label."""
+        shapes, word_seed, scale, shuffle_seed = drawn
+        bundle, words = property_bundle(family, scale)
+        articles = file_articles(shapes, word_seed, words)
+        scores = bundle.scores(articles)
+        for article, score in zip(articles, scores):
+            assert same_bits(bundle.scores([article]), [score])
+        order = np.random.default_rng(shuffle_seed).permutation(len(articles))
+        assert same_bits(bundle.scores([articles[i] for i in order]), scores[order])
+        oracle = scores_64_at_a_time(bundle, articles)
+        if len(articles) % 4 == 0:
+            assert same_bits(scores, oracle)
+        else:
+            assert np.abs(scores - oracle).max() <= ORACLE_BOUND
+            assert labels_of(bundle, scores) == labels_of(bundle, oracle)
+
+    def test_peak_memory_follows_one_chunk(self):
+        """Scoring 64 full-length articles with the full-profile BiLSTM holds
+        at most what one 16-row chunk's first content layer needs at once:
+        its embeddings, its gate block and one direction's input projection,
+        with a quarter more for the rest."""
+        config = BiLstmConfig()
+        words = tuple(f"w{i}" for i in range(50))
+        vocab = Vocabulary(words)
+        bundle = BiLstmClassifier(config, np.random.default_rng(3), title_vocab=vocab,
+                                  content_vocab=vocab)
+        rng = np.random.default_rng(4)
+        articles = [NewsArticle(id=f"m{i}", title=" ".join(rng.choice(words, 40)),
+                                content=" ".join(rng.choice(words, 300)), source="s")
+                    for i in range(64)]
+        rows, steps, units = 16, config.content_max_len, config.content_units
+        embeddings = rows * steps * config.embed_dim * 8
+        gates = steps * 2 * rows * 4 * units * 8
+        projection = rows * steps * 4 * units * 8
+        bound = 1.25 * (embeddings + gates + projection)
+        tracemalloc.start()
+        try:
+            bundle.scores(articles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"{peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 
 # Trains (one epoch) and predicts every neural family at both profiles in the
