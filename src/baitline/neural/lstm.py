@@ -19,7 +19,6 @@ from ..tensor import (
     bilstm_sequence,
     concat,
     dropout,
-    embedding_lookup,
     max_pool_over_time,
     relu,
     softmax,
@@ -80,10 +79,10 @@ class BiLstmBranch:
         # the pool, so dropping them leaves the output bit for bit the same.
         ids = trim_padding(ids)
         mask = ids != PAD_ID
-        x = embedding_lookup(self.embedding, ids, mask)
-        for layer in self.layers:
+        x = self.embedding  # the first layer reads its rows of the table itself
+        for i, layer in enumerate(self.layers):
             weights = list(layer.values())
-            x = bilstm_sequence(x, weights[:3], weights[3:], mask)
+            x = bilstm_sequence(x, weights[:3], weights[3:], mask, ids=None if i else ids)
         return max_pool_over_time(x, mask)
 
 

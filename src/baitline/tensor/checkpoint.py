@@ -13,6 +13,7 @@ file, for any defect; what it means is the caller's to decide.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import math
 import os
@@ -77,9 +78,11 @@ def read_json(path):
 
 
 def require_same_names(path, kind: str, expected: set[str], found: set[str]) -> None:
-    """Raise ValueError naming the file and every missing and unexpected name
-    unless ``found`` is exactly ``expected``."""
-    defects = [f"{what} {kind} {sorted(names)}"
+    """Raise ValueError naming the file and the missing and unexpected names
+    unless ``found`` is exactly ``expected``: at most ten of each, then how
+    many there are, so the message stays short however large the defect."""
+    defects = [f"{what} {kind} {heapq.nsmallest(10, names)}"
+               + (f" (first 10 of {len(names)})" if len(names) > 10 else "")
                for what, names in (("missing", expected - found), ("unexpected", found - expected))
                if names]
     if defects:

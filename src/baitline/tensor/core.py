@@ -307,7 +307,8 @@ def max_pool_over_time(x: Tensor, mask: np.ndarray) -> Tensor:
     gradient.
     """
     mask = np.asarray(mask)
-    masked = np.where(mask[:, :, None] > 0, x.data, _MASKED_MIN)
+    real = mask > 0
+    masked = x.data if real.all() else np.where(real[:, :, None], x.data, _MASKED_MIN)
     argmax = masked.argmax(axis=1)  # (B, H)
     out_data = np.take_along_axis(masked, argmax[:, None, :], axis=1)[:, 0, :]
     empty = mask.sum(axis=1) == 0
@@ -505,7 +506,8 @@ def _time_major(steps: int, batch: int, width: int):
 
 
 def bilstm_sequence(
-    x: Tensor, forward: Sequence[Tensor], reverse: Sequence[Tensor], mask: np.ndarray
+    x: Tensor, forward: Sequence[Tensor], reverse: Sequence[Tensor], mask: np.ndarray,
+    ids: np.ndarray | None = None,
 ) -> Tensor:
     """Both directions of a bidirectional LSTM layer: (B, T, D) -> (B, T, 2H),
     the forward direction's hidden states, then the reverse direction's.
@@ -518,36 +520,53 @@ def bilstm_sequence(
     Each input projection and each weight and input gradient is one GEMM
     over all B*T rows in (b, t) order.  A step writes its hidden states once,
     into the output.  With a graph kept (not under ``no_grad``), each step
-    also keeps its gate activations, the cell state it started from and the
-    tanh of the one it ends with; the hidden state it started from is read
-    back from the output.  The backward rule, backpropagation through time,
-    writes each step's gate gradient straight into the time-ordered block
-    that the GEMMs read, and drops what the steps kept before those GEMMs.
+    also keeps its gate activations and the cell state it started from; the
+    hidden state it started from is read back from the output, and the tanh
+    of its new cell state is computed again.  The gates sit in the (b, t)
+    order that the GEMMs read, and the backward rule, backpropagation through
+    time, writes each step's gate gradient over that step's gates.
+
+    With ``ids`` (B, T), ``x`` is an embedding table and the input is
+    ``embedding_lookup(x, ids, mask)``, with its bits, finiteness check and
+    table gradient, gathered again for the backward rather than kept.
     """
-    batch, steps, in_dim = x.data.shape
+    mask = np.asarray(mask)
+    batch, steps = mask.shape
+    ids = None if ids is None else np.asarray(ids, dtype=np.int64)
     (wf, uf, bf), (wr, ur, br) = ([t.data for t in ws] for ws in (forward, reverse))
-    units = uf.shape[0]
+    in_dim, units = wf.shape[0], uf.shape[0]
     u, bias = np.stack([uf, ur]), np.stack([bf, br])[:, None, :]
-    flat_x = x.data.reshape(batch * steps, in_dim)
-    # step-major layout: [k, 0] is time k forward, [k, 1] time T-1-k reverse;
-    # with a graph kept, step k's input projection is overwritten by its gates
-    to_steps = (slice(None), slice(None, None, -1))
-    gates = np.empty((steps, 2, batch, 4 * units))
+
+    def flat_inputs():
+        if ids is None:
+            return x.data.reshape(batch * steps, in_dim)
+        rows = x.data[ids] * mask[..., None]
+        _ensure_finite(rows, "embedding_lookup")
+        return rows.reshape(batch * steps, in_dim)
+
+    # with a graph kept, a step's input projection is overwritten by its
+    # gates, and in backward by their gradient
+    flat_x = flat_inputs()
+    gates = _time_major(steps, batch, 4 * units)
     for d, w in enumerate((wf, wr)):
-        gates[:, d] = (flat_x @ w).reshape(batch, steps, -1)[:, to_steps[d]].swapaxes(0, 1)
-    carry_new = np.asarray(mask, dtype=np.float64).T[:, None, :, None]
+        gates[d][...] = (flat_x @ w).reshape(batch, steps, -1)
+    flat_x = None
+    carry_new = mask.astype(np.float64).T[:, None, :, None]
     carry_new = np.concatenate([carry_new, carry_new[::-1]], axis=1)  # (T, 2, B, 1)
     carry_old = 1.0 - carry_new
     keep_graph = _grad_enabled
     if keep_graph:
-        c_in, tanh_c = (np.empty((steps, 2, batch, units)) for _ in range(2))
+        c_in = np.empty((steps, 2, batch, units))
     out = np.empty((batch, steps, 2 * units))
     fwd_, rev_ = slice(0, units), slice(units, 2 * units)
     h = np.zeros((2, batch, units))
     c = np.zeros((2, batch, units))
     i_, f_, g_, o_ = (slice(k * units, (k + 1) * units) for k in range(4))
     for k in range(steps):
-        z = gates[k] + np.matmul(h, u)
+        r = steps - 1 - k
+        z = np.matmul(h, u)
+        z[0] += gates[0][:, k]
+        z[1] += gates[1][:, r]
         z += bias
         _ensure_finite(z, "bilstm_sequence")
         act = _sigmoid(z)
@@ -556,28 +575,29 @@ def bilstm_sequence(
         tc = np.tanh(c_new)
         m, keep = carry_new[k], carry_old[k]
         if keep_graph:
-            gates[k], c_in[k], tanh_c[k] = act, c, tc
+            gates[0][:, k], gates[1][:, r], c_in[k] = *act, c
         c = m * c_new + keep * c
         h = m * (act[..., o_] * tc) + keep * h
-        out[:, k, fwd_], out[:, steps - 1 - k, rev_] = h
+        out[:, k, fwd_], out[:, r, rev_] = h
 
     def rule(grad_out):
-        nonlocal gates, c_in, tanh_c
-        grad_z = _time_major(steps, batch, 4 * units)
+        nonlocal gates, c_in
         step_z = np.empty((2, batch, 4 * units))
         dz = np.empty((2, batch, 4 * units))
         dh = np.zeros((2, batch, units))
         dc = np.zeros((2, batch, units))
         u_t = u.swapaxes(1, 2)
         for k in range(steps - 1, -1, -1):
+            r = steps - 1 - k
             m, keep = carry_new[k], carry_old[k]
             np.add(grad_out[:, k, fwd_], dh[0], out=dh[0])
-            np.add(grad_out[:, steps - 1 - k, rev_], dh[1], out=dh[1])
+            np.add(grad_out[:, r, rev_], dh[1], out=dh[1])
             dh_new = m * dh
             dc_new = m * dc
             dh *= keep
             dc *= keep
-            act, tc = gates[k], tanh_c[k]
+            act = np.stack((gates[0][:, k], gates[1][:, r]))
+            tc = np.tanh(act[..., f_] * c_in[k] + act[..., i_] * act[..., g_])
             dc_new += dh_new * act[..., o_] * (1.0 - tc * tc)
             dz[..., i_] = dc_new * act[..., g_]
             dz[..., f_] = dc_new * c_in[k]
@@ -590,21 +610,27 @@ def bilstm_sequence(
             step_z *= dz
             dc += dc_new * act[..., f_]
             dh += np.matmul(step_z, u_t)
-            grad_z[0][:, k], grad_z[1][:, steps - 1 - k] = step_z
-        # a graph runs backward once, so what the steps stored can go now
-        gates = c_in = tanh_c = act = tc = None
+            gates[0][:, k], gates[1][:, r] = step_z
+        c_in = None
+        flat_z = [g.reshape(batch * steps, -1) for g in gates]
         # the state each step started from: the output one time step earlier
         # forward, one later in reverse, and zero at either end
         h_in = _time_major(steps, batch, units)
         h_in[0][:, 0] = h_in[1][:, -1] = 0.0
         h_in[0][:, 1:], h_in[1][:, :-1] = out[:, :-1, fwd_], out[:, 1:, rev_]
-        flat_z, flat_h = ([a[d].reshape(batch * steps, -1) for d in range(2)]
-                          for a in (grad_z, h_in))
+        flat_h = [h_in[d].reshape(batch * steps, -1) for d in range(2)]
+        flat_x = flat_inputs()
+        grads = [(flat_x.T @ gz, gh.T @ gz, gz.sum(axis=0)) for gz, gh in zip(flat_z, flat_h)]
+        flat_x = flat_h = h_in = None
         gx = np.empty((batch, steps, in_dim))
         flat_gx = gx.reshape(batch * steps, in_dim)
         np.matmul(flat_z[0], wf.T, out=flat_gx)
         flat_gx += flat_z[1] @ wr.T
-        grads = [(flat_x.T @ gz, gh.T @ gz, gz.sum(axis=0)) for gz, gh in zip(flat_z, flat_h)]
+        if ids is not None:
+            # the table's gradient: embedding_lookup's rule masks gx first, but
+            # a padded step's rows are +-0.0 already, which no sum keeps
+            gates = flat_z = None
+            gx = _scatter_rows(ids.reshape(-1), flat_gx, x.data.shape[0])
         return (gx, *grads[0], *grads[1])
 
     return Tensor(out, (x, *forward, *reverse), rule, op="bilstm_sequence")

@@ -500,6 +500,23 @@ class TestTrainPredictEval:
         err = capsys.readouterr().err
         assert str(run_dir / file_name) in err and culprit in err
 
+    def test_many_layers_refused_in_a_short_message(self, tmp_path, neural_runs, data_dir, capsys):
+        """2,000 stored layers leave 23,976 tensors missing from the file; the
+        refusal names the file and ten of them, not all."""
+        run_dir = tmp_path / "bilstm"
+        shutil.copytree(neural_runs / "bilstm", run_dir)
+        model_path = run_dir / "model.json"
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        payload["config"]["n_layers"] = 2000
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", "--model-dir", str(run_dir),
+                    "--corpus", str(data_dir / "synthetic60.jsonl"),
+                    "--out", str(tmp_path / "preds.tsv")]) == 4
+        err = capsys.readouterr().err
+        assert str(run_dir / "model.tensors") in err and "(first 10 of 23976)" in err
+        assert len(err.encode("utf-8")) < 1024, err
+
 
 @pytest.fixture(scope="module")
 def classical_runs(tmp_path_factory):

@@ -33,7 +33,14 @@ from baitline.neural.siamese import (
     train_contrastive,
 )
 from baitline.neural.trainer import tokenize_sides, trim_padding
-from baitline.tensor import Tensor, bilstm_sequence, embedding_lookup, max_pool_over_time, no_grad
+from baitline.tensor import (
+    Tensor,
+    backward,
+    bilstm_sequence,
+    embedding_lookup,
+    max_pool_over_time,
+    no_grad,
+)
 from baitline.textproc import OOV_ID, PAD_ID, Vocabulary, build_vocab, tokenize
 from gradcheck import check_gradients
 from synthetic import generate_class_marked_corpus, generate_topic_pair_corpus
@@ -176,6 +183,34 @@ class TestBiLstm:
             loaded.scores(corpus.articles),
             bundle.scores(corpus.articles),
         )
+
+    def test_training_peak_memory_follows_the_kept_state(self):
+        """A full-profile forward and backward on 16 articles of 256 content
+        steps holds at most what the two content layers keep for backward
+        (both directions' gates, the cell states and the output), plus one
+        direction's gate block for the backward rule's working arrays, with
+        a quarter more for the rest."""
+        config = BiLstmConfig()
+        words = tuple(f"w{i}" for i in range(50))
+        vocab = Vocabulary(words)
+        bundle = BiLstmClassifier(config, np.random.default_rng(3), title_vocab=vocab,
+                                  content_vocab=vocab)
+        rng = np.random.default_rng(4)
+        articles = [NewsArticle(id=f"m{i}", title=" ".join(rng.choice(words, 40)),
+                                content=" ".join(rng.choice(words, 300)), source="s")
+                    for i in range(16)]
+        arrays = bundle.encode_articles(articles)
+        rows, steps, units = 16, config.content_max_len, config.content_units
+        gate_block = steps * rows * 4 * units * 8
+        kept = 2 * gate_block + 2 * (steps * rows * units * 8) + rows * steps * 2 * units * 8
+        bound = 1.25 * (2 * kept + gate_block)
+        tracemalloc.start()
+        try:
+            backward(bundle.batch_loss(arrays, np.arange(rows) % 2, np.random.default_rng(5)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"{peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 
 class TestEncoderHead:

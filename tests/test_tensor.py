@@ -357,6 +357,54 @@ class TestLstmSequence:
             for a, b in zip(got, want, strict=True):
                 assert same_bits(a, b)
 
+    @given(mask=lstm_masks, rows=st.integers(1, 6), in_dim=st.integers(1, 3),
+           units=st.integers(1, 3), scale=st.sampled_from([0.5, 2.0, 40.0]),
+           mask_type=st.sampled_from([bool, np.int64]), seed=st.integers(0, 2**32 - 1))
+    @example(mask=[[1]], rows=2, in_dim=2, units=2, scale=2.0, mask_type=bool, seed=0)
+    @example(mask=[[1, 0, 0, 1, 1]], rows=3, in_dim=1, units=1, scale=40.0, mask_type=bool, seed=1)
+    @example(mask=[[1, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]], rows=4, in_dim=3, units=2,
+             scale=40.0, mask_type=np.int64, seed=19)
+    def test_reading_the_table_matches_embedding_lookup(self, mask, rows, in_dim, units, scale,
+                                                         mask_type, seed):
+        """Fed ``ids``, the layer gives the bits of ``embedding_lookup`` and
+        then the layer: the output, the table's gradient and the six weight
+        gradients.  Ids are drawn at padded positions too, where the table
+        row is read but gets no gradient."""
+        mask = np.array(mask, dtype=mask_type)
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(rows, in_dim)) * scale
+        ids = rng.integers(0, rows, size=mask.shape)
+        weights = [[rng.uniform(-scale, scale, size=shape)
+                    for shape in ((in_dim, 4 * units), (units, 4 * units), (4 * units,))]
+                   for _ in range(2)]
+
+        def fused(t, forward, reverse, m):
+            return bilstm_sequence(t, forward, reverse, m, ids=ids)
+
+        def graph(t, forward, reverse, m):
+            return bilstm_sequence(embedding_lookup(t, ids, m), forward, reverse, m)
+
+        for probe in (rng.normal(size=(*mask.shape, 2 * units)), None):
+            got = lstm_results(fused, table, weights, mask, probe)
+            want = lstm_results(graph, table, weights, mask, probe)
+            for a, b in zip(got, want, strict=True):
+                assert same_bits(a, b)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["real", "padded"])
+    def test_non_finite_table_row_names_embedding_lookup(self, bad, where):
+        """A non-finite row the ids read is refused as ``embedding_lookup``
+        refuses it, also when only a padded position reads it."""
+        table = Tensor(self.rng.normal(size=(6, 5)))
+        ids = np.array([[1, 2, 3, 4, 5, 1]] * 4)
+        mask = np.ones((4, 6), dtype=bool)
+        mask[:, 4] = False  # id 5 sits only at padded positions
+        table.data[3 if where == "real" else 5] = bad
+        for read in (lambda: embedding_lookup(table, ids, mask),
+                     lambda: bilstm_sequence(table, *self.directions(), mask, ids=ids)):
+            with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="embedding_lookup"):
+                read()
+
     def test_backward_frees_the_graph(self):
         """Once backward has run, a loss the caller holds keeps nothing of its
         graph alive: all that is still allocated, the leaves' gradients
@@ -370,7 +418,7 @@ class TestLstmSequence:
                   for width in (in_dim, 2 * units)]
         mask = np.ones((batch, steps))
         mask[1, 40:] = 0.0
-        gate_block = steps * 2 * batch * 4 * units * 8  # bytes: (T, 2, B, 4H) float64
+        gate_block = steps * 2 * batch * 4 * units * 8  # bytes: the (2, B, T, 4H) float64 gates
 
         def two_layers():
             out = x
