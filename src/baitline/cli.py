@@ -137,7 +137,10 @@ def cmd_ingest(args) -> int:
 def cmd_split(args) -> int:
     corpus = load_corpus(args.corpus)
     train_sources, test_sources = load_split_manifest(args.manifest)
-    train, test = split_by_source(corpus, train_sources, test_sources)
+    try:
+        train, test = split_by_source(corpus, train_sources, test_sources)
+    except ValueError as exc:  # a source the manifest leaves out
+        raise ValueError(f"{args.manifest}: {exc}") from None
     save_corpus(train, args.out_train)
     save_corpus(test, args.out_test)
     for side, part in (("train", train), ("test", test)):
@@ -259,11 +262,14 @@ def _parse_pred_entries(entries: list[str]) -> list[tuple[str, str]]:
 
 
 def _aligned_rows(paths: list[str]) -> list[list[PredictionRow]]:
-    """Each prediction file's rows; every row needs a gold label, and every file
-    the first file's ids and golds in its order, or ValueError names the line."""
+    """Each prediction file's rows; every file needs a row, every row a gold
+    label, and every file the first file's ids and golds in its order, or
+    ValueError names the file (and the line)."""
     per_file: list[list[PredictionRow]] = []
     for path in paths:
         rows = load_predictions(path)
+        if not rows:
+            raise ValueError(f"{path}: no predictions")
         ref = per_file[0] if per_file else rows
         for row, want in zip(rows, ref):
             if row.gold is None:

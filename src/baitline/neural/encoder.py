@@ -17,58 +17,57 @@ from ..tensor import Tensor, pooled_encode
 from ..textproc import PAD_ID
 
 
-def uniform_param(rng: np.random.Generator | None, shape, scale: float = 0.1) -> Tensor:
-    """Uniform(-scale, scale) values; without ``rng``, zeros for a model
-    whose values are about to be loaded: a read-only zero-stride view that
-    allocates nothing, so a stored config naming a huge size is refused by
-    the load's shape check, not by the allocator."""
-    if rng is None:
-        param = Tensor(0.0)  # a finiteness scan of the view would allocate its shape
-        param.data = np.broadcast_to(param.data, shape)
-        return param
-    return Tensor(rng.uniform(-scale, scale, size=shape))
+class Params(dict):
+    """Every parameter of a model, by name, in the order the model makes them.
 
-
-def embedding_table(rng: np.random.Generator | None, rows: int, cap_rows: int,
-                    embed_dim: int) -> Tensor:
-    """A (rows, embed_dim) ``uniform_param`` table that leaves ``rng`` where a
-    (cap_rows, embed_dim) draw would.
-
-    ``rows`` is the vocabulary size and ``cap_rows`` the configured cap + 2.
-    The live rows are the first rows of the capped draw, and the skipped rows
-    are one ``advance`` of the bit generator (PCG64 spends one 64-bit output
-    per uniform value), so every later draw matches a full-size table.
+    ``param(name, shape, cap_rows=None)`` makes one.  Built on an rng
+    (training), it draws Uniform(-0.1, 0.1) values in call order; an
+    embedding table is a call with ``cap_rows``, the configured cap + 2,
+    and leaves the rng where a (cap_rows, embed_dim) draw would: the skipped
+    rows are one ``advance`` of the bit generator (PCG64 spends one 64-bit
+    output per uniform value), so every later draw matches a full-size table.
+    Built on ``stored``, the arrays read from the checkpoint ``path``
+    (loading), it takes the array of that name, which must have that shape,
+    without copying it; so a config that names more than the file holds is
+    refused at its first missing tensor, in time bounded by the file.
     """
-    if rng is None:
-        return uniform_param(None, (rows, embed_dim))
-    if rows > cap_rows:  # a negative advance would rewind the stream
-        raise ValueError(f"{rows} embedding rows exceed the cap of {cap_rows}")
-    table = uniform_param(rng, (rows, embed_dim))
-    rng.bit_generator.advance((cap_rows - rows) * embed_dim)
-    return table
+
+    def __init__(self, rng: np.random.Generator | None = None, *,
+                 stored: dict[str, np.ndarray] | None = None, path=None):
+        super().__init__()
+        self.rng, self.stored, self.path = rng, stored, path
+
+    def __call__(self, name: str, shape: tuple[int, ...], cap_rows: int | None = None) -> Tensor:
+        if self.stored is None:
+            if cap_rows is not None and shape[0] > cap_rows:  # a negative advance would rewind
+                raise ValueError(f"{shape[0]} embedding rows exceed the cap of {cap_rows}")
+            value = self.rng.uniform(-0.1, 0.1, size=shape)
+            if cap_rows is not None:
+                self.rng.bit_generator.advance((cap_rows - shape[0]) * shape[1])
+        else:
+            value = self.stored.get(name)
+            if value is None:
+                raise ValueError(f"{self.path}: missing tensor {name!r}")
+            if value.shape != shape:
+                raise ValueError(f"{self.path}: tensor {name!r} has shape {value.shape}, "
+                                 f"expected {shape}")
+        param = self[name] = Tensor(value)
+        return param
 
 
 class PooledTextEncoder:
     """Token ids, padded with ``PAD_ID``, -> (B, out_dim) summary vectors.
 
     The embedding table has ``rows`` rows, one per vocabulary id; see
-    ``embedding_table`` for ``cap_rows``.
+    ``Params`` for ``cap_rows``.  Each parameter's name starts with ``prefix``.
     """
 
-    def __init__(self, rows: int, cap_rows: int, embed_dim: int, out_dim: int,
-                 rng: np.random.Generator | None):
-        self.embedding = embedding_table(rng, rows, cap_rows, embed_dim)
-        self.proj_w = uniform_param(rng, (embed_dim, out_dim))
-        self.ctx_w = uniform_param(rng, (embed_dim, out_dim))
-        self.proj_b = uniform_param(rng, (out_dim,))
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.embedding": self.embedding,
-            f"{prefix}.proj_w": self.proj_w,
-            f"{prefix}.ctx_w": self.ctx_w,
-            f"{prefix}.proj_b": self.proj_b,
-        }
+    def __init__(self, prefix: str, rows: int, cap_rows: int, embed_dim: int, out_dim: int,
+                 param: Params):
+        self.embedding = param(f"{prefix}.embedding", (rows, embed_dim), cap_rows)
+        self.proj_w = param(f"{prefix}.proj_w", (embed_dim, out_dim))
+        self.ctx_w = param(f"{prefix}.ctx_w", (embed_dim, out_dim))
+        self.proj_b = param(f"{prefix}.proj_b", (out_dim,))
 
     def encode(self, ids: np.ndarray) -> Tensor:
         """Encode a batch as one ``pooled_encode`` node; every row needs a real token."""

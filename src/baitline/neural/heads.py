@@ -16,7 +16,7 @@ from ..corpus import Corpus
 from ..tensor import Tensor, dropout, relu, softmax
 from ..tensor.checkpoint import MODEL_FILE
 from ..textproc import SEPARATOR_TOKEN, TokenizedDoc, Vocabulary, build_vocab, encode_ids
-from .encoder import PooledTextEncoder, uniform_param
+from .encoder import Params, PooledTextEncoder
 from .trainer import NeuralBundle
 
 
@@ -50,16 +50,14 @@ def join_with_separator(title_docs: list[TokenizedDoc], content_docs: list[Token
 class EncoderHead(NeuralBundle):
     """Pooled text encoder -> dropout -> dense -> softmax over the two classes."""
 
-    def __init__(self, config: EncoderHeadConfig, rng: np.random.Generator | None, vocab: Vocabulary):
-        self.config = config
-        self.vocab = vocab
-        self.train_losses: list[float] = []
-        self.encoder = PooledTextEncoder(vocab.size, config.vocab_size + 2, config.embed_dim,
-                                         config.encoder_dim, rng)
-        self.dense_w = uniform_param(rng, (config.encoder_dim, config.dense))
-        self.dense_b = uniform_param(rng, (config.dense,))
-        self.out_w = uniform_param(rng, (config.dense, 2))
-        self.out_b = uniform_param(rng, (2,))
+    def __init__(self, config: EncoderHeadConfig, param: Params, vocab: Vocabulary):
+        super().__init__(config, param, vocab=vocab)
+        self.encoder = PooledTextEncoder("encoder", vocab.size, config.vocab_size + 2,
+                                         config.embed_dim, config.encoder_dim, param)
+        self.dense_w = param("head.dense_w", (config.encoder_dim, config.dense))
+        self.dense_b = param("head.dense_b", (config.dense,))
+        self.out_w = param("head.out_w", (config.dense, 2))
+        self.out_b = param("head.out_b", (2,))
 
     @staticmethod
     def vocabularies(config: EncoderHeadConfig, title_docs, content_docs) -> dict[str, Vocabulary]:
@@ -75,13 +73,6 @@ class EncoderHead(NeuralBundle):
             raise ValueError(f"{Path(model_dir) / MODEL_FILE}: field 'vocab' has no "
                              f"separator token {SEPARATOR_TOKEN!r}")
         return super().load(model_dir, model)
-
-    def params(self) -> dict[str, Tensor]:
-        return {
-            **self.encoder.params(prefix="encoder"),
-            "head.dense_w": self.dense_w, "head.dense_b": self.dense_b,
-            "head.out_w": self.out_w, "head.out_b": self.out_b,
-        }
 
     def forward(self, ids: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:

@@ -24,7 +24,7 @@ from ..tensor import (
     softmax,
 )
 from ..textproc import PAD_ID, Vocabulary, build_vocab, encode
-from .encoder import embedding_table, uniform_param
+from .encoder import Params
 from .trainer import NeuralBundle, trim_padding
 
 
@@ -51,28 +51,21 @@ class BiLstmConfig:
 class BiLstmBranch:
     """Embedding table + stacked bidirectional layers + masked global max pool.
 
-    The table has ``rows`` rows, one per vocabulary id; see ``embedding_table``
-    for ``cap_rows``.  Each layer holds, per direction (``fwd``, then
-    ``bwd``), the input weights W, the recurrent weights U and the bias b.
+    The table has ``rows`` rows, one per vocabulary id; see ``Params`` for
+    ``cap_rows``.  Each layer holds, per direction (``fwd``, then ``bwd``),
+    the input weights W, the recurrent weights U and the bias b.
     """
 
     def __init__(self, name: str, rows: int, cap_rows: int, embed_dim: int, units: int,
-                 n_layers: int, rng: np.random.Generator | None):
-        self.name = name
-        self.embedding = embedding_table(rng, rows, cap_rows, embed_dim)
-        self.layers: list[dict[str, Tensor]] = []
+                 n_layers: int, param: Params):
+        self.embedding = param(f"{name}.embedding", (rows, embed_dim), cap_rows)
+        self.layers: list[list[Tensor]] = []
         in_dim = embed_dim
         for i in range(n_layers):
             shapes = {"W": (in_dim, 4 * units), "U": (units, 4 * units), "b": (4 * units,)}
-            self.layers.append({f"{name}.layer{i}.{side}.{key}": uniform_param(rng, shape)
-                                for side in ("fwd", "bwd") for key, shape in shapes.items()})
+            self.layers.append([param(f"{name}.layer{i}.{side}.{key}", shape)
+                                for side in ("fwd", "bwd") for key, shape in shapes.items()])
             in_dim = 2 * units
-
-    def params(self) -> dict[str, Tensor]:
-        out = {f"{self.name}.embedding": self.embedding}
-        for layer in self.layers:
-            out.update(layer)
-        return out
 
     def run(self, ids: np.ndarray) -> Tensor:
         # Trailing all-padding columns only carry state and are ignored by
@@ -80,8 +73,7 @@ class BiLstmBranch:
         ids = trim_padding(ids)
         mask = ids != PAD_ID
         x = self.embedding  # the first layer reads its rows of the table itself
-        for i, layer in enumerate(self.layers):
-            weights = list(layer.values())
+        for i, weights in enumerate(self.layers):
             x = bilstm_sequence(x, weights[:3], weights[3:], mask, ids=None if i else ids)
         return max_pool_over_time(x, mask)
 
@@ -92,27 +84,24 @@ class BiLstmClassifier(NeuralBundle):
 
     vocab_fields = ("title_vocab", "content_vocab")
 
-    def __init__(self, config: BiLstmConfig, rng: np.random.Generator | None,
+    def __init__(self, config: BiLstmConfig, param: Params,
                  title_vocab: Vocabulary, content_vocab: Vocabulary):
-        self.config = config
-        self.title_vocab = title_vocab
-        self.content_vocab = content_vocab
-        self.train_losses: list[float] = []
+        super().__init__(config, param, title_vocab=title_vocab, content_vocab=content_vocab)
         self.title_branch = BiLstmBranch(
             "title", title_vocab.size, config.title_vocab_size + 2, config.embed_dim,
-            config.title_units, config.n_layers, rng,
+            config.title_units, config.n_layers, param,
         )
         self.content_branch = BiLstmBranch(
             "content", content_vocab.size, config.content_vocab_size + 2, config.embed_dim,
-            config.content_units, config.n_layers, rng,
+            config.content_units, config.n_layers, param,
         )
         concat_dim = 2 * config.title_units + 2 * config.content_units
-        self.dense1_w = uniform_param(rng, (concat_dim, config.dense1))
-        self.dense1_b = uniform_param(rng, (config.dense1,))
-        self.dense2_w = uniform_param(rng, (config.dense1, config.dense2))
-        self.dense2_b = uniform_param(rng, (config.dense2,))
-        self.out_w = uniform_param(rng, (config.dense2, 2))
-        self.out_b = uniform_param(rng, (2,))
+        self.dense1_w = param("head.dense1_w", (concat_dim, config.dense1))
+        self.dense1_b = param("head.dense1_b", (config.dense1,))
+        self.dense2_w = param("head.dense2_w", (config.dense1, config.dense2))
+        self.dense2_b = param("head.dense2_b", (config.dense2,))
+        self.out_w = param("head.out_w", (config.dense2, 2))
+        self.out_b = param("head.out_b", (2,))
 
     @staticmethod
     def vocabularies(config: BiLstmConfig, title_docs, content_docs) -> dict[str, Vocabulary]:
@@ -122,15 +111,6 @@ class BiLstmClassifier(NeuralBundle):
     def embedding_tables(self):
         return ((self.title_vocab, self.title_branch.embedding),
                 (self.content_vocab, self.content_branch.embedding))
-
-    def params(self) -> dict[str, Tensor]:
-        out = {**self.title_branch.params(), **self.content_branch.params()}
-        out.update({
-            "head.dense1_w": self.dense1_w, "head.dense1_b": self.dense1_b,
-            "head.dense2_w": self.dense2_w, "head.dense2_b": self.dense2_b,
-            "head.out_w": self.out_w, "head.out_b": self.out_b,
-        })
-        return out
 
     def forward(self, title_ids: np.ndarray, content_ids: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:

@@ -23,7 +23,7 @@ from ..tensor import (
     tmean,
 )
 from ..textproc import PAD_ID, Vocabulary, build_vocab, encode
-from .encoder import PooledTextEncoder
+from .encoder import Params, PooledTextEncoder
 from .trainer import NeuralBundle
 
 
@@ -55,12 +55,10 @@ class SiameseEncoder(NeuralBundle):
 
     ANCHOR = 0.1
 
-    def __init__(self, config: SiameseConfig, rng: np.random.Generator | None, vocab: Vocabulary):
-        self.config = config
-        self.vocab = vocab
-        self.train_losses: list[float] = []
-        self.core = PooledTextEncoder(vocab.size, config.vocab_size + 2, config.embed_dim,
-                                      config.out_dim, rng)
+    def __init__(self, config: SiameseConfig, param: Params, vocab: Vocabulary):
+        super().__init__(config, param, vocab=vocab)
+        self.core = PooledTextEncoder("siamese", vocab.size, config.vocab_size + 2,
+                                      config.embed_dim, config.out_dim, param)
 
     @staticmethod
     def vocabularies(config: SiameseConfig, title_docs, content_docs) -> dict[str, Vocabulary]:
@@ -68,9 +66,6 @@ class SiameseEncoder(NeuralBundle):
 
     def embedding_tables(self):
         return ((self.vocab, self.core.embedding),)
-
-    def params(self) -> dict[str, Tensor]:
-        return self.core.params(prefix="siamese")
 
     def encode_graph(self, ids: np.ndarray) -> Tensor:
         pooled = self.core.encode(ids)

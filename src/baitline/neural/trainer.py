@@ -4,7 +4,8 @@ minibatch loop, length-sorted chunked scoring, and the model directory.
 A model directory holds ``model.tensors`` beside ``model.json``, which keeps
 the config, the per-epoch losses and each vocabulary's tokens in id order.
 Loading is strict: the checkpoint must hold exactly the tensors, with the
-same shapes, of the model that the stored config and vocabularies build.
+same shapes, of the model that the stored config and vocabularies build,
+and the model takes each one from the checkpoint as it is built.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 from ..corpus import Corpus, Label, argmax_predictions
 from ..tensor import GraphOptimizer, Tensor, backward, cross_entropy, no_grad
 from ..tensor.checkpoint import MODEL_FILE, load_tensors, require_same_names, save_tensors
-from ..textproc import PAD_ID, TokenizedDoc, normalize, tokenize, vocab_from_tokens
+from ..textproc import PAD_ID, TokenizedDoc, Vocabulary, normalize, tokenize, vocab_from_tokens
 from .embeddings import load_pretrained_embeddings
+from .encoder import Params
 
 PREDICT_BATCH = 16  # rows per scoring chunk
 ROW_TILE = 4  # a scored chunk's rows are a multiple of this
@@ -43,13 +45,13 @@ class NeuralBundle:
 
     Subclasses name their vocabularies in ``vocab_fields`` (each is an
     ``__init__`` argument, an attribute and a ``model.json`` field) and
-    implement ``__init__(config, rng, **vocabs)`` (each embedding table gets
-    one row per id of its vocabulary; with ``rng`` None the parameters are
-    read-only zeros that allocate nothing, ready to be loaded), the static
-    ``vocabularies(config, title_docs, content_docs)`` (the ``vocabs``),
-    ``params()``, ``encode_docs(articles, title_docs, content_docs)`` (one
-    (n, max_len) id matrix per encoded side, padded with ``PAD_ID``;
-    ``articles`` only names an article in errors) and
+    implement ``__init__(config, param, **vocabs)``, which passes its
+    arguments to this class's and then makes every parameter by calling
+    ``param``, a ``Params`` (each embedding table gets one row per id of its
+    vocabulary), the static ``vocabularies(config, title_docs,
+    content_docs)`` (the ``vocabs``), ``encode_docs(articles, title_docs,
+    content_docs)`` (one (n, max_len) id matrix per encoded side, padded
+    with ``PAD_ID``; ``articles`` only names an article in errors) and
     ``forward(*arrays, train=False, rng=None)``, each row's two class
     probabilities, or else ``batch_loss`` and ``batch_scores``.  A family
     whose config has ``embedding_file`` also implements ``embedding_tables()``:
@@ -58,6 +60,16 @@ class NeuralBundle:
 
     vocab_fields = ("vocab",)
 
+    def __init__(self, config, param: Params, **vocabs: Vocabulary):
+        self.config = config
+        self.__dict__.update(vocabs)
+        self.train_losses: list[float] = []
+        self.param = param
+
+    def params(self) -> Params:
+        """Every parameter, by name, in the order the model made them."""
+        return self.param
+
     @classmethod
     def train(cls, corpus: Corpus, config):
         """A model built and fitted on ``corpus``; bit-reproducible under a
@@ -65,7 +77,7 @@ class NeuralBundle:
         labels = corpus.training_labels()
         rng = np.random.default_rng(config.seed)
         title_docs, content_docs = tokenize_sides(corpus.articles)
-        bundle = cls(config, rng, **cls.vocabularies(config, title_docs, content_docs))
+        bundle = cls(config, Params(rng), **cls.vocabularies(config, title_docs, content_docs))
         if getattr(config, "embedding_file", None):
             for vocab, table in bundle.embedding_tables():
                 load_pretrained_embeddings(config.embedding_file, vocab, table.data)
@@ -147,21 +159,14 @@ class NeuralBundle:
     def load(cls, model_dir, model: dict):
         """The model that ``save`` wrote into ``model_dir``, given ``model``,
         its parsed ``model.json``: built by the stored config and vocabularies,
-        its checkpoint must hold exactly the model's tensors, in their shapes.
-        ``train_losses`` stays empty: the losses are kept in ``model.json``."""
+        each parameter taken from the checkpoint, which must hold exactly the
+        model's tensors, in their shapes.  ``train_losses`` stays empty: the
+        losses are kept in ``model.json``."""
         model_dir = Path(model_dir)
         model_path = model_dir / MODEL_FILE
         vocabs = {name: vocab_from_tokens(model_path, name, model[name]) for name in cls.vocab_fields}
-        try:
-            bundle = cls(model["config"], None, **vocabs)
-        except ValueError as exc:  # a shape past numpy's index range, even as a view
-            raise ValueError(f"{model_path}: the config builds no model: {exc}") from None
-        path, params = model_dir / "model.tensors", bundle.params()
-        values = load_tensors(path)
-        require_same_names(path, "tensor", set(params), set(values))
-        for name, param in params.items():
-            if values[name].shape != param.data.shape:
-                raise ValueError(f"{path}: tensor {name!r} has shape "
-                                 f"{values[name].shape}, expected {param.data.shape}")
-            param.data = values[name]
+        path = model_dir / "model.tensors"
+        stored = load_tensors(path)
+        bundle = cls(model["config"], Params(stored=stored, path=path), **vocabs)
+        require_same_names(path, "tensor", set(bundle.params()), set(stored))
         return bundle

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from baitline.corpus import Corpus, Label, NewsArticle
-from baitline.neural.encoder import uniform_param
+from baitline.neural.encoder import Params
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -23,21 +23,23 @@ def data_dir() -> Path:
     return DATA_DIR
 
 
-def _capped_table(rng, rows, cap_rows, embed_dim):
-    return uniform_param(rng, (cap_rows, embed_dim))
-
-
 @pytest.fixture
 def capped_tables(monkeypatch):
-    """A context manager inside which every embedding table is drawn with the
-    configured cap + 2 rows, whatever the vocabulary: the reference that a
-    vocabulary-sized table has to match on its live rows."""
+    """A context manager inside which every embedding table, a ``Params``
+    call with ``cap_rows``, has the configured cap + 2 rows, whatever the
+    vocabulary: the reference that a vocabulary-sized table has to match on
+    its live rows."""
+    make = Params.__call__
+
+    def capped(param, name, shape, cap_rows=None):
+        if cap_rows is not None:
+            shape = (cap_rows, *shape[1:])
+        return make(param, name, shape, cap_rows)
 
     @contextlib.contextmanager
     def patched():
         with monkeypatch.context() as m:
-            for module in ("baitline.neural.encoder", "baitline.neural.lstm"):
-                m.setattr(f"{module}.embedding_table", _capped_table)
+            m.setattr(Params, "__call__", capped)
             yield
 
     return patched

@@ -20,6 +20,7 @@ from baitline.config import MODEL_FAMILIES, read_model
 from baitline.corpus import Label, corpus_stats, load_corpus, save_corpus, split_by_source
 from baitline.ensemble import EnsembleConfig, ensemble_predict, fit_weights
 from baitline.metrics import load_predictions, macro_f1, mcnemar, pr_curve, prf1
+from baitline.neural.encoder import Params
 from baitline.neural.lstm import BiLstmClassifier, BiLstmConfig
 from baitline.neural.siamese import (
     SiameseConfig,
@@ -175,7 +176,8 @@ class TestAutodiffAcceptance:
 
         # full contrastive graph
         config = SiameseConfig(vocab_size=60, embed_dim=10, out_dim=6, max_len=8, seed=8)
-        encoder = SiameseEncoder(config, np.random.default_rng(8), capped_vocab(config.vocab_size))
+        encoder = SiameseEncoder(config, Params(np.random.default_rng(8)),
+                                 capped_vocab(config.vocab_size))
         t_ids = rng.integers(2, 60, size=(2, 8))
         c_ids = rng.integers(2, 60, size=(2, 8))
         y = np.array([1, 0])
@@ -193,7 +195,8 @@ class TestAutodiffAcceptance:
             title_units=3, content_units=4, dense1=8, dense2=6,
             dropout_rate=0.0, title_max_len=4, content_max_len=6, seed=9,
         )
-        model = BiLstmClassifier(lstm_config, np.random.default_rng(9), capped_vocab(30), capped_vocab(30))
+        model = BiLstmClassifier(lstm_config, Params(np.random.default_rng(9)), capped_vocab(30),
+                                 capped_vocab(30))
         # padding is id 0, so the ragged rows end in zeros
         bt_ids = rng.integers(1, 32, size=(2, 4)) * np.array([[1, 1, 1, 0], [1, 1, 0, 0]])
         bc_ids = rng.integers(1, 32, size=(2, 6)) * np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 1, 1, 1]])

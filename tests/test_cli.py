@@ -104,14 +104,16 @@ class TestSplit:
         assert not (train.sources() & test.sources())
         assert Path(train_path + ".config.ini").exists()
 
-    def test_unknown_source_exit_3(self, tmp_path, corpus_path):
+    def test_unknown_source_exit_3(self, tmp_path, corpus_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"alfa-news": "train"}), encoding="utf-8")
+        capsys.readouterr()
         code = run([
             "split", "--corpus", corpus_path, "--manifest", str(manifest),
             "--out-train", str(tmp_path / "a.jsonl"), "--out-test", str(tmp_path / "b.jsonl"),
         ])
         assert code == 3
+        assert f"{manifest}: sources missing from the split manifest:" in capsys.readouterr().err
 
 
 class TestFeaturize:
@@ -296,6 +298,20 @@ def _corrupt(run_dir: Path, defect: str) -> tuple[str, str]:
     return "model.tensors", culprit
 
 
+def _prediction_commands(tmp_path, preds_path) -> dict[str, list[str]]:
+    """Each command that reads a prediction file, on ``preds_path`` as the
+    contrastive model's, writing to ``tmp_path / "out"``."""
+    config_path = tmp_path / "ensemble.json"
+    config_path.write_text(json.dumps({**ENSEMBLE_HEADER, "threshold": 0.5,
+                                       "weights": {"contrastive": 1.0}}), encoding="utf-8")
+    out = tmp_path / "out"
+    return {"eval": ["eval", "--preds", str(preds_path), "--out-dir", str(out)],
+            "ensemble fit": ["ensemble", "fit", "--preds", f"contrastive={preds_path}",
+                             "--out", str(out)],
+            "ensemble apply": ["ensemble", "apply", "--config", str(config_path),
+                               "--preds", f"contrastive={preds_path}", "--out", str(out)]}
+
+
 class TestTrainPredictEval:
     def test_rf_end_to_end(self, tmp_path, split_paths, capsys):
         train_path, test_path = split_paths
@@ -414,21 +430,21 @@ class TestTrainPredictEval:
         lines.insert(5, lines[2])  # line 3's article again on line 6
         preds_path = tmp_path / "preds.tsv"
         preds_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        config_path = tmp_path / "ensemble.json"
-        config_path.write_text(json.dumps({**ENSEMBLE_HEADER, "threshold": 0.5,
-                                           "weights": {"contrastive": 1.0}}), encoding="utf-8")
-        out = tmp_path / "out"
-        argv = {"eval": ["eval", "--preds", str(preds_path), "--out-dir", str(out)],
-                "ensemble fit": ["ensemble", "fit", "--preds", f"contrastive={preds_path}",
-                                 "--out", str(out)],
-                "ensemble apply": ["ensemble", "apply", "--config", str(config_path),
-                                   "--preds", f"contrastive={preds_path}", "--out", str(out)]}
         capsys.readouterr()
-        assert run(argv[command]) == 3
+        assert run(_prediction_commands(tmp_path, preds_path)[command]) == 3
         article_id = lines[2].split("\t")[0]
         err = capsys.readouterr().err
         assert f"{preds_path}:6: article id {article_id!r} repeats line 3" in err
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "ensemble fit", "ensemble apply"])
+    def test_empty_prediction_file_named_exit_3(self, tmp_path, capsys, command):
+        preds_path = tmp_path / "preds.tsv"
+        preds_path.write_text("\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(_prediction_commands(tmp_path, preds_path)[command]) == 3
+        assert f"{preds_path}: no predictions" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_utf8_prediction_file_names_file_and_line_exit_3(self, tmp_path, data_dir,
                                                                  capsys):
@@ -481,8 +497,12 @@ class TestTrainPredictEval:
         ("contrastive", {"embed_dim": 10**12}, "model.tensors", "'siamese.embedding' has shape"),
         ("encoder-head", {"dense": 10**12}, "model.tensors", "'head.dense_w' has shape"),
         # a (1e10, 1e10) tensor has more elements than numpy can index
-        ("bilstm", {"dense1": 10**10, "dense2": 10**10}, "model.json", "builds no model"),
-    ], ids=["bilstm-dense1", "contrastive-embed_dim", "encoder-head-dense", "bilstm-index-range"])
+        ("bilstm", {"dense1": 10**10, "dense2": 10**10}, "model.tensors",
+         "'head.dense1_w' has shape"),
+        # the model is built from the file, so the first missing layer ends the load
+        ("bilstm", {"n_layers": 10**9}, "model.tensors", "missing tensor 'title.layer2.fwd.W'"),
+    ], ids=["bilstm-dense1", "contrastive-embed_dim", "encoder-head-dense", "bilstm-index-range",
+            "bilstm-n_layers"])
     def test_huge_config_size_exit_4(self, tmp_path, neural_runs, data_dir, capsys, family,
                                      sizes, file_name, culprit):
         """A stored size far past any memory is refused naming the file and
@@ -502,7 +522,7 @@ class TestTrainPredictEval:
 
     def test_many_layers_refused_in_a_short_message(self, tmp_path, neural_runs, data_dir, capsys):
         """2,000 stored layers leave 23,976 tensors missing from the file; the
-        refusal names the file and ten of them, not all."""
+        refusal names the file and the first of them, not all."""
         run_dir = tmp_path / "bilstm"
         shutil.copytree(neural_runs / "bilstm", run_dir)
         model_path = run_dir / "model.json"
@@ -514,7 +534,7 @@ class TestTrainPredictEval:
                     "--corpus", str(data_dir / "synthetic60.jsonl"),
                     "--out", str(tmp_path / "preds.tsv")]) == 4
         err = capsys.readouterr().err
-        assert str(run_dir / "model.tensors") in err and "(first 10 of 23976)" in err
+        assert str(run_dir / "model.tensors") in err and "'title.layer2.fwd.W'" in err
         assert len(err.encode("utf-8")) < 1024, err
 
 
@@ -709,8 +729,9 @@ def feed4(tmp_path_factory) -> Path:
     return path
 
 
-# what a mutation sets one model.json key to: each JSON type, and numbers out of most ranges
-MUTATION_VALUES = [None, True, 1.5, -1, "x", [], {}, [1], {"a": 1}, 1e308]
+# what a mutation sets one model.json key to: each JSON type, numbers out of most
+# ranges, and a size whose model is far larger than its file
+MUTATION_VALUES = [None, True, 1.5, -1, "x", [], {}, [1], {"a": 1}, 1e308, 10**6]
 
 
 @pytest.mark.parametrize("family", ["rf", "svm", *NEURAL_FAMILIES])

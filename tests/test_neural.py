@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from baitline.corpus import Corpus, Label, NewsArticle, label_from_clickbait_proba
 from baitline.neural.embeddings import load_pretrained_embeddings
-from baitline.neural.encoder import embedding_table
+from baitline.neural.encoder import Params
 from baitline.neural.heads import (
     EncoderHead,
     EncoderHeadConfig,
@@ -41,6 +41,7 @@ from baitline.tensor import (
     max_pool_over_time,
     no_grad,
 )
+from baitline.tensor.checkpoint import load_tensors
 from baitline.textproc import OOV_ID, PAD_ID, Vocabulary, build_vocab, tokenize
 from gradcheck import check_gradients
 from synthetic import generate_class_marked_corpus, generate_topic_pair_corpus
@@ -105,7 +106,7 @@ class TestBiLstm:
 
     def test_padding_trim_is_exact(self):
         rng = np.random.default_rng(8)
-        branch = BiLstmBranch("t", 20, 20, 6, 4, 2, np.random.default_rng(3))
+        branch = BiLstmBranch("t", 20, 20, 6, 4, 2, Params(np.random.default_rng(3)))
         ids = rng.integers(2, 20, size=(3, 5))
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 0], [0, 0, 0, 0, 0]])
         ids[mask == 0] = 0
@@ -115,8 +116,7 @@ class TestBiLstm:
         assert np.array_equal(branch.run(wide_ids).data, trimmed)
         # the same layers run over every column, padding included
         x = embedding_lookup(branch.embedding, wide_ids, wide_mask)
-        for layer in branch.layers:
-            weights = list(layer.values())
+        for weights in branch.layers:
             x = bilstm_sequence(x, weights[:3], weights[3:], wide_mask)
         assert np.array_equal(max_pool_over_time(x, wide_mask).data, trimmed)
 
@@ -193,7 +193,7 @@ class TestBiLstm:
         config = BiLstmConfig()
         words = tuple(f"w{i}" for i in range(50))
         vocab = Vocabulary(words)
-        bundle = BiLstmClassifier(config, np.random.default_rng(3), title_vocab=vocab,
+        bundle = BiLstmClassifier(config, Params(np.random.default_rng(3)), title_vocab=vocab,
                                   content_vocab=vocab)
         rng = np.random.default_rng(4)
         articles = [NewsArticle(id=f"m{i}", title=" ".join(rng.choice(words, 40)),
@@ -277,7 +277,8 @@ def capped_vocab(size):
 
 def fresh_encoder(config=None):
     config = config or siamese_config()
-    return SiameseEncoder(config, np.random.default_rng(config.seed), capped_vocab(config.vocab_size))
+    return SiameseEncoder(config, Params(np.random.default_rng(config.seed)),
+                          capped_vocab(config.vocab_size))
 
 
 def encode(encoder, ids):
@@ -544,11 +545,11 @@ class TestVocabSizedTables:
     def test_live_rows_and_rng_stream_match_capped_tables(self, capped_tables, family):
         bundle_cls, config, vocabs, tables = built_family(family)
         rng = np.random.default_rng(21)
-        sized = bundle_cls(config, rng, **vocabs).params()
+        sized = bundle_cls(config, Params(rng), **vocabs).params()
         sized_next = rng.random(4)
         with capped_tables():
             rng = np.random.default_rng(21)
-            capped = bundle_cls(config, rng, **vocabs).params()
+            capped = bundle_cls(config, Params(rng), **vocabs).params()
             capped_next = rng.random(4)
         assert np.array_equal(sized_next, capped_next)
         assert sized.keys() == capped.keys()
@@ -560,17 +561,25 @@ class TestVocabSizedTables:
             assert np.array_equal(param.data, capped[name].data[: len(param.data)]), name
 
     @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
-    def test_load_builds_vocab_sized_zero_tables(self, family):
+    def test_loaded_tables_share_the_stored_arrays(self, tmp_path, monkeypatch, family):
+        """A loaded model's tables have one row per vocabulary id, and every
+        parameter is the array ``load_tensors`` read, not a copy."""
         bundle_cls, config, vocabs, tables = built_family(family)
-        params = bundle_cls(config, None, **vocabs).params()
+        model = {"config": config,
+                 **bundle_cls(config, Params(np.random.default_rng(2)), **vocabs).save(tmp_path)}
+        stored = {}
+        monkeypatch.setattr("baitline.neural.trainer.load_tensors",
+                            lambda path: stored.setdefault("arrays", load_tensors(path)))
+        params = bundle_cls.load(tmp_path, model).params()
         for name, field in tables.items():
             assert params[name].data.shape == (vocabs[field].size, config.embed_dim)
-        assert not any(p.data.any() for p in params.values())
+        assert params.keys() == stored["arrays"].keys()
+        for name, param in params.items():
+            assert np.shares_memory(param.data, stored["arrays"][name]), name
 
     def test_more_rows_than_the_cap_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
-            embedding_table(np.random.default_rng(0), 5, 4, 3)
-
+            Params(np.random.default_rng(0))("table", (5, 3), cap_rows=4)
 
 def chunk_rows(arrays):
     """The scoring layout: row indices sorted by real ids over all sides
@@ -643,7 +652,7 @@ def property_bundle(family, scale):
     bundle_cls, config, vocabs, _ = built_family(family)
     if family == "bilstm":  # caps that leave titles and short contents their own lengths
         config = dataclasses.replace(config, title_max_len=12, content_max_len=40)
-    bundle = bundle_cls(config, np.random.default_rng(17), **vocabs)
+    bundle = bundle_cls(config, Params(np.random.default_rng(17)), **vocabs)
     for param in bundle.params().values():
         param.data = param.data * scale
     words = sorted({t for v in vocabs.values() for t in v.tokens if t.isalnum()} | {"zzzoov"})
@@ -654,7 +663,7 @@ class TestScoring:
     @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
     def test_scores_build_no_graph_and_match_the_graph_forward(self, family):
         bundle_cls, config, vocabs, _ = built_family(family)
-        bundle = bundle_cls(config, np.random.default_rng(13), **vocabs)
+        bundle = bundle_cls(config, Params(np.random.default_rng(13)), **vocabs)
         articles = generate_class_marked_corpus(70, seed=14).articles  # five chunks
         arrays = bundle.encode_articles(articles)
         graph_scores = np.empty(len(articles))
@@ -681,8 +690,8 @@ class TestScoring:
         bundle_cls, config, vocabs, _ = built_family(family)
         lengths = {key: 300 for key in ("max_len", "title_max_len", "content_max_len")
                    if hasattr(config, key)}
-        bundle = bundle_cls(dataclasses.replace(config, **lengths), np.random.default_rng(13),
-                            **vocabs)
+        bundle = bundle_cls(dataclasses.replace(config, **lengths),
+                            Params(np.random.default_rng(13)), **vocabs)
         articles = generate_class_marked_corpus(70, seed=14).articles
         padded = bundle.encode_articles(articles)
         assert any((a[:, -1] == PAD_ID).all() for a in padded)  # there is padding to trim
@@ -726,7 +735,7 @@ class TestScoring:
         config = BiLstmConfig()
         words = tuple(f"w{i}" for i in range(50))
         vocab = Vocabulary(words)
-        bundle = BiLstmClassifier(config, np.random.default_rng(3), title_vocab=vocab,
+        bundle = BiLstmClassifier(config, Params(np.random.default_rng(3)), title_vocab=vocab,
                                   content_vocab=vocab)
         rng = np.random.default_rng(4)
         articles = [NewsArticle(id=f"m{i}", title=" ".join(rng.choice(words, 40)),
