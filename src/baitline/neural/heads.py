@@ -36,15 +36,15 @@ class EncoderHeadConfig:
 
 
 def join_with_separator(title_docs: list[TokenizedDoc], content_docs: list[TokenizedDoc],
-                        vocab: Vocabulary, max_len: int) -> np.ndarray:
+                        vocab: Vocabulary, max_len: int, trim: bool = False) -> np.ndarray:
     """One ``encode_ids`` matrix whose row i is title i's ids + [separator] +
-    content i's ids, truncated and padded to max_len."""
+    content i's ids, truncated to max_len and padded."""
     sep = vocab.separator_id
     if sep is None:
         raise ValueError("vocabulary has no separator id; build it with include_separator")
     id_for = vocab.id_for
     return encode_ids((chain(map(id_for, title.tokens), [sep], map(id_for, content.tokens))
-                       for title, content in zip(title_docs, content_docs)), max_len)
+                       for title, content in zip(title_docs, content_docs)), max_len, trim)
 
 
 class EncoderHead(NeuralBundle):
@@ -74,15 +74,23 @@ class EncoderHead(NeuralBundle):
                              f"separator token {SEPARATOR_TOKEN!r}")
         return super().load(model_dir, model)
 
-    def forward(self, ids: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        summary = self.encoder.encode(ids)
+    def encode_side(self, side: int, ids: np.ndarray) -> Tensor:
+        return self.encoder.encode(ids)
+
+    def head(self, summary: Tensor, train: bool = False,
+             rng: np.random.Generator | None = None) -> Tensor:
         x = dropout(summary, self.config.dropout_rate, train, rng)
         h = relu(x @ self.dense_w + self.dense_b)
         return softmax(h @ self.out_w + self.out_b, axis=-1)
 
-    def encode_docs(self, articles, title_docs, content_docs) -> tuple[np.ndarray, ...]:
-        return (join_with_separator(title_docs, content_docs, self.vocab, self.config.max_len),)
+    def forward(self, ids: np.ndarray, train: bool = False,
+                rng: np.random.Generator | None = None) -> Tensor:
+        return self.head(self.encoder.encode(ids), train, rng)
+
+    def encode_docs(self, articles, title_docs, content_docs,
+                    trim: bool = False) -> tuple[np.ndarray, ...]:
+        return (join_with_separator(title_docs, content_docs, self.vocab, self.config.max_len,
+                                    trim),)
 
 
 def train_encoder_head(corpus: Corpus, config: EncoderHeadConfig) -> EncoderHead:

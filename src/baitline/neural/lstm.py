@@ -112,21 +112,29 @@ class BiLstmClassifier(NeuralBundle):
         return ((self.title_vocab, self.title_branch.embedding),
                 (self.content_vocab, self.content_branch.embedding))
 
-    def forward(self, title_ids: np.ndarray, content_ids: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        """Class probability rows (softmax simplex) for a batch."""
-        pooled_title = self.title_branch.run(title_ids)
-        pooled_content = self.content_branch.run(content_ids)
+    def encode_side(self, side: int, ids: np.ndarray) -> Tensor:
+        return (self.title_branch, self.content_branch)[side].run(ids)
+
+    def head(self, pooled_title: Tensor, pooled_content: Tensor, train: bool = False,
+             rng: np.random.Generator | None = None) -> Tensor:
+        """Class probability rows (softmax simplex) from the pooled branches."""
         x = concat([pooled_title, pooled_content], axis=1)
         rate = self.config.dropout_rate
         h1 = dropout(relu(x @ self.dense1_w + self.dense1_b), rate, train, rng)
         h2 = dropout(relu(h1 @ self.dense2_w + self.dense2_b), rate, train, rng)
         return softmax(h2 @ self.out_w + self.out_b, axis=-1)
 
-    def encode_docs(self, articles, title_docs, content_docs) -> tuple[np.ndarray, ...]:
+    def forward(self, title_ids: np.ndarray, content_ids: np.ndarray, train: bool = False,
+                rng: np.random.Generator | None = None) -> Tensor:
+        """Class probability rows (softmax simplex) for a batch."""
+        return self.head(self.title_branch.run(title_ids), self.content_branch.run(content_ids),
+                         train, rng)
+
+    def encode_docs(self, articles, title_docs, content_docs,
+                    trim: bool = False) -> tuple[np.ndarray, ...]:
         cfg = self.config
-        return (encode(title_docs, self.title_vocab, cfg.title_max_len),
-                encode(content_docs, self.content_vocab, cfg.content_max_len))
+        return (encode(title_docs, self.title_vocab, cfg.title_max_len, trim),
+                encode(content_docs, self.content_vocab, cfg.content_max_len, trim))
 
 
 def train_bilstm(corpus: Corpus, config: BiLstmConfig) -> BiLstmClassifier:

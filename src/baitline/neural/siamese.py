@@ -72,10 +72,11 @@ class SiameseEncoder(NeuralBundle):
         anchor = Tensor(np.full((pooled.shape[0], 1), self.ANCHOR))
         return l2_normalize(concat([pooled, anchor], axis=1))
 
-    def encode_docs(self, articles, title_docs, content_docs) -> tuple[np.ndarray, ...]:
+    def encode_docs(self, articles, title_docs, content_docs,
+                    trim: bool = False) -> tuple[np.ndarray, ...]:
         """Title ids and content ids; every side needs a token."""
-        t_ids = encode(title_docs, self.vocab, self.config.max_len)
-        c_ids = encode(content_docs, self.vocab, self.config.max_len)
+        t_ids = encode(title_docs, self.vocab, self.config.max_len, trim)
+        c_ids = encode(content_docs, self.vocab, self.config.max_len, trim)
         empty = np.flatnonzero((t_ids == PAD_ID).all(axis=1) | (c_ids == PAD_ID).all(axis=1))
         if len(empty):
             raise ValueError(f"article {articles[empty[0]].id!r}: cannot encode an all-padding sequence")
@@ -86,9 +87,12 @@ class SiameseEncoder(NeuralBundle):
         return contrastive_loss_graph(self.encode_graph(t_ids), self.encode_graph(c_ids), labels,
                                       self.config.margin)
 
-    def batch_scores(self, t_ids, c_ids) -> np.ndarray:
+    def encode_side(self, side: int, ids: np.ndarray) -> Tensor:
+        return self.encode_graph(ids)
+
+    def head_scores(self, v_t: Tensor, v_c: Tensor) -> np.ndarray:
         """Cosine similarity between each title and its content."""
-        return cosine_similarity(self.encode_graph(t_ids), self.encode_graph(c_ids)).data
+        return cosine_similarity(v_t, v_c).data
 
     def predictions(self, articles) -> tuple[list[Label], list[float]]:
         pairs = [similarity_to_prediction(float(s), self.config.threshold)

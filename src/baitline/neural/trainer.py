@@ -33,6 +33,14 @@ def tokenize_sides(articles) -> tuple[list[TokenizedDoc], list[TokenizedDoc]]:
     )
 
 
+def _chunks(order: np.ndarray):
+    """Each run of ``PREDICT_BATCH`` rows of ``order``, and the same run
+    padded to a multiple of ``ROW_TILE`` rows by repeating its last row."""
+    for start in range(0, len(order), PREDICT_BATCH):
+        rows = order[start : start + PREDICT_BATCH]
+        yield rows, np.pad(rows, (0, -len(rows) % ROW_TILE), mode="edge")
+
+
 def trim_padding(ids: np.ndarray) -> np.ndarray:
     """Drop the batch's trailing all-padding columns, keeping at least one."""
     real = np.flatnonzero((ids != PAD_ID).any(axis=0))
@@ -50,12 +58,15 @@ class NeuralBundle:
     ``param``, a ``Params`` (each embedding table gets one row per id of its
     vocabulary), the static ``vocabularies(config, title_docs,
     content_docs)`` (the ``vocabs``), ``encode_docs(articles, title_docs,
-    content_docs)`` (one (n, max_len) id matrix per encoded side, padded
-    with ``PAD_ID``; ``articles`` only names an article in errors) and
-    ``forward(*arrays, train=False, rng=None)``, each row's two class
-    probabilities, or else ``batch_loss`` and ``batch_scores``.  A family
-    whose config has ``embedding_file`` also implements ``embedding_tables()``:
-    (vocabulary, table) pairs for pretrained vectors.
+    content_docs, trim=False)`` (one (n, max_len) id matrix per encoded
+    side, padded with ``PAD_ID``, and with ``trim`` only as wide as its
+    longest row; ``articles`` only names an article in errors),
+    ``encode_side(side, ids)`` (a (B, d) encoding of side ``side``'s ids)
+    and ``head(*encoded, train=False, rng=None)`` (each row's two class
+    probabilities from every side's encoding), composed as ``forward(*arrays,
+    train=False, rng=None)``; or else ``batch_loss`` and ``head_scores``.  A
+    family whose config has ``embedding_file`` also implements
+    ``embedding_tables()``: (vocabulary, table) pairs for pretrained vectors.
     """
 
     vocab_fields = ("vocab",)
@@ -84,7 +95,8 @@ class NeuralBundle:
         return bundle.fit(bundle.encode_docs(corpus.articles, title_docs, content_docs), labels, rng)
 
     def encode_articles(self, articles) -> tuple[np.ndarray, ...]:
-        return self.encode_docs(articles, *tokenize_sides(articles))
+        """The scored id matrices: each only as wide as its longest row."""
+        return self.encode_docs(articles, *tokenize_sides(articles), trim=True)
 
     def fit(self, arrays, labels: np.ndarray, rng: np.random.Generator):
         """Minibatch training in place; returns the bundle.
@@ -115,32 +127,41 @@ class NeuralBundle:
         """Cross-entropy of ``forward`` in training mode against the labels."""
         return cross_entropy(self.forward(*arrays, train=True, rng=rng), np.eye(2)[labels])
 
-    def batch_scores(self, *arrays) -> np.ndarray:
-        """Clickbait (class 0) probabilities."""
-        return self.forward(*arrays).data[:, 0]
+    def head_scores(self, *encoded: Tensor) -> np.ndarray:
+        """Clickbait (class 0) probabilities of the sides' encodings."""
+        return self.head(*encoded).data[:, 0]
 
     def scores(self, articles) -> np.ndarray:
-        """``batch_scores`` of every article under ``no_grad``, so scoring
-        builds no graph.  The articles are encoded once and sorted by their
-        real ids over all sides (stable, longest first); each run of
-        ``PREDICT_BATCH`` of them is scored as one chunk, cut to its own
-        longest row, so a chunk holds little padding and memory follows the
-        chunk, not the file.
+        """``head_scores`` of every article under ``no_grad``, so scoring
+        builds no graph.  The articles are encoded once, each side only as
+        wide as its longest row.  Each side is sorted by its real ids
+        (stable, longest first) and each run of ``PREDICT_BATCH`` of its rows
+        encoded as one chunk, cut to its own longest row, so a chunk holds
+        little padding and memory follows the chunk, not the file.  The head
+        then scores the encodings ``PREDICT_BATCH`` articles at a time in
+        file order.
 
         An article's score does not depend on the others in the file: every
         scoring op treats rows alike and apart, trailing padding is masked
-        out of every pool, and a chunk is padded to a multiple of
+        out of every pool, and each chunk is padded to a multiple of
         ``ROW_TILE`` rows by repeating its last row, since OpenBLAS's
         two-column output GEMMs give a row the same bits only at such sizes."""
         arrays = self.encode_articles(articles)
-        lengths = sum((a != PAD_ID).sum(axis=1) for a in arrays)
-        order = np.argsort(-lengths, kind="stable")
-        out = np.empty(len(order))
         with no_grad():
-            for start in range(0, len(order), PREDICT_BATCH):
-                rows = order[start : start + PREDICT_BATCH]
-                tiled = np.pad(rows, (0, -len(rows) % ROW_TILE), mode="edge")
-                out[rows] = self.batch_scores(*(trim_padding(a[tiled]) for a in arrays))[: len(rows)]
+            encoded = [self._encode_sorted(side, ids) for side, ids in enumerate(arrays)]
+            out = np.empty(len(articles))
+            for rows, tiled in _chunks(np.arange(len(articles))):
+                out[rows] = self.head_scores(*(Tensor(e[tiled]) for e in encoded))[: len(rows)]
+        return out
+
+    def _encode_sorted(self, side: int, ids: np.ndarray) -> np.ndarray:
+        """``encode_side`` of every row of one side's ids, in length-sorted
+        chunks, back in row order."""
+        order = np.argsort(-(ids != PAD_ID).sum(axis=1), kind="stable")
+        encoded = np.concatenate([self.encode_side(side, trim_padding(ids[tiled])).data[: len(rows)]
+                                  for rows, tiled in _chunks(order)])
+        out = np.empty_like(encoded)
+        out[order] = encoded
         return out
 
     def predictions(self, articles) -> tuple[list[Label], list[float]]:

@@ -492,6 +492,9 @@ def tmean(x: Tensor) -> Tensor:
 # fused recurrence
 # ---------------------------------------------------------------------------
 
+_STEP_BLOCK = 16  # loop steps whose input projections are made at once
+
+
 def _time_major(steps: int, batch: int, width: int):
     """Two (B, T, width) buffers, the forward and the reverse direction's,
     each reshaping to (B*T, width) rows in (b, t) order without a copy: the
@@ -505,6 +508,33 @@ def _time_major(steps: int, batch: int, width: int):
     return [block[:, 0].swapaxes(0, 1), block[::-1, 1].swapaxes(0, 1)]
 
 
+def _step_blocks(steps: int, batch: int) -> list[tuple[int, int]]:
+    """[start, end) loop steps of each projection block: ``_STEP_BLOCK``
+    steps each, except that at B = 1 a one-step tail joins the block before
+    it, since a one-row GEMM takes another BLAS kernel than the full GEMM."""
+    starts = list(range(0, steps, _STEP_BLOCK))
+    if batch == 1 and len(starts) > 1 and starts[-1] == steps - 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [steps]))
+
+
+def _table_projections(table, ids, mask, wf, wr):
+    """The input projections of ``embedding_lookup(table, ids, mask)``: each
+    distinct (id, mask) pair's masked row projected once per direction, as
+    one array of the forward rows and then the reverse rows, and for each
+    loop step k the (2, B) indices of its rows, time k forward and time
+    T-1-k in reverse."""
+    pairs = (ids * 2 + (mask != 0)).reshape(-1)  # a masked row is table[id] * mask
+    _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+    rows = table[ids.reshape(-1)[first]] * mask.reshape(-1)[first, None]
+    _ensure_finite(rows, "embedding_lookup")
+    if len(rows) == 1 < ids.size:
+        rows = np.concatenate([rows, rows])  # a one-row GEMM takes another kernel
+    inverse = inverse.reshape(ids.shape).T  # (T, B)
+    return (np.concatenate([rows @ wf, rows @ wr]),
+            np.stack([inverse, inverse[::-1] + len(rows)], axis=1))
+
+
 def bilstm_sequence(
     x: Tensor, forward: Sequence[Tensor], reverse: Sequence[Tensor], mask: np.ndarray,
     ids: np.ndarray | None = None,
@@ -516,19 +546,28 @@ def bilstm_sequence(
     packing the input, forget, cell and output gates in that order.  A padded
     step (mask 0) carries the state through unchanged.  Loop step k is time k
     forward and time T-1-k in reverse, with the states stacked as (2, B, H),
-    so a step is one matmul against the stacked U and one finiteness guard.
-    Each input projection and each weight and input gradient is one GEMM
-    over all B*T rows in (b, t) order.  A step writes its hidden states once,
+    so a step is one matmul against the stacked U, one add of its input
+    projections and one finiteness guard.  The input projections are made
+    ``_STEP_BLOCK`` loop steps at a time, one GEMM per direction, into a
+    step-ordered (n, 2, B, 4H) block.  A step writes its hidden states once,
     into the output.  With a graph kept (not under ``no_grad``), each step
     also keeps its gate activations and the cell state it started from; the
     hidden state it started from is read back from the output, and the tanh
     of its new cell state is computed again.  The gates sit in the (b, t)
-    order that the GEMMs read, and the backward rule, backpropagation through
-    time, writes each step's gate gradient over that step's gates.
+    order that the weight and input gradients' GEMMs read, one GEMM each over
+    all B*T rows, and the backward rule, backpropagation through time, writes
+    each step's gate gradient over that step's gates.
 
     With ``ids`` (B, T), ``x`` is an embedding table and the input is
     ``embedding_lookup(x, ids, mask)``, with its bits, finiteness check and
-    table gradient, gathered again for the backward rather than kept.
+    table gradient: each distinct (id, mask) pair's row is read and projected
+    once, and the rows are gathered again for the backward rather than kept.
+
+    The bits do not depend on the blocks or on the distinct rows: a GEMM
+    gives a row the same bits whatever the other rows, for two rows or more
+    (``tests/test_tensor.py`` checks this on the BLAS numpy uses).  A single
+    distinct row is therefore projected twice, and at B = 1 no block is one
+    step long unless the layer is.
     """
     mask = np.asarray(mask)
     batch, steps = mask.shape
@@ -537,48 +576,51 @@ def bilstm_sequence(
     in_dim, units = wf.shape[0], uf.shape[0]
     u, bias = np.stack([uf, ur]), np.stack([bf, br])[:, None, :]
 
-    def flat_inputs():
-        if ids is None:
-            return x.data.reshape(batch * steps, in_dim)
-        rows = x.data[ids] * mask[..., None]
-        _ensure_finite(rows, "embedding_lookup")
-        return rows.reshape(batch * steps, in_dim)
+    if ids is None:
+        def project(k0, k1, block):
+            for d, (w, times) in enumerate(((wf, x.data[:, k0:k1]),
+                                            (wr, x.data[:, steps - k1 : steps - k0][:, ::-1]))):
+                rows = np.ascontiguousarray(times.swapaxes(0, 1)).reshape(-1, in_dim)
+                block[: k1 - k0, d] = (rows @ w).reshape(k1 - k0, batch, -1)
+    else:
+        projected, step_rows = _table_projections(x.data, ids, mask, wf, wr)
 
-    # with a graph kept, a step's input projection is overwritten by its
-    # gates, and in backward by their gradient
-    flat_x = flat_inputs()
-    gates = _time_major(steps, batch, 4 * units)
-    for d, w in enumerate((wf, wr)):
-        gates[d][...] = (flat_x @ w).reshape(batch, steps, -1)
-    flat_x = None
+        def project(k0, k1, block):
+            # the indices are in range; "clip" writes into ``out`` unbuffered
+            np.take(projected, step_rows[k0:k1], axis=0, out=block[: k1 - k0], mode="clip")
+
     carry_new = mask.astype(np.float64).T[:, None, :, None]
     carry_new = np.concatenate([carry_new, carry_new[::-1]], axis=1)  # (T, 2, B, 1)
     carry_old = 1.0 - carry_new
     keep_graph = _grad_enabled
     if keep_graph:
+        gates = _time_major(steps, batch, 4 * units)
         c_in = np.empty((steps, 2, batch, units))
     out = np.empty((batch, steps, 2 * units))
     fwd_, rev_ = slice(0, units), slice(units, 2 * units)
     h = np.zeros((2, batch, units))
     c = np.zeros((2, batch, units))
     i_, f_, g_, o_ = (slice(k * units, (k + 1) * units) for k in range(4))
-    for k in range(steps):
-        r = steps - 1 - k
-        z = np.matmul(h, u)
-        z[0] += gates[0][:, k]
-        z[1] += gates[1][:, r]
-        z += bias
-        _ensure_finite(z, "bilstm_sequence")
-        act = _sigmoid(z)
-        act[..., g_] = np.tanh(z[..., g_])
-        c_new = act[..., f_] * c + act[..., i_] * act[..., g_]
-        tc = np.tanh(c_new)
-        m, keep = carry_new[k], carry_old[k]
-        if keep_graph:
-            gates[0][:, k], gates[1][:, r], c_in[k] = *act, c
-        c = m * c_new + keep * c
-        h = m * (act[..., o_] * tc) + keep * h
-        out[:, k, fwd_], out[:, r, rev_] = h
+    blocks = _step_blocks(steps, batch)
+    block = np.empty((max(k1 - k0 for k0, k1 in blocks), 2, batch, 4 * units))
+    for k0, k1 in blocks:
+        project(k0, k1, block)
+        for k in range(k0, k1):
+            r = steps - 1 - k
+            z = np.matmul(h, u)
+            z += block[k - k0]
+            z += bias
+            _ensure_finite(z, "bilstm_sequence")
+            act = _sigmoid(z)
+            act[..., g_] = np.tanh(z[..., g_])
+            c_new = act[..., f_] * c + act[..., i_] * act[..., g_]
+            tc = np.tanh(c_new)
+            m, keep = carry_new[k], carry_old[k]
+            if keep_graph:
+                gates[0][:, k], gates[1][:, r], c_in[k] = *act, c
+            c = m * c_new + keep * c
+            h = m * (act[..., o_] * tc) + keep * h
+            out[:, k, fwd_], out[:, r, rev_] = h
 
     def rule(grad_out):
         nonlocal gates, c_in
@@ -619,7 +661,11 @@ def bilstm_sequence(
         h_in[0][:, 0] = h_in[1][:, -1] = 0.0
         h_in[0][:, 1:], h_in[1][:, :-1] = out[:, :-1, fwd_], out[:, 1:, rev_]
         flat_h = [h_in[d].reshape(batch * steps, -1) for d in range(2)]
-        flat_x = flat_inputs()
+        if ids is None:
+            flat_x = x.data.reshape(batch * steps, in_dim)
+        else:
+            flat_x = (x.data[ids] * mask[..., None]).reshape(batch * steps, in_dim)
+            _ensure_finite(flat_x, "embedding_lookup")
         grads = [(flat_x.T @ gz, gh.T @ gz, gz.sum(axis=0)) for gz, gh in zip(flat_z, flat_h)]
         flat_x = flat_h = h_in = None
         gx = np.empty((batch, steps, in_dim))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -142,23 +142,31 @@ def build_vocab(
     return Vocabulary(reserved + tuple(tok for tok, _ in ranked[: max_size - len(reserved)]))
 
 
-def encode(docs: list[TokenizedDoc], vocab: Vocabulary, max_len: int) -> np.ndarray:
+def encode(docs: list[TokenizedDoc], vocab: Vocabulary, max_len: int,
+           trim: bool = False) -> np.ndarray:
     """One (len(docs), max_len) id matrix: each doc's token ids, truncated to
-    the head ``max_len`` and right-padded with ``PAD_ID``.
+    the head ``max_len`` and right-padded with ``PAD_ID``; with ``trim``,
+    only as wide as the longest truncated doc.
 
     Every token id is at least 1 (``OOV_ID`` when the token is not in the
     vocabulary), so ``ids != PAD_ID`` marks exactly the real positions.
     """
-    return encode_ids((map(vocab.id_for, doc.tokens) for doc in docs), max_len)
+    return encode_ids((map(vocab.id_for, doc.tokens) for doc in docs), max_len, trim)
 
 
-def encode_ids(rows, max_len: int) -> np.ndarray:
+def encode_ids(rows, max_len: int, trim: bool = False) -> np.ndarray:
     """Stack id rows, each cut to its first ``max_len`` ids and right-padded
-    with ``PAD_ID``, into one (n, max_len) int64 matrix.  A row may be any
-    iterable of ids: it is read only up to ``max_len``."""
+    with ``PAD_ID``, into one (n, max_len) int64 matrix; with ``trim``, it is
+    only as wide as its longest cut row, and at least one column.  A row may
+    be any iterable of ids: it is read only up to ``max_len``."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    return np.stack([np.fromiter(chain(row, repeat(PAD_ID)), np.int64, max_len) for row in rows])
+    cut = [np.fromiter(islice(row, max_len), np.int64) for row in rows]
+    width = max(max((len(ids) for ids in cut), default=0), 1) if trim else max_len
+    out = np.full((len(cut), width), PAD_ID, dtype=np.int64)
+    for row, ids in zip(out, cut):
+        row[: len(ids)] = ids
+    return out
 
 
 def vocab_from_tokens(path, name: str, tokens) -> Vocabulary:

@@ -4,7 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -537,6 +540,42 @@ class TestTrainPredictEval:
         assert str(run_dir / "model.tensors") in err and "'title.layer2.fwd.W'" in err
         assert len(err.encode("utf-8")) < 1024, err
 
+    @pytest.mark.parametrize("family,keys", [
+        ("bilstm", ("title_max_len", "content_max_len")),
+        ("contrastive", ("max_len",)),
+        ("encoder-head", ("max_len",)),
+    ])
+    def test_huge_max_len_predicts(self, tmp_path, neural_runs, data_dir, family, keys):
+        """A stored max_len of 10^9 only caps the ids scoring reads: each
+        side is encoded as wide as its longest row, so predict writes one
+        row per article in a process whose address space is capped at 2 GiB."""
+        run_dir = tmp_path / family
+        shutil.copytree(neural_runs / family, run_dir)
+        model_path = run_dir / "model.json"
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        payload["config"].update(dict.fromkeys(keys, 10**9))
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        corpus = data_dir / "synthetic60.jsonl"
+        preds = tmp_path / "preds.tsv"
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED_RUN, "predict", "--model-dir", str(run_dir),
+             "--corpus", str(corpus), "--out", str(preds)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                 "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])},
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert len(load_predictions(preds)) == len(load_corpus(corpus).articles)
+
+
+# runs the CLI on argv[1:] with the address space capped at 2 GiB
+CAPPED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from baitline.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+
 
 @pytest.fixture(scope="module")
 def classical_runs(tmp_path_factory):
@@ -731,7 +770,7 @@ def feed4(tmp_path_factory) -> Path:
 
 # what a mutation sets one model.json key to: each JSON type, numbers out of most
 # ranges, and a size whose model is far larger than its file
-MUTATION_VALUES = [None, True, 1.5, -1, "x", [], {}, [1], {"a": 1}, 1e308, 10**6]
+MUTATION_VALUES = [None, True, 1.5, -1, "x", [], {}, [1], {"a": 1}, 1e308, 10**6, 10**9]
 
 
 @pytest.mark.parametrize("family", ["rf", "svm", *NEURAL_FAMILIES])

@@ -581,14 +581,23 @@ class TestVocabSizedTables:
         with pytest.raises(ValueError, match="exceed"):
             Params(np.random.default_rng(0))("table", (5, 3), cap_rows=4)
 
-def chunk_rows(arrays):
-    """The scoring layout: row indices sorted by real ids over all sides
-    (stable, longest first), cut into runs of 16, each padded to a multiple
-    of 4 rows by repeating its last row."""
-    lengths = [sum(int((a[i] != PAD_ID).sum()) for a in arrays) for i in range(len(arrays[0]))]
-    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
-    chunks = [order[start : start + 16] for start in range(0, len(order), 16)]
-    return [chunk + chunk[-1:] * (-len(chunk) % 4) for chunk in chunks]
+def tiled_runs(order):
+    """``order`` cut into runs of 16, each padded to a multiple of 4 rows by
+    repeating its last row."""
+    runs = [list(order[start : start + 16]) for start in range(0, len(order), 16)]
+    return [run + run[-1:] * (-len(run) % 4) for run in runs]
+
+
+def side_chunks(ids):
+    """The layout in which scoring encodes one side: its row indices sorted
+    by their real ids (stable, longest first), as ``tiled_runs``."""
+    lengths = [int((row != PAD_ID).sum()) for row in ids]
+    return tiled_runs(sorted(range(len(ids)), key=lambda i: -lengths[i]))
+
+
+def batch_scores(bundle, *arrays):
+    """The scores of one batch: the head over each side's encoding."""
+    return bundle.head_scores(*(bundle.encode_side(side, ids) for side, ids in enumerate(arrays)))
 
 
 def scores_64_at_a_time(bundle, articles):
@@ -598,7 +607,7 @@ def scores_64_at_a_time(bundle, articles):
     arrays = bundle.encode_articles(articles)
     with no_grad():
         return np.concatenate([
-            bundle.batch_scores(*(trim_padding(a[start : start + 64]) for a in arrays))
+            batch_scores(bundle, *(trim_padding(a[start : start + 64]) for a in arrays))
             for start in range(0, len(articles), 64)
         ])
 
@@ -662,31 +671,45 @@ def property_bundle(family, scale):
 class TestScoring:
     @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
     def test_scores_build_no_graph_and_match_the_graph_forward(self, family):
+        """Scoring gives the bits of the graph forward run on the same chunks:
+        each side encoded in its own length-sorted chunks, and the head run
+        over the encodings in file-order chunks; no chunk builds a graph."""
         bundle_cls, config, vocabs, _ = built_family(family)
         bundle = bundle_cls(config, Params(np.random.default_rng(13)), **vocabs)
         articles = generate_class_marked_corpus(70, seed=14).articles  # five chunks
         arrays = bundle.encode_articles(articles)
+        encoded = []
+        for side, ids in enumerate(arrays):
+            rows_encoded = {}
+            for rows in side_chunks(ids):
+                chunk = bundle.encode_side(side, trim_padding(ids[rows])).data
+                rows_encoded.update(zip(rows, chunk))  # a repeated row keeps its first chunk row
+            encoded.append(np.array([rows_encoded[i] for i in range(len(articles))]))
         graph_scores = np.empty(len(articles))
-        for rows in chunk_rows(arrays):
+        for rows in tiled_runs(range(len(articles))):
             real = rows[: len(set(rows))]
-            graph_scores[real] = bundle.batch_scores(*(trim_padding(a[rows]) for a in arrays))[: len(real)]
+            graph_scores[real] = bundle.head_scores(
+                *(Tensor(e[rows]) for e in encoded))[: len(real)]
         graph_kept = []
-        batch_scores = bundle.batch_scores
 
-        def spy(*batch):
-            graph_kept.append(bool((Tensor(1.0) + Tensor(1.0)).parents))
-            return batch_scores(*batch)
+        def spy(method):
+            def recorded(*args):
+                graph_kept.append(bool((Tensor(1.0) + Tensor(1.0)).parents))
+                return method(*args)
+            return recorded
 
-        bundle.batch_scores = spy
+        bundle.encode_side, bundle.head_scores = spy(bundle.encode_side), spy(bundle.head_scores)
         assert np.array_equal(bundle.scores(articles), graph_scores)
-        assert graph_kept == [False] * 5
+        assert graph_kept == [False] * 5 * (len(arrays) + 1)
         assert (Tensor(1.0) + Tensor(1.0)).parents  # the mode is back on after scoring
 
     @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
     def test_batches_come_trimmed(self, family):
-        """Every family's ``batch_scores`` gets 16-row chunks of the articles
-        sorted longest first, the last one padded to 8 rows with its last
-        article, each side without the chunk's trailing all-padding columns."""
+        """Every side is encoded only as wide as its longest row, and
+        ``encode_side`` gets 16-row chunks of its rows sorted longest first,
+        the last one padded to 8 rows with its last row, each without the
+        chunk's trailing all-padding columns; the head gets the encodings
+        in file order, in chunks of the same sizes."""
         bundle_cls, config, vocabs, _ = built_family(family)
         lengths = {key: 300 for key in ("max_len", "title_max_len", "content_max_len")
                    if hasattr(config, key)}
@@ -694,16 +717,25 @@ class TestScoring:
                             Params(np.random.default_rng(13)), **vocabs)
         articles = generate_class_marked_corpus(70, seed=14).articles
         padded = bundle.encode_articles(articles)
-        assert any((a[:, -1] == PAD_ID).all() for a in padded)  # there is padding to trim
-        batches = []
-        batch_scores = bundle.batch_scores
-        bundle.batch_scores = lambda *batch: batches.append(batch) or batch_scores(*batch)
+        full = bundle.encode_docs(articles, *tokenize_sides(articles))
+        for ids, wide in zip(padded, full):
+            assert wide.shape[1] == 300 and (wide[:, ids.shape[1]:] == PAD_ID).all()
+            assert np.array_equal(ids, wide[:, : ids.shape[1]]) and (ids[:, -1] != PAD_ID).any()
+        sides, heads = [], []
+        encode_side, head_scores = bundle.encode_side, bundle.head_scores
+        bundle.encode_side = lambda side, ids: sides.append((side, ids)) or encode_side(side, ids)
+        bundle.head_scores = lambda *encoded: heads.append(encoded) or head_scores(*encoded)
         bundle.scores(articles)
-        assert [len(batch[0]) for batch in batches] == [16, 16, 16, 16, 8]
-        for rows, batch in zip(chunk_rows(padded), batches):
-            for ids, full in zip(batch, padded):
-                assert (ids[:, -1] != PAD_ID).any()
-                assert np.array_equal(ids, full[rows, : ids.shape[1]])
+        assert [side for side, _ in sides] == [s for s in range(len(padded)) for _ in range(5)]
+        assert [len(ids) for _, ids in sides] == [16, 16, 16, 16, 8] * len(padded)
+        trimmed = False
+        for (side, ids), rows in zip(sides, [r for a in padded for r in side_chunks(a)]):
+            assert (ids[:, -1] != PAD_ID).any()
+            assert np.array_equal(ids, padded[side][rows, : ids.shape[1]])
+            trimmed |= ids.shape[1] < padded[side].shape[1]
+        assert trimmed  # there was padding to trim
+        assert [[len(e.data) for e in encoded] for encoded in heads] == [
+            [n] * len(padded) for n in (16, 16, 16, 16, 8)]
 
     @pytest.mark.parametrize("family", ["bilstm", "contrastive", "encoder-head"])
     @given(scored_files())
@@ -729,9 +761,9 @@ class TestScoring:
 
     def test_peak_memory_follows_one_chunk(self):
         """Scoring 64 full-length articles with the full-profile BiLSTM holds
-        at most what one 16-row chunk's first content layer needs at once:
-        its embeddings, its gate block and one direction's input projection,
-        with a quarter more for the rest."""
+        at most what one 16-row chunk's second content layer needs at once:
+        the outputs of both content layers and one block of input
+        projections, with a quarter more for the rest."""
         config = BiLstmConfig()
         words = tuple(f"w{i}" for i in range(50))
         vocab = Vocabulary(words)
@@ -742,10 +774,9 @@ class TestScoring:
                                 content=" ".join(rng.choice(words, 300)), source="s")
                     for i in range(64)]
         rows, steps, units = 16, config.content_max_len, config.content_units
-        embeddings = rows * steps * config.embed_dim * 8
-        gates = steps * 2 * rows * 4 * units * 8
-        projection = rows * steps * 4 * units * 8
-        bound = 1.25 * (embeddings + gates + projection)
+        outputs = 2 * rows * steps * 2 * units * 8
+        projections = 16 * 2 * rows * 4 * units * 8
+        bound = 1.25 * (outputs + projections)
         tracemalloc.start()
         try:
             bundle.scores(articles)

@@ -301,6 +301,8 @@ def lstm_results(layer, x, weights, mask, probe):
 
 lstm_masks = st.integers(1, 4).flatmap(lambda steps: st.lists(
     st.lists(st.integers(0, 1), min_size=steps, max_size=steps), min_size=1, max_size=4))
+# one row of up to 40 steps: several projection blocks, maybe a one-step tail
+one_long_row = st.lists(st.integers(0, 1), min_size=1, max_size=40).map(lambda row: [row])
 
 
 class TestLstmSequence:
@@ -335,15 +337,17 @@ class TestLstmSequence:
         for got, want in zip(fused_grads, oracle_grads):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    @given(mask=lstm_masks, in_dim=st.integers(1, 3), units=st.integers(1, 3),
+    @given(mask=lstm_masks | one_long_row, in_dim=st.integers(1, 3), units=st.integers(1, 3),
            scale=st.sampled_from([0.5, 2.0, 40.0]), seed=st.integers(0, 2**32 - 1))
     @example(mask=[[1]], in_dim=2, units=2, scale=2.0, seed=0)
+    @example(mask=[[1] * 17], in_dim=2, units=2, scale=2.0, seed=2)  # a one-step tail
     @example(mask=[[1, 0, 0, 1, 1]], in_dim=1, units=1, scale=2.0, seed=1)
     # -0.0 in the output and in the reverse direction's U gradient
     @example(mask=[[1, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]], in_dim=3, units=2, scale=40.0, seed=19)
     def test_matches_stored_states_oracle_bit_for_bit(self, mask, in_dim, units, scale, seed):
-        """Ragged rows, all-padding rows, gaps, one row, one step; at scale 40
-        gates saturate to exact 0s and 1s, and some results hold -0.0."""
+        """Ragged rows, all-padding rows, gaps, one row, one step, one row
+        over several projection blocks; at scale 40 gates saturate to exact
+        0s and 1s, and some results hold -0.0."""
         mask = np.array(mask)
         batch, steps = mask.shape
         rng = np.random.default_rng(seed)
@@ -357,23 +361,40 @@ class TestLstmSequence:
             for a, b in zip(got, want, strict=True):
                 assert same_bits(a, b)
 
-    @given(mask=lstm_masks, rows=st.integers(1, 6), in_dim=st.integers(1, 3),
+    @given(mask=lstm_masks | one_long_row, rows=st.integers(1, 6), in_dim=st.integers(1, 3),
            units=st.integers(1, 3), scale=st.sampled_from([0.5, 2.0, 40.0]),
-           mask_type=st.sampled_from([bool, np.int64]), seed=st.integers(0, 2**32 - 1))
-    @example(mask=[[1]], rows=2, in_dim=2, units=2, scale=2.0, mask_type=bool, seed=0)
-    @example(mask=[[1, 0, 0, 1, 1]], rows=3, in_dim=1, units=1, scale=40.0, mask_type=bool, seed=1)
+           mask_type=st.sampled_from([bool, np.int64]), id_values=st.sampled_from([1, 2, None]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(mask=[[1]], rows=2, in_dim=2, units=2, scale=2.0, mask_type=bool, id_values=None,
+             seed=0)
+    @example(mask=[[1, 0, 0, 1, 1]], rows=3, in_dim=1, units=1, scale=40.0, mask_type=bool,
+             id_values=None, seed=1)
     @example(mask=[[1, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]], rows=4, in_dim=3, units=2,
-             scale=40.0, mask_type=np.int64, seed=19)
+             scale=40.0, mask_type=np.int64, id_values=None, seed=19)
+    # one distinct (id, mask) pair: its row is projected twice
+    @example(mask=[[1, 1, 1], [1, 1, 1]], rows=4, in_dim=2, units=2, scale=2.0, mask_type=bool,
+             id_values=1, seed=3)
+    # one row over two projection blocks and a one-step tail, which joins the second
+    @example(mask=[[1] * 30 + [0] * 3], rows=5, in_dim=3, units=3, scale=2.0, mask_type=bool,
+             id_values=None, seed=4)
+    @example(mask=[[1] * 40], rows=5, in_dim=2, units=3, scale=2.0, mask_type=np.int64,
+             id_values=2, seed=5)
     def test_reading_the_table_matches_embedding_lookup(self, mask, rows, in_dim, units, scale,
-                                                         mask_type, seed):
+                                                         mask_type, id_values, seed):
         """Fed ``ids``, the layer gives the bits of ``embedding_lookup`` and
         then the layer: the output, the table's gradient and the six weight
         gradients.  Ids are drawn at padded positions too, where the table
-        row is read but gets no gradient."""
+        row is read but gets no gradient, from all rows or from one or two
+        nonzero ids (so one distinct (id, mask) pair can remain), and one
+        row can run for up to 40 steps, over several projection blocks."""
         mask = np.array(mask, dtype=mask_type)
         rng = np.random.default_rng(seed)
         table = rng.normal(size=(rows, in_dim)) * scale
-        ids = rng.integers(0, rows, size=mask.shape)
+        if id_values is None:
+            ids = rng.integers(0, rows, size=mask.shape)
+        else:
+            ids = rng.choice(rng.integers(1, rows, size=id_values, endpoint=True), size=mask.shape)
+            table = np.concatenate([table, rng.normal(size=(1, in_dim)) * scale])
         weights = [[rng.uniform(-scale, scale, size=shape)
                     for shape in ((in_dim, 4 * units), (units, 4 * units), (4 * units,))]
                    for _ in range(2)]
@@ -485,6 +506,28 @@ class TestLstmSequence:
         for d in range(2):
             assert np.array_equal(stacked_h[d], h[d] @ u[d])
             assert np.array_equal(stacked_dz[d], dz[d] @ u[d].T)
+
+    # the shapes of the layers' input projections: K the input width, N four
+    # times the units, M the rows of one GEMM
+    @pytest.mark.parametrize("k", [300, 128, 64, 50])
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_gemm_rows_do_not_depend_on_the_other_rows(self, k, n):
+        """A GEMM row has the same bits whatever the other rows, for two
+        rows or more: projecting distinct rows, or a block of steps, gives
+        the bits of the GEMM over all rows.  (One row takes another kernel,
+        which is why the layer never projects one row alone unless it has
+        just one.)  This depends on the BLAS build numpy uses."""
+        rng = np.random.default_rng(k * n)
+        a = rng.normal(size=(264, k))
+        w = rng.uniform(-0.1, 0.1, size=(k, n))
+        whole = a @ w
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        for m in [*range(2, 40), 63, 64, 65, 127, 128, 129, 255, 256, 257]:
+            for offset in range(8):
+                rows = a[offset : offset + m] @ w
+                assert np.array_equal(rows, whole[offset : offset + m]), (
+                    f"M={m} rows at offset {offset}, K={k}, N={n}: the bits differ from the "
+                    f"full GEMM's on {blas.get('name')} {blas.get('version')}")
 
 
 def graph_pooled_encode(table, proj_w, ctx_w, proj_b, ids, mask):
