@@ -7,7 +7,3 @@ Label convention everywhere: clickbait = 0, non-clickbait = 1.
 """
 
 __version__ = "0.1.0"
-
-from .corpus import Corpus, Label, NewsArticle, load_corpus, save_corpus
-
-__all__ = ["Corpus", "Label", "NewsArticle", "load_corpus", "save_corpus", "__version__"]

@@ -168,22 +168,15 @@ class DecisionTree:
         Contiguous groups of trees grow on the CPUs this process may use
         (``parallel.fork_join``), at most one group per ``FORK_MIN_ROW_TREES``
         sample rows summed over all trees.  A tree depends only on its own
-        generator and samples, so the forest, and the state each generator is
-        left in, do not depend on the grouping."""
+        generator and samples, so the forest does not depend on the grouping."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         groups = parallel.split([len(rows) for rows in samples], FORK_MIN_ROW_TREES)
 
-        def grow(group: slice) -> tuple[list[array], list[dict]]:
-            grown = _grow(X, y, class_weights, rngs[group], samples[group], max_features)
-            return grown, [rng.bit_generator.state for rng in rngs[group]]
+        def grow(group: slice) -> list[array]:
+            return _grow(X, y, class_weights, rngs[group], samples[group], max_features)
 
-        grown = []
-        for group, (rows, states) in zip(groups, parallel.fork_join(grow, groups)):
-            grown += rows
-            for rng, state in zip(rngs[group], states):
-                rng.bit_generator.state = state
-        return cls._pack(grown)
+        return cls._pack([rows for part in parallel.fork_join(grow, groups) for rows in part])
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
         """The leaf each row reaches in each tree, shape (trees, rows): every

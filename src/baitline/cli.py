@@ -172,6 +172,10 @@ def _resolve_model_config(args, family: str):
     file_overrides = {}
     if args.config:
         sections = cfg.read_config_file(args.config)
+        unknown = sorted(set(sections) - set(FAMILIES) - {"run"})
+        if unknown:
+            raise ValueError(f"{args.config}: section [{unknown[0]}] is neither a model family "
+                             f"({', '.join(FAMILIES)}) nor [run]")
         file_overrides = sections.get(family, {})
     flag_overrides: dict = {}
     if args.seed is not None:
@@ -251,13 +255,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_pred_entries(entries: list[str]) -> list[tuple[str, str]]:
-    out = []
+def _parse_pred_entries(entries: list[str]) -> dict[str, str]:
+    """File by model id, in the order given; an id may appear once."""
+    out = {}
     for entry in entries:
         if "=" not in entry:
             raise ValueError(f"expected ID=FILE, got {entry!r}")
         model_id, path = entry.split("=", 1)
-        out.append((model_id, path))
+        if model_id in out:
+            raise ValueError(f"model id {model_id!r} is given twice in --preds")
+        out[model_id] = path
     return out
 
 
@@ -286,9 +293,9 @@ def _aligned_rows(paths: list[str]) -> list[list[PredictionRow]]:
 
 def cmd_ensemble_fit(args) -> int:
     entries = _parse_pred_entries(args.preds)
-    per_model = _aligned_rows([path for _, path in entries])
+    per_model = _aligned_rows(list(entries.values()))
     config = fit_weights(
-        [model_id for model_id, _ in entries],
+        list(entries),
         [[r.pred for r in rows] for rows in per_model],
         [r.gold for r in per_model[0]],
         threshold=args.threshold,
@@ -304,8 +311,8 @@ def cmd_ensemble_fit(args) -> int:
 
 
 def cmd_ensemble_apply(args) -> int:
+    entries = _parse_pred_entries(args.preds)
     config = EnsembleConfig.load(args.config)
-    entries = dict(_parse_pred_entries(args.preds))
     missing = [m for m in config.model_ids if m not in entries]
     if missing:
         raise ValueError(f"missing prediction files for models: {missing}")

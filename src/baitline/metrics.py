@@ -71,16 +71,6 @@ def confusion_counts(preds: Sequence, golds: Sequence, target) -> ConfusionCount
                            fn=cells[False, True], tn=cells[False, False])
 
 
-def prf1(preds: Sequence, golds: Sequence, target) -> tuple[float, float, float]:
-    """(precision, recall, f1) for the target class; see ``ConfusionCounts.prf1``."""
-    return confusion_counts(preds, golds, target).prf1()
-
-
-def macro_f1(preds: Sequence, golds: Sequence) -> float:
-    """Unweighted mean of the two per-class F1 scores."""
-    return confusion_counts(preds, golds, Label.CLICKBAIT).macro_f1
-
-
 # ---------------------------------------------------------------------------
 # precision-recall curve and average precision
 # ---------------------------------------------------------------------------

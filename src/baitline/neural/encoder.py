@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, pooled_encode
+from ..tensor.core import Tensor, pooled_encode
 from ..textproc import PAD_ID
 
 

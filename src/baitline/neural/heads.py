@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..corpus import Corpus
-from ..tensor import Tensor, dropout, relu, softmax
+from ..tensor.core import Tensor, dropout, relu, softmax
 from ..tensor.checkpoint import MODEL_FILE
 from ..textproc import SEPARATOR_TOKEN, TokenizedDoc, Vocabulary, build_vocab, encode_ids
 from .encoder import Params, PooledTextEncoder

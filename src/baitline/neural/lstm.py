@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import Corpus
-from ..tensor import (
+from ..tensor.core import (
     Tensor,
     backward,  # noqa: F401  (benchmark/test_selftest.py checks tracing rebinds it here)
     bilstm_sequence,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import Corpus, Label, NewsArticle
-from ..tensor import (
+from ..tensor.core import (
     Tensor,
     concat,
     cosine_similarity,

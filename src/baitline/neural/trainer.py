@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from ..corpus import Corpus, Label, argmax_predictions
-from ..tensor import GraphOptimizer, Tensor, backward, cross_entropy, no_grad
 from ..tensor.checkpoint import MODEL_FILE, load_tensors, require_same_names, save_tensors
+from ..tensor.core import Tensor, backward, cross_entropy, no_grad
+from ..tensor.optim import GraphOptimizer
 from ..textproc import PAD_ID, TokenizedDoc, Vocabulary, normalize, tokenize, vocab_from_tokens
 from .embeddings import load_pretrained_embeddings
 from .encoder import Params
@@ -56,7 +57,8 @@ class NeuralBundle:
     implement ``__init__(config, param, **vocabs)``, which passes its
     arguments to this class's and then makes every parameter by calling
     ``param``, a ``Params`` (each embedding table gets one row per id of its
-    vocabulary), the static ``vocabularies(config, title_docs,
+    vocabulary; the bundle keeps it as ``params``, every parameter by name in
+    the order the model made them), the static ``vocabularies(config, title_docs,
     content_docs)`` (the ``vocabs``), ``encode_docs(articles, title_docs,
     content_docs, trim=False)`` (one (n, max_len) id matrix per encoded
     side, padded with ``PAD_ID``, and with ``trim`` only as wide as its
@@ -75,11 +77,7 @@ class NeuralBundle:
         self.config = config
         self.__dict__.update(vocabs)
         self.train_losses: list[float] = []
-        self.param = param
-
-    def params(self) -> Params:
-        """Every parameter, by name, in the order the model made them."""
-        return self.param
+        self.params = param
 
     @classmethod
     def train(cls, corpus: Corpus, config):
@@ -106,7 +104,7 @@ class NeuralBundle:
         optimizer is AdamW when the config sets a ``weight_decay``, else Adam.
         """
         config = self.config
-        optimizer = GraphOptimizer(self.params(), config.learning_rate,
+        optimizer = GraphOptimizer(self.params, config.learning_rate,
                                    getattr(config, "weight_decay", 0.0))
         for _ in range(config.epochs):
             order = rng.permutation(len(labels))
@@ -173,7 +171,7 @@ class NeuralBundle:
         fields: each vocabulary's tokens in id order."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        save_tensors(out_dir / "model.tensors", {k: v.data for k, v in self.params().items()})
+        save_tensors(out_dir / "model.tensors", {k: v.data for k, v in self.params.items()})
         return {name: list(getattr(self, name).tokens) for name in self.vocab_fields}
 
     @classmethod
@@ -189,5 +187,5 @@ class NeuralBundle:
         path = model_dir / "model.tensors"
         stored = load_tensors(path)
         bundle = cls(model["config"], Params(stored=stored, path=path), **vocabs)
-        require_same_names(path, "tensor", set(bundle.params()), set(stored))
+        require_same_names(path, "tensor", set(bundle.params), set(stored))
         return bundle

@@ -1,64 +1,1 @@
 """Numeric core: autodiff tensors, optimizers, checkpoint container."""
-
-from .checkpoint import load_tensors, save_tensors
-from .core import (
-    NonFiniteError,
-    Tensor,
-    add,
-    backward,
-    bilstm_sequence,
-    concat,
-    cosine_similarity,
-    cross_entropy,
-    dropout,
-    embedding_lookup,
-    l2_normalize,
-    matmul,
-    max_pool_over_time,
-    mean_over_time,
-    multiply,
-    narrow,
-    no_grad,
-    pooled_encode,
-    relu,
-    reshape,
-    sigmoid,
-    softmax,
-    stack_steps,
-    sub,
-    tanh,
-    tmean,
-)
-from .optim import GraphOptimizer
-
-__all__ = [
-    "GraphOptimizer",
-    "NonFiniteError",
-    "Tensor",
-    "add",
-    "backward",
-    "bilstm_sequence",
-    "concat",
-    "cosine_similarity",
-    "cross_entropy",
-    "dropout",
-    "embedding_lookup",
-    "l2_normalize",
-    "load_tensors",
-    "matmul",
-    "max_pool_over_time",
-    "mean_over_time",
-    "multiply",
-    "narrow",
-    "no_grad",
-    "pooled_encode",
-    "relu",
-    "reshape",
-    "save_tensors",
-    "sigmoid",
-    "softmax",
-    "stack_steps",
-    "sub",
-    "tanh",
-    "tmean",
-]

@@ -10,8 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from baitline.tensor import Tensor, core
-from baitline.tensor.core import _ensure_finite, _sigmoid
+from baitline.tensor import core
+from baitline.tensor.core import Tensor, _ensure_finite, _sigmoid
 
 
 def stored_states_bilstm(

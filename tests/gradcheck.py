@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from baitline.tensor import Tensor, backward
+from baitline.tensor.core import Tensor, backward
 
 
 def tsum(x: Tensor) -> Tensor:

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from baitline.classical import RandomForestConfig, train_random_forest
+from baitline.classical.forest import RandomForestConfig, train_random_forest
 from baitline.cli import run
 from baitline.config import MODEL_FAMILIES, read_model
 from baitline.corpus import Label, corpus_stats, load_corpus, save_corpus, split_by_source
 from baitline.ensemble import EnsembleConfig, ensemble_predict, fit_weights
-from baitline.metrics import load_predictions, macro_f1, mcnemar, pr_curve, prf1
+from baitline.metrics import confusion_counts, load_predictions, mcnemar, pr_curve
 from baitline.neural.encoder import Params
 from baitline.neural.lstm import BiLstmClassifier, BiLstmConfig
 from baitline.neural.siamese import (
@@ -27,7 +27,7 @@ from baitline.neural.siamese import (
     SiameseEncoder,
     contrastive_loss_graph,
 )
-from baitline.tensor import (
+from baitline.tensor.core import (
     Tensor,
     bilstm_sequence,
     concat,
@@ -187,7 +187,7 @@ class TestAutodiffAcceptance:
             v_c = encoder.encode_graph(c_ids)
             return contrastive_loss_graph(v_t, v_c, y, config.margin)
 
-        check(contrastive_forward, encoder.params(), max_coords=60)
+        check(contrastive_forward, encoder.params, max_coords=60)
 
         # full dual-branch BiLSTM graph
         lstm_config = BiLstmConfig(
@@ -206,7 +206,7 @@ class TestAutodiffAcceptance:
             probs = model.forward(bt_ids, bc_ids)
             return cross_entropy(probs, bl_onehot)
 
-        check(bilstm_forward, model.params(), max_coords=8)
+        check(bilstm_forward, model.params, max_coords=8)
 
         elapsed = time.monotonic() - started
         report_line(
@@ -317,7 +317,7 @@ class TestStatisticsFixtures:
 
         golds_f = [CB, CB, CB, CB, NCB, NCB]
         preds_f = [CB, CB, NCB, NCB, CB, NCB]
-        p_, r_, f1_ = prf1(preds_f, golds_f, CB)
+        p_, r_, f1_ = confusion_counts(preds_f, golds_f, CB).prf1()
         prf1_ok = (
             abs(p_ - 0.6667) <= 1e-4 and abs(r_ - 0.5) <= 1e-4 and abs(f1_ - 0.5714) <= 1e-4
         )
@@ -359,7 +359,7 @@ class TestContrastiveSeparation:
         separation = float(np.mean(sims_ncb) - np.mean(sims_cb))
 
         rows = load_predictions(preds_path)
-        score = macro_f1([r.pred for r in rows], [r.gold for r in rows])
+        score = confusion_counts([r.pred for r in rows], [r.gold for r in rows], CB).macro_f1
         elapsed = time.monotonic() - started
         report_line(
             "contrastive-separation",

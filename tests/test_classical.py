@@ -6,26 +6,25 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from baitline.classical import (
-    DecisionTree,
-    PlattScaler,
+from baitline.classical.forest import (
     RandomForestConfig,
-    SvmConfig,
+    RandomForestModel,
     balanced_class_weights,
-    best_split,
-    compute_oob_score,
     load_rf,
+    rf_fields,
+    train_random_forest,
+)
+from baitline.classical.svm import (
+    PlattScaler,
+    SvmConfig,
+    SvmModel,
     load_svm,
     platt_fit,
-    rf_fields,
     svm_fields,
     svm_objective,
-    train_random_forest,
     train_svm,
 )
-from baitline.classical.forest import RandomForestModel
-from baitline.classical.svm import SvmModel
-from baitline.classical.tree import _entropy2
+from baitline.classical.tree import DecisionTree, _entropy2, best_split
 from baitline.config import read_model
 from baitline.features import N_FEATURES
 from baitline.tensor.checkpoint import save_model_json

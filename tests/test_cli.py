@@ -16,7 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from baitline import config as cfg
-from baitline.classical import balanced_class_weights, svm
+from baitline.classical import svm
+from baitline.classical.forest import balanced_class_weights
 from baitline.cli import build_parser, run
 from baitline.corpus import Corpus, Label, load_corpus, save_corpus
 from baitline.ensemble import ENSEMBLE_HEADER
@@ -1122,6 +1123,18 @@ class TestEnsembleCommands:
         assert "threshold must be finite" in capsys.readouterr().err
         assert not (tmp_path / "e.json").exists()
 
+    @pytest.mark.parametrize("command", [["fit"], ["apply", "--config", "missing.json"]],
+                             ids=["fit", "apply"])
+    def test_repeated_model_id_exit_3(self, tmp_path, data_dir, capsys, monkeypatch, command):
+        """Refused before any file is read: apply's config does not exist."""
+        monkeypatch.chdir(tmp_path)
+        reference = data_dir / "preds_contrastive_reference.tsv"
+        capsys.readouterr()
+        assert run(["ensemble", *command, "--preds", f"a={reference}", f"b={reference}",
+                    f"a={reference}", "--out", "out"]) == 3
+        assert "model id 'a' is given twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def rerun_files(work: Path, families, monkeypatch) -> dict[str, bytes]:
     """Inside ``work``, with relative paths: split synthetic60, train each of
@@ -1353,6 +1366,17 @@ class TestInputReaders:
                     "--out", str(tmp_path / "run"), "--profile", "desk",
                     "--config", str(config_path)]) == 3
         assert f"{config_path}:{line}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_section_naming_no_family_exit_3(self, tmp_path, corpus_path, capsys):
+        """A misspelt family's section is refused, not skipped."""
+        config_path = tmp_path / "run.ini"
+        config_path.write_text("[svn]\nC = -5\nepochs = 3\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["train", "--model", "svm", "--corpus", corpus_path,
+                    "--out", str(tmp_path / "run"), "--profile", "desk",
+                    "--config", str(config_path)]) == 3
+        assert f"{config_path}: section [svn] is neither" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_eval_compare_with_flipped_golds(self, tmp_path, data_dir, capsys):

@@ -13,10 +13,8 @@ from baitline.metrics import (
     evaluate,
     export_pr_curve,
     load_predictions,
-    macro_f1,
     mcnemar,
     pr_curve,
-    prf1,
     render_report,
     report_to_dict,
     save_predictions,
@@ -49,19 +47,19 @@ class TestPrf1:
         # tp=2, fp=1, fn=2, tn=1
         golds = [CB, CB, CB, CB, NCB, NCB]
         preds = [CB, CB, NCB, NCB, CB, NCB]
-        p, r, f1 = prf1(preds, golds, CB)
+        p, r, f1 = confusion_counts(preds, golds, CB).prf1()
         assert (p, r, f1) == pytest.approx((0.6667, 0.5, 0.5714), abs=1e-4)
         counts = confusion_counts(preds, golds, CB)
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (2, 1, 2, 1)
 
     def test_perfect(self):
         golds = [CB, NCB, CB]
-        assert prf1(golds, golds, CB) == (1.0, 1.0, 1.0)
+        assert confusion_counts(golds, golds, CB).prf1() == (1.0, 1.0, 1.0)
 
     def test_zero_conventions(self):
         golds = [NCB, NCB]
         preds = [NCB, NCB]
-        p, r, f1 = prf1(preds, golds, CB)  # no predictions, no positives
+        p, r, f1 = confusion_counts(preds, golds, CB).prf1()  # no predictions, no positives
         assert (p, r, f1) == (0.0, 0.0, 0.0)
 
     def test_count_identities(self):
@@ -78,7 +76,7 @@ class TestPrf1:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            prf1([CB], [CB, NCB], CB)
+            confusion_counts([CB], [CB, NCB], CB)
 
 
 class TestMacroF1:
@@ -86,18 +84,19 @@ class TestMacroF1:
         rows = load_predictions(data_dir / "preds_contrastive_reference.tsv")
         golds = [r.gold for r in rows]
         preds = [r.pred for r in rows]
-        assert round(macro_f1(preds, golds), 4) == 0.9199
+        assert round(confusion_counts(preds, golds, CB).macro_f1, 4) == 0.9199
 
     def test_all_correct(self):
         golds = [CB, NCB]
-        assert macro_f1(golds, golds) == 1.0
+        assert confusion_counts(golds, golds, CB).macro_f1 == 1.0
 
     def test_class_swap_invariance(self):
         golds = [CB, CB, NCB, NCB, CB]
         preds = [CB, NCB, NCB, CB, CB]
         flip = {CB: NCB, NCB: CB}
-        assert macro_f1(preds, golds) == pytest.approx(
-            macro_f1([flip[p] for p in preds], [flip[g] for g in golds]), abs=1e-12
+        flipped = confusion_counts([flip[p] for p in preds], [flip[g] for g in golds], CB)
+        assert confusion_counts(preds, golds, CB).macro_f1 == pytest.approx(
+            flipped.macro_f1, abs=1e-12
         )
 
 
@@ -209,11 +208,11 @@ class TestReferenceFixtures:
         preds = [r.pred for r in rows]
         assert len(rows) == 1507
         assert sum(1 for g in golds if g == CB) == 441
-        p, r, f1 = prf1(preds, golds, CB)
+        p, r, f1 = confusion_counts(preds, golds, CB).prf1()
         assert round(f1, 4) == 0.8852
         assert round(p, 4) == 0.9153
         assert round(r, 4) == 0.8571
-        p2, r2, f2 = prf1(preds, golds, NCB)
+        p2, r2, f2 = confusion_counts(preds, golds, NCB).prf1()
         assert round(f2, 4) == 0.9546
 
     def test_finetuned_row_confusion(self, data_dir):
@@ -260,9 +259,9 @@ class TestEvaluateReport:
         preds, golds, scores = case
         expected = {"n": len(golds),
                     "accuracy": sum(1 for p, g in zip(preds, golds) if p == g) / len(golds),
-                    "macro_f1": macro_f1(preds, golds)}
+                    "macro_f1": confusion_counts(preds, golds, CB).macro_f1}
         for target, key in ((CB, "clickbait"), (NCB, "non_clickbait")):
-            p, r, f1 = prf1(preds, golds, target)
+            p, r, f1 = confusion_counts(preds, golds, target).prf1()
             c = confusion_counts(preds, golds, target)
             expected.update({f"{key}_precision": p, f"{key}_recall": r, f"{key}_f1": f1,
                              f"{key}_tp": c.tp, f"{key}_fp": c.fp, f"{key}_fn": c.fn,

@@ -33,7 +33,7 @@ from baitline.neural.siamese import (
     train_contrastive,
 )
 from baitline.neural.trainer import tokenize_sides, trim_padding
-from baitline.tensor import (
+from baitline.tensor.core import (
     Tensor,
     backward,
     bilstm_sequence,
@@ -157,8 +157,8 @@ class TestBiLstm:
         config = small_bilstm_config(epochs=2, seed=11)
         a = train_bilstm(corpus, config)
         b = train_bilstm(corpus, config)
-        for name, param in a.params().items():
-            assert np.array_equal(param.data, b.params()[name].data), name
+        for name, param in a.params.items():
+            assert np.array_equal(param.data, b.params[name].data), name
         assert a.train_losses == b.train_losses
 
     def test_empty_and_single_class_rejected(self):
@@ -410,8 +410,8 @@ class TestContrastiveTraining:
         config = siamese_config(epochs=3)
         a = train_contrastive(corpus, config)
         b = train_contrastive(corpus, config)
-        for name, param in a.params().items():
-            assert np.array_equal(param.data, b.params()[name].data), name
+        for name, param in a.params.items():
+            assert np.array_equal(param.data, b.params[name].data), name
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -440,7 +440,7 @@ class TestContrastiveTraining:
             v_c = encoder.encode_graph(c_ids)
             return contrastive_loss_graph(v_t, v_c, y, config.margin)
 
-        report = check_gradients(forward, encoder.params(),
+        report = check_gradients(forward, encoder.params,
                                  max_coords_per_param=40, rng=np.random.default_rng(6))
         assert report.passed, report.failures[:3]
 
@@ -545,11 +545,11 @@ class TestVocabSizedTables:
     def test_live_rows_and_rng_stream_match_capped_tables(self, capped_tables, family):
         bundle_cls, config, vocabs, tables = built_family(family)
         rng = np.random.default_rng(21)
-        sized = bundle_cls(config, Params(rng), **vocabs).params()
+        sized = bundle_cls(config, Params(rng), **vocabs).params
         sized_next = rng.random(4)
         with capped_tables():
             rng = np.random.default_rng(21)
-            capped = bundle_cls(config, Params(rng), **vocabs).params()
+            capped = bundle_cls(config, Params(rng), **vocabs).params
             capped_next = rng.random(4)
         assert np.array_equal(sized_next, capped_next)
         assert sized.keys() == capped.keys()
@@ -570,7 +570,7 @@ class TestVocabSizedTables:
         stored = {}
         monkeypatch.setattr("baitline.neural.trainer.load_tensors",
                             lambda path: stored.setdefault("arrays", load_tensors(path)))
-        params = bundle_cls.load(tmp_path, model).params()
+        params = bundle_cls.load(tmp_path, model).params
         for name, field in tables.items():
             assert params[name].data.shape == (vocabs[field].size, config.embed_dim)
         assert params.keys() == stored["arrays"].keys()
@@ -662,7 +662,7 @@ def property_bundle(family, scale):
     if family == "bilstm":  # caps that leave titles and short contents their own lengths
         config = dataclasses.replace(config, title_max_len=12, content_max_len=40)
     bundle = bundle_cls(config, Params(np.random.default_rng(17)), **vocabs)
-    for param in bundle.params().values():
+    for param in bundle.params.values():
         param.data = param.data * scale
     words = sorted({t for v in vocabs.values() for t in v.tokens if t.isalnum()} | {"zzzoov"})
     return bundle, words

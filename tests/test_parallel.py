@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from baitline import features, parallel
-from baitline.classical import DecisionTree, RandomForestConfig, balanced_class_weights, train_random_forest
-from baitline.corpus import Corpus, NewsArticle, save_corpus
 from baitline.classical import tree
+from baitline.classical.forest import RandomForestConfig, train_random_forest
+from baitline.corpus import Corpus, NewsArticle, save_corpus
 from baitline.features import feature_matrix
 from baitline.registry import FAMILIES
 
@@ -247,20 +247,6 @@ class TestForestFanOut:
             got = (trees.feature, trees.threshold, trees.left, trees.right, trees.value, trees.roots)
             for a, b in zip(got, oracle, strict=True):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-    def test_generators_left_as_serial_growth_leaves_them(self, fan_out):
-        X, y = separable_dataset(seed=5, n_per_class=20, d=4)
-        X = X + np.random.default_rng(6).normal(scale=3.0, size=X.shape)
-        weights = balanced_class_weights(y)
-        samples = [np.random.default_rng(t).integers(0, len(y), size=len(y)) for t in range(5)]
-        states = []
-        for cpus in (1, 3):
-            fan_out(cpus)
-            rngs = [np.random.default_rng(100 + t) for t in range(5)]
-            forest = DecisionTree.fit(X, y, weights, rngs, samples, 2)
-            states.append(([rng.bit_generator.state for rng in rngs], forest.to_preorder()))
-        assert states[0] == states[1]
-        assert states[0][0] != [np.random.default_rng(100 + t).bit_generator.state for t in range(5)]
 
 
 # Trains and predicts rf and svm at both profiles inside the directory it is

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from baitline.tensor import (
+from baitline.tensor.checkpoint import load_tensors, save_tensors
+from baitline.tensor.core import (
     NonFiniteError,
     Tensor,
+    _scatter_rows,
     add,
     backward,
     bilstm_sequence,
@@ -17,7 +19,6 @@ from baitline.tensor import (
     dropout,
     embedding_lookup,
     l2_normalize,
-    load_tensors,
     matmul,
     max_pool_over_time,
     mean_over_time,
@@ -27,7 +28,6 @@ from baitline.tensor import (
     pooled_encode,
     relu,
     reshape,
-    save_tensors,
     sigmoid,
     softmax,
     stack_steps,
@@ -35,7 +35,6 @@ from baitline.tensor import (
     tanh,
     tmean,
 )
-from baitline.tensor.core import _scatter_rows
 from baitline.tensor.optim import GraphOptimizer
 from bilstm_oracle import stored_states_bilstm
 from gradcheck import check_gradients, tsum
