@@ -16,14 +16,13 @@ import numpy as np
 
 from ..corpus import Corpus, Label, argmax_predictions
 from ..tensor.checkpoint import MODEL_FILE, load_tensors, require_same_names, save_tensors
-from ..tensor.core import Tensor, backward, cross_entropy, no_grad
+from ..tensor.core import ROW_TILE, Tensor, backward, cross_entropy, no_grad
 from ..tensor.optim import GraphOptimizer
 from ..textproc import PAD_ID, TokenizedDoc, Vocabulary, normalize, tokenize, vocab_from_tokens
 from .embeddings import load_pretrained_embeddings
 from .encoder import Params
 
 PREDICT_BATCH = 16  # rows per scoring chunk
-ROW_TILE = 4  # a scored chunk's rows are a multiple of this
 
 
 def tokenize_sides(articles) -> tuple[list[TokenizedDoc], list[TokenizedDoc]]:

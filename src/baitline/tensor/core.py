@@ -10,10 +10,13 @@ as garbage metrics.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .. import blas
 
 
 class NonFiniteError(ArithmeticError):
@@ -342,6 +345,34 @@ def mean_over_time(x: Tensor, mask: np.ndarray) -> Tensor:
     return Tensor(out_data, (x,), rule, op="mean_over_time")
 
 
+# a GEMM over a multiple of this many rows gives a row the same bits whatever
+# the other rows, on OpenBLAS's Haswell and SkylakeX kernels alike
+ROW_TILE = 4
+
+
+def _kept_width(mask: np.ndarray, embed_dim: int, out_dim: int) -> int:
+    """The columns ``pooled_encode`` computes on: up to the last one that
+    holds a real token, widened until B times the width is a multiple of
+    ``ROW_TILE``.  The full width when no such widening fits, when a row is
+    all padding (its zeros take their signs from every column), or when the
+    embedding or output width is 1, where numpy sums over time pairwise and
+    trailing zeros regroup the sums."""
+    batch, steps = mask.shape
+    if min(embed_dim, out_dim) == 1 or not mask.any(axis=1).all():
+        return steps
+    last = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
+    tile = ROW_TILE // math.gcd(batch, ROW_TILE)
+    return min(-(-last // tile) * tile, steps)
+
+
+def _zero_padded(kept: np.ndarray, steps: int) -> np.ndarray:
+    """(B, width, n) -> (B * steps, n) rows in (b, t) order, zero past width."""
+    batch, width, n = kept.shape
+    out = np.zeros((batch, steps, n))
+    out[:, :width] = kept
+    return out.reshape(batch * steps, n)
+
+
 def pooled_encode(table: Tensor, proj_w: Tensor, ctx_w: Tensor, proj_b: Tensor,
                   ids: np.ndarray, mask: np.ndarray) -> Tensor:
     """Pooled text encoding of ids and a 0/1 mask (B, T) -> (B, O).
@@ -351,16 +382,33 @@ def pooled_encode(table: Tensor, proj_w: Tensor, ctx_w: Tensor, proj_b: Tensor,
     tanh((x - c) @ proj_w + c @ ctx_w + proj_b).  Output and gradients have
     the bits of the graph of ``embedding_lookup``, ``mean_over_time``, ``sub``,
     ``multiply``, ``matmul``, ``add`` and ``tanh``: the same operations in the
-    same order, every GEMM over all B*T rows.  The backward skips what the
-    graph does for nothing: the constant mask's gradient, re-masking masked
-    arrays, the padded tokens' table terms (+-0.0 each, no-ops in
-    ``_scatter_rows``) and per-node finiteness scans: one scan of the rows
-    read and one of the tanh input catch every non-finite value.
+    same order (on one BLAS thread where trailing padding is dropped; see
+    below).  The backward skips what the graph does for nothing: the
+    constant mask's gradient, re-masking masked arrays, the padded tokens'
+    table terms (+-0.0 each, no-ops in ``_scatter_rows``) and per-node
+    finiteness scans: one scan of the rows read and one of the tanh input
+    catch every non-finite value.
+
+    Every step runs on the ``_kept_width`` columns only.  Trailing padding
+    adds only signed zeros to the sums over time; at most they turn a -0.0
+    centre entry into +0.0, which only GEMMs read, and a GEMM's sums start
+    at +0.0, which no signed zero term changes.  When columns are dropped,
+    the two GEMMs whose rows are tokens run on one BLAS thread, since at
+    more threads OpenBLAS splits a product by its shape and a row's bits can
+    follow the row count.  The weight gradient of ``proj_w`` keeps every
+    column, as zero rows in (b, t) order: OpenBLAS sums that GEMM's rows in
+    blocks, which fewer rows would regroup.  The dropped columns' table rows
+    are checked for finiteness as the full gather checks them.
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
     batch, steps = ids.shape
     embed_dim, out_dim = proj_w.data.shape
+    width = _kept_width(mask, embed_dim, out_dim)
+    token_gemm = nullcontext
+    if width < steps:
+        _ensure_finite(table.data[np.unique(ids[:, width:])], "pooled_encode")
+        ids, mask, token_gemm = ids[:, :width], mask[:, :width], blas.single_thread
     mask3 = mask[:, :, None]
     counts = mask.sum(axis=1)
     safe_counts = np.where(counts == 0, 1.0, counts)[:, None]
@@ -371,8 +419,9 @@ def pooled_encode(table: Tensor, proj_w: Tensor, ctx_w: Tensor, proj_b: Tensor,
     center = centered.sum(axis=1) / safe_counts  # (B, E)
     centered -= center[:, None, :]
     centered *= mask3
-    flat = centered.reshape(batch * steps, embed_dim)
-    tokens = (flat @ proj_w.data).reshape(batch, steps, out_dim)
+    flat = centered.reshape(batch * width, embed_dim)
+    with token_gemm():
+        tokens = (flat @ proj_w.data).reshape(batch, width, out_dim)
     tokens += (center @ ctx_w.data + proj_b.data)[:, None, :]
     _ensure_finite(tokens, "pooled_encode")
     np.tanh(tokens, out=tokens)
@@ -384,9 +433,10 @@ def pooled_encode(table: Tensor, proj_w: Tensor, ctx_w: Tensor, proj_b: Tensor,
         np.subtract(1.0, slope, out=slope)
         g_pre *= slope
         g_ctx = _unbroadcast(g_pre, (batch, 1, out_dim)).reshape(batch, out_dim)
-        g_flat_pre = g_pre.reshape(batch * steps, out_dim)
-        g_flat = g_flat_pre @ proj_w.data.T
-        g_centered = g_flat.reshape(batch, steps, embed_dim)
+        g_flat_pre = g_pre.reshape(batch * width, out_dim)
+        with token_gemm():
+            g_flat = g_flat_pre @ proj_w.data.T
+        g_centered = g_flat.reshape(batch, width, embed_dim)
         # The graph masks g_centered again and adds the sum of its negation.
         # Padded rows of g_flat are +-0.0 already, and the sum of g subtracted
         # differs only in the sign of a zero, which no table-gradient sum keeps.
@@ -395,9 +445,13 @@ def pooled_encode(table: Tensor, proj_w: Tensor, ctx_w: Tensor, proj_b: Tensor,
         g_center /= safe_counts
         g_centered += g_center[:, None, :]  # the embeddings' gradient on real tokens
         real = np.flatnonzero(mask)
+        if width < steps:
+            g_proj_w = _zero_padded(centered, steps).T @ _zero_padded(g_pre, steps)
+        else:
+            g_proj_w = flat.T @ g_flat_pre
         return (
             _scatter_rows(ids.reshape(-1)[real], g_flat[real], table.data.shape[0]),
-            flat.T @ g_flat_pre,
+            g_proj_w,
             center.T @ g_ctx,
             _unbroadcast(g_ctx, proj_b.data.shape),
         )
@@ -528,8 +582,10 @@ def _table_projections(table, ids, mask, wf, wr):
     _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
     rows = table[ids.reshape(-1)[first]] * mask.reshape(-1)[first, None]
     _ensure_finite(rows, "embedding_lookup")
-    if len(rows) == 1 < ids.size:
-        rows = np.concatenate([rows, rows])  # a one-row GEMM takes another kernel
+    if len(rows) % 2 and ids.size > 1:
+        # a one-row GEMM takes another kernel, and OpenBLAS's Haswell kernels
+        # give the last row of an odd-row GEMM other bits
+        rows = np.concatenate([rows, rows[-1:]])
     inverse = inverse.reshape(ids.shape).T  # (T, B)
     return (np.concatenate([rows @ wf, rows @ wr]),
             np.stack([inverse, inverse[::-1] + len(rows)], axis=1))
@@ -565,9 +621,10 @@ def bilstm_sequence(
 
     The bits do not depend on the blocks or on the distinct rows: a GEMM
     gives a row the same bits whatever the other rows, for two rows or more
-    (``tests/test_tensor.py`` checks this on the BLAS numpy uses).  A single
-    distinct row is therefore projected twice, and at B = 1 no block is one
-    step long unless the layer is.
+    (``tests/test_tensor.py`` checks this on the BLAS numpy uses), and on
+    OpenBLAS's Haswell kernels for an even number of rows.  An odd number
+    of distinct rows therefore projects its last row twice, and at B = 1 no
+    block is one step long unless the layer is.
     """
     mask = np.asarray(mask)
     batch, steps = mask.shape

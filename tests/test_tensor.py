@@ -9,6 +9,7 @@ from baitline.tensor.checkpoint import load_tensors, save_tensors
 from baitline.tensor.core import (
     NonFiniteError,
     Tensor,
+    _kept_width,
     _scatter_rows,
     add,
     backward,
@@ -602,6 +603,81 @@ class TestPooledEncode:
             fused, graph = self.run_both(weights, ids, mask, probes)
             for got, want in zip(fused, graph):
                 assert same_bits(got, want)
+
+    # (batch, steps, last column a row may reach); rows end before ``steps``
+    TRIMMED = {
+        "odd batch": (3, 9, 5),
+        "five rows": (5, 12, 3),
+        "one row": (1, 10, 3),
+        "two rows": (2, 7, 1),
+        "four rows": (4, 6, 2),
+    }
+
+    @staticmethod
+    def trailing_padding_mask(rng, batch, steps, last):
+        """Masks with gaps whose real tokens end by column ``last``, every row
+        holding one, and the first and last rows reaching ``last``."""
+        mask = (rng.random((batch, steps)) < 0.7).astype(np.int64)
+        mask[:, last:] = 0
+        mask[np.arange(batch), rng.integers(0, last, size=batch)] = 1
+        mask[[0, -1], last - 1] = 1
+        return mask
+
+    @pytest.mark.parametrize("case", TRIMMED)
+    def test_trimmed_matches_graph_bit_for_bit(self, case):
+        """Trailing padding dropped, against the graph at full width: -0.0
+        table entries and probes, and real ids under padding.  At these
+        widths OpenBLAS's Haswell kernels give the last row of an odd-row GEMM
+        other bits, so the kept rows must be widened to a multiple of 4."""
+        batch, steps, last = self.TRIMMED[case]
+        for _ in range(6):
+            mask = self.trailing_padding_mask(self.rng, batch, steps, last)
+            assert _kept_width(mask, 16, 12) < steps
+            ids = self.rng.integers(0, 7, size=mask.shape)
+            weights = encoder_weights(self.rng, embed_dim=16, out_dim=12)
+            weights[0].data[self.rng.random(weights[0].data.shape) < 0.2] = -0.0
+            weights[0].data[3] = 0.0
+            probes = [np.where(self.rng.random((batch, 12)) < 0.3, -0.0,
+                               self.rng.normal(size=(batch, 12))) for _ in range(2)]
+            fused, graph = self.run_both(weights, ids, mask, probes)
+            for got, want in zip(fused, graph):
+                assert same_bits(got, want)
+
+    def test_trimmed_weight_gradient_spans_row_blocks(self):
+        """2,400 weight-gradient rows, 12 of 300 columns real: OpenBLAS sums
+        that GEMM's rows in several blocks, which dropping rows would regroup."""
+        rng = np.random.default_rng(7)
+        mask = self.trailing_padding_mask(rng, 8, 300, 12)
+        assert _kept_width(mask, 48, 40) == 12
+        ids = rng.integers(0, 50, size=mask.shape)
+        weights = encoder_weights(rng, rows=50, embed_dim=48, out_dim=40, scale=0.3)
+        probes = [rng.normal(size=(8, 40)) for _ in range(2)]
+        fused, graph = self.run_both(weights, ids, mask, probes)
+        for got, want in zip(fused, graph):
+            assert same_bits(got, want)
+
+    def test_trimmed_width(self):
+        mask = np.zeros((3, 20), dtype=np.int64)
+        mask[:, 0] = 1
+        mask[1, 4] = 1
+        assert _kept_width(mask, 5, 4) == 8  # 3 x 5 columns widened to 3 x 8
+        assert _kept_width(mask[:2], 5, 4) == 6
+        assert _kept_width(mask[:, :7], 5, 4) == 7  # 3 x 8 does not fit
+        assert _kept_width(mask, 1, 4) == _kept_width(mask, 5, 1) == 20
+        mask[2] = 0
+        assert _kept_width(mask, 5, 4) == 20  # an all-padding row
+
+    def test_trimmed_non_finite_rows_raise(self):
+        """A non-finite table row that only dropped columns read raises as the
+        full gather does, without a numpy warning on the way."""
+        mask = np.array([[1, 1, 0, 0, 0, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0, 0, 0]])
+        ids = np.array([[1, 2, 0, 0, 5, 0, 0, 0, 6], [3, 4, 1, 0, 0, 0, 0, 0, 0]])
+        assert _kept_width(mask, 5, 4) == 4
+        for row, value in ((0, np.inf), (5, np.nan), (6, -np.inf)):
+            weights = encoder_weights(self.rng)
+            weights[0].data[row, 2] = value
+            with pytest.raises(NonFiniteError, match="pooled_encode"):
+                pooled_encode(*weights, ids, mask)
 
     def test_finite_differences(self):
         mask = np.array(self.MASKS["gaps"])

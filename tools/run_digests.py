@@ -21,6 +21,10 @@ same bytes.
 
 --embeddings writes a seeded word-vector file covering every corpus token and
 sets ``embedding_file`` for bilstm and contrastive.
+
+The neural digests follow the OpenBLAS kernel (one numpy wheel holds several
+and picks one per CPU), so the kernel's name goes to stderr first; stdout
+holds only the digest lines.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from baitline import blas
 from baitline import config as cfg
 from baitline.cli import run
 from baitline.corpus import load_corpus
@@ -78,6 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--embeddings", action="store_true",
                         help="initialize bilstm and contrastive from word vectors")
     args = parser.parse_args(argv)
+    print(f"OpenBLAS core: {blas.describe()['core']}", file=sys.stderr)
     out = Path(args.out)
     out.mkdir(parents=True)
     shutil.copyfile(CORPUS, out / CORPUS.name)
